@@ -5,9 +5,11 @@ time slice and is solved implicitly: with ``E`` the equal-weight average of
 the two children and ``Z = (Y_up - Y_down) / (2 sqrt(dt))``, the interval
 value solves ``y = E + f(t_k, y, Z) dt (+ dV)``.  The map ``y -> y - dt
 f(t, y, z)`` is strictly increasing whenever ``dt * max(0, mu) < 1``, so the
-root is unique and a safeguarded bisection finds it to tolerance.  The
-phase transition AT(k) -> AFTER(k) carries no noise and no driver time;
-only finite-variation increments act there.
+root is unique; :func:`implicit_step` finds it in closed form, by a
+safeguarded Newton iteration or by bracketed bisection, depending on the
+structure the driver declares.  The phase transition AT(k) -> AFTER(k)
+carries no noise and no driver time; only finite-variation increments act
+there.
 
 Martingale representation is exact by construction: ``Y_up - Y_down =
 2 Z sqrt(dt)`` at every diffusion transition.
@@ -58,20 +60,25 @@ class Driver:
     constant in ``y`` (non-positive for drivers non-increasing in ``y``).
     ``z_growth`` optionally records sublinear-growth data ``(gamma, eta,
     g_bound)``; the constants are validated and spot-checkable but play no
-    quantitative role in the finite recursion.  ``linear`` caches ``(a, b,
-    c)`` when ``f = a + b y + c z`` so one-step solves can go closed-form.
+    quantitative role in the finite recursion.  ``terms`` declares ``f`` as
+    the polynomial ``sum c * y**i * z**j`` over its ``(i, j, c)`` entries,
+    and ``clip`` as that polynomial clipped to the band ``(lo, hi)``;
+    :func:`implicit_step` picks its root solver from them.
     """
 
     fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     lambda_z: float
     mu: float
     tag: str = "custom"
-    linear: tuple[float, float, float] | None = None
     z_growth: tuple[float, float, float] | None = None
+    terms: tuple[tuple[int, int, float], ...] | None = None
+    clip: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.lambda_z < 0:
             raise ValueError("lambda_z must be nonnegative")
+        if self.clip is not None and not self.clip[0] <= self.clip[1]:
+            raise ValueError("clip band requires lo <= hi")
         if self.z_growth is not None:
             gamma, eta, g_bound = self.z_growth
             if gamma < 0 or g_bound < 0 or not (0.0 <= eta < 1.0):
@@ -81,7 +88,10 @@ class Driver:
         return self.fn(t, y, z)
 
     def spot_check(self, rng: np.random.Generator, samples: int = 256, scale: float = 5.0, tol: float = 1e-9) -> dict[str, float]:
-        """Worst observed violation of each declared hypothesis on random data."""
+        """Worst observed violation of each declared hypothesis on random data.
+
+        ``rng`` is used only through ``uniform(low, high, size)``.
+        """
         t = rng.uniform(0.0, 1.0, samples)
         y, y2 = rng.uniform(-scale, scale, (2, samples))
         z, z2 = rng.uniform(-scale, scale, (2, samples))
@@ -100,16 +110,25 @@ class Driver:
         return out
 
 
+def _affine(terms: Sequence[tuple[int, int, float]]) -> tuple[float, float, float] | None:
+    """``(a, b, c)`` with ``sum c y**i z**j = a + b y + c z``, or None if not affine."""
+    if any(i + j > 1 for i, j, _ in terms):
+        return None
+    return (sum(c for i, j, c in terms if i == j == 0),
+            sum(c for i, _, c in terms if i == 1),
+            sum(c for _, j, c in terms if j == 1))
+
+
 def constant_driver(value: float) -> Driver:
     value = float(value)
     return Driver(fn=lambda t, y, z: np.full_like(np.asarray(y, dtype=float), value),
-                  lambda_z=0.0, mu=0.0, tag="constant", linear=(value, 0.0, 0.0))
+                  lambda_z=0.0, mu=0.0, tag="constant", terms=((0, 0, value),))
 
 
 def linear_driver(const: float = 0.0, y_coef: float = 0.0, z_coef: float = 0.0) -> Driver:
     a, b, c = float(const), float(y_coef), float(z_coef)
     return Driver(fn=lambda t, y, z: a + b * np.asarray(y, dtype=float) + c * np.asarray(z, dtype=float),
-                  lambda_z=abs(c), mu=b, tag="linear", linear=(a, b, c))
+                  lambda_z=abs(c), mu=b, tag="linear", terms=((0, 0, a), (1, 0, b), (0, 1, c)))
 
 
 def truncated_driver(const: float, y_coef: float, z_coef: float, bound: float) -> Driver:
@@ -120,13 +139,14 @@ def truncated_driver(const: float, y_coef: float, z_coef: float, bound: float) -
     if bound <= 0:
         raise ValueError("truncation bound must be positive")
     fn = lambda t, y, z: np.clip(a + b * np.asarray(y, dtype=float) + c * np.asarray(z, dtype=float), -bound, bound)
-    return Driver(fn=fn, lambda_z=abs(c), mu=max(b, 0.0), tag="truncated")
+    return Driver(fn=fn, lambda_z=abs(c), mu=max(b, 0.0), tag="truncated",
+                  terms=((0, 0, a), (1, 0, b), (0, 1, c)), clip=(-bound, bound))
 
 
 def polynomial_driver(terms: Sequence[tuple[int, int, float]], lambda_z: float, mu: float,
                       z_growth: tuple[float, float, float] | None = None, tag: str = "polynomial") -> Driver:
     """Driver ``f(t, y, z) = sum c * y**i * z**j`` with declared constants."""
-    terms = [(int(i), int(j), float(c)) for i, j, c in terms]
+    terms = tuple((int(i), int(j), float(c)) for i, j, c in terms)
     for i, j, _ in terms:
         if i < 0 or j < 0:
             raise ValueError("polynomial powers must be nonnegative")
@@ -139,13 +159,7 @@ def polynomial_driver(terms: Sequence[tuple[int, int, float]], lambda_z: float, 
             acc += c * y**i * z**j
         return acc
 
-    linear = None
-    if all(i <= 1 and j <= 1 and i + j <= 1 for i, j, _ in terms):
-        a = sum(c for i, j, c in terms if i == 0 and j == 0)
-        b = sum(c for i, j, c in terms if i == 1)
-        cz = sum(c for i, j, c in terms if j == 1)
-        linear = (a, b, cz)
-    return Driver(fn=fn, lambda_z=float(lambda_z), mu=float(mu), tag=tag, linear=linear, z_growth=z_growth)
+    return Driver(fn=fn, lambda_z=float(lambda_z), mu=float(mu), tag=tag, z_growth=z_growth, terms=terms)
 
 
 def cfl_margin(driver: Driver, tree: TwoPhaseTree) -> float:
@@ -162,47 +176,161 @@ def implicit_step(e: np.ndarray, z: np.ndarray, t: float, driver: Driver, dt: fl
                   active: np.ndarray | None = None, tol: float = 1e-12, max_iter: int = 200) -> np.ndarray:
     """Solve ``y = e + f(t, y, z) dt`` elementwise (identity where inactive).
 
-    The closed form is used for affine drivers; otherwise a bracketed
-    bisection on the strictly increasing residual ``y - f dt - e``.
+    The driver's declared structure picks the solver: the closed form for
+    affine ``terms``; for affine ``terms`` under a ``clip`` band ``[lo,
+    hi]``, the closed form clipped to ``[e + dt lo, e + dt hi]`` (exact while
+    the unclipped residual is strictly increasing); a safeguarded Newton
+    iteration for other ``terms``, clipped or not; and bracketed bisection
+    on ``fn`` for drivers without ``terms``.  Each path but the affine one
+    ends with a residual check against ``fn`` at ``tol``, so structure that
+    disagrees with ``fn`` raises :class:`RootSolveError`.  ``max_iter`` caps
+    the Newton and bisection rounds.
     """
     e = np.asarray(e, dtype=float)
     z = np.asarray(z, dtype=float)
-    if driver.linear is not None:
-        a, b, c = driver.linear
+    affine = None if driver.terms is None else _affine(driver.terms)
+    if affine is not None and driver.clip is None:
+        a, b, c = affine
         y = (e + dt * (a + c * z)) / (1.0 - dt * b)
     else:
-        def resid(y: np.ndarray) -> np.ndarray:
-            return y - dt * driver.fn(t, y, z) - e
-
-        f0 = driver.fn(t, e, z)
-        width = dt * np.abs(f0) + 1e-3 * (1.0 + np.abs(e))
-        lo = e - width
-        hi = e + width
-        for _ in range(200):
-            bad_lo = resid(lo) > 0.0
-            bad_hi = resid(hi) < 0.0
-            if not (bad_lo.any() or bad_hi.any()):
-                break
-            width = width * 2.0
-            lo = np.where(bad_lo, e - width, lo)
-            hi = np.where(bad_hi, e + width, hi)
-        else:  # pragma: no cover - pathological driver
-            raise RootSolveError("could not bracket the implicit one-step root")
-        for _ in range(max_iter):
-            mid = 0.5 * (lo + hi)
-            go_lo = resid(mid) <= 0.0
-            lo = np.where(go_lo, mid, lo)
-            hi = np.where(go_lo, hi, mid)
-            if np.max(hi - lo) <= 1e-15 * (1.0 + np.max(np.abs(mid))):
-                break
-        y = 0.5 * (lo + hi)
-        worst = float(np.max(np.abs(resid(y))))
+        if affine is not None:
+            y = _clipped_affine_step(e, z, affine, driver.clip, dt)
+        elif driver.terms is not None:
+            y = _newton_step(e, z, driver.terms, driver.clip, dt, max_iter)
+        else:
+            y = _bisect_step(e, z, t, driver.fn, dt, max_iter)
+        resid = np.multiply(driver.fn(t, y, z), -dt)
+        resid += y
+        resid -= e
+        worst = float(np.max(np.abs(resid, out=resid)))
         if worst > max(tol, tol * float(np.max(np.abs(y)))):
             raise RootSolveError(f"one-step residual {worst:.3e} above tolerance {tol:.3e}")
     if active is not None:
         y = np.where(active, y, e)
     if not np.all(np.isfinite(y)):
         raise RootSolveError("implicit step produced non-finite values")
+    return y
+
+
+def _clipped_affine_step(e: np.ndarray, z: np.ndarray, affine: tuple[float, float, float],
+                         band: tuple[float, float], dt: float) -> np.ndarray:
+    """Root of ``y = e + dt clip(a + b y + c z, lo, hi)``.
+
+    Every root lies in ``[e + dt lo, e + dt hi]``, and when the unclipped
+    root leaves that band the residual vanishes at the nearer edge, so the
+    root is the unclipped closed form clipped to the band.  Computed in
+    place to keep two temporaries alive.
+    """
+    a, b, c = affine
+    lo, hi = band
+    y = np.empty(np.broadcast_shapes(e.shape, z.shape))
+    np.multiply(z, c, out=y)
+    y += a
+    y *= dt
+    y += e
+    y /= 1.0 - dt * b
+    edge = np.add(e, dt * lo)
+    np.maximum(y, edge, out=y)
+    np.add(e, dt * hi, out=edge)
+    np.minimum(y, edge, out=y)
+    return y
+
+
+def _bracket(resid: Callable[[np.ndarray], np.ndarray], e: np.ndarray,
+             width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Widen ``[e - width, e + width]`` by doubling until it brackets the
+    root of the increasing ``resid``."""
+    lo = e - width
+    hi = e + width
+    for _ in range(200):
+        bad_lo = resid(lo) > 0.0
+        bad_hi = resid(hi) < 0.0
+        if not (bad_lo.any() or bad_hi.any()):
+            return lo, hi
+        width = width * 2.0
+        lo = np.where(bad_lo, e - width, lo)
+        hi = np.where(bad_hi, e + width, hi)
+    raise RootSolveError("could not bracket the implicit one-step root")  # pragma: no cover
+
+
+def _bisect_step(e: np.ndarray, z: np.ndarray, t: float, fn: Callable, dt: float,
+                 max_iter: int) -> np.ndarray:
+    """Bracketed bisection on ``y - dt fn(t, y, z) - e``: needs no structure,
+    so it serves drivers that declare none and is the oracle in the tests."""
+    def resid(y: np.ndarray) -> np.ndarray:
+        return y - dt * fn(t, y, z) - e
+
+    width = dt * np.abs(fn(t, e, z)) + 1e-3 * (1.0 + np.abs(e))
+    lo, hi = _bracket(resid, e, width)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        go_lo = resid(mid) <= 0.0
+        lo = np.where(go_lo, mid, lo)
+        hi = np.where(go_lo, hi, mid)
+        if np.max(hi - lo) <= 1e-15 * (1.0 + np.max(np.abs(mid))):
+            break
+    return 0.5 * (lo + hi)
+
+
+def _newton_step(e: np.ndarray, z: np.ndarray, terms: Sequence[tuple[int, int, float]],
+                 band: tuple[float, float] | None, dt: float, max_iter: int) -> np.ndarray:
+    """Safeguarded Newton (the ``rtsafe`` pattern) on ``y - dt f - e``.
+
+    ``f`` and ``df/dy`` come from ``terms`` by Horner's rule in ``y``, with
+    ``z`` frozen; a clip band zeroes the slope outside it.  The bracket is
+    ``[e + dt lo, e + dt hi]`` under a band, else the doubling bracket.  Each
+    residual sign shrinks the bracket, and a Newton step that leaves it, or
+    is not under half the step before last, falls back to bisection.
+    """
+    deg = max((i for i, _, _ in terms), default=0)
+    coef: list = [0.0] * (deg + 1)  # coefficient of y**i, a function of z
+    for i, j, c in terms:
+        coef[i] = coef[i] + (c if j == 0 else c * z**j)
+
+    def value_slope(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f, df = coef[deg], 0.0
+        for i in range(deg - 1, -1, -1):
+            df = df * y + f
+            f = f * y + coef[i]
+        if band is not None:
+            inside = (f > band[0]) & (f < band[1])
+            f = np.clip(f, band[0], band[1])
+            df = np.where(inside, df, 0.0)
+        return f, df
+
+    if band is None:
+        def resid(y: np.ndarray) -> np.ndarray:
+            return y - dt * value_slope(y)[0] - e
+
+        lo, hi = _bracket(resid, e, dt * np.abs(value_slope(e)[0]) + 1e-3 * (1.0 + np.abs(e)))
+        y = e
+    else:
+        lo, hi = e + dt * band[0], e + dt * band[1]
+        # an edge where f is clipped to that edge is the root: pin it, since
+        # Newton steps land on the edge only to within rounding
+        at_lo = value_slope(lo)[0] <= band[0]
+        at_hi = value_slope(hi)[0] >= band[1]
+        y = np.where(at_lo, lo, np.where(at_hi, hi, np.clip(e, lo, hi)))
+        lo = np.where(at_hi, y, lo)
+        hi = np.where(at_lo, y, hi)
+    step = step_before = hi - lo
+    for _ in range(max_iter):
+        f, df = value_slope(y)
+        r = y - dt * f - e
+        lo = np.where(r < 0.0, y, lo)
+        hi = np.where(r > 0.0, y, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = y + r / (dt * df - 1.0)
+        thr = 1e-15 * (1.0 + np.max(np.abs(y)))
+        size = np.abs(newton - y)
+        # a step at round-off size is always taken: it cannot bisect a
+        # converged element back into a one-sided bracket
+        ok = (newton >= lo) & (newton <= hi) & (2.0 * size <= np.abs(step_before)) | (size <= thr)
+        nxt = np.where(ok, newton, 0.5 * (lo + hi))
+        step_before, step = step, nxt - y
+        y = nxt
+        if np.max(np.abs(step)) <= thr:
+            break
     return y
 
 

@@ -28,6 +28,7 @@ from .expectation import (
     BSDESolution,
     Driver,
     TransitionIncrements,
+    _check_mu,
     implicit_step,
     solve_bsde,
 )
@@ -124,6 +125,7 @@ def solve_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
     """Backward clamped solve of the doubly reflected equation."""
     if not tree.same_grid(barriers.tree):
         raise ValueError("barriers live on a different grid")
+    _check_mu(driver, tree.dt)
     n, dt = tree.n_steps, tree.dt
     low, up = barriers.lower, barriers.upper
     y_at: list[np.ndarray] = [None] * (n + 1)  # type: ignore[list-item]
@@ -417,14 +419,21 @@ def clipped_driver(driver: Driver, lower_level: float, upper_level: float) -> Dr
 
     Clipping is monotone and 1-Lipschitz, so the z-Lipschitz constant
     carries over and the monotonicity constant can only move toward zero.
+    The polynomial ``terms`` carry over too, and a band ``(a, b)`` already
+    on the driver composes with the new one ``(lo, hi)`` into
+    ``(min(max(a, lo), hi), max(min(b, hi), lo))``.
     """
     lo, hi = -float(lower_level), float(upper_level)
     if lo > hi:
         raise ValueError("empty truncation band")
+    band = (lo, hi)
+    if driver.clip is not None:
+        a, b = driver.clip
+        band = (min(max(a, lo), hi), max(min(b, hi), lo))
     base = driver.fn
     return Driver(fn=lambda t, y, z: np.clip(base(t, y, z), lo, hi),
                   lambda_z=driver.lambda_z, mu=max(driver.mu, 0.0),
-                  tag=f"{driver.tag}|clip[{lo:g},{hi:g}]")
+                  tag=f"{driver.tag}|clip[{lo:g},{hi:g}]", terms=driver.terms, clip=band)
 
 
 @dataclass

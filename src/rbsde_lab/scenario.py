@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -128,6 +129,23 @@ _DRIVER_SCHEMAS: dict[str, dict[str, Any]] = {
                                                "additionalProperties": False}},
                    "additionalProperties": False},
 }
+
+
+class _SeededUniform:
+    """Fixed-seed ``uniform(low, high, size)`` draws from the standard library.
+
+    Every load spot-checks the driver on 1,280 such numbers; numpy imports
+    ``numpy.random`` lazily, and importing it for them would add about 6 MB
+    of resident memory and 15 ms to each CLI process.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._rng = random.Random(seed)
+
+    def uniform(self, low: float, high: float, size: int | tuple[int, ...]) -> np.ndarray:
+        out = np.empty(size)
+        out.flat = [self._rng.random() for _ in range(out.size)]
+        return low + (high - low) * out
 
 
 class ScenarioError(ValueError):
@@ -245,6 +263,12 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"/lower,/upper: {exc}") from None
     driver = _build_driver(data["driver"], "/driver")
+    try:
+        # the implicit-step guard and the root solvers rely on the declared
+        # constants; a fixed seed keeps loading deterministic
+        driver.spot_check(_SeededUniform(0))
+    except ValueError as exc:
+        raise ScenarioError(f"/driver: {exc}") from None
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(data.get("tolerances", {}))
     tolerances["max_iter"] = int(tolerances["max_iter"])
@@ -254,12 +278,40 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
                     tolerances=tolerances, seed=data.get("seed"), data=data)
 
 
+class _NonFinite:
+    """Stand-in for a ``NaN`` or ``Infinity`` literal, found after parsing."""
+
+    def __init__(self, literal: str) -> None:
+        self.literal = literal
+
+
+def _non_finite_at(node: Any, path: str = "") -> tuple[str, str] | None:
+    """Pointer and literal of the first non-finite number in a document."""
+    if isinstance(node, _NonFinite):
+        return path or "/", node.literal
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        hit = _non_finite_at(value, f"{path}/{key}")
+        if hit is not None:
+            return hit
+    return None
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
+    literals: list[str] = []
+
+    def non_finite(literal: str) -> _NonFinite:
+        literals.append(literal)
+        return _NonFinite(literal)
+
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(), parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from None
+    if literals:
+        pointer, literal = _non_finite_at(data)
+        raise ScenarioError(f"{pointer}: {literal} is not a finite number")
     if not isinstance(data, dict):
         raise ScenarioError("/: scenario document must be a JSON object")
     scenario = scenario_from_dict(data)

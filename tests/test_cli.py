@@ -102,6 +102,39 @@ def test_invalid_scenario_reports_pointer(tmp_path, capsys):
     assert rc == 2 and "'dt' is a required property" in rep["error"]
 
 
+def test_ill_posed_step_is_refused_by_solve_and_verify(tmp_path, capsys):
+    # dt * mu = 1.5: the implicit step has no unique root
+    data = dict(TRIVIAL, dt=1.0, driver={"kind": "linear", "y_coef": 1.5})
+    path = _write(tmp_path, data)
+    errors = []
+    for command in ("solve", "verify"):
+        rc = main([command, path])
+        rep = _json_out(capsys)
+        assert rc == 1 and not rep["passed"]
+        errors.append(rep["error"])
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("implicit step ill-posed")
+
+
+def test_misdeclared_driver_exits_2_at_load(tmp_path, capsys):
+    # 3y + 10z declared with lambda_z = 0 and mu = -1
+    driver = {"kind": "polynomial", "terms": [[1, 0, 3.0], [0, 1, 10.0]], "lambda_z": 0, "mu": -1}
+    rc = main(["solve", _write(tmp_path, dict(TRIVIAL, driver=driver))])
+    rep = _json_out(capsys)
+    assert rc == 2 and rep["error"].startswith("/driver: ")
+    assert "lipschitz_z" in rep["error"]
+
+
+def test_non_finite_number_exits_2_with_pointer(tmp_path, capsys):
+    text = json.dumps(TRIVIAL).replace('"value": 0.0}}', '"value": NaN}}')
+    assert "NaN" in text
+    path = tmp_path / "nan.json"
+    path.write_text(text)
+    rc = main(["verify", str(path)])
+    rep = _json_out(capsys)
+    assert rc == 2 and rep["error"] == "/driver/value: NaN is not a finite number"
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     path = _write(tmp_path, random_scenario(13, n_steps=2, driver_kind="cubic").data)
     name = random_scenario(13, n_steps=2, driver_kind="cubic").name

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,12 @@ from rbsde_lab import (
     EnumerationBoundError,
     OptionalProcess,
     Phase,
+    RootSolveError,
     StoppingTime,
     build_tree,
     cfl_margin,
     classify_ef,
+    clipped_driver,
     constant_driver,
     implicit_step,
     linear_driver,
@@ -50,18 +54,84 @@ def test_z_driver_adds_one_step_of_z():
     assert sol.y.at[0][0] == pytest.approx(1.0, abs=1e-15)
 
 
+def _bisection_oracle(driver):
+    """The same driver with its structure stripped, so implicit_step bisects."""
+    return dataclasses.replace(driver, terms=None, clip=None)
+
+
 def test_bisection_agrees_with_closed_form():
-    # same affine driver entered once through the linear fast path and once
-    # as a polynomial (no closed form): values must agree to the bracket tol
+    # same affine driver solved once in closed form and once with its
+    # structure stripped (bisection): values agree to the bracket tol
     tree = build_tree(3, 0.4)
     rng = np.random.default_rng(5)
     xi = rng.normal(size=8)
     a, b, c = 0.3, -0.8, 0.6
     lin = linear_driver(a, b, c)
-    poly = polynomial_driver([(0, 0, a), (1, 0, b), (0, 1, c)], lambda_z=abs(c), mu=b)
     s1 = solve_bsde(tree, xi, lin)
-    s2 = solve_bsde(tree, xi, poly, tol_root=1e-13)
+    s2 = solve_bsde(tree, xi, _bisection_oracle(lin), tol_root=1e-13)
     assert s1.y.sup_abs_diff(s2.y) < 1e-11
+
+
+@st.composite
+def _structured_drivers(draw):
+    """A driver with declared structure, and a dt that keeps the residual's
+    slope ``1 - dt * df/dy`` at 0.1 or more."""
+    unit = st.floats(-1.0, 1.0)
+    a, c = draw(unit), draw(unit)
+    b = draw(st.floats(-1.5, 0.5))
+    kind = draw(st.sampled_from(["truncated", "clipped_affine", "cubic", "polynomial_z"]))
+    if kind == "truncated":
+        drv = truncated_driver(a, b, c, draw(st.floats(0.1, 2.0)))
+    elif kind == "clipped_affine":
+        drv = linear_driver(a, b, c)
+    else:
+        terms = [(0, 0, a), (1, 0, b), (3, 0, -draw(st.floats(0.1, 3.0)))]
+        if kind == "polynomial_z":
+            # z enters through z, z**2 and y*z; |y*z coefficient| * max|z| <= 0.4
+            terms += [(0, 1, c), (0, 2, draw(st.floats(-0.5, 0.5))), (1, 1, 0.2 * draw(unit))]
+        drv = polynomial_driver(terms, lambda_z=10.0, mu=max(b, 0.0) + 0.4)
+    # ladder-style bands, nested twice at most, on any base
+    for _ in range(draw(st.integers(1 if kind == "clipped_affine" else 0, 2))):
+        drv = clipped_driver(drv, draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0)))
+    return drv, draw(st.floats(0.05, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_structured_drivers(), st.integers(0, 10_000), st.booleans())
+def test_structured_steps_match_bisection(drv_dt, seed, masked):
+    """Clip identity and Newton agree with bisection on the bare fn."""
+    drv, dt = drv_dt
+    rng = np.random.default_rng(seed)
+    e = rng.uniform(-3.0, 3.0, (3, 40))
+    z = rng.uniform(-2.0, 2.0, (3, 40))
+    active = rng.random((3, 40)) < 0.7 if masked else None
+    fast = implicit_step(e, z, 0.0, drv, dt, active=active)
+    slow = implicit_step(e, z, 0.0, _bisection_oracle(drv), dt, active=active)
+    assert np.all(np.abs(fast - slow) <= 1e-13 * np.maximum(1.0, np.abs(slow)))
+    if masked:
+        assert np.array_equal(fast[~active], e[~active])
+
+
+def test_structure_that_disagrees_with_fn_raises():
+    e = np.linspace(-2.0, 2.0, 9)
+    z = np.linspace(1.0, -1.0, 9)
+    cubic = polynomial_driver([(3, 0, -1.0), (1, 0, -1.0)], lambda_z=0.0, mu=-1.0)
+    wrong_terms = dataclasses.replace(cubic, terms=((3, 0, -2.0), (1, 0, -1.0)))
+    wrong_band = dataclasses.replace(truncated_driver(0.5, -1.0, 0.0, 1.0), clip=(-0.25, 0.25))
+    for drv in (wrong_terms, wrong_band, clipped_driver(wrong_terms, 1.0, 1.0)):
+        with pytest.raises(RootSolveError, match="residual"):
+            implicit_step(e, z, 0.0, drv, 0.5)
+    implicit_step(e, z, 0.0, cubic, 0.5)  # the honest declaration solves
+
+
+def test_clipped_driver_composes_bands():
+    base = truncated_driver(0.0, -1.0, 0.0, bound=2.0)
+    assert clipped_driver(base, 1.0, 1.0).clip == (-1.0, 1.0)
+    # disjoint bands collapse to the nearer edge of the outer one
+    assert clipped_driver(clipped_driver(base, -3.0, 4.0), 1.0, 1.0).clip == (1.0, 1.0)
+    ys = np.linspace(-5.0, 5.0, 21)
+    vals = clipped_driver(clipped_driver(base, -3.0, 4.0), 1.0, 1.0)(0.0, ys, np.zeros_like(ys))
+    assert np.all(vals == 1.0)
 
 
 def test_implicit_step_inactive_mask_is_identity():

@@ -108,6 +108,23 @@ def test_not_json_is_a_scenario_error(tmp_path):
         load_scenario(p)
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_literals_are_refused_with_pointer(tmp_path, literal):
+    p = tmp_path / "bad.json"
+    text = json.dumps(_minimal(lower={"kind": "affine", "intercept": -1.0, "slope": 0.5}))
+    p.write_text(text.replace('"slope": 0.5', f'"slope": {literal}'))
+    with pytest.raises(ScenarioError, match=f"^/lower/slope: {literal} is not a finite number$"):
+        load_scenario(p)
+
+
+def test_declared_driver_constants_are_spot_checked():
+    lying = {"kind": "polynomial", "terms": [[1, 0, 3.0], [0, 1, 10.0]], "lambda_z": 0, "mu": -1}
+    with pytest.raises(ScenarioError, match=r"^/driver: .*violates declared lipschitz_z"):
+        scenario_from_dict(_minimal(driver=lying))
+    honest = dict(lying, lambda_z=10.0, mu=3.0)
+    assert scenario_from_dict(_minimal(dt=0.25, driver=honest)).driver.mu == 3.0
+
+
 # -- randomized generation ----------------------------------------------------
 
 def test_generated_document_replays_exactly():
