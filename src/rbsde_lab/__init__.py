@@ -55,7 +55,6 @@ from .lattice import (
     eval_lower,
     eval_upper,
     first_hitting,
-    process_to_rows,
     semicontinuity,
 )
 from .reflect import (

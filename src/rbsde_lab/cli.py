@@ -48,7 +48,7 @@ from .report import (
     write_csv_atomic,
     write_json_atomic,
 )
-from .scenario import DEFAULT_TOLERANCES, Scenario, ScenarioError, load_scenario
+from .scenario import DEFAULT_TOLERANCES, Scenario, ScenarioError, _read_json, load_scenario
 
 __all__ = ["main"]
 
@@ -219,11 +219,12 @@ def _cmd_saddle(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
 
 def _load_solution(path: str):
     """Read a dumped solution, unwrapping a full solve report if handed one."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        data = _read_json(Path(path))
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
     if isinstance(data, dict) and "steps" not in data and isinstance(data.get("solution"), dict):
         data = data["solution"]
     try:

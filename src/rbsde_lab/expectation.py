@@ -505,11 +505,8 @@ def nonlinear_expectation(tree: TwoPhaseTree, alpha: StoppingTime, beta: Stoppin
         raise ValueError("alpha must not exceed beta")
     n = tree.n_steps
     beta_keys = beta.keys
-    for leaf in range(tree.n_leaves):
-        k = int(beta.steps[leaf])
-        leader = (leaf >> (n - k)) << (n - k)
-        if xi[leaf] != xi[leader]:
-            raise ValueError("xi is not measurable at beta (differs within a beta-atom)")
+    if np.any(xi != xi[beta.stop_nodes() << (n - beta.steps)]):
+        raise ValueError("xi is not measurable at beta (differs within a beta-atom)")
     masks = []
     for k in range(n):
         stride = tree.leaf_stride(k)

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,7 +37,7 @@ __all__ = [
     "first_hitting",
     "semicontinuity",
     "enumerate_stopping_times",
-    "process_to_rows",
+    "nan_max",
 ]
 
 
@@ -57,10 +58,6 @@ class TimePoint:
     def key(self) -> int:
         """Position in the total order: AT(k) -> 2k, AFTER(k) -> 2k+1."""
         return 2 * self.step + int(self.phase)
-
-
-def _point_from_key(key: int) -> TimePoint:
-    return TimePoint(key >> 1, Phase(key & 1))
 
 
 class TwoPhaseTree:
@@ -125,10 +122,6 @@ class TwoPhaseTree:
         if step == self.n_steps and phase == Phase.AFTER:
             raise ValueError("the final step has no AFTER phase")
         return TimePoint(step, phase)
-
-    def iter_points(self) -> Iterator[TimePoint]:
-        for key in range(2 * self.n_steps + 1):
-            yield _point_from_key(key)
 
     def node_of_leaf(self, leaf: np.ndarray | int, step: int) -> np.ndarray | int:
         """Ancestor node index of a leaf (full path) at ``step``."""
@@ -240,9 +233,9 @@ class OptionalProcess:
     def terminal(self) -> np.ndarray:
         return self.at[self.tree.n_steps]
 
-    def leaf_values(self, step: int, phase: Phase) -> np.ndarray:
-        arr = self.at[step] if Phase(phase) == Phase.AT else self.after[step]
-        return self.tree.spread(arr, step)
+    def table_rows(self) -> dict[str, list[list[float]]]:
+        """The ``at`` and ``after`` slot rows as lists of floats (the JSON table form)."""
+        return {"at": [a.tolist() for a in self.at], "after": [a.tolist() for a in self.after]}
 
     # -- transforms -----------------------------------------------------
 
@@ -266,46 +259,37 @@ class OptionalProcess:
         return OptionalProcess(sub, at, after)
 
     def sup_abs_diff(self, other: "OptionalProcess") -> float:
-        d = 0.0
-        for k in range(self.tree.n_steps + 1):
-            d = max(d, float(np.max(np.abs(self.at[k] - other.at[k]))))
-        for k in range(self.tree.n_steps):
-            d = max(d, float(np.max(np.abs(self.after[k] - other.after[k]))))
-        return d
+        return nan_max([0.0] + [float(np.max(np.abs(a - b))) for a, b in self._slot_pairs(other)])
 
     def pointwise_leq(self, other: "OptionalProcess", tol: float = 0.0) -> bool:
-        for k in range(self.tree.n_steps + 1):
-            if np.any(self.at[k] > other.at[k] + tol):
-                return False
-        for k in range(self.tree.n_steps):
-            if np.any(self.after[k] > other.after[k] + tol):
-                return False
-        return True
+        return not any(np.any(a > b + tol) for a, b in self._slot_pairs(other))
 
     def max_exceedance(self, other: "OptionalProcess") -> float:
         """sup of (self - other) over all points; <= 0 means self <= other."""
-        d = -np.inf
-        for k in range(self.tree.n_steps + 1):
-            d = max(d, float(np.max(self.at[k] - other.at[k])))
-        for k in range(self.tree.n_steps):
-            d = max(d, float(np.max(self.after[k] - other.after[k])))
-        return d
+        return nan_max([-np.inf] + [float(np.max(a - b)) for a, b in self._slot_pairs(other)])
+
+    def _slot_pairs(self, other: "OptionalProcess") -> list[tuple[np.ndarray, np.ndarray]]:
+        """Matching slot arrays of two processes, all AT slots then all AFTER slots."""
+        return list(zip(self.at, other.at)) + list(zip(self.after, other.after))
 
 
-def _realize_flags(tree: TwoPhaseTree, flag_at: list[np.ndarray], flag_after: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """First flagged point per leaf, capped at AT(N).  Returns (steps, phases)."""
-    n_leaves = tree.n_leaves
-    stop_key = np.full(n_leaves, 2 * tree.n_steps, dtype=np.int64)
-    unresolved = np.ones(n_leaves, dtype=bool)
+def nan_max(values: list[float]) -> float:
+    """``max`` that is NaN when any value is; ``max`` drops a NaN that is not first."""
+    return math.nan if any(v != v for v in values) else max(values)
+
+
+def _first_key(tree: TwoPhaseTree, holds: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per leaf, the first key where the per-leaf flags ``holds(key)`` are
+    set, capped at AT(N), and whether any was set."""
+    stop_key = np.full(tree.n_leaves, 2 * tree.n_steps, dtype=np.int64)
+    hit = np.zeros(tree.n_leaves, dtype=bool)
     for key in range(2 * tree.n_steps + 1):
-        step, ph = key >> 1, key & 1
-        flags = flag_at[step] if ph == 0 else flag_after[step]
-        here = unresolved & tree.spread(flags, step).astype(bool)
+        here = ~hit & holds(key)
         stop_key[here] = key
-        unresolved &= ~here
-        if not unresolved.any():
+        hit |= here
+        if hit.all():
             break
-    return stop_key >> 1, stop_key & 1
+    return stop_key, hit
 
 
 class StoppingTime:
@@ -326,7 +310,9 @@ class StoppingTime:
         self.flag_at = [np.asarray(a, dtype=bool).copy() for a in flag_at]
         self.flag_after = [np.asarray(a, dtype=bool).copy() for a in flag_after]
         self.flag_at[tree.n_steps] = np.ones(tree.n_leaves, dtype=bool)  # horizon cap
-        self._steps, self._phases = _realize_flags(tree, self.flag_at, self.flag_after)
+        flags = self.flag_at, self.flag_after
+        keys, _ = _first_key(tree, lambda key: tree.spread(flags[key & 1][key >> 1], key >> 1))
+        self._steps, self._phases = keys >> 1, keys & 1
 
     @classmethod
     def constant(cls, tree: TwoPhaseTree, step: int, phase: Phase = Phase.AT) -> "StoppingTime":
@@ -346,13 +332,17 @@ class StoppingTime:
         phases = np.asarray(phases, dtype=np.int64)
         if steps.shape != (tree.n_leaves,) or phases.shape != (tree.n_leaves,):
             raise ValueError("realized stop arrays must have one entry per leaf")
-        flag_at = [np.zeros(tree.nodes_at(k), dtype=bool) for k in range(tree.n_steps + 1)]
-        flag_after = [np.zeros(tree.nodes_at(k), dtype=bool) for k in range(tree.n_steps)]
-        for leaf in range(tree.n_leaves):
-            k, ph = int(steps[leaf]), int(phases[leaf])
-            tree.point(k, Phase(ph))
-            node = leaf >> (tree.n_steps - k)
-            (flag_at if ph == 0 else flag_after)[k][node] = True
+        n = tree.n_steps
+        bad = (steps < 0) | (steps > n) | (phases < 0) | (phases > 1) | ((steps == n) & (phases == 1))
+        if bad.any():
+            leaf = int(np.argmax(bad))
+            tree.point(int(steps[leaf]), Phase(int(phases[leaf])))  # raises the point's error
+        nodes = np.arange(tree.n_leaves) >> (n - steps)
+        keys = 2 * steps + phases
+        flag_at = [np.zeros(tree.nodes_at(k), dtype=bool) for k in range(n + 1)]
+        flag_after = [np.zeros(tree.nodes_at(k), dtype=bool) for k in range(n)]
+        for key in np.flatnonzero(np.bincount(keys)).tolist():
+            (flag_at if key & 1 == 0 else flag_after)[key >> 1][nodes[keys == key]] = True
         st = cls(tree, flag_at, flag_after)
         if not (np.array_equal(st.steps, steps) and np.array_equal(st.phases, phases)):
             raise ValueError("realized stops are not adapted (not a stopping time)")
@@ -375,7 +365,7 @@ class StoppingTime:
 
     def stop_nodes(self) -> np.ndarray:
         """Per-leaf node index at the stop step."""
-        return np.asarray([leaf >> (self.tree.n_steps - int(k)) for leaf, k in enumerate(self._steps)], dtype=np.int64)
+        return np.arange(self.tree.n_leaves) >> (self.tree.n_steps - self._steps)
 
     def leq(self, other: "StoppingTime") -> bool:
         return bool(np.all(self.keys <= other.keys))
@@ -407,11 +397,8 @@ class StoppingSystem:
         if membership.shape != (tau.tree.n_leaves,):
             raise ValueError("membership must have one entry per leaf")
         n = tau.tree.n_steps
-        for leaf in range(tau.tree.n_leaves):
-            k = int(tau.steps[leaf])
-            leader = (leaf >> (n - k)) << (n - k)
-            if membership[leaf] != membership[leader]:
-                raise ValueError("H flag differs within a stop atom")
+        if np.any(membership != membership[tau.stop_nodes() << (n - tau.steps)]):
+            raise ValueError("H flag differs within a stop atom")
         if np.any((tau.steps == n) & ~membership):
             raise ValueError("paths stopping at the horizon must belong to H")
         self.tau = tau
@@ -451,17 +438,14 @@ def _eval_at_system(process: OptionalProcess, system: StoppingSystem, side: str)
     tree = process.tree
     if not tree.same_grid(system.tau.tree):
         raise ValueError("process and stopping system live on different grids")
-    steps, phases, member = system.tau.steps, system.tau.phases, system.membership
+    # off H the stop cannot sit at the horizon, so AFTER(k) exists; right
+    # limsup and right liminf both read the interval slot
+    keys = np.where(system.membership, system.tau.keys, system.tau.keys | 1)
+    nodes = system.tau.stop_nodes()
     out = np.empty(tree.n_leaves)
-    for leaf in range(tree.n_leaves):
-        k, ph = int(steps[leaf]), int(phases[leaf])
-        node = leaf >> (tree.n_steps - k)
-        if member[leaf]:
-            out[leaf] = process.at[k][node] if ph == 0 else process.after[k][node]
-        else:
-            # off H the stop cannot sit at the horizon, so AFTER(k) exists;
-            # right limsup and right liminf both read the interval slot
-            out[leaf] = process.after[k][node]
+    for key in np.flatnonzero(np.bincount(keys)).tolist():
+        sel = keys == key
+        out[sel] = process.slot(key)[nodes[sel]]
     return out
 
 
@@ -487,20 +471,9 @@ def first_hitting(condition: OptionalProcess, theta: StoppingTime | None = None)
         theta = StoppingTime.constant(tree, 0, Phase.AT)
     if not tree.same_grid(theta.tree):
         raise ValueError("condition and theta live on different grids")
-    n_leaves = tree.n_leaves
     theta_keys = theta.keys
-    stop_key = np.full(n_leaves, 2 * tree.n_steps, dtype=np.int64)
-    hit = np.zeros(n_leaves, dtype=bool)
-    unresolved = np.ones(n_leaves, dtype=bool)
-    for key in range(2 * tree.n_steps + 1):
-        step = key >> 1
-        vals = condition.at[step] if key & 1 == 0 else condition.after[step]
-        here = unresolved & (theta_keys <= key) & (tree.spread(vals, step) != 0.0)
-        stop_key[here] = key
-        hit[here] = True
-        unresolved &= ~here
-        if not unresolved.any():
-            break
+    stop_key, hit = _first_key(
+        tree, lambda key: (theta_keys <= key) & (tree.spread(condition.slot(key), key >> 1) != 0.0))
     stop = StoppingTime.from_realized(tree, stop_key >> 1, stop_key & 1)
     return HittingResult(stop=stop, hit=hit)
 
@@ -558,16 +531,3 @@ def enumerate_stopping_times(tree: TwoPhaseTree, phase_resolved: bool = False) -
     callers should gate the depth.
     """
     return _stop_vectors(tree.n_steps, bool(phase_resolved))
-
-
-def process_to_rows(process: OptionalProcess) -> list[tuple[int, str, str, float]]:
-    """Flatten to (step, phase, path-bits, value) rows in scan order."""
-    rows = []
-    for key in range(2 * process.tree.n_steps + 1):
-        step, ph = key >> 1, key & 1
-        name = "at" if ph == 0 else "after"
-        vals = process.at[step] if ph == 0 else process.after[step]
-        for node in range(process.tree.nodes_at(step)):
-            bits = format(node, f"0{step}b") if step else ""
-            rows.append((step, name, bits, float(vals[node])))
-    return rows

@@ -18,21 +18,18 @@ AFTER(k) are paired with the values at AT(k).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .expectation import (
-    BSDESolution,
     Driver,
     TransitionIncrements,
     _check_mu,
     implicit_step,
     solve_bsde,
 )
-from .lattice import OptionalProcess, Phase, StoppingTime, TwoPhaseTree
+from .lattice import OptionalProcess, Phase, StoppingTime, TwoPhaseTree, nan_max
 
 __all__ = [
     "Barriers",
@@ -75,13 +72,10 @@ class Barriers:
         if self.terminal.shape != (tree.n_leaves,):
             raise ValueError("terminal must have one value per leaf")
         for key in range(2 * tree.n_steps + 1):
-            step, ph = key >> 1, key & 1
-            lv = (self.lower.at if ph == 0 else self.lower.after)[step]
-            uv = (self.upper.at if ph == 0 else self.upper.after)[step]
-            bad = np.nonzero(lv > uv)[0]
+            bad = np.nonzero(self.lower.slot(key) > self.upper.slot(key))[0]
             if bad.size:
-                name = "at" if ph == 0 else "after"
-                raise ValueError(f"lower barrier exceeds upper barrier at step {step} "
+                name = "at" if key & 1 == 0 else "after"
+                raise ValueError(f"lower barrier exceeds upper barrier at step {key >> 1} "
                                  f"({name}), node {int(bad[0])}")
         if np.any(self.terminal < self.lower.terminal) or np.any(self.terminal > self.upper.terminal):
             raise ValueError("terminal variable leaves the barrier interval at the horizon")
@@ -115,9 +109,6 @@ class RBSDESolution:
     def reflection_drift(self) -> TransitionIncrements:
         """Net signed increments ``dR+ - dR-`` (feedable back to solve_bsde)."""
         return self.r_plus.combine(self.r_minus, sign=-1.0)
-
-    def as_bsde(self) -> BSDESolution:
-        return BSDESolution(y=self.y, z=self.z)
 
 
 def solve_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
@@ -188,8 +179,8 @@ def check_minimality(solution: RBSDESolution, barriers: Barriers, tol_comp: floa
 
     def record(kind: str, step: int, node: int, value: float) -> None:
         nonlocal worst
-        worst = max(worst, abs(value))
-        if abs(value) > tol_comp and len(violations) < 32:
+        worst = nan_max([worst, abs(value)])
+        if not abs(value) <= tol_comp and len(violations) < 32:
             violations.append({"kind": kind, "step": step, "node": node, "value": float(value)})
 
     for k in range(tree.n_steps):
@@ -202,9 +193,9 @@ def check_minimality(solution: RBSDESolution, barriers: Barriers, tol_comp: floa
         for kind, arr in prods.items():
             j = int(np.argmax(np.abs(arr)))
             record(kind, k, j, float(arr[j]))
-        overlap = max(overlap,
-                      float(np.max(np.minimum(solution.r_plus.step[k], solution.r_minus.step[k]))),
-                      float(np.max(np.minimum(solution.r_plus.phase[k], solution.r_minus.phase[k]))))
+        overlap = nan_max([overlap,
+                           float(np.max(np.minimum(solution.r_plus.step[k], solution.r_minus.step[k]))),
+                           float(np.max(np.minimum(solution.r_plus.phase[k], solution.r_minus.phase[k])))])
     passed = worst <= tol_comp and overlap == 0.0 and nonneg
     return MinimalityReport(passed=passed, max_product=worst, max_overlap=overlap,
                             nonnegative=nonneg, violations=violations)
@@ -229,20 +220,21 @@ def verify_dynamics(solution: RBSDESolution, barriers: Barriers, driver: Driver,
     """
     tree = solution.y.tree
     y = solution.y
-    step_res = phase_res = rep = 0.0
+    step_res, phase_res, rep = [0.0], [0.0], [0.0]
     for k in range(tree.n_steps):
         nxt = y.at[k + 1]
         e = 0.5 * (nxt[0::2] + nxt[1::2])
         z_implied = (nxt[0::2] - nxt[1::2]) / (2.0 * tree.sqrt_dt)
-        rep = max(rep, float(np.max(np.abs(z_implied - solution.z[k]))))
+        rep.append(float(np.max(np.abs(z_implied - solution.z[k]))))
         f_val = driver.fn((step_offset + k) * tree.dt, y.after[k], solution.z[k])
         resid = y.after[k] - e - tree.dt * f_val - solution.r_plus.step[k] + solution.r_minus.step[k]
-        step_res = max(step_res, float(np.max(np.abs(resid))))
+        step_res.append(float(np.max(np.abs(resid))))
         presid = y.at[k] - y.after[k] - solution.r_plus.phase[k] + solution.r_minus.phase[k]
-        phase_res = max(phase_res, float(np.max(np.abs(presid))))
-    breach = max(barriers.lower.max_exceedance(y), y.max_exceedance(barriers.upper))
+        phase_res.append(float(np.max(np.abs(presid))))
+    step_res, phase_res, rep = nan_max(step_res), nan_max(phase_res), nan_max(rep)
+    breach = nan_max([barriers.lower.max_exceedance(y), y.max_exceedance(barriers.upper)])
     terminal_gap = float(np.max(np.abs(y.terminal - barriers.terminal)))
-    passed = max(step_res, phase_res, rep, breach, terminal_gap) <= tol
+    passed = nan_max([step_res, phase_res, rep, breach, terminal_gap]) <= tol
     return DynamicsReport(passed=passed, max_step_residual=step_res, max_phase_residual=phase_res,
                           max_representation_gap=rep, barrier_breach=max(breach, 0.0),
                           terminal_gap=terminal_gap)
@@ -302,43 +294,41 @@ def mokobodzki_witness(tree: TwoPhaseTree, barriers: Barriers) -> Witness | Sepa
     low, up = barriers.lower, barriers.upper
     n = tree.n_steps
     for key in range(2 * n + 1):
-        step, ph = key >> 1, key & 1
-        lv = low.at[step] if ph == 0 else low.after[step]
-        uv = up.at[step] if ph == 0 else up.after[step]
+        lv, uv = low.slot(key), up.slot(key)
         bad = np.nonzero(lv >= uv)[0]
         if bad.size:
             j = int(bad[0])
-            return SeparationFailure(step=step, phase=Phase(ph), node=j,
+            return SeparationFailure(step=key >> 1, phase=Phase(key & 1), node=j,
                                      lower=float(lv[j]), upper=float(uv[j]))
-    x_at = [np.full(tree.nodes_at(k), np.nan) for k in range(n + 1)]
-    x_after = [np.full(tree.nodes_at(k), np.nan) for k in range(n)]
-    cut_keys: list[list[int]] = []
-    for leaf in range(tree.n_leaves):
-        anchor = math.nan
-        cuts: list[int] = []
-        for key in range(2 * n + 1):
-            step, ph = key >> 1, key & 1
-            node = leaf >> (n - step)
-            lv = float((low.at if ph == 0 else low.after)[step][node])
-            uv = float((up.at if ph == 0 else up.after)[step][node])
-            is_cut = key == 0 or key == 2 * n or anchor < lv or anchor > uv
-            if is_cut:
-                val = 0.5 * (lv + uv)
-                cuts.append(key)
-                if step < n:
-                    anchor = 0.5 * (float(low.after[step][node]) + float(up.after[step][node]))
-            else:
-                val = anchor
-            (x_at if ph == 0 else x_after)[step][node] = val
-        cut_keys.append(cuts)
+    # the anchor depends only on the path prefix, so it is carried per node
+    x_at: list[np.ndarray] = []
+    x_after: list[np.ndarray] = []
+    anchor = np.full(1, np.nan)
+    n_cuts = np.zeros(1, dtype=np.int64)
+    cut_log = []  # (key, cut nodes, ordinal of this cut on their paths)
+    for key in range(2 * n + 1):
+        step, ph = key >> 1, key & 1
+        if ph == 0 and step > 0:
+            anchor, n_cuts = np.repeat(anchor, 2), np.repeat(n_cuts, 2)
+        lv, uv = low.slot(key), up.slot(key)
+        is_cut = (anchor < lv) | (anchor > uv)
+        if key == 0 or key == 2 * n:
+            is_cut[:] = True
+        (x_at if ph == 0 else x_after).append(np.where(is_cut, 0.5 * (lv + uv), anchor))
+        if step < n:
+            anchor = np.where(is_cut, 0.5 * (low.after[step] + up.after[step]), anchor)
+        nodes = np.flatnonzero(is_cut)
+        cut_log.append((key, nodes, n_cuts[nodes]))
+        n_cuts[nodes] += 1
     x = OptionalProcess(tree, x_at, x_after)
     if not (low.pointwise_leq(x) and x.pointwise_leq(up)):  # pragma: no cover - construction guarantees it
         raise AssertionError("witness left the barrier band")
-    max_cuts = max(len(c) for c in cut_keys)
-    cut_times = []
-    for i in range(max_cuts):
-        keys = np.array([c[i] if i < len(c) else 2 * n for c in cut_keys], dtype=np.int64)
-        cut_times.append(StoppingTime.from_realized(tree, keys >> 1, keys & 1))
+    # row i holds each leaf's i-th cut key, padded with the horizon
+    max_cuts = int(n_cuts.max())
+    rows = np.full((max_cuts, tree.n_leaves), 2 * n, dtype=np.int64)
+    for key, nodes, ordinal in cut_log:
+        rows.reshape(max_cuts, tree.nodes_at(key >> 1), -1)[ordinal, nodes] = key
+    cut_times = [StoppingTime.from_realized(tree, keys >> 1, keys & 1) for keys in rows]
     return Witness(x=x, cut_times=cut_times)
 
 

@@ -116,19 +116,13 @@ def write_csv_atomic(path: str | Path, header: Sequence[str], rows: Iterable[Seq
     _atomic_write(Path(path), buf.getvalue())
 
 
-def _proc_lists(proc: OptionalProcess) -> dict[str, Any]:
-    n = proc.tree.n_steps
-    return {"at": [[float(v) for v in proc.at[k]] for k in range(n + 1)],
-            "after": [[float(v) for v in proc.after[k]] for k in range(n)]}
-
-
 def solution_to_dict(solution: RBSDESolution) -> dict[str, Any]:
     """JSON-able dump carrying everything needed to re-verify the solution."""
     tree = solution.y.tree
     return {
         "steps": tree.n_steps,
         "dt": tree.dt,
-        "y": _proc_lists(solution.y),
+        "y": solution.y.table_rows(),
         "z": [[float(v) for v in solution.z[k]] for k in range(tree.n_steps)],
         "r_plus": {"phase": [[float(v) for v in solution.r_plus.phase[k]] for k in range(tree.n_steps)],
                    "step": [[float(v) for v in solution.r_plus.step[k]] for k in range(tree.n_steps)]},

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .expectation import (
     Driver,
@@ -63,7 +64,7 @@ SCENARIO_SCHEMA: dict[str, Any] = {
     "properties": {
         "version": {"const": "v1"},
         "name": {"type": "string"},
-        "steps": {"type": "integer", "minimum": 1},
+        "steps": {"type": "integer", "minimum": 1, "maximum": 18},
         "dt": {"type": "number", "exclusiveMinimum": 0},
         "lower": {"type": "object", "required": ["kind"]},
         "upper": {"type": "object", "required": ["kind"]},
@@ -157,17 +158,75 @@ def _pointer(base: str, path: Any) -> str:
     return base + ("/" + "/".join(parts) if parts else "")
 
 
+def _is_number(value: Any) -> bool:
+    # bool is an int but not a JSON number; the exact-type test is the fast path
+    return type(value) in (float, int) or not isinstance(value, bool) and isinstance(value, numbers.Number)
+
+
+# the JSON Schema types the schemas use; an integral float such as 3.0 is an integer
+_TYPES: dict[str, Callable[[Any], bool]] = {
+    "array": lambda v: isinstance(v, list),
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+    "number": _is_number,
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+
+_BOUNDS: dict[str, tuple[Callable[[Any, Any], bool], str]] = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
+}
+
+
+def _schema_errors(value: Any, schema: dict[str, Any], path: tuple, out: list) -> None:
+    """Append ``(path, message)`` for each way ``value`` breaks ``schema``, with
+    the semantics, messages and order of jsonschema's ``Draft202012Validator``."""
+    for word, arg in schema.items():
+        if word == "type":
+            if not _TYPES[arg](value):
+                out.append((path, f"{value!r} is not of type {arg!r}"))
+        elif word == "const" and not (value == arg and isinstance(value, bool) == isinstance(arg, bool)):
+            out.append((path, f"{arg!r} was expected"))
+        elif word in _BOUNDS and _is_number(value) and _BOUNDS[word][0](value, arg):
+            out.append((path, f"{value!r} is {_BOUNDS[word][1]} {arg!r}"))
+        elif word == "required" and isinstance(value, dict):
+            out.extend((path, f"{key!r} is a required property") for key in arg if key not in value)
+        elif word == "properties" and isinstance(value, dict):
+            for key, sub in arg.items():
+                if key in value:
+                    _schema_errors(value[key], sub, path + (key,), out)
+        elif word == "additionalProperties" and arg is False and isinstance(value, dict):
+            extras = sorted((k for k in value if k not in schema.get("properties", {})), key=str)
+            if extras:
+                listed = ", ".join(map(repr, extras))
+                out.append((path, f"Additional properties are not allowed "
+                                  f"({listed} {'was' if len(extras) == 1 else 'were'} unexpected)"))
+        elif word == "prefixItems" and isinstance(value, list):
+            for i, (item, sub) in enumerate(zip(value, arg)):
+                _schema_errors(item, sub, path + (i,), out)
+        elif word == "items" and isinstance(value, list):
+            for i in range(len(schema.get("prefixItems", ())), len(value)):
+                _schema_errors(value[i], arg, path + (i,), out)
+        elif word == "minItems" and isinstance(value, list) and len(value) < arg:
+            out.append((path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"))
+        elif word == "maxItems" and isinstance(value, list) and len(value) > arg:
+            out.append((path, f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"))
+
+
 def _validate(instance: Any, schema: dict[str, Any], base: str) -> None:
-    errors = sorted(Draft202012Validator(schema).iter_errors(instance),
-                    key=lambda e: list(e.absolute_path))
+    errors: list[tuple[tuple, str]] = []
+    _schema_errors(instance, schema, (), errors)
     if errors:
-        err = errors[0]
-        raise ScenarioError(f"{_pointer(base, err.absolute_path) or '/'}: {err.message}")
+        # the first error after a stable sort by path
+        path, message = min(errors, key=lambda e: e[0])
+        raise ScenarioError(f"{_pointer(base, path) or '/'}: {message}")
 
 
 def _check_kind(spec: dict[str, Any], catalog: dict[str, Any], base: str, what: str) -> str:
     kind = spec.get("kind")
-    if kind not in catalog:
+    if not isinstance(kind, str) or kind not in catalog:
         names = ", ".join(sorted(catalog))
         raise ScenarioError(f"{base}/kind: unknown {what} {kind!r}; catalog: {names}")
     _validate(spec, catalog[kind], base)
@@ -297,33 +356,34 @@ def _non_finite_at(node: Any, path: str = "") -> tuple[str, str] | None:
     return None
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    path = Path(path)
+def _read_json(path: Path) -> Any:
+    """Parse a JSON file, refusing ``NaN`` and ``Infinity`` literals with their pointer."""
     literals: list[str] = []
 
     def non_finite(literal: str) -> _NonFinite:
         literals.append(literal)
         return _NonFinite(literal)
 
+    data = json.loads(path.read_text(), parse_constant=non_finite)
+    # a literal that a later duplicate key replaced is not in the document
+    hit = _non_finite_at(data) if literals else None
+    if hit is not None:
+        raise ScenarioError(f"{hit[0]}: {hit[1]} is not a finite number")
+    return data
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    path = Path(path)
     try:
-        data = json.loads(path.read_text(), parse_constant=non_finite)
+        data = _read_json(path)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON: {exc}") from None
-    if literals:
-        pointer, literal = _non_finite_at(data)
-        raise ScenarioError(f"{pointer}: {literal} is not a finite number")
     if not isinstance(data, dict):
         raise ScenarioError("/: scenario document must be a JSON object")
     scenario = scenario_from_dict(data)
     if not data.get("name"):
         scenario.name = path.stem
     return scenario
-
-
-def _tables(tree: TwoPhaseTree, proc: OptionalProcess) -> dict[str, Any]:
-    return {"kind": "table",
-            "at": [[float(v) for v in proc.at[k]] for k in range(tree.n_steps + 1)],
-            "after": [[float(v) for v in proc.after[k]] for k in range(tree.n_steps)]}
 
 
 def random_scenario(seed: int, *, n_steps: int | None = None, dt: float | None = None,
@@ -441,8 +501,8 @@ def random_scenario(seed: int, *, n_steps: int | None = None, dt: float | None =
         "name": name or f"random-{seed}",
         "steps": n,
         "dt": dt_val,
-        "lower": _tables(tree, lower),
-        "upper": _tables(tree, upper),
+        "lower": {"kind": "table", **lower.table_rows()},
+        "upper": {"kind": "table", **upper.table_rows()},
         "terminal": {"kind": "table", "values": [float(v) for v in terminal]},
         "driver": driver_spec,
         "seed": int(seed),

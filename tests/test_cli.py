@@ -186,6 +186,21 @@ def test_verify_accepts_full_solve_report_as_solution(tmp_path, capsys):
     assert rep["round_trip"]["value_drift"] == 0.0
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_verify_refuses_a_non_finite_literal_in_a_solution(tmp_path, capsys, literal):
+    path = _write(tmp_path, TRIVIAL)
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "case.solve.json").read_text())
+    report["solution"]["z"][0][0] = "EDITED"
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(report).replace('"EDITED"', literal))
+    rc = main(["verify", path, "--solution", str(edited)])
+    rep = _json_out(capsys)
+    assert rc == 2 and not rep["passed"]
+    assert rep["error"] == f"{edited}: /solution/z/0/0: {literal} is not a finite number"
+
+
 def test_verify_rejects_malformed_solution_cleanly(tmp_path, capsys):
     path = _write(tmp_path, TRIVIAL)
     bogus = tmp_path / "bogus.json"

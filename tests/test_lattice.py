@@ -21,7 +21,6 @@ from rbsde_lab import (
     first_hitting,
     semicontinuity,
 )
-from rbsde_lab.lattice import process_to_rows
 
 
 def _process(tree, at, after):
@@ -57,7 +56,7 @@ def test_point_order_exhaustive_small_depths():
     # total order AT(k) < AFTER(k) < AT(k+1), checked on every pair
     for n in range(1, 5):
         tree = build_tree(n, 0.3)
-        points = list(tree.iter_points())
+        points = [tree.point(key >> 1, Phase(key & 1)) for key in range(2 * n + 1)]
         assert len(points) == 2 * n + 1
         for i, p in enumerate(points):
             for j, q in enumerate(points):
@@ -109,11 +108,12 @@ def test_restrict_matches_direct_subtree_read():
 def test_process_rows_serialization_shape():
     tree = build_tree(2, 1.0)
     proc = OptionalProcess.from_constant(tree, 1.5)
-    rows = process_to_rows(proc)
-    # 1 + 2 + 4 AT rows plus 1 + 2 AFTER rows
-    assert len(rows) == 10
-    assert rows[0] == (0, "at", "", 1.5)
-    assert all(len(r) == 4 for r in rows)
+    rows = proc.table_rows()
+    # 1 + 2 + 4 AT values plus 1 + 2 AFTER values, one row per slot in step order
+    assert [len(r) for r in rows["at"]] == [1, 2, 4]
+    assert [len(r) for r in rows["after"]] == [1, 2]
+    assert rows["at"][0] == [1.5]
+    assert all(type(v) is float for r in rows["at"] + rows["after"] for v in r)
 
 
 # -- evaluation at stopping systems -----------------------------------------

@@ -141,6 +141,31 @@ def test_verify_dynamics_catches_tampered_solution():
     assert not verify_dynamics(bad, sc.barriers, sc.driver, tol=4e-12).passed
 
 
+@pytest.mark.parametrize("slot", ["z", "r_plus.step", "r_minus.phase", "y.after"])
+def test_a_nan_in_a_stored_solution_fails_the_checks(slot):
+    # Python's max drops a NaN that is not its first argument, so folding
+    # the per-step maxima with it once let a NaN pass
+    sc = random_scenario(17, n_steps=2)
+    sol = solve_rbsde(sc.tree, sc.barriers, sc.driver)
+
+    def copied(incr):
+        return TransitionIncrements(sc.tree, [a.copy() for a in incr.phase], [a.copy() for a in incr.step])
+
+    bad = RBSDESolution(y=sol.y.copy(), z=[z.copy() for z in sol.z],
+                        r_plus=copied(sol.r_plus), r_minus=copied(sol.r_minus))
+    {"z": bad.z, "r_plus.step": bad.r_plus.step, "r_minus.phase": bad.r_minus.phase,
+     "y.after": bad.y.after}[slot][0][0] = np.nan
+    dyn = verify_dynamics(bad, sc.barriers, sc.driver, tol=4e-12)
+    assert not dyn.passed
+    if slot == "z":
+        assert np.isnan(dyn.max_representation_gap)
+    else:
+        assert not check_minimality(bad, sc.barriers).passed
+    if slot == "y.after":
+        assert np.isnan(bad.y.sup_abs_diff(sol.y))
+        assert np.isnan(bad.y.max_exceedance(sol.y)) and np.isnan(sol.y.max_exceedance(bad.y))
+
+
 # -- minimality ---------------------------------------------------------------
 
 @settings(max_examples=50, deadline=None)

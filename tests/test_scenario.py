@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
 from rbsde_lab import (
     DEFAULT_TOLERANCES,
@@ -19,6 +20,13 @@ from rbsde_lab import (
     scenario_from_dict,
     semicontinuity,
     value_identity_applicable,
+)
+from rbsde_lab.scenario import (
+    _BARRIER_SCHEMAS,
+    _DRIVER_SCHEMAS,
+    _TERMINAL_SCHEMAS,
+    SCENARIO_SCHEMA,
+    _validate,
 )
 
 
@@ -63,6 +71,9 @@ def test_unknown_driver_kind_names_the_catalog():
                        match=r"/driver/kind: unknown driver 'weird'; "
                              r"catalog: constant, linear, polynomial, truncated"):
         scenario_from_dict(data)
+    # a kind that cannot be a catalog key is refused the same way
+    with pytest.raises(ScenarioError, match=r"^/lower/kind: unknown barrier kind \[\]; catalog: "):
+        scenario_from_dict(_minimal(lower={"kind": []}))
 
 
 def test_table_row_shape_is_checked():
@@ -183,3 +194,143 @@ def test_touching_scenario_fails_strict_separation():
 def test_generated_names_are_stable():
     assert random_scenario(42).name == "random-42"
     assert random_scenario(42, name="x").name == "x"
+
+
+# -- schema validation against jsonschema -------------------------------------
+
+_BARRIER_SPECS = [
+    {"kind": "constant", "value": -1.0},
+    {"kind": "affine", "intercept": -2.0, "slope": 0.5, "time_coef": 0.1},
+    {"kind": "table", "at": [[-1.0], [-1.5, -0.5]], "after": [[-1.0]]},
+]
+_TERMINAL_SPECS = [
+    {"kind": "constant", "value": 0.0},
+    {"kind": "affine", "intercept": 0.0, "slope": 0.1},
+    {"kind": "table", "values": [0.1, -0.1]},
+]
+_DRIVER_SPECS = [
+    {"kind": "constant", "value": 0.5},
+    {"kind": "linear", "const": 0.1, "y_coef": -0.5, "z_coef": 0.3},
+    {"kind": "truncated", "const": 0.1, "y_coef": -0.5, "z_coef": 0.3, "bound": 1.0},
+    {"kind": "polynomial", "terms": [[3, 0, -1.0], [1, 0, -1.0]], "lambda_z": 0.0, "mu": -1.0,
+     "z_growth": {"gamma": 0.0, "eta": 0.5, "g_bound": 1.0}},
+]
+# type swaps, boundary and out-of-range values, and containers of the wrong shape
+_REPLACEMENTS = [True, False, "x", "v1", None, 0, 0.0, -0.0, 1, 1.0, 3, 3.0, 2.5, -1, -1e-9,
+                 1e-300, 18, 18.0, 19, 40, 1e300, [], {}, [1, 0], [[1, 0, 1.0]], [1, 0, 1.0, 2],
+                 {"kind": "constant"}, {"kind": "weird"}]
+_EXTRA_KEYS = ["name", "seed", "extra", "time_coef", "const", "z_growth", "tol_fancy", "tol_root"]
+
+
+def _valid_document(lower, upper, terminal, driver, extras):
+    doc = _minimal(lower=lower, upper=upper, terminal=terminal, driver=driver)
+    if extras:
+        doc.update(name="doc", seed=3, tolerances={"tol_game": 1e-7, "enum_bound": 2})
+    return doc
+
+
+def _slots(node, out):
+    """Every (container, key) pair of a document, outermost first."""
+    for key in (list(node) if isinstance(node, dict) else range(len(node))):
+        out.append((node, key))
+        if isinstance(node[key], (dict, list)):
+            _slots(node[key], out)
+    return out
+
+
+@st.composite
+def _mutated_documents(draw):
+    doc = json.loads(json.dumps(_valid_document(
+        upper={"kind": "constant", "value": 1.0}, lower=draw(st.sampled_from(_BARRIER_SPECS)),
+        terminal=draw(st.sampled_from(_TERMINAL_SPECS)), driver=draw(st.sampled_from(_DRIVER_SPECS)),
+        extras=draw(st.booleans()))))
+    for _ in range(draw(st.integers(1, 3))):
+        node, key = draw(st.sampled_from(_slots(doc, [(None, None)])))
+        op = draw(st.sampled_from(["drop", "replace", "add"]))
+        if node is None:
+            continue
+        if op == "drop":
+            del node[key]
+        elif op == "replace":
+            node[key] = json.loads(json.dumps(draw(st.sampled_from(_REPLACEMENTS))))
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(_EXTRA_KEYS))] = draw(st.sampled_from(_REPLACEMENTS[:12]))
+        else:
+            node.append(draw(st.sampled_from(_REPLACEMENTS[:12])))
+    return doc
+
+
+def _jsonschema_verdict(instance, schema, base):
+    from rbsde_lab.scenario import _pointer
+
+    errors = sorted(Draft202012Validator(schema).iter_errors(instance),
+                    key=lambda e: list(e.absolute_path))
+    if errors:
+        return f"{_pointer(base, errors[0].absolute_path) or '/'}: {errors[0].message}"
+    return None
+
+
+def _hand_verdict(instance, schema, base):
+    try:
+        _validate(instance, schema, base)
+    except ScenarioError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_documents())
+def test_hand_validator_agrees_with_jsonschema(doc):
+    checks = [(doc, SCENARIO_SCHEMA, "")]
+    for part, catalog in (("lower", _BARRIER_SCHEMAS), ("upper", _BARRIER_SCHEMAS),
+                          ("terminal", _TERMINAL_SCHEMAS), ("driver", _DRIVER_SCHEMAS)):
+        spec = doc.get(part)
+        if isinstance(spec, dict) and isinstance(spec.get("kind"), str) and spec["kind"] in catalog:
+            checks.append((spec, catalog[spec["kind"]], f"/{part}"))
+    for instance, schema, base in checks:
+        assert _hand_verdict(instance, schema, base) == _jsonschema_verdict(instance, schema, base)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_documents())
+def test_loading_a_fuzzed_document_succeeds_or_raises_scenario_error(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    try:
+        load_scenario(path)
+    except ScenarioError:
+        pass
+
+
+def test_validator_messages_match_jsonschema_wording():
+    cases = [
+        (_minimal(steps=0), "/steps: 0 is less than the minimum of 1"),
+        (_minimal(dt=0), "/dt: 0 is less than or equal to the minimum of 0"),
+        (_minimal(steps=True), "/steps: True is not of type 'integer'"),
+        (_minimal(version="v2"), "/version: 'v1' was expected"),
+        (_minimal(tolerances={"b": 1, "a": 2}),
+         "/tolerances: Additional properties are not allowed ('a', 'b' were unexpected)"),
+        (_minimal(driver={"kind": "polynomial", "terms": [[1, 0]], "lambda_z": 0, "mu": 0}),
+         "/driver/terms/0: [1, 0] is too short"),
+        (_minimal(driver={"kind": "polynomial", "terms": [[1, 0, 1.0]], "lambda_z": 0, "mu": 0,
+                          "z_growth": {"gamma": 0, "eta": 1, "g_bound": 0}}),
+         "/driver/z_growth/eta: 1 is greater than or equal to the maximum of 1"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_dict(doc)
+        assert str(info.value) == message
+    assert scenario_from_dict(_minimal(steps=2.0)).n_steps == 2  # 2.0 is an integer
+
+
+def test_steps_above_the_bound_are_refused_before_any_allocation():
+    with pytest.raises(ScenarioError, match=r"^/steps: 40 is greater than the maximum of 18$"):
+        scenario_from_dict(_minimal(steps=40))
+    assert SCENARIO_SCHEMA["properties"]["steps"]["maximum"] == 18
+
+
+def test_non_finite_literal_replaced_by_a_duplicate_key_is_not_reported(tmp_path):
+    p = tmp_path / "dup.json"
+    text = json.dumps(_minimal())
+    p.write_text(text.replace('"version": "v1"', '"version": NaN, "version": "v1"'))
+    assert load_scenario(p).n_steps == 1
