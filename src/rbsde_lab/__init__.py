@@ -52,9 +52,9 @@ from .lattice import (
     TwoPhaseTree,
     build_tree,
     enumerate_stopping_times,
-    eval_lower,
-    eval_upper,
+    eval_at_system,
     first_hitting,
+    gather_slots,
     semicontinuity,
 )
 from .reflect import (

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import OptionalProcess, Phase, StoppingTime, TwoPhaseTree
+from .lattice import OptionalProcess, Phase, StoppingTime, TwoPhaseTree, enumerate_stopping_times, gather_slots
 
 __all__ = [
     "Driver",
@@ -40,7 +40,6 @@ __all__ = [
     "nonlinear_expectation",
     "classify_ef",
     "ef_backward_batch",
-    "gather_at_keys",
 ]
 
 
@@ -90,22 +89,26 @@ class Driver:
     def spot_check(self, rng: np.random.Generator, samples: int = 256, scale: float = 5.0, tol: float = 1e-9) -> dict[str, float]:
         """Worst observed violation of each declared hypothesis on random data.
 
-        ``rng`` is used only through ``uniform(low, high, size)``.
+        ``rng`` is used only through ``uniform(low, high, size)``.  A driver
+        with a non-finite value on the samples fails, and so does a NaN
+        violation.
         """
         t = rng.uniform(0.0, 1.0, samples)
         y, y2 = rng.uniform(-scale, scale, (2, samples))
         z, z2 = rng.uniform(-scale, scale, (2, samples))
         out: dict[str, float] = {}
-        lip = np.abs(self.fn(t, y, z) - self.fn(t, y, z2)) - self.lambda_z * np.abs(z - z2)
-        out["lipschitz_z"] = float(np.max(lip))
-        mono = (y - y2) * (self.fn(t, y, z) - self.fn(t, y2, z)) - self.mu * (y - y2) ** 2
-        out["monotone_y"] = float(np.max(mono))
-        if self.z_growth is not None:
-            gamma, eta, g_bound = self.z_growth
-            grow = np.abs(self.fn(t, y, z) - self.fn(t, y, np.zeros_like(z)))
-            out["z_growth"] = float(np.max(grow - gamma * (g_bound + np.abs(y) + np.abs(z)) ** eta))
+        with np.errstate(all="ignore"):
+            f, f_y2, f_z2 = self.fn(t, y, z), self.fn(t, y2, z), self.fn(t, y, z2)
+            if not all(np.all(np.isfinite(v)) for v in (f, f_y2, f_z2)):
+                raise ValueError(f"driver {self.tag!r} is not finite on the spot-check samples")
+            out["lipschitz_z"] = float(np.max(np.abs(f - f_z2) - self.lambda_z * np.abs(z - z2)))
+            out["monotone_y"] = float(np.max((y - y2) * (f - f_y2) - self.mu * (y - y2) ** 2))
+            if self.z_growth is not None:
+                gamma, eta, g_bound = self.z_growth
+                grow = np.abs(f - self.fn(t, y, np.zeros_like(z)))
+                out["z_growth"] = float(np.max(grow - gamma * (g_bound + np.abs(y) + np.abs(z)) ** eta))
         for name, worst in out.items():
-            if worst > tol:
+            if not worst <= tol:
                 raise ValueError(f"driver {self.tag!r} violates declared {name} bound by {worst:.3e}")
         return out
 
@@ -454,28 +457,6 @@ def ef_backward_batch(tree: TwoPhaseTree, driver: Driver, terminal_rows: np.ndar
     return vals
 
 
-def gather_at_keys(tree: TwoPhaseTree, vals: Sequence[np.ndarray], keys: np.ndarray) -> np.ndarray:
-    """Read batch values at per-leaf phase points.
-
-    ``vals[k]`` has shape (R, 2**k) (one merged value per step, as produced
-    by :func:`ef_backward_batch`); ``keys`` is (n_leaves,) or (R, n_leaves)
-    of phase-order keys.  Returns an (R, n_leaves) matrix.
-    """
-    rows = vals[0].shape[0]
-    keys = np.asarray(keys)
-    if keys.ndim == 1:
-        keys = np.broadcast_to(keys, (rows, tree.n_leaves))
-    out = np.empty((rows, tree.n_leaves))
-    for key in range(2 * tree.n_steps + 1):
-        mask = keys == key
-        if not mask.any():
-            continue
-        step = key >> 1
-        spread = np.repeat(vals[step], tree.leaf_stride(step), axis=1)
-        out[mask] = spread[mask]
-    return out
-
-
 @dataclass
 class NonlinearExpectation:
     """Result of the conditional operator: per-leaf values at alpha plus the
@@ -516,7 +497,7 @@ def nonlinear_expectation(tree: TwoPhaseTree, alpha: StoppingTime, beta: Stoppin
     at = [vals[k][0] for k in range(n + 1)]
     after = [vals[k][0].copy() for k in range(n)]
     process = OptionalProcess(tree, [a.copy() for a in at], after)
-    values = gather_at_keys(tree, vals, alpha.keys)[0]
+    values = gather_slots(vals, alpha.keys)[0]
     return NonlinearExpectation(values=values, process=process)
 
 
@@ -586,46 +567,27 @@ def classify_ef(process: OptionalProcess, driver: Driver, *, from_time: Stopping
         raise EnumerationBoundError(
             f"brute classification enumerates stopping pairs and is capped at depth {enum_bound}; "
             "use mode='onestep' for deeper trees")
-    from .lattice import enumerate_stopping_times  # local import to keep module load light
-
     steps_m, phases_m = enumerate_stopping_times(tree, phase_resolved=True)
     keys_m = 2 * steps_m.astype(np.int64) + phases_m
     fk, tk = from_time.keys, to_time.keys
-    in_window = (np.all(keys_m >= fk, axis=1) & np.all(keys_m <= tk, axis=1))
-    idx = np.nonzero(in_window)[0]
-    pairs = [(i, j) for i in idx for j in idx if np.all(keys_m[i] <= keys_m[j])]
-    if not pairs:
+    win = keys_m[np.all(keys_m >= fk, axis=1) & np.all(keys_m <= tk, axis=1)]
+    sig, tau = _ordered_pairs(win)
+    if sig.size == 0:
         return ClassifyResult.from_violations(0.0, 0.0, tol, mode)
-    sig_rows = np.array([i for i, _ in pairs])
-    tau_rows = np.array([j for _, j in pairs])
+    sig_keys, tau_keys = win[sig], win[tau]
+    masks = [tau_keys[:, ::tree.leaf_stride(k)] >= 2 * (k + 1) for k in range(tree.n_steps)]
     # terminal per pair: X read at tau's slot
-    x_at_tau = _gather_process(process, keys_m[tau_rows])
-    masks = []
-    for k in range(tree.n_steps):
-        stride = tree.leaf_stride(k)
-        masks.append(keys_m[tau_rows][:, ::stride] >= 2 * (k + 1))
-    vals = ef_backward_batch(tree, driver, x_at_tau, masks, tol_root=tol_root, max_iter=max_iter)
-    at_sigma = gather_at_keys(tree, vals, keys_m[sig_rows])
-    x_at_sigma = _gather_process(process, keys_m[sig_rows])
+    vals = ef_backward_batch(tree, driver, process.at_keys(tau_keys), masks,
+                             tol_root=tol_root, max_iter=max_iter)
+    at_sigma = gather_slots(vals, sig_keys)
+    x_at_sigma = process.at_keys(sig_keys)
     diff = at_sigma - x_at_sigma  # >0 breaks supermartingale
     sup_v = float(np.max(diff, initial=0.0))
     sub_v = float(np.max(-diff, initial=0.0))
     return ClassifyResult.from_violations(max(sup_v, 0.0), max(sub_v, 0.0), tol, mode)
 
 
-def _gather_process(process: OptionalProcess, keys: np.ndarray) -> np.ndarray:
-    """Process values at per-leaf phase points, one row per key row."""
-    tree = process.tree
-    keys = np.asarray(keys)
-    if keys.ndim == 1:
-        keys = keys[None, :]
-    out = np.empty((keys.shape[0], tree.n_leaves))
-    for key in range(2 * tree.n_steps + 1):
-        mask = keys == key
-        if not mask.any():
-            continue
-        step, ph = key >> 1, key & 1
-        arr = process.at[step] if ph == 0 else process.after[step]
-        spread = np.broadcast_to(tree.spread(arr, step), out.shape)
-        out[mask] = spread[mask]
-    return out
+def _ordered_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices ``(i, j)`` of every pair of stopping times with
+    ``keys[i] <= keys[j]`` on every leaf, in row-major order."""
+    return np.nonzero(np.all(keys[:, None, :] <= keys[None, :, :], axis=2))

@@ -31,7 +31,6 @@ from .expectation import (
     EnumerationBoundError,
     constant_driver,
     ef_backward_batch,
-    _gather_process,
 )
 from .lattice import (
     HittingResult,
@@ -42,8 +41,6 @@ from .lattice import (
     TwoPhaseTree,
     build_tree,
     enumerate_stopping_times,
-    eval_lower,
-    eval_upper,
     first_hitting,
     semicontinuity,
 )
@@ -89,12 +86,8 @@ def payoff_extended(barriers: Barriers, rho_tau: StoppingSystem, rho_sigma: Stop
     tree = barriers.tree
     if not (tree.same_grid(rho_tau.tau.tree) and tree.same_grid(rho_sigma.tau.tree)):
         raise ValueError("stopping systems live on a different grid")
-    n = tree.n_steps
-    ts, ss = rho_tau.tau.steps, rho_sigma.tau.steps
-    lower_read = eval_upper(barriers.lower, rho_tau)
-    upper_read = eval_lower(barriers.upper, rho_sigma)
-    return np.where((ts <= ss) & (ts < n), lower_read,
-                    np.where(ss < ts, upper_read, barriers.terminal))
+    j, _ = _payoff_tensor(barriers, rho_tau.keys[None, :], rho_sigma.keys[None, :])
+    return j[0, 0]
 
 
 def payoff_plain(barriers: Barriers, tau: StoppingTime, sigma: StoppingTime) -> np.ndarray:
@@ -107,23 +100,30 @@ def payoff_plain(barriers: Barriers, tau: StoppingTime, sigma: StoppingTime) -> 
     return payoff_extended(barriers, StoppingSystem(tau, member), StoppingSystem(sigma, member))
 
 
-def _payoff_tensor(sub_barriers: Barriers, tau_steps: np.ndarray, tau_phases: np.ndarray,
-                   sigma_steps: np.ndarray, sigma_phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _payoff_tensor(sub_barriers: Barriers, tau_keys: np.ndarray,
+                   sigma_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Payoff J and the freeze step min(tau, sigma) for every strategy pair.
 
-    Returns (S_tau, S_sigma, n_leaves) arrays.  The phase of a stop picks
-    the slot that is read (AT value on the member side, interval value off
-    it); the branch itself only sees steps.
+    ``tau_keys`` and ``sigma_keys`` are (S, n_leaves) order keys of the
+    points each strategy reads.  Returns (S_tau, S_sigma, n_leaves) arrays.
+    The phase of a key picks the slot that is read (AT value on the member
+    side, interval value off it); the branch itself only sees steps.
     """
     n = sub_barriers.tree.n_steps
-    low_read = _gather_process(sub_barriers.lower, 2 * tau_steps + tau_phases)
-    up_read = _gather_process(sub_barriers.upper, 2 * sigma_steps + sigma_phases)
-    ts = tau_steps[:, None, :]
-    ss = sigma_steps[None, :, :]
+    low_read = sub_barriers.lower.at_keys(tau_keys)
+    up_read = sub_barriers.upper.at_keys(sigma_keys)
+    ts = (tau_keys >> 1)[:, None, :]
+    ss = (sigma_keys >> 1)[None, :, :]
     j = np.where((ts <= ss) & (ts < n), low_read[:, None, :],
                  np.where(ss < ts, up_read[None, :, :],
                           sub_barriers.terminal[None, None, :]))
     return j, np.minimum(ts, ss)
+
+
+def _strategy_keys(tree: TwoPhaseTree, phase_resolved: bool) -> np.ndarray:
+    """Order keys of every stopping time of ``tree``, one row per strategy."""
+    steps, phases = enumerate_stopping_times(tree, phase_resolved=phase_resolved)
+    return 2 * steps + phases
 
 
 def _root_values(subtree: TwoPhaseTree, driver: Driver, j: np.ndarray, min_steps: np.ndarray,
@@ -175,12 +175,12 @@ def brute_force_values(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *
     _guard_depth(tree.n_steps - theta_step, enum_bound)
     subtree = tree.subtree(theta_step)
     sub_b = barriers.restrict(theta_step, theta_node)
-    steps, phases = enumerate_stopping_times(subtree, phase_resolved=mode == "extended")
-    j, ms = _payoff_tensor(sub_b, steps, phases, steps, phases)
+    keys = _strategy_keys(subtree, mode == "extended")
+    j, ms = _payoff_tensor(sub_b, keys, keys)
     matrix = _root_values(subtree, driver, j, ms, theta_step, tol_root, max_iter)
     return GameValues(upper=float(matrix.max(axis=0).min()),
                       lower=float(matrix.min(axis=1).max()),
-                      n_tau=steps.shape[0], n_sigma=steps.shape[0], matrix=matrix)
+                      n_tau=keys.shape[0], n_sigma=keys.shape[0], matrix=matrix)
 
 
 def game_value_at(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, theta: StoppingTime, *,
@@ -378,29 +378,24 @@ def epsilon_saddle(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, epsil
     assert tau_hit.hit.all() and sigma_hit.hit.all()
     y_theta = float(sol.y.at[0][0])
 
-    y_at_tau = _gather_process(sol.y, tau_hit.stop.keys)[0]
-    l_at_tau = _gather_process(lxi, tau_hit.stop.keys)[0]
-    hit_gap_lower = max(0.0, float(np.max(y_at_tau - l_at_tau - epsilon)))
-    y_at_sigma = _gather_process(sol.y, sigma_hit.stop.keys)[0]
-    u_at_sigma = _gather_process(uxi, sigma_hit.stop.keys)[0]
-    hit_gap_upper = max(0.0, float(np.max(u_at_sigma - epsilon - y_at_sigma)))
+    t_keys, s_keys = tau_hit.stop.keys[None, :], sigma_hit.stop.keys[None, :]
+    hit_gap_lower = max(0.0, float(np.max(sol.y.at_keys(t_keys) - lxi.at_keys(t_keys) - epsilon)))
+    hit_gap_upper = max(0.0, float(np.max(uxi.at_keys(s_keys) - epsilon - sol.y.at_keys(s_keys))))
     mass_lower = float(np.max(_stopped_mass(sol.r_plus, tau_hit.stop)))
     mass_upper = float(np.max(_stopped_mass(sol.r_minus, sigma_hit.stop)))
 
-    t_steps, t_phases = tau_hit.stop.steps[None, :], tau_hit.stop.phases[None, :]
-    s_steps, s_phases = sigma_hit.stop.steps[None, :], sigma_hit.stop.phases[None, :]
-    j, ms = _payoff_tensor(sub_b, t_steps, t_phases, s_steps, s_phases)
+    j, ms = _payoff_tensor(sub_b, t_keys, s_keys)
     pair_value = float(_root_values(subtree, driver, j, ms, theta_step, tol_root, max_iter)[0, 0])
 
     residual_up = residual_down = float("nan")
     opponents_checked = False
     if check_opponents:
         _guard_depth(subtree.n_steps, enum_bound)
-        steps, phases = enumerate_stopping_times(subtree, phase_resolved=True)
-        j_up, ms_up = _payoff_tensor(sub_b, t_steps, t_phases, steps, phases)
+        keys = _strategy_keys(subtree, True)
+        j_up, ms_up = _payoff_tensor(sub_b, t_keys, keys)
         worst_sigma = _root_values(subtree, driver, j_up, ms_up, theta_step, tol_root, max_iter).min()
         residual_up = max(0.0, y_theta - float(worst_sigma))
-        j_dn, ms_dn = _payoff_tensor(sub_b, steps, phases, s_steps, s_phases)
+        j_dn, ms_dn = _payoff_tensor(sub_b, keys, s_keys)
         worst_tau = _root_values(subtree, driver, j_dn, ms_dn, theta_step, tol_root, max_iter).max()
         residual_down = max(0.0, float(worst_tau) - y_theta)
         opponents_checked = True
@@ -501,9 +496,7 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
     def contact_gap(hit: HittingResult, barrier: OptionalProcess, everywhere: bool) -> float:
         if not (everywhere or hit.hit.any()):
             return 0.0
-        y_read = _gather_process(sol.y, hit.stop.keys)[0]
-        b_read = _gather_process(barrier, hit.stop.keys)[0]
-        gaps = np.abs(y_read - b_read)
+        gaps = np.abs(sol.y.at_keys(hit.stop.keys) - barrier.at_keys(hit.stop.keys))
         return float(np.max(gaps if everywhere else gaps[hit.hit]))
 
     # the star stops satisfy their condition on every leaf (the terminal
@@ -523,37 +516,27 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
     warnings: list[str] = []
     if check_opponents:
         _guard_depth(subtree.n_steps, enum_bound)
-        x_steps, x_phases = enumerate_stopping_times(subtree, phase_resolved=True)
-        p_steps, p_phases = enumerate_stopping_times(subtree, phase_resolved=False)
+        x_keys = _strategy_keys(subtree, True)
+        p_keys = _strategy_keys(subtree, False)
 
-        def against_all(tau_hit: HittingResult | None, sigma_hit: HittingResult | None,
-                        opp_steps: np.ndarray, opp_phases: np.ndarray,
-                        project: bool) -> float:
+        def against_all(hit: HittingResult, maximiser: bool, opp_keys: np.ndarray, project: bool) -> float:
             """Worst-case shortfall of one committed player over all opponents."""
-            if tau_hit is not None:
-                own = (tau_hit.stop.steps[None, :],
-                       np.zeros((1, subtree.n_leaves), np.int64) if project else tau_hit.stop.phases[None, :])
-                j, ms = _payoff_tensor(sub_b, own[0], own[1], opp_steps, opp_phases)
-                vals = _root_values(subtree, driver, j, ms, theta_step, tol_root, max_iter)
-                return max(0.0, y_theta - float(vals.min()))
-            assert sigma_hit is not None
-            own = (sigma_hit.stop.steps[None, :],
-                   np.zeros((1, subtree.n_leaves), np.int64) if project else sigma_hit.stop.phases[None, :])
-            j, ms = _payoff_tensor(sub_b, opp_steps, opp_phases, own[0], own[1])
+            own = 2 * hit.stop.steps[None, :] if project else hit.stop.keys[None, :]
+            j, ms = _payoff_tensor(sub_b, own, opp_keys) if maximiser else _payoff_tensor(sub_b, opp_keys, own)
             vals = _root_values(subtree, driver, j, ms, theta_step, tol_root, max_iter)
-            return max(0.0, float(vals.max()) - y_theta)
+            return max(0.0, y_theta - float(vals.min())) if maximiser else max(0.0, float(vals.max()) - y_theta)
 
-        star_ext = [against_all(tau_star_hit, None, x_steps, x_phases, False),
-                    against_all(None, sigma_star_hit, x_steps, x_phases, False)]
-        bar_ext = [against_all(tau_bar_hit, None, x_steps, x_phases, False),
-                   against_all(None, sigma_bar_hit, x_steps, x_phases, False)]
+        star_ext = [against_all(tau_star_hit, True, x_keys, False),
+                    against_all(sigma_star_hit, False, x_keys, False)]
+        bar_ext = [against_all(tau_bar_hit, True, x_keys, False),
+                   against_all(sigma_bar_hit, False, x_keys, False)]
         two_sided = (lower_flags.right_usc and lower_flags.left_usc
                      and upper_flags.right_lsc and upper_flags.left_lsc)
         if two_sided:
-            star_plain = [against_all(tau_star_hit, None, p_steps, p_phases, True),
-                          against_all(None, sigma_star_hit, p_steps, p_phases, True)]
-            bar_plain = [against_all(tau_bar_hit, None, p_steps, p_phases, True),
-                         against_all(None, sigma_bar_hit, p_steps, p_phases, True)]
+            star_plain = [against_all(tau_star_hit, True, p_keys, True),
+                          against_all(sigma_star_hit, False, p_keys, True)]
+            bar_plain = [against_all(tau_bar_hit, True, p_keys, True),
+                         against_all(sigma_bar_hit, False, p_keys, True)]
         else:
             warnings.append("plain saddle residuals skipped: grid-time stops are only "
                             "optimal when the lower barrier is USC and the upper "

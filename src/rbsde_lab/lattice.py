@@ -32,8 +32,8 @@ __all__ = [
     "HittingResult",
     "SemicontinuityFlags",
     "build_tree",
-    "eval_upper",
-    "eval_lower",
+    "eval_at_system",
+    "gather_slots",
     "first_hitting",
     "semicontinuity",
     "enumerate_stopping_times",
@@ -220,6 +220,10 @@ class OptionalProcess:
         """Node array of the phase point with order key ``key``."""
         step, ph = key >> 1, key & 1
         return self.at[step] if ph == 0 else self.after[step]
+
+    def at_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Values at per-leaf order keys, (n_leaves,) or (R, n_leaves)."""
+        return gather_slots([self.slot(key) for key in range(2 * self.tree.n_steps + 1)], keys)
 
     def right_limit(self, step: int, node: int) -> float:
         """Right limsup = right liminf at AT(step); undefined at the horizon."""
@@ -408,6 +412,14 @@ class StoppingSystem:
     def everywhere(cls, tau: StoppingTime) -> "StoppingSystem":
         return cls(tau, np.ones(tau.tree.n_leaves, dtype=bool))
 
+    @property
+    def keys(self) -> np.ndarray:
+        """Per-leaf order key of the point the system reads: the stop on H,
+        the interval slot of the stop step off H (off H the stop is never
+        at the horizon, so that slot exists)."""
+        keys = self.tau.keys
+        return np.where(self.membership, keys, keys | 1)
+
 
 @dataclass(frozen=True)
 class HittingResult:
@@ -429,34 +441,39 @@ class SemicontinuityFlags:
     left_lsc: bool
 
 
-def _eval_at_system(process: OptionalProcess, system: StoppingSystem, side: str) -> np.ndarray:
-    """Shared evaluator: process at the stop point on H, one-sided right
-    limit off H.  ``side`` picks the limsup or liminf reading; the grid
-    carries a single value on each open interval, so the two coincide, but
-    both entry points are kept."""
-    assert side in ("limsup", "liminf")
-    tree = process.tree
-    if not tree.same_grid(system.tau.tree):
+def gather_slots(slots: Sequence[np.ndarray], keys: np.ndarray) -> np.ndarray:
+    """Slot values read at per-leaf phase-order keys.
+
+    ``slots`` holds node arrays in key order: one per phase point (``2n +
+    1``, as :meth:`OptionalProcess.slot` gives them), or one per step (``n +
+    1``), which then serves both phases of its step.  A slot is ``(2**k,)``,
+    or ``(R, 2**k)`` for R rows; ``keys`` is ``(n_leaves,)`` or ``(R,
+    n_leaves)``.  The slots are laid end to end and read with one index,
+    the slot's offset plus the leaf's ancestor node at the key's step.
+    """
+    n = slots[-1].shape[-1].bit_length() - 1
+    if len(slots) not in (n + 1, 2 * n + 1):
+        raise ValueError(f"{len(slots)} slots fit neither the steps nor the phase points of depth {n}")
+    start = np.cumsum([0] + [s.shape[-1] for s in slots[:-1]])
+    offset = start if len(slots) == 2 * n + 1 else np.repeat(start, 2)[:2 * n + 1]
+    keys = np.asarray(keys, dtype=np.int64)
+    idx = offset[keys] + (np.arange(1 << n) >> (n - (keys >> 1)))
+    flat = np.concatenate(slots, axis=-1)
+    if flat.ndim == 1:
+        return flat[idx]
+    return flat[:, idx] if idx.ndim == 1 else np.take_along_axis(flat, idx, axis=1)
+
+
+def eval_at_system(process: OptionalProcess, system: StoppingSystem) -> np.ndarray:
+    """Evaluation ``X_tau 1_H + (right limit X)_tau 1_{H^c}`` per leaf.
+
+    The grid carries a single value on each open interval, so the right
+    limsup and right liminf readings (the upper and lower evaluations)
+    coincide, and both read the interval slot.
+    """
+    if not process.tree.same_grid(system.tau.tree):
         raise ValueError("process and stopping system live on different grids")
-    # off H the stop cannot sit at the horizon, so AFTER(k) exists; right
-    # limsup and right liminf both read the interval slot
-    keys = np.where(system.membership, system.tau.keys, system.tau.keys | 1)
-    nodes = system.tau.stop_nodes()
-    out = np.empty(tree.n_leaves)
-    for key in np.flatnonzero(np.bincount(keys)).tolist():
-        sel = keys == key
-        out[sel] = process.slot(key)[nodes[sel]]
-    return out
-
-
-def eval_upper(process: OptionalProcess, system: StoppingSystem) -> np.ndarray:
-    """Evaluation ``X_tau 1_H + (right limsup X)_tau 1_{H^c}`` per leaf."""
-    return _eval_at_system(process, system, "limsup")
-
-
-def eval_lower(process: OptionalProcess, system: StoppingSystem) -> np.ndarray:
-    """Evaluation ``X_tau 1_H + (right liminf X)_tau 1_{H^c}`` per leaf."""
-    return _eval_at_system(process, system, "liminf")
+    return process.at_keys(system.keys)
 
 
 def first_hitting(condition: OptionalProcess, theta: StoppingTime | None = None) -> HittingResult:

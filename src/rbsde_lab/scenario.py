@@ -20,6 +20,7 @@ import math
 import numbers
 import operator
 import random
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -337,11 +338,46 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
                     tolerances=tolerances, seed=data.get("seed"), data=data)
 
 
+_MAX_DOUBLE = int(sys.float_info.max)
+
+
 class _NonFinite:
-    """Stand-in for a ``NaN`` or ``Infinity`` literal, found after parsing."""
+    """Stand-in for a ``NaN`` or ``Infinity`` literal, or a number that
+    overflows a double, found after parsing."""
 
     def __init__(self, literal: str) -> None:
         self.literal = literal
+
+
+def _int_or_literal(literal: str) -> int | _NonFinite:
+    # past 310 characters the integer overflows a double, and int() refuses
+    # a long enough string
+    if len(literal) > 310:
+        return _NonFinite(literal)
+    value = int(literal)
+    return value if -_MAX_DOUBLE <= value <= _MAX_DOUBLE else _NonFinite(literal)
+
+
+def _float_or_literal(literal: str) -> float | _NonFinite:
+    value = float(literal)  # a number literal overflows to +-inf, never to NaN
+    return value if value - value == 0.0 else _NonFinite(literal)
+
+
+def _all_finite(node: Any) -> bool:
+    """Whether a parsed document holds no infinite float and no stand-in."""
+    if isinstance(node, dict):
+        return all(_all_finite(value) for value in node.values())
+    if isinstance(node, list):
+        try:
+            total = sum(node)  # a row of numbers sums at C speed, and inf carries through
+        except TypeError:  # not a row of numbers
+            return all(_all_finite(value) for value in node)
+        except OverflowError:  # an int sum past the largest double met a float
+            return False
+        return total - total == 0
+    if isinstance(node, float):
+        return node - node == 0.0
+    return not isinstance(node, _NonFinite)
 
 
 def _non_finite_at(node: Any, path: str = "") -> tuple[str, str] | None:
@@ -357,16 +393,18 @@ def _non_finite_at(node: Any, path: str = "") -> tuple[str, str] | None:
 
 
 def _read_json(path: Path) -> Any:
-    """Parse a JSON file, refusing ``NaN`` and ``Infinity`` literals with their pointer."""
-    literals: list[str] = []
-
-    def non_finite(literal: str) -> _NonFinite:
-        literals.append(literal)
-        return _NonFinite(literal)
-
-    data = json.loads(path.read_text(), parse_constant=non_finite)
-    # a literal that a later duplicate key replaced is not in the document
-    hit = _non_finite_at(data) if literals else None
+    """Parse a JSON file, refusing ``NaN`` and ``Infinity`` literals, and
+    numbers that overflow a double, with their pointer."""
+    text = path.read_text()
+    data = json.loads(text, parse_constant=_NonFinite, parse_int=_int_or_literal)
+    if _all_finite(data):
+        return data
+    # parse again, keeping the text of each float that overflows; a float
+    # hook on every number would slow large tables by half.  A row whose sum
+    # alone overflowed has no such float, and a literal that a later
+    # duplicate key replaced is not in the document.
+    hit = _non_finite_at(json.loads(text, parse_constant=_NonFinite, parse_int=_int_or_literal,
+                                    parse_float=_float_or_literal))
     if hit is not None:
         raise ScenarioError(f"{hit[0]}: {hit[1]} is not a finite number")
     return data

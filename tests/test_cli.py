@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -135,6 +136,32 @@ def test_non_finite_number_exits_2_with_pointer(tmp_path, capsys):
     assert rc == 2 and rep["error"] == "/driver/value: NaN is not a finite number"
 
 
+def _main_quietly(argv):
+    """Exit code of ``main`` and every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, caught
+
+
+def test_number_that_overflows_a_double_exits_2_with_pointer(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(TRIVIAL, steps=1)).replace('"value": 1.0}', '"value": 1e400}'))
+    rc, caught = _main_quietly(["verify", str(path)])
+    out = capsys.readouterr()
+    assert rc == 2 and json.loads(out.out)["error"] == "/upper/value: 1e400 is not a finite number"
+    assert out.err == "" and not caught
+
+
+@pytest.mark.parametrize("power", [40000, 1e300])
+def test_driver_that_overflows_exits_2_at_load(tmp_path, capsys, power):
+    driver = {"kind": "polynomial", "terms": [[power, 0, 1.0]], "lambda_z": 0, "mu": 0}
+    rc, caught = _main_quietly(["verify", _write(tmp_path, dict(TRIVIAL, driver=driver))])
+    out = capsys.readouterr()
+    assert rc == 2 and json.loads(out.out)["error"].startswith("/driver: ")
+    assert out.err == "" and not caught
+
+
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
     path = _write(tmp_path, random_scenario(13, n_steps=2, driver_kind="cubic").data)
     name = random_scenario(13, n_steps=2, driver_kind="cubic").name
@@ -199,6 +226,21 @@ def test_verify_refuses_a_non_finite_literal_in_a_solution(tmp_path, capsys, lit
     rep = _json_out(capsys)
     assert rc == 2 and not rep["passed"]
     assert rep["error"] == f"{edited}: /solution/z/0/0: {literal} is not a finite number"
+
+
+def test_verify_refuses_a_number_that_overflows_in_a_solution(tmp_path, capsys):
+    path = _write(tmp_path, TRIVIAL)
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "case.solve.json").read_text())
+    report["solution"]["y"]["at"][0][0] = "EDITED"
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(report).replace('"EDITED"', "-1e400"))
+    rc, caught = _main_quietly(["verify", path, "--solution", str(edited)])
+    out = capsys.readouterr()
+    assert rc == 2 and not json.loads(out.out)["passed"]
+    assert json.loads(out.out)["error"] == f"{edited}: /solution/y/at/0/0: -1e400 is not a finite number"
+    assert out.err == "" and not caught
 
 
 def test_verify_rejects_malformed_solution_cleanly(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,20 @@ def test_driver_spot_check_flags_misdeclared_constants():
     lying = polynomial_driver([(0, 1, 2.0)], lambda_z=1.0, mu=0.0)  # true slope 2
     with pytest.raises(ValueError, match="lipschitz_z"):
         lying.spot_check(rng)
+
+
+def test_driver_spot_check_fails_on_nan_and_non_finite_values():
+    rng = np.random.default_rng(0)
+    # a NaN worst case compares false with the tolerance, and must still fail
+    nan_mu = dataclasses.replace(linear_driver(0.0, -1.0, 2.0), mu=float("nan"))
+    with pytest.raises(ValueError, match="violates declared monotone_y bound by nan"):
+        nan_mu.spot_check(rng)
+    overflow = polynomial_driver([(40000, 0, 1.0)], lambda_z=0.0, mu=0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="not finite on the spot-check samples"):
+            overflow.spot_check(rng)
+    assert not caught
 
 
 def test_cfl_margin_reports_headroom():

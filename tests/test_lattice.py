@@ -16,8 +16,7 @@ from rbsde_lab import (
     StoppingTime,
     build_tree,
     enumerate_stopping_times,
-    eval_lower,
-    eval_upper,
+    eval_at_system,
     first_hitting,
     semicontinuity,
 )
@@ -124,7 +123,7 @@ def test_eval_constant_process_any_system():
     tau = StoppingTime.constant(tree, 1, Phase.AFTER)
     for member in (np.ones(4, dtype=bool), np.zeros(4, dtype=bool)):
         rho = StoppingSystem(tau, member)
-        np.testing.assert_array_equal(eval_upper(proc, rho), np.full(4, 3.25))
+        np.testing.assert_array_equal(eval_at_system(proc, rho), np.full(4, 3.25))
 
 
 def test_eval_on_and_off_membership_reads():
@@ -133,10 +132,11 @@ def test_eval_on_and_off_membership_reads():
     tau = StoppingTime.constant(tree, 0, Phase.AT)
     on = StoppingSystem.everywhere(tau)
     off = StoppingSystem(tau, np.zeros(2, dtype=bool))
-    np.testing.assert_array_equal(eval_upper(proc, on), [1.0, 1.0])
-    np.testing.assert_array_equal(eval_upper(proc, off), [2.0, 2.0])
-    # the two one-sided readings coincide on the grid
-    np.testing.assert_array_equal(eval_lower(proc, off), eval_upper(proc, off))
+    np.testing.assert_array_equal(eval_at_system(proc, on), [1.0, 1.0])
+    np.testing.assert_array_equal(eval_at_system(proc, off), [2.0, 2.0])
+    # the right limsup and liminf readings coincide on the grid: both are
+    # the interval slot
+    np.testing.assert_array_equal(eval_at_system(proc, off), [proc.right_limit(0, 0)] * 2)
 
 
 def test_eval_full_membership_equals_plain_read():
@@ -150,8 +150,7 @@ def test_eval_full_membership_equals_plain_read():
         rho = StoppingSystem.everywhere(tau)
         direct = np.array([proc.value(int(tau.steps[lf]), Phase(int(tau.phases[lf])),
                                       int(tau.stop_nodes()[lf])) for lf in range(4)])
-        np.testing.assert_array_equal(eval_upper(proc, rho), direct)
-        np.testing.assert_array_equal(eval_lower(proc, rho), direct)
+        np.testing.assert_array_equal(eval_at_system(proc, rho), direct)
 
 
 # -- first hitting ----------------------------------------------------------

@@ -3,7 +3,10 @@
 ``mokobodzki_witness`` and ``StoppingTime.from_realized`` once walked every
 leaf in Python.  Those loops live on here as reference implementations:
 the witness must match bit for bit, and the stopping-time builder must set
-the same flags and raise the same errors.
+the same flags and raise the same errors.  So do the per-key gathers that
+``gather_slots`` replaced, and the stopping-pair list comprehension of brute
+``classify_ef``: reads are bit-identical, pairs come in the same order, and
+classification gives equal results.
 """
 
 from __future__ import annotations
@@ -17,15 +20,25 @@ from hypothesis import strategies as st
 
 from rbsde_lab import (
     Barriers,
+    ClassifyResult,
     OptionalProcess,
     Phase,
     SeparationFailure,
+    StoppingSystem,
     StoppingTime,
     Witness,
     build_tree,
+    classify_ef,
+    constant_driver,
+    enumerate_stopping_times,
+    eval_at_system,
+    gather_slots,
+    linear_driver,
     mokobodzki_witness,
     random_scenario,
+    truncated_driver,
 )
+from rbsde_lab.expectation import _ordered_pairs, ef_backward_batch
 
 
 def reference_from_realized(tree, steps, phases):
@@ -199,3 +212,145 @@ def test_from_realized_raises_what_the_loop_raised(steps, phases):
     ref = _outcome(reference_from_realized, tree, np.array(steps), np.array(phases))
     assert ref[0] == "raised"
     assert _outcome(StoppingTime.from_realized, tree, np.array(steps), np.array(phases)) == ref
+
+
+# -- gathers and the brute-force pair set ------------------------------------
+
+def reference_gather_process(process, keys):
+    """Process values at per-leaf phase points, one row per key row."""
+    tree = process.tree
+    keys = np.asarray(keys)
+    if keys.ndim == 1:
+        keys = keys[None, :]
+    out = np.empty((keys.shape[0], tree.n_leaves))
+    for key in range(2 * tree.n_steps + 1):
+        mask = keys == key
+        if not mask.any():
+            continue
+        step, ph = key >> 1, key & 1
+        arr = process.at[step] if ph == 0 else process.after[step]
+        spread = np.broadcast_to(tree.spread(arr, step), out.shape)
+        out[mask] = spread[mask]
+    return out
+
+
+def reference_gather_batch(tree, vals, keys):
+    """Batch values ``vals[k]`` (R, 2**k) at per-leaf phase points."""
+    rows = vals[0].shape[0]
+    keys = np.asarray(keys)
+    if keys.ndim == 1:
+        keys = np.broadcast_to(keys, (rows, tree.n_leaves))
+    out = np.empty((rows, tree.n_leaves))
+    for key in range(2 * tree.n_steps + 1):
+        mask = keys == key
+        if not mask.any():
+            continue
+        step = key >> 1
+        spread = np.repeat(vals[step], tree.leaf_stride(step), axis=1)
+        out[mask] = spread[mask]
+    return out
+
+
+def reference_eval_at_system(process, system):
+    """The process at the stop on H and at the interval slot off H, per key."""
+    keys = np.where(system.membership, system.tau.keys, system.tau.keys | 1)
+    nodes = system.tau.stop_nodes()
+    out = np.empty(process.tree.n_leaves)
+    for key in np.flatnonzero(np.bincount(keys)).tolist():
+        sel = keys == key
+        out[sel] = process.slot(key)[nodes[sel]]
+    return out
+
+
+def reference_pairs(keys_m, idx):
+    """Rows (i, j) of the window ``idx`` with keys_m[i] <= keys_m[j] leafwise."""
+    return [(i, j) for i in idx for j in idx if np.all(keys_m[i] <= keys_m[j])]
+
+
+def reference_classify_brute(process, driver, from_time, to_time, tol):
+    """Brute ``classify_ef`` built from the list comprehension and the per-key gathers."""
+    tree = process.tree
+    steps_m, phases_m = enumerate_stopping_times(tree, phase_resolved=True)
+    keys_m = 2 * steps_m.astype(np.int64) + phases_m
+    in_window = np.all(keys_m >= from_time.keys, axis=1) & np.all(keys_m <= to_time.keys, axis=1)
+    pairs = reference_pairs(keys_m, np.nonzero(in_window)[0])
+    if not pairs:
+        return ClassifyResult.from_violations(0.0, 0.0, tol, "brute")
+    sig_rows = np.array([i for i, _ in pairs])
+    tau_rows = np.array([j for _, j in pairs])
+    x_at_tau = reference_gather_process(process, keys_m[tau_rows])
+    masks = [keys_m[tau_rows][:, ::tree.leaf_stride(k)] >= 2 * (k + 1) for k in range(tree.n_steps)]
+    vals = ef_backward_batch(tree, driver, x_at_tau, masks)
+    diff = (reference_gather_batch(tree, vals, keys_m[sig_rows])
+            - reference_gather_process(process, keys_m[sig_rows]))
+    return ClassifyResult.from_violations(max(float(np.max(diff, initial=0.0)), 0.0),
+                                          max(float(np.max(-diff, initial=0.0)), 0.0), tol, "brute")
+
+
+def _random_process(tree, rng):
+    return OptionalProcess(tree, [rng.normal(size=tree.nodes_at(k)) for k in range(tree.n_steps + 1)],
+                           [rng.normal(size=tree.nodes_at(k)) for k in range(tree.n_steps)])
+
+
+def _random_keys(tree, rng, shape):
+    """Valid phase-order keys (no AFTER at the horizon), not necessarily adapted."""
+    return rng.integers(0, 2 * tree.n_steps + 1, shape)
+
+
+def _random_stop(tree, rng):
+    flag_at = [rng.random(tree.nodes_at(k)) < 0.4 for k in range(tree.n_steps + 1)]
+    flag_after = [rng.random(tree.nodes_at(k)) < 0.4 for k in range(tree.n_steps)]
+    return StoppingTime(tree, flag_at, flag_after)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5))
+def test_gathers_match_the_per_key_loops(seed, depth, rows):
+    rng = np.random.default_rng(seed)
+    tree = build_tree(depth, 0.5)
+    proc = _random_process(tree, rng)
+    vals = [rng.normal(size=(rows, tree.nodes_at(k))) for k in range(depth + 1)]
+    for keys in (_random_keys(tree, rng, tree.n_leaves), _random_keys(tree, rng, (rows, tree.n_leaves))):
+        assert _same_bits(np.atleast_2d(proc.at_keys(keys)), reference_gather_process(proc, keys))
+        assert _same_bits(gather_slots(vals, keys), reference_gather_batch(tree, vals, keys))
+    tau = _random_stop(tree, rng)
+    first_leaf = tau.stop_nodes() << (depth - tau.steps)
+    for member in (np.ones(tree.n_leaves, dtype=bool),
+                   (rng.random(tree.n_leaves) < 0.5)[first_leaf] | (tau.steps == depth)):
+        system = StoppingSystem(tau, member)
+        assert _same_bits(eval_at_system(proc, system), reference_eval_at_system(proc, system))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_pair_order_matches_the_list_comprehension(seed, depth):
+    rng = np.random.default_rng(seed)
+    steps_m, phases_m = enumerate_stopping_times(build_tree(depth, 0.5), phase_resolved=True)
+    keys_m = 2 * steps_m.astype(np.int64) + phases_m
+    for idx in (np.flatnonzero(rng.random(len(keys_m)) < rng.random()),
+                np.arange(len(keys_m)), np.array([], dtype=np.int64)):
+        sig, tau = _ordered_pairs(keys_m[idx])
+        assert list(zip(idx[sig].tolist(), idx[tau].tolist())) == reference_pairs(keys_m, idx)
+
+
+def test_brute_classification_matches_the_reference():
+    rng = np.random.default_rng(5)
+    drivers = [constant_driver(0.3), linear_driver(0.1, -0.5, 0.4), truncated_driver(0.2, 0.3, -0.8, 0.5)]
+    for depth in (1, 2, 3):
+        tree = build_tree(depth, 0.25)
+        for driver in drivers:
+            proc = _random_process(tree, rng)
+            a, b = _random_stop(tree, rng).keys, _random_stop(tree, rng).keys
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            windows = [(None, None), (StoppingTime.from_realized(tree, lo >> 1, lo & 1),
+                                      StoppingTime.from_realized(tree, hi >> 1, hi & 1))]
+            for from_time, to_time in windows:
+                got = classify_ef(proc, driver, from_time=from_time, to_time=to_time, mode="brute")
+                ref = reference_classify_brute(
+                    proc, driver, from_time or StoppingTime.constant(tree, 0, Phase.AT),
+                    to_time or StoppingTime.constant(tree, depth, Phase.AT), 1e-12)
+                assert got == ref

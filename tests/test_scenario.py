@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from rbsde_lab.scenario import (
     _DRIVER_SCHEMAS,
     _TERMINAL_SCHEMAS,
     SCENARIO_SCHEMA,
+    _read_json,
     _validate,
 )
 
@@ -128,12 +130,41 @@ def test_non_finite_literals_are_refused_with_pointer(tmp_path, literal):
         load_scenario(p)
 
 
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "0.5e309",
+                                     pytest.param("1" + "0" * 400, id="integer-of-401-digits"),
+                                     pytest.param("9" * 5000, id="integer-of-5000-digits")])
+def test_numbers_that_overflow_a_double_are_refused_with_pointer(tmp_path, literal):
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(_minimal()).replace('"value": 1.0}', f'"value": {literal}}}'))
+    with pytest.raises(ScenarioError, match=f"^/upper/value: {literal} is not a finite number$"):
+        load_scenario(p)
+    p.write_text(json.dumps(_minimal()).replace('"value": 1.0}', '"value": 1.7976931348623157e308}'))
+    assert load_scenario(p).barriers.upper.at[0][0] == 1.7976931348623157e308
+
+
+def test_rows_that_only_sum_past_the_largest_double_are_read(tmp_path):
+    p = tmp_path / "rows.json"
+    big_int = "1" + "0" * 308
+    p.write_text(f'{{"floats": [1e308, 1e308], "mixed": [{big_int}, {big_int}, 1.0]}}')
+    assert _read_json(p) == {"floats": [1e308, 1e308], "mixed": [10**308, 10**308, 1.0]}
+
+
 def test_declared_driver_constants_are_spot_checked():
     lying = {"kind": "polynomial", "terms": [[1, 0, 3.0], [0, 1, 10.0]], "lambda_z": 0, "mu": -1}
     with pytest.raises(ScenarioError, match=r"^/driver: .*violates declared lipschitz_z"):
         scenario_from_dict(_minimal(driver=lying))
     honest = dict(lying, lambda_z=10.0, mu=3.0)
     assert scenario_from_dict(_minimal(dt=0.25, driver=honest)).driver.mu == 3.0
+
+
+@pytest.mark.parametrize("power", [40000, 1e300])
+def test_driver_that_overflows_fails_the_spot_check(power):
+    overflow = {"kind": "polynomial", "terms": [[power, 0, 1.0]], "lambda_z": 0, "mu": 0}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ScenarioError, match="^/driver: driver 'polynomial' is not finite"):
+            scenario_from_dict(_minimal(driver=overflow))
+    assert not caught
 
 
 # -- randomized generation ----------------------------------------------------
