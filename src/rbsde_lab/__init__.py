@@ -48,7 +48,6 @@ from .lattice import (
     SemicontinuityFlags,
     StoppingSystem,
     StoppingTime,
-    TimePoint,
     TwoPhaseTree,
     build_tree,
     enumerate_stopping_times,

@@ -89,7 +89,8 @@ def _dynamics_dict(rep) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 # command handlers: Scenario + parsed args -> (report dict, csv tables)
 
-CsvTables = dict[str, tuple[tuple[str, ...], list[tuple[Any, ...]]]]
+# label -> (header, rendered CSV lines); floats print at 17 significant digits
+CsvTables = dict[str, tuple[tuple[str, ...], list[str]]]
 
 
 def _cmd_solve(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], CsvTables]:
@@ -146,8 +147,8 @@ def _cmd_game(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], 
     tables: CsvTables = {}
     if scn.tree.n_steps - args.theta_step <= 2:
         header = ("tau",) + tuple(f"sigma_{j}" for j in range(values.n_sigma))
-        rows = [(i, *[float(v) for v in row]) for i, row in enumerate(values.matrix)]
-        tables["matrix"] = (header, rows)
+        line = "%d" + ",%.17g" * values.n_sigma + "\n"
+        tables["matrix"] = (header, [line % (i, *row) for i, row in enumerate(values.matrix.tolist())])
     return report, tables
 
 
@@ -342,7 +343,7 @@ def _cmd_approx(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     }
     tables: CsvTables = {"convergence": (
         ("stage", "n_gap", "m_gap"),
-        [(i + 1, float(a), float(b)) for i, (a, b) in enumerate(zip(rep.n_gaps, rep.m_gaps))])}
+        [f"{i + 1},%.17g,%.17g\n" % (a, b) for i, (a, b) in enumerate(zip(rep.n_gaps, rep.m_gaps))])}
     return report, tables
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "Phase",
-    "TimePoint",
     "TwoPhaseTree",
     "OptionalProcess",
     "StoppingTime",
@@ -46,18 +45,6 @@ class Phase(enum.IntEnum):
 
     AT = 0
     AFTER = 1
-
-
-@dataclass(frozen=True, order=True)
-class TimePoint:
-    """A (step, phase) pair; ordering is the temporal total order."""
-
-    step: int
-    phase: Phase
-
-    def key(self) -> int:
-        """Position in the total order: AT(k) -> 2k, AFTER(k) -> 2k+1."""
-        return 2 * self.step + int(self.phase)
 
 
 class TwoPhaseTree:
@@ -115,13 +102,12 @@ class TwoPhaseTree:
     def time(self, step: int) -> float:
         return step * self.dt
 
-    def point(self, step: int, phase: Phase) -> TimePoint:
-        """Validated time point; AFTER at the final step does not exist."""
+    def check_point(self, step: int, phase: Phase) -> None:
+        """Raise ``ValueError`` unless (step, phase) is a time point of the
+        tree; AFTER at the final step does not exist."""
         self.nodes_at(step)
-        phase = Phase(phase)
-        if step == self.n_steps and phase == Phase.AFTER:
+        if step == self.n_steps and Phase(phase) == Phase.AFTER:
             raise ValueError("the final step has no AFTER phase")
-        return TimePoint(step, phase)
 
     def node_of_leaf(self, leaf: np.ndarray | int, step: int) -> np.ndarray | int:
         """Ancestor node index of a leaf (full path) at ``step``."""
@@ -320,7 +306,7 @@ class StoppingTime:
 
     @classmethod
     def constant(cls, tree: TwoPhaseTree, step: int, phase: Phase = Phase.AT) -> "StoppingTime":
-        tree.point(step, phase)
+        tree.check_point(step, phase)
         flag_at = [np.zeros(tree.nodes_at(k), dtype=bool) for k in range(tree.n_steps + 1)]
         flag_after = [np.zeros(tree.nodes_at(k), dtype=bool) for k in range(tree.n_steps)]
         if Phase(phase) == Phase.AT:
@@ -340,7 +326,7 @@ class StoppingTime:
         bad = (steps < 0) | (steps > n) | (phases < 0) | (phases > 1) | ((steps == n) & (phases == 1))
         if bad.any():
             leaf = int(np.argmax(bad))
-            tree.point(int(steps[leaf]), Phase(int(phases[leaf])))  # raises the point's error
+            tree.check_point(int(steps[leaf]), Phase(int(phases[leaf])))  # raises the point's error
         nodes = np.arange(tree.n_leaves) >> (n - steps)
         keys = 2 * steps + phases
         flag_at = [np.zeros(tree.nodes_at(k), dtype=bool) for k in range(n + 1)]

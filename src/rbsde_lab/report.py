@@ -9,10 +9,10 @@ counts) anywhere in a report body.
 
 from __future__ import annotations
 
-import csv
 import io
 import os
 import tempfile
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -75,8 +75,16 @@ def canonical_json(obj: Any, *, _indent: str = "") -> str:
         inner = _indent + "  "
         if not obj:
             return "[]"
-        items = ",\n".join(inner + canonical_json(v, _indent=inner) for v in obj)
-        return "[\n" + items + "\n" + _indent + "]"
+        sep = ",\n" + inner
+        if set(map(type, obj)) == {float}:
+            # a row of floats in one call; a sum that is not finite (inf and
+            # nan carry through it) sends the row to _fmt_float's spelling
+            total = sum(obj)
+            items = (sep.join(["%.17g"] * len(obj)) % tuple(obj) if total - total == 0
+                     else sep.join(map(_fmt_float, obj)))
+        else:
+            items = sep.join(canonical_json(v, _indent=inner) for v in obj)
+        return "[\n" + inner + items + "\n" + _indent + "]"
     if isinstance(obj, dict):
         inner = _indent + "  "
         if not obj:
@@ -107,13 +115,10 @@ def write_json_atomic(path: str | Path, obj: Any) -> None:
     _atomic_write(Path(path), canonical_json(obj) + "\n")
 
 
-def write_csv_atomic(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
-    _atomic_write(Path(path), buf.getvalue())
+def write_csv_atomic(path: str | Path, header: Sequence[str], rows: Iterable[str]) -> None:
+    """Write ``header`` as the first line, then ``rows``: rendered CSV lines,
+    each chunk one or more whole lines ending in a newline."""
+    _atomic_write(Path(path), ",".join(header) + "\n" + "".join(rows))
 
 
 def solution_to_dict(solution: RBSDESolution) -> dict[str, Any]:
@@ -123,11 +128,11 @@ def solution_to_dict(solution: RBSDESolution) -> dict[str, Any]:
         "steps": tree.n_steps,
         "dt": tree.dt,
         "y": solution.y.table_rows(),
-        "z": [[float(v) for v in solution.z[k]] for k in range(tree.n_steps)],
-        "r_plus": {"phase": [[float(v) for v in solution.r_plus.phase[k]] for k in range(tree.n_steps)],
-                   "step": [[float(v) for v in solution.r_plus.step[k]] for k in range(tree.n_steps)]},
-        "r_minus": {"phase": [[float(v) for v in solution.r_minus.phase[k]] for k in range(tree.n_steps)],
-                    "step": [[float(v) for v in solution.r_minus.step[k]] for k in range(tree.n_steps)]},
+        "z": [solution.z[k].tolist() for k in range(tree.n_steps)],
+        "r_plus": {"phase": [solution.r_plus.phase[k].tolist() for k in range(tree.n_steps)],
+                   "step": [solution.r_plus.step[k].tolist() for k in range(tree.n_steps)]},
+        "r_minus": {"phase": [solution.r_minus.phase[k].tolist() for k in range(tree.n_steps)],
+                    "step": [solution.r_minus.step[k].tolist() for k in range(tree.n_steps)]},
     }
 
 
@@ -148,23 +153,25 @@ def solution_from_dict(data: dict[str, Any]) -> RBSDESolution:
 SOLUTION_ROW_HEADER = ("step", "edge", "path", "y", "z", "dr_plus", "dr_minus")
 
 
-def solution_rows(solution: RBSDESolution) -> list[tuple[Any, ...]]:
-    """Transition-level rows; ``y`` is the transition's left-endpoint value.
+def _node_lines(line: str, bits: list[str], *columns: np.ndarray) -> str:
+    """``line`` once per node of a step, filled with the node's path bits and
+    its value in each column."""
+    return line * len(bits) % tuple(chain.from_iterable(zip(bits, *(c.tolist() for c in columns))))
+
+
+def solution_rows(solution: RBSDESolution) -> list[str]:
+    """Transition-level CSV lines, one chunk per step and edge kind; ``y`` is
+    the transition's left-endpoint value.
 
     Phase edges (AT -> AFTER) carry no noise, so their ``z`` is empty.
     """
-    tree = solution.y.tree
-    rows: list[tuple[Any, ...]] = []
-    for k in range(tree.n_steps):
-        for node in range(tree.nodes_at(k)):
-            bits = format(node, f"0{k}b") if k else ""
-            rows.append((k, "phase", bits, float(solution.y.at[k][node]), "",
-                         float(solution.r_plus.phase[k][node]),
-                         float(solution.r_minus.phase[k][node])))
-        for node in range(tree.nodes_at(k)):
-            bits = format(node, f"0{k}b") if k else ""
-            rows.append((k, "step", bits, float(solution.y.after[k][node]),
-                         float(solution.z[k][node]),
-                         float(solution.r_plus.step[k][node]),
-                         float(solution.r_minus.step[k][node])))
-    return rows
+    y, r_plus, r_minus = solution.y, solution.r_plus, solution.r_minus
+    chunks: list[str] = []
+    bits = [""]
+    for k in range(y.tree.n_steps):
+        chunks.append(_node_lines(f"{k},phase,%s,%.17g,,%.17g,%.17g\n", bits,
+                                  y.at[k], r_plus.phase[k], r_minus.phase[k]))
+        chunks.append(_node_lines(f"{k},step,%s,%.17g,%.17g,%.17g,%.17g\n", bits,
+                                  y.after[k], solution.z[k], r_plus.step[k], r_minus.step[k]))
+        bits = [b + c for b in bits for c in "01"]
+    return chunks

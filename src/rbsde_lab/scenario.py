@@ -208,7 +208,11 @@ def _schema_errors(value: Any, schema: dict[str, Any], path: tuple, out: list) -
             for i, (item, sub) in enumerate(zip(value, arg)):
                 _schema_errors(item, sub, path + (i,), out)
         elif word == "items" and isinstance(value, list):
-            for i in range(len(schema.get("prefixItems", ())), len(value)):
+            start = len(schema.get("prefixItems", ()))
+            # a table row of plain numbers meets _NUM with no call per item
+            if arg is _NUM and set(map(type, value[start:])) <= {float, int}:
+                continue
+            for i in range(start, len(value)):
                 _schema_errors(value[i], arg, path + (i,), out)
         elif word == "minItems" and isinstance(value, list) and len(value) < arg:
             out.append((path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"))

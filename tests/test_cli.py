@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import rbsde_lab
 from rbsde_lab import random_scenario
 from rbsde_lab.cli import main
 from rbsde_lab.report import SOLUTION_ROW_HEADER
@@ -290,3 +296,40 @@ def test_multiple_scenarios_one_line_each(tmp_path, capsys, monkeypatch):
     assert rc == 0 and len(reports) == 2
     assert [r["scenario"] for r in reports] == ["random-1", "random-2"]
     assert all(r["passed"] for r in reports)
+
+
+# a depth-10 scenario whose report bytes need no random draw and no libm
+# call: dt = 1/16 makes the walk step 0.25 exact, and affine data with a
+# linear driver take the closed-form step; both barriers reflect
+GOLDEN = {
+    "version": "v1", "name": "golden", "steps": 10, "dt": 0.0625,
+    "lower": {"kind": "affine", "intercept": -0.5, "slope": 0.5, "time_coef": 0.5},
+    "upper": {"kind": "affine", "intercept": 0.5, "slope": 0.5, "time_coef": -0.5},
+    "terminal": {"kind": "affine", "intercept": 0.0, "slope": 0.5},
+    "driver": {"kind": "linear", "const": 0.25, "y_coef": 4.0, "z_coef": 0.25},
+}
+GOLDEN_SHA256 = {
+    "golden.solve.json": "04bf4f2ac00fb5cc73718241023a2986192591addf4ab390b7aec4d4460132cd",
+    "golden.solve.solution.csv": "847d29654ec8d086cd95c861912cd8d4c1fc23d929568bea2174fbbc6676d57e",
+    "golden.verify.json": "bc98dffc8a40efd00e280c0a9891218cc2eae0a657530a23826193cfb4818ac8",
+}
+
+
+def test_golden_report_digests(tmp_path, capsys):
+    path = _write(tmp_path, GOLDEN)
+    out = tmp_path / "out"
+    assert main(["solve", path, "--out", str(out), "--format", "csv"]) == 0
+    assert main(["verify", path, "--solution", str(out / "golden.solve.json"), "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
+    assert digests == GOLDEN_SHA256
+
+
+def test_cli_import_loads_neither_jsonschema_nor_numpy_random():
+    # each one cost every CLI process import time or resident memory
+    src = str(Path(rbsde_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import rbsde_lab.cli, sys; "
+            "print([m for m in ('jsonschema', 'numpy.random') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -52,21 +52,25 @@ def test_zero_step_tree_rejected():
 
 
 def test_point_order_exhaustive_small_depths():
-    # total order AT(k) < AFTER(k) < AT(k+1), checked on every pair
+    # total order AT(k) < AFTER(k) < AT(k+1): the key 2k + phase of each of
+    # the 2n + 1 valid points orders them as (time, phase), on every pair
     for n in range(1, 5):
         tree = build_tree(n, 0.3)
-        points = [tree.point(key >> 1, Phase(key & 1)) for key in range(2 * n + 1)]
-        assert len(points) == 2 * n + 1
-        for i, p in enumerate(points):
-            for j, q in enumerate(points):
-                assert (p < q) == (i < j)
-                assert p.key() == 2 * p.step + int(p.phase)
+        points = [(key >> 1, Phase(key & 1)) for key in range(2 * n + 1)]
+        for step, phase in points:
+            assert tree.check_point(step, phase) is None
+        for i, (k, p) in enumerate(points):
+            for j, (m, q) in enumerate(points):
+                assert ((tree.time(k), p) < (tree.time(m), q)) == (i < j)
+        for step, phase in ((n, Phase.AFTER), (n + 1, Phase.AT), (-1, Phase.AT)):
+            with pytest.raises(ValueError):
+                tree.check_point(step, phase)
 
 
 def test_after_horizon_point_does_not_exist():
     tree = build_tree(2, 1.0)
     with pytest.raises(ValueError):
-        tree.point(2, Phase.AFTER)
+        tree.check_point(2, Phase.AFTER)
     proc = OptionalProcess.from_constant(tree, 0.0)
     with pytest.raises(ValueError):
         proc.value(2, Phase.AFTER, 0)

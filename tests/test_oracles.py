@@ -6,11 +6,15 @@ the witness must match bit for bit, and the stopping-time builder must set
 the same flags and raise the same errors.  So do the per-key gathers that
 ``gather_slots`` replaced, and the stopping-pair list comprehension of brute
 ``classify_ef``: reads are bit-identical, pairs come in the same order, and
-classification gives equal results.
+classification gives equal results.  The report emitters that now render
+a row of floats, or a step of the solution table, in one call are checked
+byte for byte against the per-element emitters and ``csv.writer``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -38,7 +42,17 @@ from rbsde_lab import (
     random_scenario,
     truncated_driver,
 )
+from rbsde_lab.cli import _HANDLERS, build_parser
 from rbsde_lab.expectation import _ordered_pairs, ef_backward_batch
+from rbsde_lab.games import brute_force_values
+from rbsde_lab.report import (
+    SOLUTION_ROW_HEADER,
+    canonical_json,
+    solution_from_dict,
+    solution_rows,
+    solution_to_dict,
+    write_csv_atomic,
+)
 
 
 def reference_from_realized(tree, steps, phases):
@@ -53,7 +67,7 @@ def reference_from_realized(tree, steps, phases):
     flag_after = [np.zeros(tree.nodes_at(k), dtype=bool) for k in range(n)]
     for leaf in range(tree.n_leaves):
         k, ph = int(steps[leaf]), int(phases[leaf])
-        tree.point(k, Phase(ph))
+        tree.check_point(k, Phase(ph))
         (flag_at if ph == 0 else flag_after)[k][leaf >> (n - k)] = True
     flag_at[n][:] = True
     for leaf in range(tree.n_leaves):
@@ -354,3 +368,189 @@ def test_brute_classification_matches_the_reference():
                     proc, driver, from_time or StoppingTime.constant(tree, 0, Phase.AT),
                     to_time or StoppingTime.constant(tree, depth, Phase.AT), 1e-12)
                 assert got == ref
+
+
+# -- report emission: the per-element emitters the row joins replaced ---------
+
+def reference_fmt_float(x):
+    if x != x:
+        return '"nan"'
+    if x == float("inf"):
+        return '"inf"'
+    if x == float("-inf"):
+        return '"-inf"'
+    return format(x, ".17g")
+
+
+def reference_canonical_json(obj, _indent=""):
+    """One call per element, floats through ``reference_fmt_float``."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return reference_fmt_float(float(obj))
+    if isinstance(obj, str):
+        out = io.StringIO()
+        out.write('"')
+        for ch in obj:
+            if ch in '"\\':
+                out.write("\\" + ch)
+            elif ch == "\n":
+                out.write("\\n")
+            elif ch == "\t":
+                out.write("\\t")
+            elif ord(ch) < 0x20:
+                out.write(f"\\u{ord(ch):04x}")
+            else:
+                out.write(ch)
+        out.write('"')
+        return out.getvalue()
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        inner = _indent + "  "
+        if not obj:
+            return "[]"
+        items = ",\n".join(inner + reference_canonical_json(v, inner) for v in obj)
+        return "[\n" + items + "\n" + _indent + "]"
+    if isinstance(obj, dict):
+        inner = _indent + "  "
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{reference_canonical_json(str(k))}: {reference_canonical_json(v, inner)}"
+            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0])))
+        return "{\n" + items + "\n" + _indent + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
+
+
+def reference_solution_to_dict(solution):
+    tree = solution.y.tree
+    n = tree.n_steps
+    return {
+        "steps": n,
+        "dt": tree.dt,
+        "y": {"at": [[float(v) for v in a] for a in solution.y.at],
+              "after": [[float(v) for v in a] for a in solution.y.after]},
+        "z": [[float(v) for v in solution.z[k]] for k in range(n)],
+        "r_plus": {"phase": [[float(v) for v in solution.r_plus.phase[k]] for k in range(n)],
+                   "step": [[float(v) for v in solution.r_plus.step[k]] for k in range(n)]},
+        "r_minus": {"phase": [[float(v) for v in solution.r_minus.phase[k]] for k in range(n)],
+                    "step": [[float(v) for v in solution.r_minus.step[k]] for k in range(n)]},
+    }
+
+
+def reference_solution_rows(solution):
+    """One tuple per transition, built node by node."""
+    tree = solution.y.tree
+    rows = []
+    for k in range(tree.n_steps):
+        for node in range(tree.nodes_at(k)):
+            bits = format(node, f"0{k}b") if k else ""
+            rows.append((k, "phase", bits, float(solution.y.at[k][node]), "",
+                         float(solution.r_plus.phase[k][node]),
+                         float(solution.r_minus.phase[k][node])))
+        for node in range(tree.nodes_at(k)):
+            bits = format(node, f"0{k}b") if k else ""
+            rows.append((k, "step", bits, float(solution.y.after[k][node]),
+                         float(solution.z[k][node]),
+                         float(solution.r_plus.step[k][node]),
+                         float(solution.r_minus.step[k][node])))
+    return rows
+
+
+def reference_csv(header, rows):
+    """``csv.writer`` text, floats formatted one value at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+def _csv_text(tmp_path, header, rows):
+    path = tmp_path / "table.csv"
+    write_csv_atomic(path, header, rows)
+    return path.read_text()
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16,
+                   2.0**60, 1e17, 1.7976931348623157e308, 3.0, -7.0, 0.1, 1 / 3, 123456789.0]
+_floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+_scalars = st.one_of(_floats, _floats.map(np.float64), st.booleans(), st.integers(-2**70, 2**70),
+                     st.none(), st.text(max_size=3))
+_rows = st.one_of(st.lists(_floats, max_size=40), st.lists(_floats, max_size=40).map(tuple),
+                  st.lists(_scalars, max_size=12), st.lists(_scalars, max_size=12).map(tuple))
+_documents = st.recursive(
+    st.one_of(_rows, _scalars),
+    lambda children: st.one_of(st.lists(children, max_size=3),
+                               st.dictionaries(st.text(max_size=4), children, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_canonical_json_matches_the_per_element_emitter(doc):
+    assert canonical_json(doc) == reference_canonical_json(doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_floats, max_size=40), st.integers(0, 3))
+def test_float_rows_and_arrays_match_the_per_element_emitter(row, depth):
+    for obj in (row, tuple(row), np.array(row, dtype=float), [np.float64(v) for v in row]):
+        for _ in range(depth):  # nested in dicts at several indents
+            obj = {"k": obj, "a": [obj]}
+        assert canonical_json(obj) == reference_canonical_json(obj)
+
+
+def _solve_report(scn):
+    args = build_parser().parse_args(["solve", "scenario.json"])
+    return _HANDLERS["solve"](scn, args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000), st.integers(1, 10),
+       st.sampled_from(["constant", "linear", "truncated", "cubic"]))
+def test_solve_report_and_csv_match_the_per_element_path(tmp_path_factory, seed, depth, kind):
+    report, tables = _solve_report(random_scenario(seed, n_steps=depth, driver_kind=kind))
+    sol = solution_from_dict(report["solution"])
+    assert report["solution"] == reference_solution_to_dict(sol)
+    assert canonical_json(report) == reference_canonical_json(
+        dict(report, solution=reference_solution_to_dict(sol)))
+    header, rows = tables["solution"]
+    assert _csv_text(tmp_path_factory.mktemp("csv"), header, rows) == reference_csv(
+        SOLUTION_ROW_HEADER, reference_solution_rows(sol))
+
+
+def test_non_finite_solution_values_match_the_per_element_path(tmp_path):
+    report, _ = _solve_report(random_scenario(3, n_steps=3, driver_kind="linear"))
+    sol = solution_from_dict(report["solution"])
+    sol.z[1][0] = math.nan
+    sol.r_plus.step[2][3] = math.inf
+    sol.r_minus.phase[0][0] = -math.inf
+    sol.y.after[1][1] = -0.0
+    sol.y.at[2][2] = 5e-324
+    assert canonical_json(solution_to_dict(sol)) == reference_canonical_json(reference_solution_to_dict(sol))
+    assert '"nan"' in canonical_json(solution_to_dict(sol))
+    assert _csv_text(tmp_path, SOLUTION_ROW_HEADER, solution_rows(sol)) == reference_csv(
+        SOLUTION_ROW_HEADER, reference_solution_rows(sol))
+
+
+def test_game_matrix_and_convergence_tables_match_csv_writer(tmp_path):
+    scn = random_scenario(8, n_steps=2, driver_kind="truncated")
+    _, tables = _HANDLERS["game"](scn, build_parser().parse_args(["game", "s.json"]))
+    values = brute_force_values(scn.tree, scn.barriers, scn.driver, mode="extended",
+                                theta_step=0, theta_node=0)
+    header, rows = tables["matrix"]
+    assert _csv_text(tmp_path, header, rows) == reference_csv(
+        header, [(i, *[float(v) for v in row]) for i, row in enumerate(values.matrix)])
+    report, tables = _HANDLERS["approx"](
+        scn, build_parser().parse_args(["approx", "s.json", "--n-max", "3", "--m-max", "2"]))
+    header, rows = tables["convergence"]
+    assert _csv_text(tmp_path, header, rows) == reference_csv(
+        header, [(i + 1, float(a), float(b))
+                 for i, (a, b) in enumerate(zip(report["n_gaps"], report["m_gaps"]))])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import warnings
 
 import numpy as np
@@ -309,8 +310,37 @@ def _hand_verdict(instance, schema, base):
     return None
 
 
+_NON_NUMBERS = [True, False, "x", "", None, [1.0], [], {}]
+
+
+@st.composite
+def _long_row_documents(draw):
+    """Table barriers and a table terminal with rows of 2**k plain numbers,
+    with non-numbers planted at the start, the middle or the end of rows."""
+    n = draw(st.integers(5, 8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def row(size):
+        return [rng.choice((rng.uniform(-2.0, 2.0), rng.randint(-3, 3))) for _ in range(size)]
+
+    def table():
+        return {"kind": "table", "at": [row(2**k) for k in range(n + 1)],
+                "after": [row(2**k) for k in range(n)]}
+
+    doc = _minimal(steps=n, lower=table(), upper=table(),
+                   terminal={"kind": "table", "values": row(2**n)})
+    rows = ([doc[side]["at"][k] for side in ("lower", "upper") for k in range(n + 1)]
+            + [doc[side]["after"][k] for side in ("lower", "upper") for k in range(n)]
+            + [doc["terminal"]["values"]])
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from(rows))
+        where = draw(st.sampled_from([0, len(target) // 2, len(target) - 1]))
+        target[where] = draw(st.sampled_from(_NON_NUMBERS))
+    return doc
+
+
 @settings(max_examples=400, deadline=None)
-@given(_mutated_documents())
+@given(st.one_of(_mutated_documents(), _long_row_documents()))
 def test_hand_validator_agrees_with_jsonschema(doc):
     checks = [(doc, SCENARIO_SCHEMA, "")]
     for part, catalog in (("lower", _BARRIER_SCHEMAS), ("upper", _BARRIER_SCHEMAS),
