@@ -317,7 +317,7 @@ _NON_NUMBERS = [True, False, "x", "", None, [1.0], [], {}]
 def _long_row_documents(draw):
     """Table barriers and a table terminal with rows of 2**k plain numbers,
     with non-numbers planted at the start, the middle or the end of rows."""
-    n = draw(st.integers(5, 8))
+    n = draw(st.integers(4, 7))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
 
     def row(size):
