@@ -492,13 +492,13 @@ _documents = st.recursive(
     max_leaves=12)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(_documents)
 def test_canonical_json_matches_the_per_element_emitter(doc):
     assert canonical_json(doc) == reference_canonical_json(doc)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.lists(_floats, max_size=40), st.integers(0, 3))
 def test_float_rows_and_arrays_match_the_per_element_emitter(row, depth):
     for obj in (row, tuple(row), np.array(row, dtype=float), [np.float64(v) for v in row]):
