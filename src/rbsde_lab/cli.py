@@ -431,6 +431,18 @@ def _run_one(path: str, args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return report, 0 if report["passed"] else 1
 
 
+def _count(text: str) -> int:
+    """argparse type of a count flag: an integer >= 1, refused before any
+    scenario is read."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("scenarios", nargs="+", metavar="SCENARIO",
@@ -441,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also emit CSV tables (requires --out)")
     common.add_argument("--enum-bound", dest="enum_bound", type=int, default=None,
                         help="max subgame depth for strategy enumeration")
-    common.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+    common.add_argument("--max-iter", dest="max_iter", type=_count, default=None)
     for flag in ("tol-root", "tol-comp", "tol-conv", "tol-game"):
         common.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=float, default=None)
 
@@ -472,10 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "against this scenario")
     approx = sub.add_parser("approx", parents=[common],
                             help="monotone truncation scheme convergence report")
-    approx.add_argument("--cut-step", dest="cut_step", type=int, default=None,
+    approx.add_argument("--cut-step", dest="cut_step", type=_count, default=None,
                         help="steps per artificial barrier stage")
-    approx.add_argument("--n-max", dest="n_max", type=int, default=None)
-    approx.add_argument("--m-max", dest="m_max", type=int, default=None)
+    approx.add_argument("--n-max", dest="n_max", type=_count, default=None)
+    approx.add_argument("--m-max", dest="m_max", type=_count, default=None)
     oracle = sub.add_parser("oracle", parents=[common],
                             help="game-equals-solver sweep over late-step nodes")
     oracle.add_argument("--mode", choices=("extended", "plain"), default="extended")

@@ -18,6 +18,7 @@ AFTER(k) are paired with the values at AT(k).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,40 +117,50 @@ def solve_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
     """Backward clamped solve of the doubly reflected equation."""
     if not tree.same_grid(barriers.tree):
         raise ValueError("barriers live on a different grid")
-    _check_mu(driver, tree.dt)
-    n, dt = tree.n_steps, tree.dt
-    low, up = barriers.lower, barriers.upper
-    y_at: list[np.ndarray] = [None] * (n + 1)  # type: ignore[list-item]
-    y_after: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    zs: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    rp_phase = [np.zeros(tree.nodes_at(k)) for k in range(n)]
-    rm_phase = [np.zeros(tree.nodes_at(k)) for k in range(n)]
-    rp_step = [np.zeros(tree.nodes_at(k)) for k in range(n)]
-    rm_step = [np.zeros(tree.nodes_at(k)) for k in range(n)]
-    y_at[n] = barriers.terminal.copy()
-    for k in range(n - 1, -1, -1):
-        nxt = y_at[k + 1]
-        e = 0.5 * (nxt[0::2] + nxt[1::2])
-        zs[k] = (nxt[0::2] - nxt[1::2]) / (2.0 * tree.sqrt_dt)
-        t_k = (step_offset + k) * dt
-        unconstrained = implicit_step(e, zs[k], t_k, driver, dt,
-                                      tol=tol_root, max_iter=max_iter)
-        y_after[k] = np.clip(unconstrained, low.after[k], up.after[k])
-        # the increment balances the step at the clamped value, so the
-        # driver must be re-read there; off contact both sides stay an
-        # exact zero rather than inheriting root-solve noise
-        residual = y_after[k] - e - dt * driver(t_k, y_after[k], zs[k])
-        rp_step[k] = np.where(y_after[k] > unconstrained, np.maximum(residual, 0.0), 0.0)
-        rm_step[k] = np.where(y_after[k] < unconstrained, np.maximum(-residual, 0.0), 0.0)
-        y_at[k] = np.clip(y_after[k], low.at[k], up.at[k])
-        rp_phase[k] = np.maximum(y_at[k] - y_after[k], 0.0)
-        rm_phase[k] = np.maximum(y_after[k] - y_at[k], 0.0)
+    keys = range(2 * tree.n_steps + 1)
+    steps = _reflected_pass(tree, barriers.terminal, [barriers.lower.slot(key) for key in keys],
+                            [barriers.upper.slot(key) for key in keys], driver,
+                            step_offset=step_offset, tol_root=tol_root, max_iter=max_iter)
+    # the pass yields from the horizon back; each column is reversed to start at step 0
+    z, after, at, rp_step, rm_step, rp_phase, rm_phase = (list(col)[::-1] for col in zip(*steps))
     return RBSDESolution(
-        y=OptionalProcess(tree, y_at, y_after),
-        z=zs,
+        y=OptionalProcess(tree, at + [barriers.terminal.copy()], after),
+        z=z,
         r_plus=TransitionIncrements(tree, rp_phase, rp_step),
         r_minus=TransitionIncrements(tree, rm_phase, rm_step),
     )
+
+
+def _reflected_pass(tree: TwoPhaseTree, terminal: np.ndarray, lower: list[np.ndarray],
+                    upper: list[np.ndarray], driver: Driver, *, step_offset: int,
+                    tol_root: float, max_iter: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The backward clamped pass over slot arrays whose leading axes are rows.
+
+    ``lower[key]`` and ``upper[key]`` are the barrier slots in order-key
+    order (``2k`` is AT(k), ``2k + 1`` is AFTER(k)); they, and the driver's
+    band, broadcast against ``terminal``, which fixes the rows.  Yields, for
+    ``k = N-1`` down to 0, the integrand, the AFTER(k) and AT(k) values and
+    the step and phase increments of R+ and R-, so a caller keeps only what
+    it reads.  Each row comes out bit-identical to its solo pass, because
+    :func:`implicit_step` decides everything per row.
+    """
+    _check_mu(driver, tree.dt)
+    dt = tree.dt
+    nxt = terminal
+    for k in range(tree.n_steps - 1, -1, -1):
+        e = 0.5 * (nxt[..., 0::2] + nxt[..., 1::2])
+        z = (nxt[..., 0::2] - nxt[..., 1::2]) / (2.0 * tree.sqrt_dt)
+        t_k = (step_offset + k) * dt
+        unconstrained = implicit_step(e, z, t_k, driver, dt, tol=tol_root, max_iter=max_iter)
+        after = np.clip(unconstrained, lower[2 * k + 1], upper[2 * k + 1])
+        # the increment balances the step at the clamped value, so the
+        # driver must be re-read there; off contact both sides stay an
+        # exact zero rather than inheriting root-solve noise
+        residual = after - e - dt * driver(t_k, after, z)
+        rp_step = np.where(after > unconstrained, np.maximum(residual, 0.0), 0.0)
+        rm_step = np.where(after < unconstrained, np.maximum(-residual, 0.0), 0.0)
+        nxt = np.clip(after, lower[2 * k], upper[2 * k])
+        yield z, after, nxt, rp_step, rm_step, np.maximum(nxt - after, 0.0), np.maximum(after - nxt, 0.0)
 
 
 @dataclass
@@ -404,26 +415,30 @@ def continuity_analogue(solution: RBSDESolution, barriers: Barriers,
                                     lower_edges_checked=n_l, upper_edges_checked=n_u)
 
 
-def clipped_driver(driver: Driver, lower_level: float, upper_level: float) -> Driver:
+def clipped_driver(driver: Driver, lower_level: float | np.ndarray,
+                   upper_level: float | np.ndarray) -> Driver:
     """``max(min(f, upper_level), -lower_level)``: the truncation grid member.
 
     Clipping is monotone and 1-Lipschitz, so the z-Lipschitz constant
     carries over and the monotonicity constant can only move toward zero.
     The polynomial ``terms`` carry over too, and a band ``(a, b)`` already
     on the driver composes with the new one ``(lo, hi)`` into
-    ``(min(max(a, lo), hi), max(min(b, hi), lo))``.
+    ``(min(max(a, lo), hi), max(min(b, hi), lo))``.  The levels may be
+    ``(R, 1)`` columns: row ``r`` of a stacked solve then takes the levels
+    of row ``r``.
     """
-    lo, hi = -float(lower_level), float(upper_level)
-    if lo > hi:
+    lo, hi = -np.asarray(lower_level, dtype=float), np.asarray(upper_level, dtype=float)
+    if np.any(lo > hi):
         raise ValueError("empty truncation band")
     band = (lo, hi)
     if driver.clip is not None:
         a, b = driver.clip
-        band = (min(max(a, lo), hi), max(min(b, hi), lo))
+        band = (np.minimum(np.maximum(a, lo), hi), np.maximum(np.minimum(b, hi), lo))
     base = driver.fn
+    levels = f"{lo:g},{hi:g}" if np.ndim(lo) == np.ndim(hi) == 0 else "rows"
     return Driver(fn=lambda t, y, z: np.clip(base(t, y, z), lo, hi),
                   lambda_z=driver.lambda_z, mu=max(driver.mu, 0.0),
-                  tag=f"{driver.tag}|clip[{lo:g},{hi:g}]", terms=driver.terms, clip=band)
+                  tag=f"{driver.tag}|clip[{levels}]", terms=driver.terms, clip=band)
 
 
 @dataclass
@@ -439,14 +454,6 @@ class TruncationReport:
     passed: bool
     y_limit: OptionalProcess
     reference: RBSDESolution
-
-
-def _swapped_barrier(original: OptionalProcess, envelope: OptionalProcess, threshold_key: int) -> OptionalProcess:
-    """Original values up to the cut (inclusive), envelope values after."""
-    tree = original.tree
-    at = [(original.at[k] if 2 * k <= threshold_key else envelope.at[k]).copy() for k in range(tree.n_steps + 1)]
-    after = [(original.after[k] if 2 * k + 1 <= threshold_key else envelope.after[k]).copy() for k in range(tree.n_steps)]
-    return OptionalProcess(tree, at, after)
 
 
 def truncation_scheme(tree: TwoPhaseTree, barriers: Barriers, driver: Driver,
@@ -467,6 +474,10 @@ def truncation_scheme(tree: TwoPhaseTree, barriers: Barriers, driver: Driver,
     swaps to the one-sided envelopes beyond, exercising the swap path while
     leaving the limit unchanged.  Non-monotonicity beyond tolerance is a
     solver bug, so it fails the report rather than raising.
+
+    The ``n_max * m_max`` grid members run as one backward pass over a
+    stack of rows, each with its own clip band and barrier slots; every row
+    comes out bit-identical to a ``solve_rbsde`` of that member alone.
     """
     reference = solve_rbsde(tree, barriers, driver, tol_root=tol_root, max_iter=max_iter)
     if n_max is None or m_max is None:
@@ -484,35 +495,38 @@ def truncation_scheme(tree: TwoPhaseTree, barriers: Barriers, driver: Driver,
         raise ValueError("truncation levels must be >= 1")
     if cut_step is not None and cut_step < 1:
         raise ValueError("cut_step must be >= 1")
-    lhat, uhat = snell_envelopes(tree, barriers)
+    # row i * m_max + j of the stack is grid member (i + 1, j + 1)
+    stage_n = np.repeat(np.arange(1, n_max + 1), m_max)[:, None]
+    stage_m = np.tile(np.arange(1, m_max + 1), n_max)[:, None]
+    keys = range(2 * tree.n_steps + 1)
+    lower = [barriers.lower.slot(key) for key in keys]
+    upper = [barriers.upper.slot(key) for key in keys]
+    if cut_step is not None:
+        # stage s keeps the true barriers up to key 2 min(cut_step s, N)
+        lhat, uhat = snell_envelopes(tree, barriers)
+        cut_n = 2 * np.minimum(cut_step * stage_n, tree.n_steps)
+        cut_m = 2 * np.minimum(cut_step * stage_m, tree.n_steps)
+        lower = [np.where(key <= cut_n, lower[key], lhat.slot(key)) for key in keys]
+        upper = [np.where(key <= cut_m, upper[key], uhat.slot(key)) for key in keys]
+    # value slots from the horizon back: AT(N), AFTER(N-1), AT(N-1), ...
+    y = [np.broadcast_to(barriers.terminal, (n_max * m_max, tree.n_leaves))]
+    for _, after, at, *_ in _reflected_pass(tree, y[0], lower, upper, clipped_driver(driver, stage_m, stage_n),
+                                            step_offset=0, tol_root=tol_root, max_iter=max_iter):
+        y += (after, at)
+    grid = [slot.reshape(n_max, m_max, -1) for slot in reversed(y)]
 
-    def threshold(stage: int) -> int:
-        if cut_step is None:
-            return 2 * tree.n_steps
-        return 2 * min(cut_step * stage, tree.n_steps)
+    def worst(diff):
+        """Maximum of ``diff(slot)`` over slots and nodes, at least 0.0 and
+        NaN wherever a NaN enters."""
+        return np.max([np.max(diff(g), axis=-1, initial=0.0) for g in grid], axis=0)
 
-    grid: list[list[OptionalProcess]] = []
-    for i in range(1, n_max + 1):
-        row = []
-        low_i = _swapped_barrier(barriers.lower, lhat, threshold(i))
-        for j in range(1, m_max + 1):
-            up_j = _swapped_barrier(barriers.upper, uhat, threshold(j))
-            bij = Barriers(low_i, up_j, barriers.terminal)
-            sol = solve_rbsde(tree, bij, clipped_driver(driver, j, i), tol_root=tol_root, max_iter=max_iter)
-            row.append(sol.y)
-        grid.append(row)
-    mono_n = 0.0
-    mono_m = 0.0
-    for i in range(n_max):
-        for j in range(m_max):
-            if i + 1 < n_max:
-                mono_n = max(mono_n, grid[i][j].max_exceedance(grid[i + 1][j]))
-            if j + 1 < m_max:
-                mono_m = max(mono_m, grid[i][j + 1].max_exceedance(grid[i][j]))
-    y_limit = grid[n_max - 1][m_max - 1]
+    mono_n = float(np.max(worst(lambda g: g[:-1] - g[1:]), initial=0.0))
+    mono_m = float(np.max(worst(lambda g: g[:, 1:] - g[:, :-1]), initial=0.0))
+    n_gaps = worst(lambda g: np.abs(g[:, -1] - g[-1, -1])).tolist()
+    m_gaps = worst(lambda g: np.abs(g[-1] - g[-1, -1])).tolist()
+    corner = [g[-1, -1].copy() for g in grid]
+    y_limit = OptionalProcess(tree, corner[0::2], corner[1::2])
     limit_gap = y_limit.sup_abs_diff(reference.y)
-    n_gaps = [grid[i][m_max - 1].sup_abs_diff(y_limit) for i in range(n_max)]
-    m_gaps = [grid[n_max - 1][j].sup_abs_diff(y_limit) for j in range(m_max)]
     passed = mono_n <= tol_mono and mono_m <= tol_mono and limit_gap <= tol_conv
     return TruncationReport(n_max=n_max, m_max=m_max, cut_step=cut_step,
                             monotone_n_violation=mono_n, monotone_m_violation=mono_m,

@@ -368,19 +368,25 @@ def _float_or_literal(literal: str) -> float | _NonFinite:
 
 
 def _all_finite(node: Any) -> bool:
-    """Whether a parsed document holds no infinite float and no stand-in."""
+    """Whether a parsed document holds no infinite float, no integer past
+    the largest double and no stand-in."""
     if isinstance(node, dict):
         return all(_all_finite(value) for value in node.values())
     if isinstance(node, list):
         try:
-            total = sum(node)  # a row of numbers sums at C speed, and inf carries through
+            # a row of numbers sums at C speed and inf carries through; the
+            # float start turns each integer into a double, so one past the
+            # largest double raises even where the integers would cancel
+            total = sum(node, 0.0)
         except TypeError:  # not a row of numbers
             return all(_all_finite(value) for value in node)
-        except OverflowError:  # an int sum past the largest double met a float
+        except OverflowError:
             return False
-        return total - total == 0
+        return total - total == 0.0
     if isinstance(node, float):
         return node - node == 0.0
+    if isinstance(node, int):
+        return -_MAX_DOUBLE <= node <= _MAX_DOUBLE
     return not isinstance(node, _NonFinite)
 
 
@@ -400,15 +406,23 @@ def _read_json(path: Path) -> Any:
     """Parse a JSON file, refusing ``NaN`` and ``Infinity`` literals, and
     numbers that overflow a double, with their pointer."""
     text = path.read_text()
-    data = json.loads(text, parse_constant=_NonFinite, parse_int=_int_or_literal)
-    if _all_finite(data):
-        return data
-    # parse again, keeping the text of each float that overflows; a float
-    # hook on every number would slow large tables by half.  A row whose sum
-    # alone overflowed has no such float, and a literal that a later
-    # duplicate key replaced is not in the document.
-    hit = _non_finite_at(json.loads(text, parse_constant=_NonFinite, parse_int=_int_or_literal,
-                                    parse_float=_float_or_literal))
+    try:
+        # no number hooks: a hook call per number would slow large tables
+        # by half, and solution tables are mostly integer zeros
+        data = json.loads(text, parse_constant=_NonFinite)
+        if _all_finite(data):
+            return data
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer past int()'s digit limit
+        pass
+    # parse again, keeping the text of each number that overflows.  A row
+    # whose sum alone overflowed has no such number, and a literal that a
+    # later duplicate key replaced is not in the document; the hooks leave
+    # every finite number as the first parse read it.
+    data = json.loads(text, parse_constant=_NonFinite, parse_int=_int_or_literal,
+                      parse_float=_float_or_literal)
+    hit = _non_finite_at(data)
     if hit is not None:
         raise ScenarioError(f"{hit[0]}: {hit[1]} is not a finite number")
     return data

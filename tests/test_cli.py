@@ -281,6 +281,29 @@ def test_approx_with_explicit_cut_step(tmp_path, capsys):
     assert rep["n_gaps"][-1] <= 1e-8
 
 
+@pytest.mark.parametrize("flag", ["--n-max", "--m-max", "--cut-step", "--max-iter"])
+@pytest.mark.parametrize("value", ["0", "-2", "1.5"])
+def test_count_flags_below_one_are_refused_before_any_file_is_read(tmp_path, capsys, flag, value):
+    # the scenario path does not exist: a refusal after loading would
+    # return a report with exit code 2 instead of leaving through argparse
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["approx", missing, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected an integer >= 1, got '{value}'" in captured.err
+
+
+def test_count_flags_of_one_run_the_ladder(tmp_path, capsys):
+    path = _write(tmp_path, random_scenario(9, n_steps=2, driver_kind="cubic").data)
+    rc = main(["approx", path, "--n-max", "1", "--m-max", "1", "--cut-step", "1"])
+    rep = _json_out(capsys)
+    assert rc == (0 if rep["passed"] else 1)
+    assert rep["n_max"] == rep["m_max"] == 1 and rep["cut_step"] == 1
+    assert rep["n_gaps"] == rep["m_gaps"] == [0]
+
+
 def test_multiple_scenarios_one_line_each(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RBSDE_LAB_THREADS", "1")
     p1 = _write(tmp_path, random_scenario(1, n_steps=1).data, "one.json")

@@ -8,12 +8,16 @@ the same flags and raise the same errors.  So do the per-key gathers that
 ``classify_ef``: reads are bit-identical, pairs come in the same order, and
 classification gives equal results.  The report emitters that now render
 a row of floats, or a step of the solution table, in one call are checked
-byte for byte against the per-element emitters and ``csv.writer``.
+byte for byte against the per-element emitters and ``csv.writer``.  The
+truncation ladder, now one backward pass over a stack of rows, is checked
+cell for cell against one ``solve_rbsde`` per grid member, and
+``implicit_step`` on a stack of rows against each row solved alone.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -27,23 +31,31 @@ from rbsde_lab import (
     ClassifyResult,
     OptionalProcess,
     Phase,
+    RootSolveError,
     SeparationFailure,
     StoppingSystem,
     StoppingTime,
     Witness,
     build_tree,
     classify_ef,
+    clipped_driver,
     constant_driver,
     enumerate_stopping_times,
     eval_at_system,
     gather_slots,
+    implicit_step,
     linear_driver,
     mokobodzki_witness,
+    polynomial_driver,
     random_scenario,
+    snell_envelopes,
+    solve_rbsde,
     truncated_driver,
+    truncation_scheme,
 )
+from rbsde_lab import reflect
 from rbsde_lab.cli import _HANDLERS, build_parser
-from rbsde_lab.expectation import _ordered_pairs, ef_backward_batch
+from rbsde_lab.expectation import _ordered_pairs, _row_max, ef_backward_batch
 from rbsde_lab.games import brute_force_values
 from rbsde_lab.report import (
     SOLUTION_ROW_HEADER,
@@ -554,3 +566,170 @@ def test_game_matrix_and_convergence_tables_match_csv_writer(tmp_path):
     assert _csv_text(tmp_path, header, rows) == reference_csv(
         header, [(i + 1, float(a), float(b))
                  for i, (a, b) in enumerate(zip(report["n_gaps"], report["m_gaps"]))])
+
+
+# -- the truncation ladder and stacked root solves ------------------------------
+
+def reference_truncation(tree, barriers, driver, n_max, m_max, cut_step, tol_conv=1e-8, tol_mono=1e-10):
+    """The per-cell ladder: one ``solve_rbsde`` per grid member, on
+    barriers swapped to the Snell envelopes past each stage's cut."""
+    reference = solve_rbsde(tree, barriers, driver)
+    lhat, uhat = snell_envelopes(tree, barriers)
+
+    def threshold(stage):
+        return 2 * tree.n_steps if cut_step is None else 2 * min(cut_step * stage, tree.n_steps)
+
+    def swapped(original, envelope, threshold_key):
+        at = [(original.at[k] if 2 * k <= threshold_key else envelope.at[k]).copy()
+              for k in range(tree.n_steps + 1)]
+        after = [(original.after[k] if 2 * k + 1 <= threshold_key else envelope.after[k]).copy()
+                 for k in range(tree.n_steps)]
+        return OptionalProcess(tree, at, after)
+
+    grid = [[solve_rbsde(tree, Barriers(swapped(barriers.lower, lhat, threshold(i)),
+                                        swapped(barriers.upper, uhat, threshold(j)), barriers.terminal),
+                         clipped_driver(driver, j, i)).y
+             for j in range(1, m_max + 1)] for i in range(1, n_max + 1)]
+    mono_n = mono_m = 0.0
+    for i in range(n_max):
+        for j in range(m_max):
+            if i + 1 < n_max:
+                mono_n = max(mono_n, grid[i][j].max_exceedance(grid[i + 1][j]))
+            if j + 1 < m_max:
+                mono_m = max(mono_m, grid[i][j + 1].max_exceedance(grid[i][j]))
+    y_limit = grid[-1][-1]
+    limit_gap = y_limit.sup_abs_diff(reference.y)
+    fields = {"n_max": n_max, "m_max": m_max, "cut_step": cut_step,
+              "monotone_n_violation": mono_n, "monotone_m_violation": mono_m, "limit_gap": limit_gap,
+              "n_gaps": [grid[i][-1].sup_abs_diff(y_limit) for i in range(n_max)],
+              "m_gaps": [grid[-1][j].sup_abs_diff(y_limit) for j in range(m_max)],
+              "passed": mono_n <= tol_mono and mono_m <= tol_mono and limit_gap <= tol_conv}
+    return grid, fields
+
+
+def _ladder_driver(kind, seed):
+    scn = random_scenario(seed, n_steps=3, driver_kind="cubic" if kind in ("constant", "custom") else kind)
+    if kind == "constant":
+        return scn, constant_driver(0.7)
+    if kind == "custom":  # no declared structure: every row bisects
+        return scn, dataclasses.replace(scn.driver, terms=None, clip=None, tag="custom")
+    return scn, scn.driver
+
+
+@pytest.mark.parametrize("kind", ["constant", "linear", "truncated", "cubic", "custom"])
+@pytest.mark.parametrize("cut_step", [None, 1])
+@pytest.mark.parametrize("n_max, m_max", [(3, 2), (2, 4)])
+def test_stacked_ladder_matches_one_solve_per_cell(monkeypatch, kind, cut_step, n_max, m_max):
+    scn, driver = _ladder_driver(kind, 11)
+    stacks = []
+
+    def spy(tree, terminal, *args, **kwargs):
+        steps = list(reflect_pass(tree, terminal, *args, **kwargs))
+        if terminal.ndim == 2:  # the ladder's stack, not the reference solve
+            stacks.append(steps[::-1])
+        return iter(steps)
+
+    reflect_pass = reflect._reflected_pass
+    monkeypatch.setattr(reflect, "_reflected_pass", spy)
+    rep = truncation_scheme(scn.tree, scn.barriers, driver, n_max=n_max, m_max=m_max, cut_step=cut_step)
+    grid, fields = reference_truncation(scn.tree, scn.barriers, driver, n_max, m_max, cut_step)
+    assert len(stacks) == 1
+    for i in range(n_max):
+        for j in range(m_max):
+            for k, (_, after, at, *_) in enumerate(stacks[0]):
+                assert _same_bits(after[i * m_max + j], grid[i][j].after[k])
+                assert _same_bits(at[i * m_max + j], grid[i][j].at[k])
+    assert {name: getattr(rep, name) for name in fields} == fields
+    assert all(_same_bits(a, b) for a, b in zip(rep.y_limit.at + rep.y_limit.after,
+                                                grid[-1][-1].at + grid[-1][-1].after))
+
+
+@pytest.mark.parametrize("shape", [(4,), (16, 8), (16, 2048), (300, 1), (300, 2), (300, 4), (3, 200, 3)])
+def test_row_max_folds_narrow_rows_as_np_max_reduces_them(shape):
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=shape)
+    a.flat[rng.integers(a.size, size=3)] = np.nan
+    assert np.array_equal(_row_max(a), np.max(a, axis=-1, keepdims=True), equal_nan=True)
+
+
+@st.composite
+def _row_stacks(draw):
+    """A base driver on one root-solve path, per-row clip levels or None,
+    the row count and dt.  The residual's slope stays at 0.5 or more."""
+    path = draw(st.sampled_from(["closed_form", "clip_identity", "newton", "newton_band", "bisection"]))
+    unit = st.floats(-1.0, 1.0)
+    a, c = draw(unit), draw(unit)
+    b = draw(st.floats(-1.5, 0.5))
+    if path in ("closed_form", "clip_identity"):
+        base = linear_driver(a, b, c)
+    else:
+        base = polynomial_driver([(0, 0, a), (1, 0, b), (0, 1, c), (3, 0, -draw(st.floats(0.1, 3.0)))],
+                                 lambda_z=10.0, mu=max(b, 0.0) + 0.4)
+        if path == "bisection":
+            base = dataclasses.replace(base, terms=None)
+    rows = draw(st.integers(1, 5))
+    levels = None
+    if path in ("clip_identity", "newton_band") or (path == "bisection" and draw(st.booleans())):
+        levels = [np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=rows, max_size=rows)))
+                  for _ in range(2)]
+    return base, levels, rows, draw(st.floats(0.05, 1.0))
+
+
+def _solved_or_none(e, z, driver, dt, active):
+    try:
+        return implicit_step(e, z, 0.3, driver, dt, active=active)
+    except RootSolveError:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(_row_stacks(), st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans())
+def test_a_stack_of_rows_solves_as_each_row_alone(case, seed, masked, nested, narrow):
+    """Bit for bit, on every path, with rows of mixed scale and per-row
+    bands.  Narrow stacks have enough rows that every row maximum is
+    folded column by column."""
+    base, levels, rows, dt = case
+    if narrow:
+        rows = 128
+        levels = None if levels is None else [np.resize(v, rows) for v in levels]
+    rng = np.random.default_rng(seed)
+    width = 2 if narrow else 24
+    shape = (2, rows, width) if nested else (rows, width)
+    scale = 10.0 ** rng.uniform(-2.0, 1.5, shape[:-1] + (1,))
+    e = scale * rng.uniform(-3.0, 3.0, shape)
+    z = rng.uniform(-2.0, 2.0, shape)
+    active = rng.random(shape) < 0.7 if masked else None
+    if levels is None:
+        stacked_driver, row_driver = base, lambda r: base
+    else:
+        stacked_driver = clipped_driver(base, levels[0][:, None], levels[1][:, None])
+        row_driver = lambda r: clipped_driver(base, levels[0][r], levels[1][r])
+    stacked = _solved_or_none(e, z, stacked_driver, dt, active)
+    rows_idx = list(np.ndindex(shape[:-1]))
+    alone = [_solved_or_none(e[idx], z[idx], row_driver(idx[-1]), dt,
+                             None if active is None else active[idx]) for idx in rows_idx]
+    if any(row is None for row in alone):
+        assert stacked is None
+    else:
+        assert stacked is not None
+        assert all(_same_bits(stacked[idx], row) for idx, row in zip(rows_idx, alone))
+
+
+@pytest.mark.parametrize("base", [linear_driver(0.5, -1.0, 0.0),
+                                  polynomial_driver([(1, 0, -1.0), (3, 0, -1.0)], lambda_z=0.0, mu=-1.0)])
+def test_one_row_whose_band_disagrees_with_fn_fails_the_stack(base):
+    """Row 1 declares its upper band edge 1e-7 above the one ``fn`` clips
+    at.  Row 0 sits at scale 1e6, which must not widen row 1's tolerance."""
+    levels = np.full((2, 1), 0.25)
+    honest = clipped_driver(base, levels, levels)
+    dishonest = dataclasses.replace(honest, clip=(honest.clip[0], honest.clip[1] + np.array([[0.0], [1e-7]])))
+    honest_row = clipped_driver(base, 0.25, 0.25)
+    dishonest_row = dataclasses.replace(honest_row, clip=(-0.25, 0.25 + 1e-7))
+    e = np.array([[1e6] * 4, [-1.0, -0.5, 0.0, 0.5]])
+    z = np.zeros_like(e)
+    implicit_step(e, z, 0.0, honest, 0.5)
+    implicit_step(e[0], z[0], 0.0, honest_row, 0.5)
+    with pytest.raises(RootSolveError, match="residual"):
+        implicit_step(e[1], z[1], 0.0, dishonest_row, 0.5)
+    with pytest.raises(RootSolveError, match="residual"):
+        implicit_step(e, z, 0.0, dishonest, 0.5)
