@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable
 
@@ -270,7 +268,7 @@ def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
                    "consistent": lv >= uv}
     else:
         sandwich = (barriers.lower.pointwise_leq(wit.x) and wit.x.pointwise_leq(barriers.upper))
-        witness = {"separated": True, "cut_count": len(wit.cut_times),
+        witness = {"separated": True, "cut_count": len(wit.cut_keys),
                    "sandwich_ok": sandwich, "consistent": sandwich}
     witness["consistent"] = bool(witness["consistent"])
 
@@ -397,15 +395,6 @@ _HANDLERS: dict[str, Callable[[Scenario, argparse.Namespace], tuple[dict[str, An
 # ---------------------------------------------------------------------------
 # orchestration
 
-def _thread_cap() -> int:
-    raw = os.environ.get("RBSDE_LAB_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    return cap if cap > 0 else min(8, os.cpu_count() or 1)
-
-
 def _run_one(path: str, args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     name = Path(path).stem
     try:
@@ -499,15 +488,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "csv" and args.out is None:
         build_parser().error("--format csv requires --out")
 
-    paths = list(args.scenarios)
-    if len(paths) > 1 and _thread_cap() > 1:
-        with ThreadPoolExecutor(max_workers=min(_thread_cap(), len(paths))) as pool:
-            results = list(pool.map(lambda p: _run_one(p, args), paths))
-    else:
-        results = [_run_one(p, args) for p in paths]
-
     code = 0
-    for (report, rc), path in zip(results, paths):
+    for path in args.scenarios:
+        report, rc = _run_one(path, args)
         code = max(code, rc)
         if args.out is None or rc == 2:
             print(canonical_json(report))

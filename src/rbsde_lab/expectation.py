@@ -196,6 +196,9 @@ def implicit_step(e: np.ndarray, z: np.ndarray, t: float, driver: Driver, dt: fl
     """
     e = np.asarray(e, dtype=float)
     z = np.asarray(z, dtype=float)
+    scalar = e.ndim == z.ndim == 0
+    if scalar:  # solved as one row of one element
+        e, z = e.reshape(1), z.reshape(1)
     affine = None if driver.terms is None else _affine(driver.terms)
     if affine is not None and driver.clip is None:
         a, b, c = affine
@@ -219,7 +222,7 @@ def implicit_step(e: np.ndarray, z: np.ndarray, t: float, driver: Driver, dt: fl
         y = np.where(active, y, e)
     if not np.all(np.isfinite(y)):
         raise RootSolveError("implicit step produced non-finite values")
-    return y
+    return y.reshape(()) if scalar else y
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:

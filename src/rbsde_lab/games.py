@@ -47,7 +47,6 @@ from .lattice import (
 from .reflect import Barriers, RBSDESolution, growth_points, solve_rbsde
 
 __all__ = [
-    "PayoffSpec",
     "GameValues",
     "ThetaCheck",
     "GameCheck",
@@ -63,16 +62,6 @@ __all__ = [
     "saddle_points",
     "right_jump_counterexample",
 ]
-
-
-@dataclass
-class PayoffSpec:
-    """A game instance: obstacles, terminal variable, driver, and the
-    evaluation time (defaults to time zero when None)."""
-
-    barriers: Barriers
-    driver: Driver
-    theta: StoppingTime | None = None
 
 
 def payoff_extended(barriers: Barriers, rho_tau: StoppingSystem, rho_sigma: StoppingSystem) -> np.ndarray:
@@ -196,10 +185,10 @@ def game_value_at(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, theta:
         raise ValueError("theta must stop at grid times")
     upper = np.empty(tree.n_leaves)
     lower = np.empty(tree.n_leaves)
-    nodes = theta.stop_nodes()
+    steps, nodes = theta.steps.tolist(), theta.stop_nodes().tolist()
     seen: set[tuple[int, int]] = set()
     for leaf in range(tree.n_leaves):
-        step, node = int(theta.steps[leaf]), int(nodes[leaf])
+        step, node = steps[leaf], nodes[leaf]
         if (step, node) in seen:
             continue
         seen.add((step, node))

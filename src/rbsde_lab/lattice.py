@@ -34,6 +34,7 @@ __all__ = [
     "eval_at_system",
     "gather_slots",
     "first_hitting",
+    "is_adapted",
     "semicontinuity",
     "enumerate_stopping_times",
     "nan_max",
@@ -282,38 +283,47 @@ def _first_key(tree: TwoPhaseTree, holds: Callable[[int], np.ndarray]) -> tuple[
     return stop_key, hit
 
 
-class StoppingTime:
-    """A stop flag per (node, phase) with a mandatory stop at the horizon.
+def is_adapted(keys: np.ndarray) -> np.ndarray:
+    """Whether each row of per-leaf order keys, ``(..., n_leaves)``, is a
+    stopping time; one bool per row.
 
-    The realized stop of a path is its first flagged point; flags strictly
-    after an earlier flag on the same path are inert.  Adaptedness is
-    structural: a flag sits on a node, so all paths through that node take
-    the same decision.
+    The leaves under a node are contiguous, so a row is a stopping time iff
+    every two neighbouring leaves ``l``, ``l + 1`` have equal keys wherever
+    either one stops at or above their deepest common ancestor, which sits
+    at step ``n - bit_length(l ^ (l + 1))``.
+    """
+    keys = np.asarray(keys)
+    n = keys.shape[-1].bit_length() - 1
+    leaf = np.arange(keys.shape[-1] - 1)
+    shared = n - np.frexp(leaf ^ (leaf + 1))[1]  # frexp's exponent of an int is its bit_length
+    left, right = keys[..., :-1], keys[..., 1:]
+    return ~np.any((left != right) & ((np.minimum(left, right) >> 1) <= shared), axis=-1)
+
+
+class StoppingTime:
+    """The per-leaf order key ``2 * step + phase`` of each path's stop point.
+
+    The keys must form a stopping time (:func:`is_adapted`): all paths
+    through the node where one path stops take the same decision.  AT(N)
+    is the latest key, so every path stops by the horizon.
     """
 
-    __slots__ = ("tree", "flag_at", "flag_after", "_steps", "_phases")
+    __slots__ = ("tree", "keys")
 
-    def __init__(self, tree: TwoPhaseTree, flag_at: Sequence[np.ndarray], flag_after: Sequence[np.ndarray]) -> None:
-        if len(flag_at) != tree.n_steps + 1 or len(flag_after) != tree.n_steps:
-            raise ValueError("flag slot count does not match the tree depth")
+    def __init__(self, tree: TwoPhaseTree, keys: np.ndarray) -> None:
+        keys = np.array(keys, dtype=np.int64)
+        if keys.shape != (tree.n_leaves,) or np.any((keys < 0) | (keys > 2 * tree.n_steps)):
+            raise ValueError("stop keys must be one order key in [0, 2N] per leaf")
+        if not is_adapted(keys):
+            raise ValueError("realized stops are not adapted (not a stopping time)")
+        keys.setflags(write=False)
         self.tree = tree
-        self.flag_at = [np.asarray(a, dtype=bool).copy() for a in flag_at]
-        self.flag_after = [np.asarray(a, dtype=bool).copy() for a in flag_after]
-        self.flag_at[tree.n_steps] = np.ones(tree.n_leaves, dtype=bool)  # horizon cap
-        flags = self.flag_at, self.flag_after
-        keys, _ = _first_key(tree, lambda key: tree.spread(flags[key & 1][key >> 1], key >> 1))
-        self._steps, self._phases = keys >> 1, keys & 1
+        self.keys = keys
 
     @classmethod
     def constant(cls, tree: TwoPhaseTree, step: int, phase: Phase = Phase.AT) -> "StoppingTime":
         tree.check_point(step, phase)
-        flag_at = [np.zeros(tree.nodes_at(k), dtype=bool) for k in range(tree.n_steps + 1)]
-        flag_after = [np.zeros(tree.nodes_at(k), dtype=bool) for k in range(tree.n_steps)]
-        if Phase(phase) == Phase.AT:
-            flag_at[step][:] = True
-        else:
-            flag_after[step][:] = True
-        return cls(tree, flag_at, flag_after)
+        return cls(tree, np.full(tree.n_leaves, 2 * step + int(phase)))
 
     @classmethod
     def from_realized(cls, tree: TwoPhaseTree, steps: np.ndarray, phases: np.ndarray) -> "StoppingTime":
@@ -327,41 +337,27 @@ class StoppingTime:
         if bad.any():
             leaf = int(np.argmax(bad))
             tree.check_point(int(steps[leaf]), Phase(int(phases[leaf])))  # raises the point's error
-        nodes = np.arange(tree.n_leaves) >> (n - steps)
-        keys = 2 * steps + phases
-        flag_at = [np.zeros(tree.nodes_at(k), dtype=bool) for k in range(n + 1)]
-        flag_after = [np.zeros(tree.nodes_at(k), dtype=bool) for k in range(n)]
-        for key in np.flatnonzero(np.bincount(keys)).tolist():
-            (flag_at if key & 1 == 0 else flag_after)[key >> 1][nodes[keys == key]] = True
-        st = cls(tree, flag_at, flag_after)
-        if not (np.array_equal(st.steps, steps) and np.array_equal(st.phases, phases)):
-            raise ValueError("realized stops are not adapted (not a stopping time)")
-        return st
+        return cls(tree, 2 * steps + phases)
 
     @property
     def steps(self) -> np.ndarray:
-        """Per-leaf stop step (read-only)."""
-        return self._steps
+        """Per-leaf stop step."""
+        return self.keys >> 1
 
     @property
     def phases(self) -> np.ndarray:
         """Per-leaf stop phase (0 = AT, 1 = AFTER)."""
-        return self._phases
-
-    @property
-    def keys(self) -> np.ndarray:
-        """Per-leaf order key of the stop point."""
-        return 2 * self._steps + self._phases
+        return self.keys & 1
 
     def stop_nodes(self) -> np.ndarray:
         """Per-leaf node index at the stop step."""
-        return np.arange(self.tree.n_leaves) >> (self.tree.n_steps - self._steps)
+        return np.arange(self.tree.n_leaves) >> (self.tree.n_steps - self.steps)
 
     def leq(self, other: "StoppingTime") -> bool:
         return bool(np.all(self.keys <= other.keys))
 
     def always_at_phase(self) -> bool:
-        return bool(np.all(self._phases == int(Phase.AT)))
+        return not np.any(self.keys & 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StoppingTime):

@@ -30,7 +30,7 @@ from .expectation import (
     implicit_step,
     solve_bsde,
 )
-from .lattice import OptionalProcess, Phase, StoppingTime, TwoPhaseTree, nan_max
+from .lattice import OptionalProcess, Phase, TwoPhaseTree, is_adapted, nan_max
 
 __all__ = [
     "Barriers",
@@ -287,10 +287,12 @@ class SeparationFailure:
 
 @dataclass
 class Witness:
-    """Midpoint semimartingale lying between the barriers, plus its cut times."""
+    """Midpoint semimartingale lying between the barriers, plus its cut
+    times: row ``i`` of ``cut_keys`` (cuts, leaves) holds each path's
+    ``i``-th cut key, padded with the horizon's."""
 
     x: OptionalProcess
-    cut_times: list[StoppingTime]
+    cut_keys: np.ndarray
 
 
 def mokobodzki_witness(tree: TwoPhaseTree, barriers: Barriers) -> Witness | SeparationFailure:
@@ -339,8 +341,9 @@ def mokobodzki_witness(tree: TwoPhaseTree, barriers: Barriers) -> Witness | Sepa
     rows = np.full((max_cuts, tree.n_leaves), 2 * n, dtype=np.int64)
     for key, nodes, ordinal in cut_log:
         rows.reshape(max_cuts, tree.nodes_at(key >> 1), -1)[ordinal, nodes] = key
-    cut_times = [StoppingTime.from_realized(tree, keys >> 1, keys & 1) for keys in rows]
-    return Witness(x=x, cut_times=cut_times)
+    if not is_adapted(rows).all():  # pragma: no cover - construction guarantees it
+        raise AssertionError("witness cut keys are not stopping times")
+    return Witness(x=x, cut_keys=rows)
 
 
 def growth_points(incr: TransitionIncrements, tol: float = 0.0) -> OptionalProcess:

@@ -304,8 +304,7 @@ def test_count_flags_of_one_run_the_ladder(tmp_path, capsys):
     assert rep["n_gaps"] == rep["m_gaps"] == [0]
 
 
-def test_multiple_scenarios_one_line_each(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("RBSDE_LAB_THREADS", "1")
+def test_multiple_scenarios_one_line_each(tmp_path, capsys):
     p1 = _write(tmp_path, random_scenario(1, n_steps=1).data, "one.json")
     p2 = _write(tmp_path, random_scenario(2, n_steps=2).data, "two.json")
     rc = main(["solve", p1, p2])

@@ -125,6 +125,23 @@ def test_structure_that_disagrees_with_fn_raises():
     implicit_step(e, z, 0.0, cubic, 0.5)  # the honest declaration solves
 
 
+@pytest.mark.parametrize("driver", [
+    linear_driver(0.3, -1.0, 0.5),                                    # closed form
+    truncated_driver(0.3, -1.0, 0.5, 0.2),                            # clip identity
+    polynomial_driver([(3, 0, -1.0), (1, 0, -1.0)], lambda_z=0.0, mu=-1.0),  # Newton
+    _bisection_oracle(polynomial_driver([(3, 0, -1.0)], lambda_z=0.0, mu=0.0)),  # bisection
+], ids=["closed-form", "clip", "newton", "bisection"])
+@pytest.mark.parametrize("active", [None, np.bool_(True), np.bool_(False)])
+def test_zero_d_input_solves_as_one_row_of_one(driver, active):
+    got = implicit_step(np.float64(0.7), np.float64(0.3), 0.0, driver, 0.5, active=active)
+    row = implicit_step(np.array([[0.7]]), np.array([[0.3]]), 0.0, driver, 0.5,
+                        active=None if active is None else np.array([[active]]))
+    assert isinstance(got, np.ndarray) and got.shape == ()
+    assert got.tobytes() == row.tobytes()
+    if active is not None and not active:
+        assert got == 0.7
+
+
 def test_clipped_driver_composes_bands():
     base = truncated_driver(0.0, -1.0, 0.0, bound=2.0)
     assert clipped_driver(base, 1.0, 1.0).clip == (-1.0, 1.0)

@@ -2,8 +2,9 @@
 
 ``mokobodzki_witness`` and ``StoppingTime.from_realized`` once walked every
 leaf in Python.  Those loops live on here as reference implementations:
-the witness must match bit for bit, and the stopping-time builder must set
-the same flags and raise the same errors.  So do the per-key gathers that
+the witness must match bit for bit, ``is_adapted`` must pass a row of keys
+exactly where the per-leaf adaptedness loop does, and the stopping-time
+builder must raise the same errors.  So do the per-key gathers that
 ``gather_slots`` replaced, and the stopping-pair list comprehension of brute
 ``classify_ef``: reads are bit-identical, pairs come in the same order, and
 classification gives equal results.  The report emitters that now render
@@ -57,6 +58,7 @@ from rbsde_lab import reflect
 from rbsde_lab.cli import _HANDLERS, build_parser
 from rbsde_lab.expectation import _ordered_pairs, _row_max, ef_backward_batch
 from rbsde_lab.games import brute_force_values
+from rbsde_lab.lattice import is_adapted
 from rbsde_lab.report import (
     SOLUTION_ROW_HEADER,
     canonical_json,
@@ -128,10 +130,17 @@ def reference_witness(tree, barriers):
     return x_at, x_after, cut_keys
 
 
-def _same_flags(st_, flags):
-    flag_at, flag_after = flags
-    return (all(np.array_equal(a, b) for a, b in zip(st_.flag_at, flag_at))
-            and all(np.array_equal(a, b) for a, b in zip(st_.flag_after, flag_after)))
+def first_flagged_keys(tree, flag_at, flag_after):
+    """Per leaf, the first key flagged on the leaf's path, capped at AT(N)."""
+    n = tree.n_steps
+    return np.array([next((key for key in range(2 * n)
+                           if (flag_at, flag_after)[key & 1][key >> 1][leaf >> (n - (key >> 1))]), 2 * n)
+                     for leaf in range(tree.n_leaves)])
+
+
+def _random_flags(tree, rng, density):
+    return ([rng.random(tree.nodes_at(k)) < density for k in range(tree.n_steps + 1)],
+            [rng.random(tree.nodes_at(k)) < density for k in range(tree.n_steps)])
 
 
 def _outcome(fn, *args):
@@ -152,12 +161,13 @@ def _assert_witness_matches(tree, barriers):
     x_at, x_after, cut_keys = ref
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got.x.at, x_at))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got.x.after, x_after))
-    assert len(got.cut_times) == max(len(c) for c in cut_keys)
-    for i, tau in enumerate(got.cut_times):
+    assert got.cut_keys.shape == (max(len(c) for c in cut_keys), tree.n_leaves)
+    for i, row in enumerate(got.cut_keys):
         keys = np.array([c[i] if i < len(c) else 2 * tree.n_steps for c in cut_keys])
-        assert np.array_equal(tau.keys, keys)
-        assert _same_flags(tau, reference_from_realized(tree, keys >> 1, keys & 1))
-    return len(got.cut_times)
+        assert np.array_equal(row, keys)
+        flags = reference_from_realized(tree, keys >> 1, keys & 1)  # raises unless adapted
+        assert np.array_equal(first_flagged_keys(tree, *flags), keys)
+    return len(got.cut_keys)
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,10 +209,8 @@ def test_witness_keeps_an_anchor_that_lies_on_the_band_edge():
 def _stop_arrays(tree, rng, kind):
     n, size = tree.n_steps, tree.n_leaves
     if kind == "adapted":
-        flag_at = [rng.random(tree.nodes_at(k)) < 0.3 for k in range(n + 1)]
-        flag_after = [rng.random(tree.nodes_at(k)) < 0.3 for k in range(n)]
-        tau = StoppingTime(tree, flag_at, flag_after)
-        return tau.steps.copy(), tau.phases.copy()
+        keys = first_flagged_keys(tree, *_random_flags(tree, rng, 0.3))
+        return keys >> 1, keys & 1
     if kind == "valid-points":
         steps = rng.integers(0, n + 1, size)
         phases = np.where(steps < n, rng.integers(0, 2, size), 0)
@@ -221,7 +229,7 @@ def test_from_realized_matches_the_per_leaf_loop(seed, depth, kind):
     if ref[0] == "raised":
         assert got == ref
     else:
-        assert got[0] == "ok" and _same_flags(got[1], ref[1])
+        assert got[0] == "ok" and np.array_equal(got[1].keys, first_flagged_keys(tree, *ref[1]))
         assert np.array_equal(got[1].steps, steps) and np.array_equal(got[1].phases, phases)
 
 
@@ -238,6 +246,32 @@ def test_from_realized_raises_what_the_loop_raised(steps, phases):
     ref = _outcome(reference_from_realized, tree, np.array(steps), np.array(phases))
     assert ref[0] == "raised"
     assert _outcome(StoppingTime.from_realized, tree, np.array(steps), np.array(phases)) == ref
+
+
+def _reference_adapted(tree, keys):
+    return _outcome(reference_from_realized, tree, keys >> 1, keys & 1)[0] == "ok"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 6))
+def test_row_check_matches_the_per_leaf_loop(seed, depth, n_rows):
+    # adapted rows, adapted rows with one leaf moved, and valid points in
+    # any order, stacked so a bad row sits among good ones
+    rng = np.random.default_rng(seed)
+    tree = build_tree(depth, 0.5)
+    rows = []
+    for kind in rng.integers(0, 3, n_rows):
+        keys = first_flagged_keys(tree, *_random_flags(tree, rng, rng.uniform(0.05, 0.6)))
+        if kind == 1:
+            keys[rng.integers(tree.n_leaves)] = rng.integers(2 * depth + 1)
+        elif kind == 2:
+            keys = _random_keys(tree, rng, tree.n_leaves)
+        rows.append(keys)
+    stack = np.stack(rows)
+    want = np.array([_reference_adapted(tree, keys) for keys in stack])
+    assert np.array_equal(is_adapted(stack), want)
+    assert np.array_equal(is_adapted(stack[:, None, :])[:, 0], want)
+    assert [bool(is_adapted(keys)) for keys in stack] == want.tolist()
 
 
 # -- gathers and the brute-force pair set ------------------------------------
@@ -324,9 +358,7 @@ def _random_keys(tree, rng, shape):
 
 
 def _random_stop(tree, rng):
-    flag_at = [rng.random(tree.nodes_at(k)) < 0.4 for k in range(tree.n_steps + 1)]
-    flag_after = [rng.random(tree.nodes_at(k)) < 0.4 for k in range(tree.n_steps)]
-    return StoppingTime(tree, flag_at, flag_after)
+    return StoppingTime(tree, first_flagged_keys(tree, *_random_flags(tree, rng, 0.4)))
 
 
 def _same_bits(a, b):

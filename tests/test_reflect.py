@@ -254,9 +254,8 @@ def test_constant_band_witness_is_midpoint():
     wit = mokobodzki_witness(tree, b)
     assert isinstance(wit, Witness)
     # only the mandatory cuts: the time-zero anchor and the horizon
-    assert len(wit.cut_times) == 2
-    assert np.all(wit.cut_times[0].steps == 0) and wit.cut_times[0].always_at_phase()
-    assert np.all(wit.cut_times[1].steps == tree.n_steps)
+    assert wit.cut_keys.shape == (2, tree.n_leaves)
+    assert np.all(wit.cut_keys[0] == 0) and np.all(wit.cut_keys[1] == 2 * tree.n_steps)
     assert wit.x.sup_abs_diff(OptionalProcess.from_constant(tree, 0.0)) == 0.0
 
 
@@ -278,7 +277,7 @@ def test_witness_reanchors_on_exit():
     b = Barriers(low, up, np.full(4, 2.5))
     wit = mokobodzki_witness(tree, b)
     assert isinstance(wit, Witness)
-    assert len(wit.cut_times) >= 3  # a genuine re-anchor beyond the two mandatory cuts
+    assert len(wit.cut_keys) >= 3  # a genuine re-anchor beyond the two mandatory cuts
     assert b.lower.pointwise_leq(wit.x) and wit.x.pointwise_leq(b.upper)
 
 
