@@ -60,6 +60,7 @@ from .reflect import (
     Barriers,
     ContinuityAnalogueReport,
     DynamicsReport,
+    LadderBudgetError,
     MinimalityReport,
     RBSDESolution,
     SeparationFailure,

@@ -28,6 +28,7 @@ from .games import (
 )
 from .lattice import OptionalProcess, Phase, StoppingSystem, semicontinuity
 from .reflect import (
+    LadderBudgetError,
     SeparationFailure,
     check_minimality,
     continuity_analogue,
@@ -404,7 +405,7 @@ def _run_one(path: str, args: argparse.Namespace) -> tuple[dict[str, Any], int]:
                 "error": str(exc), "passed": False}, 2
     try:
         report, tables = _HANDLERS[args.command](scenario, args)
-    except (ScenarioError, OSError) as exc:
+    except (ScenarioError, OSError, LadderBudgetError) as exc:
         return {"command": args.command, "scenario": scenario.name,
                 "error": str(exc), "passed": False}, 2
     except (EnumerationBoundError, RootSolveError, ValueError) as exc:

@@ -17,12 +17,14 @@ Martingale representation is exact by construction: ``Y_up - Y_down =
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import OptionalProcess, Phase, StoppingTime, TwoPhaseTree, enumerate_stopping_times, gather_slots
+from .lattice import (OptionalProcess, Phase, StoppingTime, TwoPhaseTree, build_tree,
+                      enumerate_stopping_times, gather_slots)
 
 __all__ = [
     "Driver",
@@ -563,8 +565,9 @@ def classify_ef(process: OptionalProcess, driver: Driver, *, from_time: Stopping
     across phases (the operator is the identity there) and AFTER(k) against
     the implicit one-step value of the children.  ``brute`` enumerates all
     phase-resolved stopping pairs sigma <= tau in the window and tests the
-    operator inequality at every atom; the two modes agree by backward
-    induction and that agreement is itself a tested invariant.
+    operator inequality at every atom, solving one backward row per tau;
+    the two modes agree by backward induction and that agreement is itself
+    a tested invariant.
     """
     tree = process.tree
     if from_time is None:
@@ -600,27 +603,41 @@ def classify_ef(process: OptionalProcess, driver: Driver, *, from_time: Stopping
         raise EnumerationBoundError(
             f"brute classification enumerates stopping pairs and is capped at depth {enum_bound}; "
             "use mode='onestep' for deeper trees")
-    steps_m, phases_m = enumerate_stopping_times(tree, phase_resolved=True)
-    keys_m = 2 * steps_m.astype(np.int64) + phases_m
+    keys_m, _ = _stop_order(tree.n_steps)
     fk, tk = from_time.keys, to_time.keys
-    win = keys_m[np.all(keys_m >= fk, axis=1) & np.all(keys_m <= tk, axis=1)]
-    sig, tau = _ordered_pairs(win)
+    idx = np.flatnonzero(np.all(keys_m >= fk, axis=1) & np.all(keys_m <= tk, axis=1))
+    sig, tau = _window_pairs(tree.n_steps, idx)
     if sig.size == 0:
         return ClassifyResult.from_violations(0.0, 0.0, tol, mode)
-    sig_keys, tau_keys = win[sig], win[tau]
-    masks = [tau_keys[:, ::tree.leaf_stride(k)] >= 2 * (k + 1) for k in range(tree.n_steps)]
-    # terminal per pair: X read at tau's slot
-    vals = ef_backward_batch(tree, driver, process.at_keys(tau_keys), masks,
-                             tol_root=tol_root, max_iter=max_iter)
-    at_sigma = gather_slots(vals, sig_keys)
-    x_at_sigma = process.at_keys(sig_keys)
-    diff = at_sigma - x_at_sigma  # >0 breaks supermartingale
+    # a pair's backward row depends on tau alone, and every window member is
+    # the tau of its pair with itself: one row per member
+    win = keys_m[idx]
+    x_win = process.at_keys(win)
+    masks = [win[:, ::tree.leaf_stride(k)] >= 2 * (k + 1) for k in range(tree.n_steps)]
+    # terminal per row: X read at tau's slot
+    vals = ef_backward_batch(tree, driver, x_win, masks, tol_root=tol_root, max_iter=max_iter)
+    at_sigma = gather_slots([v[tau] for v in vals], win[sig])
+    diff = at_sigma - x_win[sig]  # >0 breaks supermartingale
     sup_v = float(np.max(diff, initial=0.0))
     sub_v = float(np.max(-diff, initial=0.0))
     return ClassifyResult.from_violations(max(sup_v, 0.0), max(sub_v, 0.0), tol, mode)
 
 
-def _ordered_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices ``(i, j)`` of every pair of stopping times with
-    ``keys[i] <= keys[j]`` on every leaf, in row-major order."""
-    return np.nonzero(np.all(keys[:, None, :] <= keys[None, :, :], axis=2))
+@functools.lru_cache(maxsize=8)
+def _stop_order(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Order keys of every phase-resolved stopping time of a depth-``depth``
+    tree, one row each, and the relation ``leq[i, j]``: ``keys[i] <=
+    keys[j]`` on every leaf."""
+    steps, phases = enumerate_stopping_times(build_tree(depth, 1.0), phase_resolved=True)
+    keys = 2 * steps.astype(np.int64) + phases
+    leq = np.all(keys[:, None, :] <= keys[None, :, :], axis=2)
+    keys.setflags(write=False)
+    leq.setflags(write=False)
+    return keys, leq
+
+
+def _window_pairs(depth: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions ``(i, j)`` in ``idx`` (rows of :func:`_stop_order`) of every
+    pair with ``keys[idx[i]] <= keys[idx[j]]`` on every leaf, in row-major
+    order."""
+    return np.nonzero(_stop_order(depth)[1][np.ix_(idx, idx)])

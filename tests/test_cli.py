@@ -304,6 +304,13 @@ def test_count_flags_of_one_run_the_ladder(tmp_path, capsys):
     assert rep["n_gaps"] == rep["m_gaps"] == [0]
 
 
+def test_ladder_above_the_budget_exits_2_naming_the_level(tmp_path, capsys):
+    path = _write(tmp_path, random_scenario(6, n_steps=12, driver_kind="cubic").data)
+    rc = main(["approx", path])
+    rep = _json_out(capsys)
+    assert rc == 2 and not rep["passed"]
+    assert "level n_max=135, m_max=135" in rep["error"] and "--n-max/--m-max" in rep["error"]
+
 def test_multiple_scenarios_one_line_each(tmp_path, capsys):
     p1 = _write(tmp_path, random_scenario(1, n_steps=1).data, "one.json")
     p2 = _write(tmp_path, random_scenario(2, n_steps=2).data, "two.json")

@@ -7,7 +7,10 @@ exactly where the per-leaf adaptedness loop does, and the stopping-time
 builder must raise the same errors.  So do the per-key gathers that
 ``gather_slots`` replaced, and the stopping-pair list comprehension of brute
 ``classify_ef``: reads are bit-identical, pairs come in the same order, and
-classification gives equal results.  The report emitters that now render
+classification gives equal results.  The two brute-force oracles now run
+one backward row per distinct input row; the per-pair paths they replaced
+(one row per strategy pair, one row per ordered pair) are kept as
+references, and the matrices and classifications must match bit for bit.  The report emitters that now render
 a row of floats, or a step of the solution table, in one call are checked
 byte for byte against the per-element emitters and ``csv.writer``.  The
 truncation ladder, now one backward pass over a stack of rows, is checked
@@ -56,8 +59,8 @@ from rbsde_lab import (
 )
 from rbsde_lab import reflect
 from rbsde_lab.cli import _HANDLERS, build_parser
-from rbsde_lab.expectation import _ordered_pairs, _row_max, ef_backward_batch
-from rbsde_lab.games import brute_force_values
+from rbsde_lab.expectation import _row_max, _window_pairs, ef_backward_batch
+from rbsde_lab.games import _pair_patterns, _payoff_tensor, _root_values, _strategy_keys, brute_force_values
 from rbsde_lab.lattice import is_adapted
 from rbsde_lab.report import (
     SOLUTION_ROW_HEADER,
@@ -391,7 +394,7 @@ def test_pair_order_matches_the_list_comprehension(seed, depth):
     keys_m = 2 * steps_m.astype(np.int64) + phases_m
     for idx in (np.flatnonzero(rng.random(len(keys_m)) < rng.random()),
                 np.arange(len(keys_m)), np.array([], dtype=np.int64)):
-        sig, tau = _ordered_pairs(keys_m[idx])
+        sig, tau = _window_pairs(depth, idx)
         assert list(zip(idx[sig].tolist(), idx[tau].tolist())) == reference_pairs(keys_m, idx)
 
 
@@ -412,6 +415,120 @@ def test_brute_classification_matches_the_reference():
                     proc, driver, from_time or StoppingTime.constant(tree, 0, Phase.AT),
                     to_time or StoppingTime.constant(tree, depth, Phase.AT), 1e-12)
                 assert got == ref
+
+
+def ordered_pairs(keys):
+    """Row indices ``(i, j)`` of every pair with ``keys[i] <= keys[j]`` on
+    every leaf, in row-major order: one broadcast comparison."""
+    return np.nonzero(np.all(keys[:, None, :] <= keys[None, :, :], axis=2))
+
+
+def reference_classify_per_pair(process, driver, from_time, to_time, tol):
+    """Brute ``classify_ef`` with one backward row per ordered pair."""
+    tree = process.tree
+    steps_m, phases_m = enumerate_stopping_times(tree, phase_resolved=True)
+    keys_m = 2 * steps_m.astype(np.int64) + phases_m
+    win = keys_m[np.all(keys_m >= from_time.keys, axis=1) & np.all(keys_m <= to_time.keys, axis=1)]
+    sig, tau = ordered_pairs(win)
+    if sig.size == 0:
+        return ClassifyResult.from_violations(0.0, 0.0, tol, "brute")
+    sig_keys, tau_keys = win[sig], win[tau]
+    masks = [tau_keys[:, ::tree.leaf_stride(k)] >= 2 * (k + 1) for k in range(tree.n_steps)]
+    vals = ef_backward_batch(tree, driver, process.at_keys(tau_keys), masks)
+    diff = gather_slots(vals, sig_keys) - process.at_keys(sig_keys)
+    return ClassifyResult.from_violations(max(float(np.max(diff, initial=0.0)), 0.0),
+                                          max(float(np.max(-diff, initial=0.0)), 0.0), tol, "brute")
+
+
+_DRIVER_KINDS = ["zero", "constant", "linear", "truncated", "cubic"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(_DRIVER_KINDS), st.booleans())
+def test_brute_classification_matches_the_per_pair_batch(seed, depth, kind, solved):
+    """Exact equality over random windows, on a random process or on the
+    reflected solution (whose violations sit at round-off).  A window whose
+    ends are out of order is refused before any pair is listed."""
+    rng = np.random.default_rng(seed)
+    scn = random_scenario(seed, n_steps=depth, driver_kind="linear" if kind == "zero" else kind)
+    driver = constant_driver(0.0) if kind == "zero" else scn.driver
+    tree = scn.tree
+    proc = solve_rbsde(tree, scn.barriers, driver).y if solved else _random_process(tree, rng)
+    a, b = _random_stop(tree, rng), _random_stop(tree, rng)
+    lo, hi = StoppingTime(tree, np.minimum(a.keys, b.keys)), StoppingTime(tree, np.maximum(a.keys, b.keys))
+    start, end = StoppingTime.constant(tree, 0, Phase.AT), StoppingTime.constant(tree, depth, Phase.AT)
+    for from_time, to_time in [(start, end), (lo, hi), (lo, lo), (hi, end), (start, lo), (a, b), (b, a)]:
+        got = _outcome(lambda: classify_ef(proc, driver, from_time=from_time, to_time=to_time, mode="brute"))
+        if from_time.leq(to_time):
+            assert got == ("ok", reference_classify_per_pair(proc, driver, from_time, to_time, 1e-12))
+        else:
+            assert got == ("raised", ValueError, "empty window: from_time exceeds to_time")
+
+
+# -- brute-force game values: one backward row per payoff pattern -------------
+
+def reference_brute_force_values(tree, barriers, driver, mode, theta_step, theta_node):
+    """The per-pair path: the payoff tensor over all S**2 strategy pairs and
+    one backward row per pair.  Returns (matrix, upper, lower)."""
+    subtree = tree.subtree(theta_step)
+    sub_b = barriers.restrict(theta_step, theta_node)
+    keys = _strategy_keys(subtree, mode == "extended")
+    j, ms = _payoff_tensor(sub_b, keys, keys)
+    matrix = _root_values(subtree, driver, j, ms, theta_step, 1e-12, 200)
+    return matrix, float(matrix.max(axis=0).min()), float(matrix.min(axis=1).max())
+
+
+def _touching(barriers, rng, share):
+    """The upper barrier pulled down onto the lower one at a random share of
+    the points before the horizon."""
+    low, up = barriers.lower, barriers.upper
+    n = low.tree.n_steps
+
+    def pull(u, l):
+        return np.where(rng.random(u.shape) < share, l, u)
+
+    at = [pull(u, l) if k < n else u for k, (u, l) in enumerate(zip(up.at, low.at))]
+    after = [pull(u, l) for u, l in zip(up.after, low.after)]
+    return Barriers(low, OptionalProcess(low.tree, at, after), barriers.terminal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 2),
+       st.sampled_from(["extended", "plain"]), st.sampled_from(_DRIVER_KINDS[1:]), st.booleans())
+def test_brute_force_values_match_the_per_pair_path(seed, depth, theta_step, mode, kind, touching):
+    rng = np.random.default_rng(seed)
+    scn = random_scenario(seed, n_steps=depth + theta_step, driver_kind=kind, touching=touching)
+    barriers = _touching(scn.barriers, rng, 0.3) if touching else scn.barriers
+    theta_node = int(rng.integers(scn.tree.nodes_at(theta_step)))
+    got = brute_force_values(scn.tree, barriers, scn.driver, mode=mode,
+                             theta_step=theta_step, theta_node=theta_node)
+    matrix, upper, lower = reference_brute_force_values(scn.tree, barriers, scn.driver, mode,
+                                                        theta_step, theta_node)
+    assert _same_bits(got.matrix, matrix)
+    assert (got.upper, got.lower, got.n_tau, got.n_sigma) == (upper, lower, *matrix.shape)
+
+
+@pytest.mark.parametrize("phase_resolved, counts", [(True, (5, 29, 845)), (False, (3, 11, 123))])
+def test_pair_patterns_read_the_payoff_and_fix_the_freeze_step(phase_resolved, counts):
+    for depth, count in zip((1, 2, 3), counts):
+        src, masks, inverse, n_strat = _pair_patterns(depth, phase_resolved)
+        keys = _strategy_keys(build_tree(depth, 1.0), phase_resolved)
+        assert src.shape == (count, 1 << depth)
+        assert n_strat == keys.shape[0] and inverse.shape == (n_strat ** 2,)
+        # each row's freeze step, rebuilt from its masks, is min(tau, sigma)
+        # of every pair mapped to it
+        freeze = sum(np.repeat(m, 1 << (depth - k), axis=1) for k, m in enumerate(masks))
+        steps = keys >> 1
+        pair_min = np.minimum(steps[:, None, :], steps[None, :, :]).reshape(n_strat ** 2, -1)
+        assert np.array_equal(freeze[inverse], pair_min)
+        # and each row reads the payoff the tensor computes
+        barriers = random_scenario(depth, n_steps=depth).barriers
+        slots = range(2 * depth + 1)
+        flat = np.concatenate([barriers.lower.slot(q) for q in slots] + [barriers.upper.slot(q) for q in slots]
+                              + [barriers.terminal])
+        j, ms = _payoff_tensor(barriers, keys, keys)
+        assert _same_bits(flat[src][inverse], j.reshape(n_strat ** 2, -1))
+        assert np.array_equal(ms.reshape(n_strat ** 2, -1), pair_min)
 
 
 # -- report emission: the per-element emitters the row joins replaced ---------
