@@ -12,6 +12,7 @@ from .expectation import (
     ClassifyResult,
     Driver,
     EnumerationBoundError,
+    EnumerationBudgetError,
     NonlinearExpectation,
     RootSolveError,
     TransitionIncrements,

@@ -5,7 +5,9 @@ requested computation, assert its checks, and emit a canonical JSON
 report (plus CSV tables on request).  Reports carry no timestamps,
 paths, or machine details, so identical inputs give byte-identical
 output.  Exit codes: 0 all asserted checks passed, 1 a check failed or
-a guarded computation refused to run, 2 an input file would not load.
+a guarded computation refused to run, 2 an input file would not load or
+a truncation ladder or strategy enumeration would exceed its element
+budget.
 """
 
 from __future__ import annotations
@@ -14,9 +16,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
-from .expectation import EnumerationBoundError, RootSolveError, constant_driver, classify_ef
+from .expectation import (
+    EnumerationBoundError,
+    EnumerationBudgetError,
+    RootSolveError,
+    classify_ef,
+    constant_driver,
+)
 from .games import (
     GameCheck,
     SaddleReport,
@@ -26,8 +34,9 @@ from .games import (
     saddle_points,
     value_identity_applicable,
 )
-from .lattice import OptionalProcess, Phase, StoppingSystem, semicontinuity
+from .lattice import OptionalProcess, Phase, StoppingSystem, TwoPhaseTree, semicontinuity
 from .reflect import (
+    Barriers,
     LadderBudgetError,
     SeparationFailure,
     check_minimality,
@@ -40,11 +49,11 @@ from .reflect import (
 )
 from .report import (
     SOLUTION_ROW_HEADER,
-    canonical_json,
     solution_from_dict,
     solution_rows,
     solution_to_dict,
     write_csv_atomic,
+    write_json,
     write_json_atomic,
 )
 from .scenario import DEFAULT_TOLERANCES, Scenario, ScenarioError, _read_json, load_scenario
@@ -88,8 +97,9 @@ def _dynamics_dict(rep) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 # command handlers: Scenario + parsed args -> (report dict, csv tables)
 
-# label -> (header, rendered CSV lines); floats print at 17 significant digits
-CsvTables = dict[str, tuple[tuple[str, ...], list[str]]]
+# label -> (header, rendered CSV lines, possibly produced as they are
+# written); floats print at 17 significant digits
+CsvTables = dict[str, tuple[tuple[str, ...], Iterable[str]]]
 
 
 def _cmd_solve(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], CsvTables]:
@@ -233,6 +243,25 @@ def _load_solution(path: str):
         raise ScenarioError(f"{path} is not a solution document: {exc}") from exc
 
 
+def _witness_dict(tree: TwoPhaseTree, barriers: Barriers) -> dict[str, Any]:
+    """The witness block of a verify report.  The witness's cut key matrix
+    and midpoint process are freed on return, before a solution file is read."""
+    wit = mokobodzki_witness(tree, barriers)
+    if isinstance(wit, SeparationFailure):
+        lv = barriers.lower.value(wit.step, wit.phase, wit.node)
+        uv = barriers.upper.value(wit.step, wit.phase, wit.node)
+        witness = {"separated": False,
+                   "failure": {"step": wit.step, "phase": int(wit.phase), "node": wit.node,
+                               "lower": wit.lower, "upper": wit.upper},
+                   "consistent": lv >= uv}
+    else:
+        sandwich = (barriers.lower.pointwise_leq(wit.x) and wit.x.pointwise_leq(barriers.upper))
+        witness = {"separated": True, "cut_count": len(wit.cut_keys),
+                   "sandwich_ok": sandwich, "consistent": sandwich}
+    witness["consistent"] = bool(witness["consistent"])
+    return witness
+
+
 def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], CsvTables]:
     t = _tols(scn, args)
     tree, barriers, driver = scn.tree, scn.barriers, scn.driver
@@ -259,19 +288,7 @@ def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     snell_ok = (snell["ordering_ok"] and snell["neg_lower_envelope"]["supermartingale"]
                 and snell["upper_envelope"]["supermartingale"])
 
-    wit = mokobodzki_witness(tree, barriers)
-    if isinstance(wit, SeparationFailure):
-        lv = barriers.lower.value(wit.step, wit.phase, wit.node)
-        uv = barriers.upper.value(wit.step, wit.phase, wit.node)
-        witness = {"separated": False,
-                   "failure": {"step": wit.step, "phase": int(wit.phase), "node": wit.node,
-                               "lower": wit.lower, "upper": wit.upper},
-                   "consistent": lv >= uv}
-    else:
-        sandwich = (barriers.lower.pointwise_leq(wit.x) and wit.x.pointwise_leq(barriers.upper))
-        witness = {"separated": True, "cut_count": len(wit.cut_keys),
-                   "sandwich_ok": sandwich, "consistent": sandwich}
-    witness["consistent"] = bool(witness["consistent"])
+    witness = _witness_dict(tree, barriers)
 
     oracle: dict[str, Any] = {"checked": False}
     oracle_ok = True
@@ -405,7 +422,7 @@ def _run_one(path: str, args: argparse.Namespace) -> tuple[dict[str, Any], int]:
                 "error": str(exc), "passed": False}, 2
     try:
         report, tables = _HANDLERS[args.command](scenario, args)
-    except (ScenarioError, OSError, LadderBudgetError) as exc:
+    except (ScenarioError, OSError, LadderBudgetError, EnumerationBudgetError) as exc:
         return {"command": args.command, "scenario": scenario.name,
                 "error": str(exc), "passed": False}, 2
     except (EnumerationBoundError, RootSolveError, ValueError) as exc:
@@ -494,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
         report, rc = _run_one(path, args)
         code = max(code, rc)
         if args.out is None or rc == 2:
-            print(canonical_json(report))
+            write_json(sys.stdout, report)
         else:
             status = "ok" if rc == 0 else "FAIL"
             print(f"{status} {report['scenario']} ({report['command']})")

@@ -34,6 +34,8 @@ __all__ = [
     "ClassifyResult",
     "RootSolveError",
     "EnumerationBoundError",
+    "EnumerationBudgetError",
+    "check_enumeration_budget",
     "constant_driver",
     "linear_driver",
     "truncated_driver",
@@ -51,6 +53,36 @@ class RootSolveError(RuntimeError):
 
 class EnumerationBoundError(ValueError):
     """Brute-force enumeration refused beyond the configured depth."""
+
+
+# brute force builds (strategies, strategies, leaves) arrays of strategy
+# pairs; they get the element budget of the truncation ladder's stack
+ENUMERATION_BUDGET = 1 << 22
+
+
+class EnumerationBudgetError(ValueError):
+    """Brute-force enumeration refused: its strategy-pair arrays would hold
+    more than ``ENUMERATION_BUDGET`` elements."""
+
+
+def check_enumeration_budget(depth: int) -> None:
+    """Raise :class:`EnumerationBudgetError`, before anything is allocated,
+    when a depth-``depth`` subgame's c(d)**2 * 2**d pair elements exceed the
+    budget.  c(d) = 2 + c(d-1)**2 counts the phase-resolved stopping times
+    (3, 11, 123, 15,131 for d = 1..4), so depth 3 (121,032 elements) runs
+    and depth 4 does not."""
+    count = elements = 1
+    for d in range(1, depth + 1):
+        count = 2 + count * count
+        elements = count * count << d
+        if elements > ENUMERATION_BUDGET:
+            break
+    if elements > ENUMERATION_BUDGET:
+        size = f"{elements:,}" if d == depth else f"more than {elements:,}"
+        raise EnumerationBudgetError(
+            f"enumeration budget exceeded: the strategy pairs of a depth-{depth} subgame "
+            f"make {size} elements, above the budget of {ENUMERATION_BUDGET:,}; "
+            f"lower --enum-bound (or /tolerances/enum_bound) to {d - 1}")
 
 
 @dataclass(frozen=True)
@@ -603,6 +635,7 @@ def classify_ef(process: OptionalProcess, driver: Driver, *, from_time: Stopping
         raise EnumerationBoundError(
             f"brute classification enumerates stopping pairs and is capped at depth {enum_bound}; "
             "use mode='onestep' for deeper trees")
+    check_enumeration_budget(tree.n_steps)
     keys_m, _ = _stop_order(tree.n_steps)
     fk, tk = from_time.keys, to_time.keys
     idx = np.flatnonzero(np.all(keys_m >= fk, axis=1) & np.all(keys_m <= tk, axis=1))

@@ -30,6 +30,7 @@ import numpy as np
 from .expectation import (
     Driver,
     EnumerationBoundError,
+    check_enumeration_budget,
     constant_driver,
     ef_backward_batch,
 )
@@ -176,6 +177,7 @@ def _guard_depth(depth: int, enum_bound: int) -> None:
             f"enumeration bound exceeded: subgame depth {depth} > {enum_bound}; strategy "
             "counts grow doubly exponentially — use the reflected-solver identity "
             "(solve_rbsde) for values on deeper trees")
+    check_enumeration_budget(depth)
 
 
 @dataclass

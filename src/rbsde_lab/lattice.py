@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -54,18 +55,15 @@ class TwoPhaseTree:
     Nodes at step ``k`` are indexed ``0 .. 2**k - 1``; the walk value at a
     node is determined by the path bits, so the tree stores one array of
     walk values per step.  There is no recombination: distinct paths are
-    distinct nodes.
+    distinct nodes.  A tree never changes after construction (its walk
+    arrays are read-only), so :func:`build_tree` and :meth:`subtree` share
+    one tree per grid.
     """
 
-    __slots__ = ("n_steps", "dt", "sqrt_dt", "_brownian")
+    __slots__ = ("n_steps", "dt", "sqrt_dt", "_brownian", "_subtrees", "__weakref__")
 
     def __init__(self, n_steps: int, dt: float) -> None:
-        if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-            raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
-        if not (float(dt) > 0.0):
-            raise ValueError(f"dt must be positive, got {dt!r}")
-        self.n_steps = int(n_steps)
-        self.dt = float(dt)
+        self.n_steps, self.dt = _grid(n_steps, dt)
         self.sqrt_dt = float(np.sqrt(self.dt))
         walks = [np.zeros(1)]
         for _ in range(self.n_steps):
@@ -74,7 +72,10 @@ class TwoPhaseTree:
             nxt[0::2] = prev + self.sqrt_dt
             nxt[1::2] = prev - self.sqrt_dt
             walks.append(nxt)
+        for walk in walks:
+            walk.setflags(write=False)
         self._brownian = walks
+        self._subtrees: dict[int, TwoPhaseTree] = {}
 
     # -- basic geometry -------------------------------------------------
 
@@ -126,18 +127,40 @@ class TwoPhaseTree:
         return self.n_steps == other.n_steps and self.dt == other.dt
 
     def subtree(self, step: int) -> "TwoPhaseTree":
-        """A fresh tree of the remaining depth (walk restarts at zero)."""
+        """The tree of the remaining depth (walk restarts at zero); this tree
+        keeps it, so every call for ``step`` returns the same object."""
         if not 0 <= step < self.n_steps:
             raise ValueError("subtree root must lie strictly before the horizon")
-        return TwoPhaseTree(self.n_steps - step, self.dt)
+        sub = self._subtrees.get(step)
+        if sub is None:
+            sub = self._subtrees[step] = build_tree(self.n_steps - step, self.dt)
+        return sub
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TwoPhaseTree(n_steps={self.n_steps}, dt={self.dt})"
 
 
+def _grid(n_steps: int, dt: float) -> tuple[int, float]:
+    """The checked ``(n_steps, dt)`` of a tree."""
+    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    if not (float(dt) > 0.0):
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    return int(n_steps), float(dt)
+
+
+# the live tree of each grid; a tree no one holds is freed, not kept here
+_TREES: weakref.WeakValueDictionary[tuple[int, float], TwoPhaseTree] = weakref.WeakValueDictionary()
+
+
 def build_tree(n_steps: int, dt: float) -> TwoPhaseTree:
-    """Construct the two-phase binary tree (``n_steps >= 1``, ``dt > 0``)."""
-    return TwoPhaseTree(n_steps, dt)
+    """The two-phase binary tree (``n_steps >= 1``, ``dt > 0``): the tree of
+    this grid that is still in use, if there is one, else a new one."""
+    grid = _grid(n_steps, dt)
+    tree = _TREES.get(grid)
+    if tree is None:
+        tree = _TREES[grid] = TwoPhaseTree(*grid)
+    return tree
 
 
 class OptionalProcess:

@@ -9,12 +9,11 @@ counts) anywhere in a report body.
 
 from __future__ import annotations
 
-import io
 import os
 import tempfile
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .reflect import RBSDESolution
 
 __all__ = [
     "canonical_json",
+    "write_json",
     "write_json_atomic",
     "write_csv_atomic",
     "solution_to_dict",
@@ -43,8 +43,14 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def canonical_json(obj: Any, *, _indent: str = "") -> str:
-    """Serialize with sorted keys and fixed float formatting."""
+# one pass of str.translate escapes a JSON string: the quote, the
+# backslash, and every control character below 0x20
+_ESCAPES = {i: f"\\u{i:04x}" for i in range(0x20)}
+_ESCAPES.update({ord('"'): '\\"', ord("\\"): "\\\\", ord("\n"): "\\n", ord("\t"): "\\t"})
+
+
+def _scalar_json(obj: Any) -> str | None:
+    """The JSON text of a scalar, or None for a container."""
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -54,27 +60,26 @@ def canonical_json(obj: Any, *, _indent: str = "") -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        out = io.StringIO()
-        out.write('"')
-        for ch in obj:
-            if ch in '"\\':
-                out.write("\\" + ch)
-            elif ch == "\n":
-                out.write("\\n")
-            elif ch == "\t":
-                out.write("\\t")
-            elif ord(ch) < 0x20:
-                out.write(f"\\u{ord(ch):04x}")
-            else:
-                out.write(ch)
-        out.write('"')
-        return out.getvalue()
+        return '"' + obj.translate(_ESCAPES) + '"'
+    return None
+
+
+def _json_chunks(obj: Any, indent: str = "") -> Iterator[str]:
+    """The canonical JSON text of ``obj`` in pieces: a scalar, a row of
+    floats or a bracket each make one piece, so no piece holds more than
+    one row of a table.  An array becomes Python numbers only when its
+    piece is made, so a table of arrays is never all numbers at once."""
+    text = _scalar_json(obj)
+    if text is not None:
+        yield text
+        return
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        inner = _indent + "  "
+        inner = indent + "  "
         if not obj:
-            return "[]"
+            yield "[]"
+            return
         sep = ",\n" + inner
         if set(map(type, obj)) == {float}:
             # a row of floats in one call; a sum that is not finite (inf and
@@ -82,26 +87,49 @@ def canonical_json(obj: Any, *, _indent: str = "") -> str:
             total = sum(obj)
             items = (sep.join(["%.17g"] * len(obj)) % tuple(obj) if total - total == 0
                      else sep.join(map(_fmt_float, obj)))
-        else:
-            items = sep.join(canonical_json(v, _indent=inner) for v in obj)
-        return "[\n" + inner + items + "\n" + _indent + "]"
+            yield "[\n" + inner + items + "\n" + indent + "]"
+            return
+        head = "[\n" + inner
+        for value in obj:
+            yield head
+            yield from _json_chunks(value, inner)
+            head = sep
+        yield "\n" + indent + "]"
+        return
     if isinstance(obj, dict):
-        inner = _indent + "  "
+        inner = indent + "  "
         if not obj:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{canonical_json(str(k))}: {canonical_json(v, _indent=inner)}"
-            for k, v in sorted(obj.items(), key=lambda kv: str(kv[0])))
-        return "{\n" + items + "\n" + _indent + "}"
+            yield "{}"
+            return
+        head = "{\n"
+        for key, value in sorted(obj.items(), key=lambda kv: str(kv[0])):
+            yield head + inner + _scalar_json(str(key)) + ": "
+            yield from _json_chunks(value, inner)
+            head = ",\n"
+        yield "\n" + indent + "}"
+        return
     raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def canonical_json(obj: Any) -> str:
+    """Serialize with sorted keys and fixed float formatting."""
+    return "".join(_json_chunks(obj))
+
+
+def write_json(fh: TextIO, obj: Any) -> None:
+    """Write ``canonical_json(obj)`` and a newline to ``fh`` a piece at a
+    time, so the whole text never exists at once."""
+    fh.writelines(_json_chunks(obj))
+    fh.write("\n")
+
+
+def _atomic_write(path: Path, write: Callable[[TextIO], None]) -> None:
+    """Run ``write`` on a temporary file beside ``path``, then rename it into place."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -112,27 +140,28 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def write_json_atomic(path: str | Path, obj: Any) -> None:
-    _atomic_write(Path(path), canonical_json(obj) + "\n")
+    _atomic_write(Path(path), lambda fh: write_json(fh, obj))
 
 
 def write_csv_atomic(path: str | Path, header: Sequence[str], rows: Iterable[str]) -> None:
     """Write ``header`` as the first line, then ``rows``: rendered CSV lines,
-    each chunk one or more whole lines ending in a newline."""
-    _atomic_write(Path(path), ",".join(header) + "\n" + "".join(rows))
+    each chunk one or more whole lines ending in a newline, written as they
+    come."""
+    _atomic_write(Path(path), lambda fh: fh.writelines(chain((",".join(header) + "\n",), rows)))
 
 
 def solution_to_dict(solution: RBSDESolution) -> dict[str, Any]:
-    """JSON-able dump carrying everything needed to re-verify the solution."""
-    tree = solution.y.tree
+    """Serializable dump carrying everything needed to re-verify the
+    solution.  The rows are the solution's own arrays, which the serializer
+    turns into numbers one row at a time."""
+    n = solution.y.tree.n_steps
     return {
-        "steps": tree.n_steps,
-        "dt": tree.dt,
-        "y": solution.y.table_rows(),
-        "z": [solution.z[k].tolist() for k in range(tree.n_steps)],
-        "r_plus": {"phase": [solution.r_plus.phase[k].tolist() for k in range(tree.n_steps)],
-                   "step": [solution.r_plus.step[k].tolist() for k in range(tree.n_steps)]},
-        "r_minus": {"phase": [solution.r_minus.phase[k].tolist() for k in range(tree.n_steps)],
-                    "step": [solution.r_minus.step[k].tolist() for k in range(tree.n_steps)]},
+        "steps": n,
+        "dt": solution.y.tree.dt,
+        "y": {"at": list(solution.y.at), "after": list(solution.y.after)},
+        "z": [solution.z[k] for k in range(n)],
+        "r_plus": {"phase": list(solution.r_plus.phase), "step": list(solution.r_plus.step)},
+        "r_minus": {"phase": list(solution.r_minus.phase), "step": list(solution.r_minus.step)},
     }
 
 
@@ -152,26 +181,36 @@ def solution_from_dict(data: dict[str, Any]) -> RBSDESolution:
 
 SOLUTION_ROW_HEADER = ("step", "edge", "path", "y", "z", "dr_plus", "dr_minus")
 
+# nodes per CSV chunk: a block of 2**12 nodes renders to a few hundred kB
+_BLOCK_BITS = 12
+
 
 def _node_lines(line: str, bits: list[str], *columns: np.ndarray) -> str:
-    """``line`` once per node of a step, filled with the node's path bits and
+    """``line`` once per node of a block, filled with the node's path bits and
     its value in each column."""
     return line * len(bits) % tuple(chain.from_iterable(zip(bits, *(c.tolist() for c in columns))))
 
 
-def solution_rows(solution: RBSDESolution) -> list[str]:
-    """Transition-level CSV lines, one chunk per step and edge kind; ``y`` is
-    the transition's left-endpoint value.
+def solution_rows(solution: RBSDESolution) -> Iterator[str]:
+    """Transition-level CSV lines, step by step, the phase edges of a step
+    before its step edges; ``y`` is the transition's left-endpoint value.
+    Each chunk covers at most ``2**_BLOCK_BITS`` nodes.
 
     Phase edges (AT -> AFTER) carry no noise, so their ``z`` is empty.
     """
     y, r_plus, r_minus = solution.y, solution.r_plus, solution.r_minus
-    chunks: list[str] = []
-    bits = [""]
+    tails = [""]  # the low path bits of a block's nodes, in node order
     for k in range(y.tree.n_steps):
-        chunks.append(_node_lines(f"{k},phase,%s,%.17g,,%.17g,%.17g\n", bits,
-                                  y.at[k], r_plus.phase[k], r_minus.phase[k]))
-        chunks.append(_node_lines(f"{k},step,%s,%.17g,%.17g,%.17g,%.17g\n", bits,
-                                  y.after[k], solution.z[k], r_plus.step[k], r_minus.step[k]))
-        bits = [b + c for b in bits for c in "01"]
-    return chunks
+        low = min(k, _BLOCK_BITS)
+        width = 1 << low
+        # a block's high path bits are the same on each of its lines, so
+        # they go into the line template
+        prefixes = [format(b, f"0{k - low}b") if k > low else "" for b in range(1 << (k - low))]
+        edges = ((f"{k},phase,{{}}%s,%.17g,,%.17g,%.17g\n", (y.at[k], r_plus.phase[k], r_minus.phase[k])),
+                 (f"{k},step,{{}}%s,%.17g,%.17g,%.17g,%.17g\n",
+                  (y.after[k], solution.z[k], r_plus.step[k], r_minus.step[k])))
+        for line, columns in edges:
+            for b, prefix in enumerate(prefixes):
+                yield _node_lines(line.format(prefix), tails, *(c[b * width:(b + 1) * width] for c in columns))
+        if k < _BLOCK_BITS:
+            tails = [t + c for t in tails for c in "01"]

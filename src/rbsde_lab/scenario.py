@@ -296,7 +296,12 @@ def _build_driver(spec: dict[str, Any], base: str) -> Driver:
 
 @dataclass
 class Scenario:
-    """A fully materialized experiment input."""
+    """A fully materialized experiment input.
+
+    ``data`` is the document :func:`random_scenario` generated, so that it
+    can be written out; a loaded scenario keeps no copy of its document,
+    which for a deep table is several times the size of its arrays.
+    """
 
     name: str
     tree: TwoPhaseTree
@@ -339,7 +344,7 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     tolerances["enum_bound"] = int(tolerances["enum_bound"])
     name = data.get("name") or "scenario"
     return Scenario(name=name, tree=tree, barriers=barriers, driver=driver,
-                    tolerances=tolerances, seed=data.get("seed"), data=data)
+                    tolerances=tolerances, seed=data.get("seed"))
 
 
 _MAX_DOUBLE = int(sys.float_info.max)
@@ -563,4 +568,6 @@ def random_scenario(seed: int, *, n_steps: int | None = None, dt: float | None =
         "driver": driver_spec,
         "seed": int(seed),
     }
-    return scenario_from_dict(data)
+    scenario = scenario_from_dict(data)
+    scenario.data = data
+    return scenario

@@ -77,6 +77,37 @@ def test_game_respects_enum_bound(tmp_path, capsys):
     assert "enumeration bound exceeded" in rep["error"]
 
 
+def _child_env():
+    # one BLAS thread: each thread reserves address space, which a child's
+    # RLIMIT_AS counts
+    src = str(Path(rbsde_lab.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+
+@pytest.mark.parametrize("where", ["flag", "tolerance"])
+@pytest.mark.parametrize("command", ["game", "verify"])
+def test_enumeration_past_the_budget_exits_2(tmp_path, command, where):
+    # the CLI runs in a child limited to 1.5 GB of address space, so a
+    # missing guard fails on its (15131, 15131, 16) pair arrays instead of
+    # allocating them
+    data = random_scenario(3, n_steps=4).data
+    if where == "tolerance":
+        data = dict(data, tolerances={"enum_bound": 4})
+    argv = [command, _write(tmp_path, data)] + (["--enum-bound", "4"] if where == "flag" else [])
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000)); "
+            "from rbsde_lab.cli import main; sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr[-2000:]
+    rep = json.loads(done.stdout)
+    assert not rep["passed"] and done.stderr == ""
+    assert rep["error"] == ("enumeration budget exceeded: the strategy pairs of a depth-4 subgame make "
+                            "3,663,154,576 elements, above the budget of 4,194,304; "
+                            "lower --enum-bound (or /tolerances/enum_bound) to 3")
+
+
 def test_game_matches_solver_value(tmp_path, capsys):
     path = _write(tmp_path, random_scenario(12, n_steps=2).data)
     rc = main(["game", path, "--theta-step", "1", "--theta-node", "1"])

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from rbsde_lab import (
     Barriers,
     EnumerationBoundError,
+    EnumerationBudgetError,
     OptionalProcess,
     Phase,
     StoppingSystem,
     StoppingTime,
     brute_force_values,
     build_tree,
+    classify_ef,
     constant_driver,
     enumerate_stopping_times,
     epsilon_ratio_ok,
@@ -30,6 +32,8 @@ from rbsde_lab import (
     solve_rbsde,
     value_identity_applicable,
 )
+from rbsde_lab import expectation, games
+from rbsde_lab.expectation import check_enumeration_budget
 
 
 def _proc(tree, at, after):
@@ -149,6 +153,40 @@ def test_enumeration_bound_guards_depth():
     sc = random_scenario(3, n_steps=3)
     with pytest.raises(EnumerationBoundError, match="enumeration bound exceeded"):
         brute_force_values(sc.tree, sc.barriers, sc.driver, enum_bound=2)
+
+
+def test_enumeration_budget_refuses_depth_four():
+    for depth in (1, 2, 3):  # depth 3: 123**2 * 2**3 = 121,032 pair elements
+        check_enumeration_budget(depth)
+    with pytest.raises(EnumerationBudgetError, match=r"depth-4 subgame make 3,663,154,576 elements, "
+                       r"above the budget of 4,194,304; lower --enum-bound \(or /tolerances/enum_bound\) to 3"):
+        check_enumeration_budget(4)
+    # a deep request names a lower bound: its count has astronomically many digits
+    with pytest.raises(EnumerationBudgetError, match="depth-18 subgame make more than 3,663,154,576 elements"):
+        check_enumeration_budget(18)
+
+
+def test_every_brute_force_path_checks_the_budget_before_enumerating(monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("strategies enumerated past the budget")
+
+    # each enumeration entry point fails loudly, so a missing guard
+    # allocates nothing
+    for module, name in ((games, "_pair_patterns"), (games, "_strategy_keys"),
+                         (expectation, "_stop_order")):
+        monkeypatch.setattr(module, name, enumerated)
+    sc = random_scenario(3, n_steps=4, driver_kind="linear")
+    calls = [
+        lambda: brute_force_values(sc.tree, sc.barriers, sc.driver, mode="extended", enum_bound=4),
+        lambda: brute_force_values(sc.tree, sc.barriers, sc.driver, mode="plain", enum_bound=4),
+        lambda: game_equals_rbsde(sc.tree, sc.barriers, sc.driver, enum_bound=4),
+        lambda: saddle_points(sc.tree, sc.barriers, sc.driver, enum_bound=4),
+        lambda: epsilon_saddle(sc.tree, sc.barriers, sc.driver, 0.1, enum_bound=4),
+        lambda: classify_ef(sc.barriers.lower, sc.driver, mode="brute", enum_bound=4),
+    ]
+    for call in calls:
+        with pytest.raises(EnumerationBudgetError, match="depth-4 subgame"):
+            call()
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -49,6 +51,23 @@ def test_zero_step_tree_rejected():
         build_tree(0, 1.0)
     with pytest.raises(ValueError):
         build_tree(2, 0.0)
+
+
+def test_walk_tables_are_read_only_and_trees_shared_per_grid():
+    tree = build_tree(4, 0.25)
+    for k in range(5):
+        with pytest.raises(ValueError, match="read-only"):
+            tree.brownian(k)[0] = 1.0
+    # the tree keeps its subtrees: no caller holds this one, yet it lives on
+    sub = weakref.ref(tree.subtree(1))
+    gc.collect()
+    assert sub() is not None and sub() is tree.subtree(1)
+    assert tree.subtree(1) is build_tree(3, 0.25)
+    assert tree.subtree(2) is not tree.subtree(1)
+    assert build_tree(4, 0.25) is tree and build_tree(4, 0.5) is not tree
+    # a live tree of the grid does not let an invalid request through
+    with pytest.raises(ValueError, match="n_steps must be an integer"):
+        build_tree(4.0, 0.25)
 
 
 def test_point_order_exhaustive_small_depths():

@@ -11,8 +11,9 @@ classification gives equal results.  The two brute-force oracles now run
 one backward row per distinct input row; the per-pair paths they replaced
 (one row per strategy pair, one row per ordered pair) are kept as
 references, and the matrices and classifications must match bit for bit.  The report emitters that now render
-a row of floats, or a step of the solution table, in one call are checked
-byte for byte against the per-element emitters and ``csv.writer``.  The
+a row of floats, or a block of the solution table, in one call and escape a
+string in one pass are checked byte for byte against the per-element
+emitters and ``csv.writer``.  The
 truncation ladder, now one backward pass over a stack of rows, is checked
 cell for cell against one ``solve_rbsde`` per grid member, and
 ``implicit_step`` on a stack of rows against each row solved alone.
@@ -23,7 +24,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +61,7 @@ from rbsde_lab import (
     truncation_scheme,
 )
 from rbsde_lab import reflect
+from rbsde_lab import report as report_module
 from rbsde_lab.cli import _HANDLERS, build_parser
 from rbsde_lab.expectation import _row_max, _window_pairs, ef_backward_batch
 from rbsde_lab.games import _pair_patterns, _payoff_tensor, _root_values, _strategy_keys, brute_force_values
@@ -69,6 +73,7 @@ from rbsde_lab.report import (
     solution_rows,
     solution_to_dict,
     write_csv_atomic,
+    write_json_atomic,
 )
 
 
@@ -668,6 +673,29 @@ def test_float_rows_and_arrays_match_the_per_element_emitter(row, depth):
         assert canonical_json(obj) == reference_canonical_json(obj)
 
 
+def _same_dump(dump, reference):
+    """Whether a solution dump holds the reference dump's scalars, of the
+    same type, and its rows as float arrays bit-identical to the reference's
+    lists of floats."""
+    if isinstance(reference, dict):
+        return dump.keys() == reference.keys() and all(_same_dump(dump[k], reference[k]) for k in reference)
+    if isinstance(reference, list):
+        return len(dump) == len(reference) and all(
+            isinstance(row, np.ndarray) and row.dtype == np.float64
+            and _same_bits(row, np.array(ref, dtype=float)) for row, ref in zip(dump, reference))
+    return type(dump) is type(reference) and dump == reference
+
+
+def test_strings_escape_like_the_per_character_emitter():
+    # every control character, the two JSON metacharacters, DEL and
+    # characters past ASCII (DEL and those pass through unescaped)
+    specials = "".join(map(chr, range(0x20))) + '"\\\x7f' + "\u00e9\u2603\U0001f600"
+    for text in (specials, *specials, "plain", ""):
+        assert canonical_json(text) == reference_canonical_json(text)
+        assert canonical_json({text: [text, 1]}) == reference_canonical_json({text: [text, 1]})
+    assert json.loads(canonical_json(specials)) == specials
+
+
 def _solve_report(scn):
     args = build_parser().parse_args(["solve", "scenario.json"])
     return _HANDLERS["solve"](scn, args)
@@ -679,7 +707,7 @@ def _solve_report(scn):
 def test_solve_report_and_csv_match_the_per_element_path(tmp_path_factory, seed, depth, kind):
     report, tables = _solve_report(random_scenario(seed, n_steps=depth, driver_kind=kind))
     sol = solution_from_dict(report["solution"])
-    assert report["solution"] == reference_solution_to_dict(sol)
+    assert _same_dump(report["solution"], reference_solution_to_dict(sol))
     assert canonical_json(report) == reference_canonical_json(
         dict(report, solution=reference_solution_to_dict(sol)))
     header, rows = tables["solution"]
@@ -699,6 +727,38 @@ def test_non_finite_solution_values_match_the_per_element_path(tmp_path):
     assert '"nan"' in canonical_json(solution_to_dict(sol))
     assert _csv_text(tmp_path, SOLUTION_ROW_HEADER, solution_rows(sol)) == reference_csv(
         SOLUTION_ROW_HEADER, reference_solution_rows(sol))
+
+
+def test_solution_rows_in_blocks_match_the_per_node_path(tmp_path, monkeypatch):
+    # blocks of 4 nodes, so that every step past the second spans several
+    # blocks and their path-bit prefixes
+    monkeypatch.setattr(report_module, "_BLOCK_BITS", 2)
+    report, _ = _solve_report(random_scenario(6, n_steps=6, driver_kind="linear"))
+    sol = solution_from_dict(report["solution"])
+    chunks = list(solution_rows(sol))
+    assert max(chunk.count("\n") for chunk in chunks) == 4
+    assert _csv_text(tmp_path, SOLUTION_ROW_HEADER, chunks) == reference_csv(
+        SOLUTION_ROW_HEADER, reference_solution_rows(sol))
+
+
+def test_report_writers_stream_below_the_bytes_they_write(tmp_path):
+    # rendered whole, a depth-14 report peaked at 3.0x (JSON) and 2.0x (CSV)
+    # the bytes written; streamed, a chunk holds one row or block
+    report, tables = _solve_report(random_scenario(14, n_steps=14, driver_kind="linear"))
+    header, rows = tables["solution"]
+    writes = {"json": lambda path: write_json_atomic(path, report),
+              "csv": lambda path: write_csv_atomic(path, header, rows)}
+    tracemalloc.start()
+    try:
+        for name, write in writes.items():
+            path = tmp_path / f"report.{name}"
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < path.stat().st_size, (name, peak, path.stat().st_size)
+    finally:
+        tracemalloc.stop()
 
 
 def test_game_matrix_and_convergence_tables_match_csv_writer(tmp_path):
