@@ -35,9 +35,6 @@ from .games import (
     epsilon_ratio_ok,
     epsilon_saddle,
     game_equals_rbsde,
-    game_value_at,
-    payoff_extended,
-    payoff_plain,
     right_jump_counterexample,
     saddle_points,
     value_identity_applicable,

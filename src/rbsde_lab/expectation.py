@@ -18,7 +18,8 @@ Martingale representation is exact by construction: ``Y_up - Y_down =
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -465,36 +466,25 @@ class BSDESolution:
 
 
 def solve_bsde(tree: TwoPhaseTree, terminal: np.ndarray, driver: Driver,
-               dv: TransitionIncrements | None = None, *,
-               driver_mask: Sequence[np.ndarray] | None = None, step_offset: int = 0,
+               dv: TransitionIncrements | None = None, *, step_offset: int = 0,
                tol_root: float = 1e-12, max_iter: int = 200) -> BSDESolution:
     """Backward solve of the unreflected equation with optional drift ``dV``.
 
-    ``driver_mask[k]`` (per step-k parent, boolean) switches the driver off
-    on masked diffusion transitions; used to realise horizon cuts and
-    locality masks.  ``step_offset`` shifts the time argument fed to the
-    driver when solving on an extracted subtree.
+    ``step_offset`` shifts the time argument fed to the driver when solving
+    on an extracted subtree.
     """
-    _check_mu(driver, tree.dt)
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (tree.n_leaves,):
         raise ValueError("terminal condition must have one value per leaf")
-    n, dt = tree.n_steps, tree.dt
-    y_at: list[np.ndarray] = [None] * (n + 1)  # type: ignore[list-item]
-    y_after: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    zs: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    y_at[n] = terminal.copy()
-    for k in range(n - 1, -1, -1):
-        nxt = y_at[k + 1]
-        e = 0.5 * (nxt[0::2] + nxt[1::2])
-        zs[k] = (nxt[0::2] - nxt[1::2]) / (2.0 * tree.sqrt_dt)
-        if dv is not None:
-            e = e + dv.step[k]
-        active = None if driver_mask is None else np.asarray(driver_mask[k], dtype=bool)
-        y_after[k] = implicit_step(e, zs[k], (step_offset + k) * dt, driver, dt,
-                                   active=active, tol=tol_root, max_iter=max_iter)
-        y_at[k] = y_after[k] + dv.phase[k] if dv is not None else y_after[k].copy()
-    return BSDESolution(y=OptionalProcess(tree, y_at, y_after), z=zs)
+    if dv is not None and not tree.same_grid(dv.tree):
+        raise ValueError("drift lives on a different grid")
+    steps = _unreflected_pass(tree, terminal, driver, dv=dv, step_offset=step_offset,
+                              tol_root=tol_root, max_iter=max_iter)
+    # the pass yields from the horizon back; each column is reversed to start at step 0
+    z, after, at = (list(col)[::-1] for col in zip(*steps))
+    # without a drift AT(k) is AFTER(k) itself, so it gets its own copy
+    at = at if dv is not None else [a.copy() for a in at]
+    return BSDESolution(y=OptionalProcess(tree, at + [terminal.copy()], after), z=z)
 
 
 def ef_backward_batch(tree: TwoPhaseTree, driver: Driver, terminal_rows: np.ndarray,
@@ -507,21 +497,42 @@ def ef_backward_batch(tree: TwoPhaseTree, driver: Driver, terminal_rows: np.ndar
     matrices ``val[k]`` of shape (R, 2**k); phase transitions carry nothing
     here, so ``val[k]`` is the value at both AT(k) and AFTER(k).
     """
-    _check_mu(driver, tree.dt)
     terminal_rows = np.asarray(terminal_rows, dtype=float)
     if terminal_rows.ndim != 2 or terminal_rows.shape[1] != tree.n_leaves:
         raise ValueError("terminal_rows must have shape (rows, n_leaves)")
-    n, dt = tree.n_steps, tree.dt
-    vals: list[np.ndarray] = [None] * (n + 1)  # type: ignore[list-item]
-    vals[n] = terminal_rows
-    for k in range(n - 1, -1, -1):
-        nxt = vals[k + 1]
-        e = 0.5 * (nxt[:, 0::2] + nxt[:, 1::2])
-        z = (nxt[:, 0::2] - nxt[:, 1::2]) / (2.0 * tree.sqrt_dt)
+    steps = _unreflected_pass(tree, terminal_rows, driver, masks, step_offset=step_offset,
+                              tol_root=tol_root, max_iter=max_iter)
+    return [after for _, after, _ in steps][::-1] + [terminal_rows]
+
+
+def _unreflected_pass(tree: TwoPhaseTree, terminal: np.ndarray, driver: Driver,
+                      masks: Sequence[np.ndarray] | None = None,
+                      dv: TransitionIncrements | None = None, *, step_offset: int,
+                      tol_root: float, max_iter: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The backward pass of the unreflected equation over value rows.
+
+    Leading axes of ``terminal`` are rows.  ``masks[k]`` (per row and step-k
+    parent, boolean) switches the driver off on masked diffusion
+    transitions; ``dv`` adds its step increment to the children's average
+    and its phase increment on AT(k) -> AFTER(k).  Yields, for ``k = N-1``
+    down to 0, the integrand and the AFTER(k) and AT(k) values; without
+    ``dv`` the last two are one array.  This pass stays apart from the
+    reflected one on purpose: it is the independent side of the feed-back
+    identity and of the game oracle.
+    """
+    _check_mu(driver, tree.dt)
+    dt = tree.dt
+    nxt = terminal
+    for k in range(tree.n_steps - 1, -1, -1):
+        e = 0.5 * (nxt[..., 0::2] + nxt[..., 1::2])
+        z = (nxt[..., 0::2] - nxt[..., 1::2]) / (2.0 * tree.sqrt_dt)
+        if dv is not None:
+            e = e + dv.step[k]
         active = None if masks is None else np.asarray(masks[k], dtype=bool)
-        vals[k] = implicit_step(e, z, (step_offset + k) * dt, driver, dt,
-                                active=active, tol=tol_root, max_iter=max_iter)
-    return vals
+        after = implicit_step(e, z, (step_offset + k) * dt, driver, dt,
+                              active=active, tol=tol_root, max_iter=max_iter)
+        nxt = after if dv is None else after + dv.phase[k]
+        yield z, after, nxt
 
 
 @dataclass

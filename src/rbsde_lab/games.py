@@ -54,41 +54,13 @@ __all__ = [
     "GameCheck",
     "EpsilonSaddle",
     "SaddleReport",
-    "payoff_extended",
-    "payoff_plain",
     "brute_force_values",
-    "game_value_at",
     "value_identity_applicable",
     "game_equals_rbsde",
     "epsilon_saddle",
     "saddle_points",
     "right_jump_counterexample",
 ]
-
-
-def payoff_extended(barriers: Barriers, rho_tau: StoppingSystem, rho_sigma: StoppingSystem) -> np.ndarray:
-    """Per-leaf payoff of an extended strategy pair.
-
-    The maximiser collects the lower barrier (upper one-sided reading off
-    the member set), the minimiser pays the upper barrier (lower reading),
-    ties on the stop step go to the maximiser, and a joint stop at the
-    horizon pays the terminal variable.
-    """
-    tree = barriers.tree
-    if not (tree.same_grid(rho_tau.tau.tree) and tree.same_grid(rho_sigma.tau.tree)):
-        raise ValueError("stopping systems live on a different grid")
-    j, _ = _payoff_tensor(barriers, rho_tau.keys[None, :], rho_sigma.keys[None, :])
-    return j[0, 0]
-
-
-def payoff_plain(barriers: Barriers, tau: StoppingTime, sigma: StoppingTime) -> np.ndarray:
-    """Per-leaf payoff for plain (grid-time) strategies: barriers are read
-    exactly at the stop, with the same branch rules as the extended game."""
-    for stop in (tau, sigma):
-        if not stop.always_at_phase():
-            raise ValueError("plain strategies must stop at grid times")
-    member = np.ones(barriers.tree.n_leaves, dtype=bool)
-    return payoff_extended(barriers, StoppingSystem(tau, member), StoppingSystem(sigma, member))
 
 
 def _payoff_tensor(sub_barriers: Barriers, tau_keys: np.ndarray,
@@ -222,39 +194,6 @@ def brute_force_values(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *
     return GameValues(upper=float(matrix.max(axis=0).min()),
                       lower=float(matrix.min(axis=1).max()),
                       n_tau=n_strat, n_sigma=n_strat, matrix=matrix)
-
-
-def game_value_at(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, theta: StoppingTime, *,
-                  mode: str = "extended", enum_bound: int = 3, tol_root: float = 1e-12,
-                  max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """Per-leaf (upper, lower) game values at a grid-time stopping time.
-
-    Conditional values compose atom-wise: each theta-atom is its own
-    subgame, so the arrays are filled one stop node at a time.  Horizon
-    atoms have no game left and take the terminal variable.
-    """
-    if not theta.always_at_phase():
-        raise ValueError("theta must stop at grid times")
-    upper = np.empty(tree.n_leaves)
-    lower = np.empty(tree.n_leaves)
-    steps, nodes = theta.steps.tolist(), theta.stop_nodes().tolist()
-    seen: set[tuple[int, int]] = set()
-    for leaf in range(tree.n_leaves):
-        step, node = steps[leaf], nodes[leaf]
-        if (step, node) in seen:
-            continue
-        seen.add((step, node))
-        stride = tree.leaf_stride(step)
-        sl = slice(node * stride, (node + 1) * stride)
-        if step == tree.n_steps:
-            upper[sl] = lower[sl] = barriers.terminal[sl]
-            continue
-        gv = brute_force_values(tree, barriers, driver, mode=mode, theta_step=step,
-                                theta_node=node, enum_bound=enum_bound,
-                                tol_root=tol_root, max_iter=max_iter)
-        upper[sl] = gv.upper
-        lower[sl] = gv.lower
-    return upper, lower
 
 
 @dataclass

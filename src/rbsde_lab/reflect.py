@@ -27,8 +27,8 @@ from .expectation import (
     Driver,
     TransitionIncrements,
     _check_mu,
+    constant_driver,
     implicit_step,
-    solve_bsde,
 )
 from .lattice import OptionalProcess, Phase, TwoPhaseTree, is_adapted, nan_max
 
@@ -256,23 +256,24 @@ def snell_envelopes(tree: TwoPhaseTree, barriers: Barriers) -> tuple[OptionalPro
     """Smallest supermartingale above -L and above U, under the plain
     (driverless) expectation: the lower envelope minimises over stopping
     points, the upper one maximises.  Phase points participate: the AT
-    envelope also sees the interval slot of the same step."""
-    low, up = barriers.lower, barriers.upper
-    n = tree.n_steps
-    lhat_at: list[np.ndarray] = [None] * (n + 1)  # type: ignore[list-item]
-    lhat_after: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    uhat_at: list[np.ndarray] = [None] * (n + 1)  # type: ignore[list-item]
-    uhat_after: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    lhat_at[n] = low.at[n].copy()
-    uhat_at[n] = up.at[n].copy()
-    for k in range(n - 1, -1, -1):
-        le = 0.5 * (lhat_at[k + 1][0::2] + lhat_at[k + 1][1::2])
-        ue = 0.5 * (uhat_at[k + 1][0::2] + uhat_at[k + 1][1::2])
-        lhat_after[k] = np.minimum(low.after[k], le)
-        uhat_after[k] = np.maximum(up.after[k], ue)
-        lhat_at[k] = np.minimum(low.at[k], lhat_after[k])
-        uhat_at[k] = np.maximum(up.at[k], uhat_after[k])
-    return OptionalProcess(tree, lhat_at, lhat_after), OptionalProcess(tree, uhat_at, uhat_after)
+    envelope also sees the interval slot of the same step.
+
+    Each envelope is the reflected solution with the zero driver, its own
+    barrier as terminal value and obstacle, and the other obstacle at
+    infinity (the optimal-stopping reading of the reflected equation)."""
+    keys = range(2 * tree.n_steps + 1)
+    low = [barriers.lower.slot(key) for key in keys]
+    up = [barriers.upper.slot(key) for key in keys]
+
+    def envelope(lower: list, upper: list, terminal: np.ndarray) -> OptionalProcess:
+        # value slots from the horizon back: AT(N), AFTER(N-1), AT(N-1), ...
+        y = [terminal.copy()]
+        for _, after, at, *_ in _reflected_pass(tree, terminal, lower, upper, constant_driver(0.0),
+                                                step_offset=0, tol_root=1e-12, max_iter=200):
+            y += (after, at)
+        return OptionalProcess(tree, y[::-2], y[-2::-2])
+
+    return envelope([-np.inf] * len(keys), low, low[-1]), envelope(up, [np.inf] * len(keys), up[-1])
 
 
 @dataclass(frozen=True)

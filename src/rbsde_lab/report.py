@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .expectation import TransitionIncrements
-from .lattice import OptionalProcess, TwoPhaseTree, build_tree
+from .lattice import OptionalProcess, build_tree
 from .reflect import RBSDESolution
 
 __all__ = [

@@ -298,6 +298,16 @@ def test_drift_sign_sets_classification():
     assert classify_ef(lowered.y, constant_driver(0.0)).verdict == "submartingale"
 
 
+def test_drift_from_another_grid_is_refused():
+    # a depth-5 drift has a depth-3 drift's shapes at steps 0-2, and a drift
+    # on another dt has them everywhere: only the grid check tells them apart
+    tree = build_tree(3, 0.1)
+    for other in (build_tree(5, 0.1), build_tree(3, 0.5)):
+        ones = [np.ones(other.nodes_at(k)) for k in range(other.n_steps)]
+        with pytest.raises(ValueError, match="drift lives on a different grid"):
+            solve_bsde(tree, np.zeros(8), linear_driver(), dv=TransitionIncrements(other, ones, ones))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_onestep_and_brute_classification_agree(seed):

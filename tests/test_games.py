@@ -23,9 +23,6 @@ from rbsde_lab import (
     epsilon_ratio_ok,
     epsilon_saddle,
     game_equals_rbsde,
-    game_value_at,
-    payoff_extended,
-    payoff_plain,
     random_scenario,
     right_jump_counterexample,
     saddle_points,
@@ -50,35 +47,40 @@ def _one_step_game():
     return tree, Barriers(lower, upper, xi)
 
 
+def _payoff(barriers, tau, sigma):
+    """Per-leaf payoff of one strategy pair, read off the payoff tensor."""
+    return games._payoff_tensor(barriers, tau.keys[None], sigma.keys[None])[0][0, 0]
+
+
 # -- payoff branches ----------------------------------------------------------
 
 def test_joint_horizon_stop_pays_terminal():
     tree, b = _one_step_game()
     horizon = StoppingSystem.everywhere(StoppingTime.constant(tree, 1))
-    assert np.array_equal(payoff_extended(b, horizon, horizon), b.terminal)
+    assert np.array_equal(_payoff(b, horizon, horizon), b.terminal)
 
 
 def test_member_stop_reads_grid_slot():
     tree, b = _one_step_game()
     tau = StoppingSystem.everywhere(StoppingTime.constant(tree, 0))
     sigma = StoppingSystem.everywhere(StoppingTime.constant(tree, 1))
-    assert np.all(payoff_extended(b, tau, sigma) == 0.3)
+    assert np.all(_payoff(b, tau, sigma) == 0.3)
 
 
 def test_nonmember_stop_reads_interval_slot():
     tree, b = _one_step_game()
     tau = StoppingSystem(StoppingTime.constant(tree, 0), np.zeros(2, dtype=bool))
     sigma = StoppingSystem.everywhere(StoppingTime.constant(tree, 1))
-    assert np.all(payoff_extended(b, tau, sigma) == 0.7)
+    assert np.all(_payoff(b, tau, sigma) == 0.7)
 
 
 def test_minimiser_first_pays_upper_barrier():
     tree, b = _one_step_game()
     tau = StoppingSystem.everywhere(StoppingTime.constant(tree, 1))
     sigma = StoppingSystem.everywhere(StoppingTime.constant(tree, 0))
-    assert np.all(payoff_extended(b, tau, sigma) == 1.6)
+    assert np.all(_payoff(b, tau, sigma) == 1.6)
     off = StoppingSystem(StoppingTime.constant(tree, 0), np.zeros(2, dtype=bool))
-    assert np.all(payoff_extended(b, tau, off) == 1.8)
+    assert np.all(_payoff(b, tau, off) == 1.8)
 
 
 def test_same_step_tie_goes_to_the_maximiser():
@@ -87,15 +89,8 @@ def test_same_step_tie_goes_to_the_maximiser():
     just_after = StoppingSystem(StoppingTime.constant(tree, 0), np.zeros(2, dtype=bool))
     # even when the maximiser leaves the grid point and the minimiser sits
     # on it, the shared step resolves in the maximiser's favour
-    assert np.all(payoff_extended(b, just_after, at0) == 0.7)
-    assert np.all(payoff_extended(b, at0, at0) == 0.3)
-
-
-def test_plain_payoff_requires_grid_stops():
-    tree, b = _one_step_game()
-    interval = StoppingTime.constant(tree, 0, Phase.AFTER)
-    with pytest.raises(ValueError, match="grid times"):
-        payoff_plain(b, interval, StoppingTime.constant(tree, 1))
+    assert np.all(_payoff(b, just_after, at0) == 0.7)
+    assert np.all(_payoff(b, at0, at0) == 0.3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -105,7 +100,7 @@ def test_identical_stops_collect_the_lower_barrier(seed, idx):
     steps, phases = enumerate_stopping_times(sc.tree, phase_resolved=True)
     row = steps[idx % len(steps)]
     tau = StoppingTime.from_realized(sc.tree, row, np.zeros_like(row))
-    j = payoff_plain(sc.barriers, tau, tau)
+    j = _payoff(sc.barriers, tau, tau)
     low = sc.barriers.lower
     for leaf in range(sc.tree.n_leaves):
         k = int(row[leaf])
@@ -250,17 +245,6 @@ def test_cross_phase_violation_detaches_extended_value():
     sol = solve_rbsde(tree, b, constant_driver(0.0))
     gv = brute_force_values(tree, b, constant_driver(0.0))
     assert gv.lower > sol.y.at[0][0] + 0.1
-
-
-def test_game_value_at_interior_stopping_time():
-    sc = random_scenario(11, n_steps=2)
-    theta = StoppingTime.constant(sc.tree, 1)
-    upper, lower = game_value_at(sc.tree, sc.barriers, sc.driver, theta)
-    sol = solve_rbsde(sc.tree, sc.barriers, sc.driver)
-    for leaf in range(sc.tree.n_leaves):
-        y = sol.y.at[1][sc.tree.node_of_leaf(leaf, 1)]
-        assert abs(upper[leaf] - y) < 1e-8
-        assert abs(lower[leaf] - y) < 1e-8
 
 
 # -- epsilon saddles ----------------------------------------------------------

@@ -16,7 +16,10 @@ string in one pass are checked byte for byte against the per-element
 emitters and ``csv.writer``.  The
 truncation ladder, now one backward pass over a stack of rows, is checked
 cell for cell against one ``solve_rbsde`` per grid member, and
-``implicit_step`` on a stack of rows against each row solved alone.
+``implicit_step`` on a stack of rows against each row solved alone.  The
+Snell envelopes, now two zero-driver reflected passes, and ``solve_bsde``
+and ``ef_backward_batch``, now one unreflected pass, are checked bit for
+bit against the three loops they replaced.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from rbsde_lab import (
     SeparationFailure,
     StoppingSystem,
     StoppingTime,
+    TransitionIncrements,
     Witness,
     build_tree,
     classify_ef,
@@ -56,6 +60,7 @@ from rbsde_lab import (
     polynomial_driver,
     random_scenario,
     snell_envelopes,
+    solve_bsde,
     solve_rbsde,
     truncated_driver,
     truncation_scheme,
@@ -775,6 +780,119 @@ def test_game_matrix_and_convergence_tables_match_csv_writer(tmp_path):
     assert _csv_text(tmp_path, header, rows) == reference_csv(
         header, [(i + 1, float(a), float(b))
                  for i, (a, b) in enumerate(zip(report["n_gaps"], report["m_gaps"]))])
+
+
+# -- the two backward engines ----------------------------------------------------
+
+def reference_snell_envelopes(tree, barriers):
+    """The hand-written envelope loop: a running minimum of the lower barrier
+    and the children's average, and a running maximum of the upper one."""
+    low, up = barriers.lower, barriers.upper
+    n = tree.n_steps
+    lhat_at, uhat_at = [None] * (n + 1), [None] * (n + 1)
+    lhat_after, uhat_after = [None] * n, [None] * n
+    lhat_at[n], uhat_at[n] = low.at[n].copy(), up.at[n].copy()
+    for k in range(n - 1, -1, -1):
+        le = 0.5 * (lhat_at[k + 1][0::2] + lhat_at[k + 1][1::2])
+        ue = 0.5 * (uhat_at[k + 1][0::2] + uhat_at[k + 1][1::2])
+        lhat_after[k] = np.minimum(low.after[k], le)
+        uhat_after[k] = np.maximum(up.after[k], ue)
+        lhat_at[k] = np.minimum(low.at[k], lhat_after[k])
+        uhat_at[k] = np.maximum(up.at[k], uhat_after[k])
+    return OptionalProcess(tree, lhat_at, lhat_after), OptionalProcess(tree, uhat_at, uhat_after)
+
+
+def reference_solve_bsde(tree, terminal, driver, dv, step_offset):
+    """The one-row unreflected loop with an optional drift: (Y, Z)."""
+    n, dt = tree.n_steps, tree.dt
+    y_at, y_after, zs = [None] * (n + 1), [None] * n, [None] * n
+    y_at[n] = terminal.copy()
+    for k in range(n - 1, -1, -1):
+        nxt = y_at[k + 1]
+        e = 0.5 * (nxt[0::2] + nxt[1::2])
+        zs[k] = (nxt[0::2] - nxt[1::2]) / (2.0 * tree.sqrt_dt)
+        if dv is not None:
+            e = e + dv.step[k]
+        y_after[k] = implicit_step(e, zs[k], (step_offset + k) * dt, driver, dt)
+        y_at[k] = y_after[k] + dv.phase[k] if dv is not None else y_after[k].copy()
+    return OptionalProcess(tree, y_at, y_after), zs
+
+
+def reference_ef_backward_batch(tree, driver, terminal_rows, masks, step_offset):
+    """The unreflected loop over rows, with the driver masked per row and parent."""
+    n, dt = tree.n_steps, tree.dt
+    vals = [None] * (n + 1)
+    vals[n] = terminal_rows
+    for k in range(n - 1, -1, -1):
+        nxt = vals[k + 1]
+        e = 0.5 * (nxt[:, 0::2] + nxt[:, 1::2])
+        z = (nxt[:, 0::2] - nxt[:, 1::2]) / (2.0 * tree.sqrt_dt)
+        active = None if masks is None else masks[k]
+        vals[k] = implicit_step(e, z, (step_offset + k) * dt, driver, dt, active=active)
+    return vals
+
+
+def _same_process(got, want):
+    return all(_same_bits(a, b) for a, b in zip(got.at + got.after, want.at + want.after, strict=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from(_DRIVER_KINDS),
+       st.booleans(), st.integers(0, 2))
+def test_backward_engines_match_the_loops_they_replaced(seed, depth, kind, touching, step_offset):
+    """Snell envelopes from the reflected pass, and ``solve_bsde`` and
+    ``ef_backward_batch`` from the unreflected one, bit for bit against the
+    loops they replaced: with and without a drift, with and without masks."""
+    rng = np.random.default_rng(seed)
+    scn = random_scenario(seed, n_steps=depth, driver_kind="linear" if kind == "zero" else kind,
+                          touching=touching)
+    driver = constant_driver(0.0) if kind == "zero" else scn.driver
+    tree = scn.tree
+    barriers = _touching(scn.barriers, rng, 0.3) if touching else scn.barriers
+    for got, want in zip(snell_envelopes(tree, barriers), reference_snell_envelopes(tree, barriers)):
+        assert _same_process(got, want)
+    drift = TransitionIncrements(tree, [rng.normal(0.0, 0.1, tree.nodes_at(k)) for k in range(depth)],
+                                 [rng.normal(0.0, 0.1, tree.nodes_at(k)) for k in range(depth)])
+    for dv in (None, drift):
+        sol = solve_bsde(tree, barriers.terminal, driver, dv, step_offset=step_offset)
+        y, z = reference_solve_bsde(tree, barriers.terminal, driver, dv, step_offset)
+        assert _same_process(sol.y, y)
+        assert all(_same_bits(a, b) for a, b in zip(sol.z, z, strict=True))
+        assert not any(a is b for a in sol.y.at for b in sol.y.after)
+    rows = rng.normal(size=(3, tree.n_leaves))
+    masks = [rng.random((3, tree.nodes_at(k))) < 0.6 for k in range(depth)]
+    for m in (None, masks):
+        got = ef_backward_batch(tree, driver, rows, m, step_offset=step_offset)
+        want = reference_ef_backward_batch(tree, driver, rows, m, step_offset)
+        assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("lower, upper", [(-0.0, 0.0), (0.0, -0.0), (0.0, 0.0), (-0.0, -0.0)])
+def test_a_barrier_pair_of_signed_zeros_gives_the_loops_envelopes(lower, upper):
+    tree = build_tree(4, 0.5)
+    barriers = Barriers(OptionalProcess.from_constant(tree, lower), OptionalProcess.from_constant(tree, upper),
+                        np.zeros(tree.n_leaves))
+    for got, want in zip(snell_envelopes(tree, barriers), reference_snell_envelopes(tree, barriers)):
+        assert _same_process(got, want)
+
+
+def test_mixed_signed_zeros_change_only_the_sign_of_an_envelope_zero():
+    """Where a zero continuation value meets a zero barrier of the other
+    sign, the reflected pass keeps the barrier's zero (``np.clip`` returns
+    the bound on a tie) and the loop kept the continuation's.  The
+    envelopes stay equal as numbers, and only zeros differ in their bits."""
+    rng = np.random.default_rng(0)
+    tree = build_tree(5, 0.5)
+
+    def zeros():
+        return OptionalProcess(tree, *([np.where(rng.random(tree.nodes_at(k)) < 0.5, -0.0, 0.0)
+                                        for k in range(tree.n_steps + end)] for end in (1, 0)))
+
+    barriers = Barriers(zeros(), zeros(), np.zeros(tree.n_leaves))
+    for got, want in zip(snell_envelopes(tree, barriers), reference_snell_envelopes(tree, barriers)):
+        for a, b in zip(got.at + got.after, want.at + want.after, strict=True):
+            assert np.array_equal(a, b)
+            assert np.all(a[a.view(np.int64) != b.view(np.int64)] == 0.0)
 
 
 # -- the truncation ladder and stacked root solves ------------------------------
