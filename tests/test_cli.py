@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import rbsde_lab
-from rbsde_lab import random_scenario
+from rbsde_lab import random_scenario, scenario_from_dict, solve_rbsde
 from rbsde_lab.cli import main
 from rbsde_lab.report import SOLUTION_ROW_HEADER
 
@@ -382,6 +382,39 @@ def test_golden_report_digests(tmp_path, capsys):
     assert main(["verify", path, "--solution", str(out / "golden.solve.json"), "--out", str(out)]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
+
+
+# a depth-3 scenario, libm-free for the same reasons as GOLDEN, shallow
+# enough that verify runs the game oracle and the brute Snell
+# classification; y_coef = 8 pushes Y out of the band on both sides, so
+# R+ and R- both act
+SHALLOW_GOLDEN = {
+    "version": "v1", "name": "shallow", "steps": 3, "dt": 0.0625,
+    "lower": {"kind": "affine", "intercept": -0.5, "slope": 0.5, "time_coef": 0.5},
+    "upper": {"kind": "affine", "intercept": 0.5, "slope": 0.5, "time_coef": -0.5},
+    "terminal": {"kind": "affine", "intercept": 0.0, "slope": 1.0},
+    "driver": {"kind": "linear", "const": 0.0, "y_coef": 8.0, "z_coef": 0.25},
+}
+SHALLOW_GOLDEN_SHA256 = {
+    "shallow.verify.json": "2081aa95d3ffc155383a3467f367d869dce43dbf70d2a556fd4dfd9790e28ad2",
+    "shallow.oracle.json": "537237c6b09adcff549670c8d1ef74338228161c9b4b39e0da41d457d8cef399",
+    "shallow.game.json": "91bab445a6af8ded6d38068697f0c616d74ad79c9ae1b7501f0e5640942026b0",
+    "shallow.saddle.json": "77efef06a560957917e7acb30afcec07e9767e47bb8ba0b8180717145a5297ba",
+}
+
+
+def test_shallow_golden_pins_the_games_layer(tmp_path, capsys):
+    path = _write(tmp_path, SHALLOW_GOLDEN)
+    out = str(tmp_path / "out")
+    scn = scenario_from_dict(SHALLOW_GOLDEN)
+    sol = solve_rbsde(scn.tree, scn.barriers, scn.driver)
+    assert sol.r_plus.total_variation() > 0 and sol.r_minus.total_variation() > 0
+    for argv in (["verify"], ["oracle", "--mode", "plain"], ["game"],
+                 ["saddle", "--epsilon", "0.1", "0.05"]):
+        assert main([argv[0], path, "--out", out] + argv[1:]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in SHALLOW_GOLDEN_SHA256}
+    assert digests == SHALLOW_GOLDEN_SHA256
 
 
 def test_cli_import_loads_neither_jsonschema_nor_numpy_random():
