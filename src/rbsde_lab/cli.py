@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -81,19 +82,6 @@ def _system_dict(system: StoppingSystem) -> dict[str, Any]:
             "member": system.membership.tolist()}
 
 
-def _minimality_dict(rep) -> dict[str, Any]:
-    return {"passed": rep.passed, "max_product": rep.max_product,
-            "max_overlap": rep.max_overlap, "nonnegative": rep.nonnegative,
-            "violations": rep.violations}
-
-
-def _dynamics_dict(rep) -> dict[str, Any]:
-    return {"passed": rep.passed, "max_step_residual": rep.max_step_residual,
-            "max_phase_residual": rep.max_phase_residual,
-            "max_representation_gap": rep.max_representation_gap,
-            "barrier_breach": rep.barrier_breach, "terminal_gap": rep.terminal_gap}
-
-
 # ---------------------------------------------------------------------------
 # command handlers: Scenario + parsed args -> (report dict, csv tables)
 
@@ -113,14 +101,24 @@ def _cmd_solve(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any],
         "scenario": scn.name,
         "y0": float(sol.y.at[0][0]),
         "solution": solution_to_dict(sol),
-        "minimality": _minimality_dict(mini),
-        "dynamics": _dynamics_dict(dyn),
+        "minimality": asdict(mini),
+        "dynamics": asdict(dyn),
         "passed": mini.passed and dyn.passed,
     }
     return report, {"solution": (SOLUTION_ROW_HEADER, solution_rows(sol))}
 
 
+def _check_theta(scn: Scenario, args: argparse.Namespace) -> None:
+    """Refuse a theta node the scenario does not have, before any work."""
+    n, step, node = scn.tree.n_steps, args.theta_step, args.theta_node
+    if not 0 <= step < n:
+        raise ScenarioError(f"--theta-step {step} is outside [0, {n - 1}]")
+    if not 0 <= node < 1 << step:
+        raise ScenarioError(f"--theta-node {node} is outside [0, {(1 << step) - 1}] at --theta-step {step}")
+
+
 def _cmd_game(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], CsvTables]:
+    _check_theta(scn, args)
     t = _tols(scn, args)
     values = brute_force_values(scn.tree, scn.barriers, scn.driver, mode=args.mode,
                                 theta_step=args.theta_step, theta_node=args.theta_node,
@@ -189,6 +187,7 @@ def _epsilon_dicts(rep: SaddleReport, tol_game: float) -> tuple[list[dict[str, A
 
 
 def _cmd_saddle(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], CsvTables]:
+    _check_theta(scn, args)
     t = _tols(scn, args)
     rep = saddle_points(scn.tree, scn.barriers, scn.driver,
                         theta_step=args.theta_step, theta_node=args.theta_node,
@@ -265,7 +264,12 @@ def _witness_dict(tree: TwoPhaseTree, barriers: Barriers) -> dict[str, Any]:
 def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], CsvTables]:
     t = _tols(scn, args)
     tree, barriers, driver = scn.tree, scn.barriers, scn.driver
-    sol = solve_rbsde(tree, barriers, driver, tol_root=t["tol_root"], max_iter=int(t["max_iter"]))
+    # on shallow trees the game oracle solves the equation, and every check reads its solution
+    chk = (game_equals_rbsde(tree, barriers, driver, enum_bound=int(t["enum_bound"]),
+                             tol_game=t["tol_game"], tol_root=t["tol_root"], max_iter=int(t["max_iter"]))
+           if tree.n_steps <= max(4, int(t["enum_bound"]) + 1) else None)
+    sol = chk.solution if chk is not None else solve_rbsde(tree, barriers, driver, tol_root=t["tol_root"],
+                                                           max_iter=int(t["max_iter"]))
     mini = check_minimality(sol, barriers, tol_comp=t["tol_comp"])
     dyn = verify_dynamics(sol, barriers, driver, tol=_DYNAMICS_SLACK * t["tol_root"])
     cont = continuity_analogue(sol, barriers, tol=_DYNAMICS_SLACK * t["tol_root"])
@@ -292,10 +296,7 @@ def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
 
     oracle: dict[str, Any] = {"checked": False}
     oracle_ok = True
-    if tree.n_steps <= max(4, int(t["enum_bound"]) + 1):
-        chk = game_equals_rbsde(tree, barriers, driver, enum_bound=int(t["enum_bound"]),
-                                tol_game=t["tol_game"], tol_root=t["tol_root"],
-                                max_iter=int(t["max_iter"]))
+    if chk is not None:
         oracle = {"checked": True, "max_extended_gap": chk.max_extended_gap,
                   "identity_applicable": chk.identity_applicable,
                   "passed": chk.passed_extended, "thetas": len(chk.checks)}
@@ -311,22 +312,17 @@ def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
         r_dyn = verify_dynamics(reloaded, barriers, driver, tol=_DYNAMICS_SLACK * t["tol_root"])
         drift = reloaded.y.sup_abs_diff(sol.y)
         rt_ok = r_mini.passed and r_dyn.passed and drift == 0.0
-        round_trip = {"minimality": _minimality_dict(r_mini), "dynamics": _dynamics_dict(r_dyn),
+        round_trip = {"minimality": asdict(r_mini), "dynamics": asdict(r_dyn),
                       "value_drift": drift, "passed": rt_ok}
 
     report = {
         "command": "verify",
         "scenario": scn.name,
         "y0": float(sol.y.at[0][0]),
-        "minimality": _minimality_dict(mini),
-        "dynamics": _dynamics_dict(dyn),
-        "continuity": {"passed": cont.passed,
-                       "step_contact_lower": cont.step_contact_lower,
-                       "step_contact_upper": cont.step_contact_upper,
-                       "downward_jump_lower": cont.downward_jump_lower,
-                       "upward_jump_upper": cont.upward_jump_upper,
-                       "lower_edges_checked": cont.lower_edges_checked,
-                       "upper_edges_checked": cont.upper_edges_checked},
+        # the check blocks are the checks' reports, field for field
+        "minimality": asdict(mini),
+        "dynamics": asdict(dyn),
+        "continuity": asdict(cont),
         "snell": snell,
         "witness": witness,
         "game_oracle": oracle,

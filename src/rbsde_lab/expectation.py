@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lattice import (OptionalProcess, Phase, StoppingTime, TwoPhaseTree, build_tree,
-                      enumerate_stopping_times, gather_slots)
+                      enumerate_stopping_times, gather_slots, nan_max)
 
 __all__ = [
     "Driver",
@@ -620,26 +620,25 @@ def classify_ef(process: OptionalProcess, driver: Driver, *, from_time: Stopping
     if not from_time.leq(to_time):
         raise ValueError("empty window: from_time exceeds to_time")
     if mode == "onestep":
-        sup_v = sub_v = 0.0
+        sup_v, sub_v = [0.0], [0.0]
         for k in range(tree.n_steps):
             stride = tree.leaf_stride(k)
             fk = from_time.keys[::stride]
             tk = to_time.keys[::stride]
             phase_in = (fk <= 2 * k) & (tk >= 2 * k + 1)
-            if phase_in.any():
-                diff = process.after[k] - process.at[k]  # >0 breaks supermartingale
-                sup_v = max(sup_v, float(np.max(diff[phase_in], initial=-np.inf)))
-                sub_v = max(sub_v, float(np.max(-diff[phase_in], initial=-np.inf)))
             step_in = (fk <= 2 * k + 1) & (tk >= 2 * (k + 1))
+            diffs = [(process.after[k] - process.at[k])[phase_in]]  # >0 breaks supermartingale
             if step_in.any():
                 nxt = process.at[k + 1]
                 e = 0.5 * (nxt[0::2] + nxt[1::2])
                 z = (nxt[0::2] - nxt[1::2]) / (2.0 * tree.sqrt_dt)
                 pred = implicit_step(e, z, tree.time(k), driver, tree.dt, tol=tol_root, max_iter=max_iter)
-                diff = pred - process.after[k]
-                sup_v = max(sup_v, float(np.max(diff[step_in], initial=-np.inf)))
-                sub_v = max(sub_v, float(np.max(-diff[step_in], initial=-np.inf)))
-        return ClassifyResult.from_violations(max(sup_v, 0.0), max(sub_v, 0.0), tol, mode)
+                diffs.append((pred - process.after[k])[step_in])
+            for diff in diffs:
+                sup_v.append(float(np.max(diff, initial=-np.inf)))
+                sub_v.append(float(np.max(-diff, initial=-np.inf)))
+        # folded with nan_max, so that a NaN fails the check
+        return ClassifyResult.from_violations(nan_max(sup_v), nan_max(sub_v), tol, mode)
     if mode != "brute":
         raise ValueError(f"unknown mode {mode!r}")
     if tree.n_steps > enum_bound:

@@ -16,8 +16,10 @@ irrelevant to it because an open interval entered for an instant carries no
 dt-mass.
 
 Values are computed per theta-atom: the subgame below a node is a fresh
-game on the remaining depth, so conditional values come from restricting
-barriers and offsetting driver time, never from re-weighting paths.
+game on the remaining depth, so conditional values come from reading the
+subgame's barrier slots and offsetting driver time, never from
+re-weighting paths.  One payoff rule (:func:`_pair_sources`) and one
+subgame engine (:func:`_subgame_values`) serve every check here.
 """
 
 from __future__ import annotations
@@ -63,71 +65,71 @@ __all__ = [
 ]
 
 
-def _payoff_tensor(sub_barriers: Barriers, tau_keys: np.ndarray,
-                   sigma_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Payoff J and the freeze step min(tau, sigma) for every strategy pair.
+def _pair_sources(n: int, tau_keys: np.ndarray, sigma_keys: np.ndarray) -> np.ndarray:
+    """The payoff rule: per leaf, the entry of ``lower slots ‖ upper slots ‖
+    terminal`` (each process's ``2 n + 1`` slots end to end in key order)
+    that a pair of broadcast ``tau_keys`` and ``sigma_keys`` rows of a
+    depth-``n`` game reads.  A key's phase picks the slot; the branch only
+    sees steps, so a same-step tie goes to the maximiser."""
+    sizes = [1 << (q >> 1) for q in range(2 * n + 1)]
+    start, span, leaves = np.cumsum([0] + sizes[:-1]), sum(sizes), np.arange(1 << n)
+    ts, ss = tau_keys >> 1, sigma_keys >> 1
+    return np.where((ts <= ss) & (ts < n), start[tau_keys] + (leaves >> (n - ts)),
+                    np.where(ss < ts, span + start[sigma_keys] + (leaves >> (n - ss)),
+                             2 * span + leaves))
 
-    ``tau_keys`` and ``sigma_keys`` are (S, n_leaves) order keys of the
-    points each strategy reads.  Returns (S_tau, S_sigma, n_leaves) arrays.
-    The phase of a key picks the slot that is read (AT value on the member
-    side, interval value off it); the branch itself only sees steps.
-    """
-    n = sub_barriers.tree.n_steps
-    low_read = sub_barriers.lower.at_keys(tau_keys)
-    up_read = sub_barriers.upper.at_keys(sigma_keys)
-    ts = (tau_keys >> 1)[:, None, :]
-    ss = (sigma_keys >> 1)[None, :, :]
-    j = np.where((ts <= ss) & (ts < n), low_read[:, None, :],
-                 np.where(ss < ts, up_read[None, :, :],
-                          sub_barriers.terminal[None, None, :]))
-    return j, np.minimum(ts, ss)
+
+def _freeze_masks(n: int, src: np.ndarray) -> list[np.ndarray]:
+    """Per-step driver masks of source rows: the driver acts up to the freeze
+    step ``min(tau, sigma)``, which is the step of the entry read."""
+    sizes = [1 << (q >> 1) for q in range(2 * n + 1)]
+    step_of = np.repeat(np.arange(2 * n + 1) >> 1, sizes)
+    freeze = np.concatenate([step_of, step_of, np.full(1 << n, n)])[src]
+    return [freeze[..., ::1 << (n - k)] >= k + 1 for k in range(n)]
 
 
 def _strategy_keys(tree: TwoPhaseTree, phase_resolved: bool) -> np.ndarray:
     """Order keys of every stopping time of ``tree``, one row per strategy."""
     steps, phases = enumerate_stopping_times(tree, phase_resolved=phase_resolved)
-    return 2 * steps + phases
+    return 2 * steps.astype(np.int64) + phases
 
 
-def _root_values(subtree: TwoPhaseTree, driver: Driver, j: np.ndarray, min_steps: np.ndarray,
-                 step_offset: int, tol_root: float, max_iter: int) -> np.ndarray:
-    """Game expectation at the subgame root for every strategy pair."""
-    s_tau, s_sigma, p = j.shape
-    term = j.reshape(s_tau * s_sigma, p)
-    flat = np.broadcast_to(min_steps, j.shape).reshape(s_tau * s_sigma, p)
-    masks = [flat[:, ::subtree.leaf_stride(k)] >= k + 1 for k in range(subtree.n_steps)]
-    vals = ef_backward_batch(subtree, driver, term, masks, step_offset=step_offset,
-                             tol_root=tol_root, max_iter=max_iter)
-    return vals[0][:, 0].reshape(s_tau, s_sigma)
+_STACK_BUDGET = 1 << 18  # elements per backward batch of stacked subgames
+
+
+def _subgame_values(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, step: int,
+                    nodes: range, src: np.ndarray, tol_root: float, max_iter: int) -> np.ndarray:
+    """Root values of the source rows ``src`` in the subgames at the
+    step-``step`` ``nodes``, shape (nodes, rows).  The leaves under a node
+    are contiguous, so a full barrier slot reshaped to one row per node
+    holds every subgame's slot.  One backward batch runs over the stack of
+    nodes x rows, split only past ``_STACK_BUDGET`` elements."""
+    n_nodes, keys = tree.nodes_at(step), range(2 * step, 2 * tree.n_steps + 1)
+    masks = _freeze_masks(tree.n_steps - step, src)
+    per_batch, out = max(1, _STACK_BUDGET // src.size), []
+    for lo in range(nodes.start, nodes.stop, per_batch):
+        part = slice(lo, min(lo + per_batch, nodes.stop))
+        flat = np.concatenate([p.slot(q).reshape(n_nodes, -1)[part]
+                               for p in (barriers.lower, barriers.upper) for q in keys]
+                              + [barriers.terminal.reshape(n_nodes, -1)[part]], axis=1)
+        m = flat.shape[0]
+        vals = ef_backward_batch(tree.subtree(step), driver, flat[:, src].reshape(m * len(src), -1),
+                                 [np.tile(mask, (m, 1)) for mask in masks], step_offset=step,
+                                 tol_root=tol_root, max_iter=max_iter)
+        out.append(vals[0][:, 0].reshape(m, len(src)))
+    return np.concatenate(out)
 
 
 @functools.lru_cache(maxsize=8)
-def _pair_patterns(depth: int,
-                   phase_resolved: bool) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray, int]:
-    """The distinct payoff patterns of every strategy pair of a depth-``depth`` game.
-
-    Per leaf, a pair's payoff reads one entry of the flat vector ``lower
-    slots ‖ upper slots ‖ terminal`` (each process's ``2 depth + 1`` slots
-    laid end to end in key order), chosen by the branch rule of
-    :func:`_payoff_tensor`.  Returns the distinct rows of those source
-    indices, their per-step driver masks, the map from the row-major pairs
-    to the rows, and the strategy count S.  The freeze step ``min(tau,
-    sigma)`` is the step of the entry read, so the row fixes the masks too:
-    two pairs with one row get the same backward row, bit for bit.
-    """
-    n = depth
-    keys = _strategy_keys(build_tree(n, 1.0), phase_resolved).astype(np.int64)
-    sizes = [1 << (q >> 1) for q in range(2 * n + 1)]
-    span = sum(sizes)
-    leaves = np.arange(1 << n)
-    slot_index = np.cumsum([0] + sizes[:-1])[keys] + (leaves >> (n - (keys >> 1)))
-    ts = (keys >> 1)[:, None, :]
-    ss = (keys >> 1)[None, :, :]
-    src = np.where((ts <= ss) & (ts < n), slot_index[:, None, :],
-                   np.where(ss < ts, span + slot_index[None, :, :], 2 * span + leaves))
+def _pair_patterns(depth: int, phase_resolved: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """The distinct rows of :func:`_pair_sources` over every strategy pair
+    of a depth-``depth`` game, the map from the row-major pairs to them, and
+    the strategy count S.  A row fixes its freeze masks too, so two pairs
+    with one row get the same backward row, bit for bit."""
+    keys = _strategy_keys(build_tree(depth, 1.0), phase_resolved)
+    src = _pair_sources(depth, keys[:, None, :], keys[None, :, :]).reshape(-1, 1 << depth)
     # the distinct rows, found by sorting the rows: np.unique(axis=0) finds
     # the same ones, but sorts them as opaque records, ~30x slower at depth 3
-    src = src.reshape(-1, 1 << n)
     order = np.lexsort(src.T)
     ordered = src[order]
     first = np.ones(len(order), dtype=bool)
@@ -135,12 +137,35 @@ def _pair_patterns(depth: int,
     rows = ordered[first]
     inverse = np.empty(len(order), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    step_of = np.repeat(np.arange(2 * n + 1) >> 1, sizes)
-    freeze = np.concatenate([step_of, step_of, np.full(1 << n, n)])[rows]
-    masks = tuple(freeze[:, ::1 << (n - k)] >= k + 1 for k in range(n))
-    for a in (rows, inverse, *masks):
+    for a in (rows, inverse):
         a.setflags(write=False)
-    return rows, masks, inverse, keys.shape[0]
+    return rows, inverse, keys.shape[0]
+
+
+def _subgame_matrices(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, step: int,
+                      nodes: range, mode: str, tol_root: float, max_iter: int) -> np.ndarray:
+    """Every strategy pair's value in the subgames at ``nodes`` of ``step``,
+    shape (nodes, S, S); each distinct payoff pattern is solved once."""
+    src, inverse, n_strat = _pair_patterns(tree.n_steps - step, mode == "extended")
+    vals = _subgame_values(tree, barriers, driver, step, nodes, src, tol_root, max_iter)
+    return vals[:, inverse].reshape(len(nodes), n_strat, n_strat)
+
+
+def _shortfall(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, theta: tuple[int, int],
+               y_theta: float, own: np.ndarray, opp_keys: np.ndarray, maximiser: bool,
+               tol_root: float, max_iter: int) -> float:
+    """How far a player committed to the keys ``own`` falls short of
+    ``y_theta`` against its worst opponent among ``opp_keys``, clipped at 0."""
+    pair = (own[None], opp_keys) if maximiser else (opp_keys, own[None])
+    vals = _subgame_values(tree, barriers, driver, theta[0], range(theta[1], theta[1] + 1),
+                           _pair_sources(tree.n_steps - theta[0], *pair), tol_root, max_iter)
+    return max(0.0, y_theta - float(vals.min())) if maximiser else max(0.0, float(vals.max()) - y_theta)
+
+
+def _check_theta(tree: TwoPhaseTree, step: int, node: int) -> None:
+    if not (0 <= step < tree.n_steps and 0 <= node < 1 << step):
+        raise ValueError(f"theta (step {step}, node {node}) is not a node of steps "
+                         f"0..{tree.n_steps - 1} (nodes 0..2**step - 1)")
 
 
 def _guard_depth(depth: int, enum_bound: int) -> None:
@@ -166,6 +191,12 @@ class GameValues:
     def gap(self) -> float:
         return self.upper - self.lower
 
+    @classmethod
+    def of(cls, matrix: np.ndarray) -> "GameValues":
+        """The values of one subgame's (S, S) pair matrix."""
+        return cls(upper=float(matrix.max(axis=0).min()), lower=float(matrix.min(axis=1).max()),
+                   n_tau=matrix.shape[0], n_sigma=matrix.shape[1], matrix=matrix)
+
 
 def brute_force_values(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
                        mode: str = "extended", theta_step: int = 0, theta_node: int = 0,
@@ -180,20 +211,11 @@ def brute_force_values(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *
     """
     if mode not in ("extended", "plain"):
         raise ValueError(f"unknown game mode {mode!r}")
+    _check_theta(tree, theta_step, theta_node)
     _guard_depth(tree.n_steps - theta_step, enum_bound)
-    subtree = tree.subtree(theta_step)
-    sub_b = barriers.restrict(theta_step, theta_node)
-    src, masks, inverse, n_strat = _pair_patterns(subtree.n_steps, mode == "extended")
-    slots = range(2 * subtree.n_steps + 1)
-    flat = np.concatenate([sub_b.lower.slot(q) for q in slots] + [sub_b.upper.slot(q) for q in slots]
-                          + [sub_b.terminal])
-    # one backward row per distinct payoff pattern, read back for every pair
-    vals = ef_backward_batch(subtree, driver, flat[src], masks, step_offset=theta_step,
-                             tol_root=tol_root, max_iter=max_iter)
-    matrix = vals[0][:, 0][inverse].reshape(n_strat, n_strat)
-    return GameValues(upper=float(matrix.max(axis=0).min()),
-                      lower=float(matrix.min(axis=1).max()),
-                      n_tau=n_strat, n_sigma=n_strat, matrix=matrix)
+    return GameValues.of(_subgame_matrices(tree, barriers, driver, theta_step,
+                                           range(theta_node, theta_node + 1), mode,
+                                           tol_root, max_iter)[0])
 
 
 @dataclass
@@ -261,18 +283,20 @@ def game_equals_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
     plain_internal = 0.0 if include_plain else None
     plain_to_y = 0.0 if include_plain else None
     for k in range(max(0, tree.n_steps - enum_bound), tree.n_steps):
-        for node in range(tree.nodes_at(k)):
+        _guard_depth(tree.n_steps - k, enum_bound)
+        # every node of the step in one stack per mode
+        nodes = range(tree.nodes_at(k))
+        ext_all = _subgame_matrices(tree, barriers, driver, k, nodes, "extended", tol_root, max_iter)
+        plain_all = (_subgame_matrices(tree, barriers, driver, k, nodes, "plain", tol_root, max_iter)
+                     if include_plain else None)
+        for node in nodes:
             y = float(sol.y.at[k][node])
-            ext = brute_force_values(tree, barriers, driver, mode="extended", theta_step=k,
-                                     theta_node=node, enum_bound=enum_bound,
-                                     tol_root=tol_root, max_iter=max_iter)
+            ext = GameValues.of(ext_all[node])
             ext_gap = max(ext_gap, abs(ext.upper - y), abs(ext.lower - y))
             row = ThetaCheck(step=k, node=node, y=y,
                              extended_upper=ext.upper, extended_lower=ext.lower)
             if include_plain:
-                plain = brute_force_values(tree, barriers, driver, mode="plain", theta_step=k,
-                                           theta_node=node, enum_bound=enum_bound,
-                                           tol_root=tol_root, max_iter=max_iter)
+                plain = GameValues.of(plain_all[node])
                 row.plain_upper, row.plain_lower = plain.upper, plain.lower
                 plain_internal = max(plain_internal, plain.gap)  # type: ignore[arg-type]
                 plain_to_y = max(plain_to_y, abs(plain.upper - y), abs(plain.lower - y))  # type: ignore[arg-type]
@@ -344,6 +368,7 @@ def epsilon_saddle(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, epsil
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
+    _check_theta(tree, theta_step, theta_node)
     subtree = tree.subtree(theta_step)
     sub_b = barriers.restrict(theta_step, theta_node)
     sol = solve_rbsde(subtree, sub_b, driver, step_offset=theta_step,
@@ -358,26 +383,23 @@ def epsilon_saddle(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, epsil
     assert tau_hit.hit.all() and sigma_hit.hit.all()
     y_theta = float(sol.y.at[0][0])
 
-    t_keys, s_keys = tau_hit.stop.keys[None, :], sigma_hit.stop.keys[None, :]
+    t_keys, s_keys = tau_hit.stop.keys, sigma_hit.stop.keys
     hit_gap_lower = max(0.0, float(np.max(sol.y.at_keys(t_keys) - lxi.at_keys(t_keys) - epsilon)))
     hit_gap_upper = max(0.0, float(np.max(uxi.at_keys(s_keys) - epsilon - sol.y.at_keys(s_keys))))
     mass_lower = float(np.max(_stopped_mass(sol.r_plus, tau_hit.stop)))
     mass_upper = float(np.max(_stopped_mass(sol.r_minus, sigma_hit.stop)))
 
-    j, ms = _payoff_tensor(sub_b, t_keys, s_keys)
-    pair_value = float(_root_values(subtree, driver, j, ms, theta_step, tol_root, max_iter)[0, 0])
-
+    theta = (theta_step, theta_node)
+    pair_value = float(_subgame_values(tree, barriers, driver, theta_step, range(theta_node, theta_node + 1),
+                                       _pair_sources(subtree.n_steps, t_keys[None], s_keys[None]),
+                                       tol_root, max_iter)[0, 0])
     residual_up = residual_down = float("nan")
     opponents_checked = False
     if check_opponents:
         _guard_depth(subtree.n_steps, enum_bound)
         keys = _strategy_keys(subtree, True)
-        j_up, ms_up = _payoff_tensor(sub_b, t_keys, keys)
-        worst_sigma = _root_values(subtree, driver, j_up, ms_up, theta_step, tol_root, max_iter).min()
-        residual_up = max(0.0, y_theta - float(worst_sigma))
-        j_dn, ms_dn = _payoff_tensor(sub_b, keys, s_keys)
-        worst_tau = _root_values(subtree, driver, j_dn, ms_dn, theta_step, tol_root, max_iter).max()
-        residual_down = max(0.0, float(worst_tau) - y_theta)
+        residual_up = _shortfall(tree, barriers, driver, theta, y_theta, t_keys, keys, True, tol_root, max_iter)
+        residual_down = _shortfall(tree, barriers, driver, theta, y_theta, s_keys, keys, False, tol_root, max_iter)
         opponents_checked = True
 
     return EpsilonSaddle(epsilon=epsilon, y_theta=y_theta,
@@ -454,6 +476,7 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
                   tol_root: float = 1e-12, max_iter: int = 200) -> SaddleReport:
     """First-contact and first-action stops of the reflected solution,
     verified against every opposing strategy when the depth permits."""
+    _check_theta(tree, theta_step, theta_node)
     subtree = tree.subtree(theta_step)
     sub_b = barriers.restrict(theta_step, theta_node)
     sol = solve_rbsde(subtree, sub_b, driver, step_offset=theta_step,
@@ -487,36 +510,28 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
     bar_contact_lower = contact_gap(tau_bar_hit, sub_b.lower, False)
     bar_contact_upper = contact_gap(sigma_bar_hit, sub_b.upper, False)
 
-    star_ext = [float("nan"), float("nan")]
-    bar_ext = [float("nan"), float("nan")]
-    star_plain: list[float | None] = [None, None]
-    bar_plain: list[float | None] = [None, None]
+    # residuals of the committed star up, star down, bar up and bar down players
+    ext = [float("nan")] * 4
+    plain: list[float | None] = [None] * 4
     lower_flags = semicontinuity(sub_b.lower)
     upper_flags = semicontinuity(sub_b.upper)
     warnings: list[str] = []
     if check_opponents:
         _guard_depth(subtree.n_steps, enum_bound)
-        x_keys = _strategy_keys(subtree, True)
-        p_keys = _strategy_keys(subtree, False)
+        committed = ((tau_star_hit, True), (sigma_star_hit, False), (tau_bar_hit, True), (sigma_bar_hit, False))
 
-        def against_all(hit: HittingResult, maximiser: bool, opp_keys: np.ndarray, project: bool) -> float:
-            """Worst-case shortfall of one committed player over all opponents."""
-            own = 2 * hit.stop.steps[None, :] if project else hit.stop.keys[None, :]
-            j, ms = _payoff_tensor(sub_b, own, opp_keys) if maximiser else _payoff_tensor(sub_b, opp_keys, own)
-            vals = _root_values(subtree, driver, j, ms, theta_step, tol_root, max_iter)
-            return max(0.0, y_theta - float(vals.min())) if maximiser else max(0.0, float(vals.max()) - y_theta)
+        def against_all(project: bool) -> list[float]:
+            """Each committed player's shortfall over all opponents; ``project``
+            plays the plain game, with the stops moved to their grid times."""
+            opp_keys = _strategy_keys(subtree, not project)
+            return [_shortfall(tree, barriers, driver, (theta_step, theta_node), y_theta,
+                               2 * hit.stop.steps if project else hit.stop.keys, opp_keys, maximiser,
+                               tol_root, max_iter) for hit, maximiser in committed]
 
-        star_ext = [against_all(tau_star_hit, True, x_keys, False),
-                    against_all(sigma_star_hit, False, x_keys, False)]
-        bar_ext = [against_all(tau_bar_hit, True, x_keys, False),
-                   against_all(sigma_bar_hit, False, x_keys, False)]
-        two_sided = (lower_flags.right_usc and lower_flags.left_usc
-                     and upper_flags.right_lsc and upper_flags.left_lsc)
-        if two_sided:
-            star_plain = [against_all(tau_star_hit, True, p_keys, True),
-                          against_all(sigma_star_hit, False, p_keys, True)]
-            bar_plain = [against_all(tau_bar_hit, True, p_keys, True),
-                         against_all(sigma_bar_hit, False, p_keys, True)]
+        ext = against_all(False)
+        if (lower_flags.right_usc and lower_flags.left_usc
+                and upper_flags.right_lsc and upper_flags.left_lsc):
+            plain = against_all(True)
         else:
             warnings.append("plain saddle residuals skipped: grid-time stops are only "
                             "optimal when the lower barrier is USC and the upper "
@@ -535,11 +550,11 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
                         order_tau_ok=order_tau, order_sigma_ok=order_sigma,
                         star_contact_lower=star_contact_lower, star_contact_upper=star_contact_upper,
                         bar_contact_lower=bar_contact_lower, bar_contact_upper=bar_contact_upper,
-                        star_extended_up=star_ext[0], star_extended_down=star_ext[1],
-                        bar_extended_up=bar_ext[0], bar_extended_down=bar_ext[1],
+                        star_extended_up=ext[0], star_extended_down=ext[1],
+                        bar_extended_up=ext[2], bar_extended_down=ext[3],
                         lower_flags=lower_flags, upper_flags=upper_flags,
-                        star_plain_up=star_plain[0], star_plain_down=star_plain[1],
-                        bar_plain_up=bar_plain[0], bar_plain_down=bar_plain[1],
+                        star_plain_up=plain[0], star_plain_down=plain[1],
+                        bar_plain_up=plain[2], bar_plain_down=plain[3],
                         epsilon_saddles=eps_reports, warnings=warnings)
 
 

@@ -379,9 +379,6 @@ class StoppingTime:
     def leq(self, other: "StoppingTime") -> bool:
         return bool(np.all(self.keys <= other.keys))
 
-    def always_at_phase(self) -> bool:
-        return not np.any(self.keys & 1)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StoppingTime):
             return NotImplemented

@@ -385,38 +385,27 @@ class ContinuityAnalogueReport:
 def continuity_analogue(solution: RBSDESolution, barriers: Barriers,
                         tol: float = 1e-12) -> ContinuityAnalogueReport:
     """Check the no-jump consequences of minimality at growth transitions."""
-    tree = solution.y.tree
     y, low, up = solution.y, barriers.lower, barriers.upper
-    contact_l = contact_u = 0.0
-    down_l = up_u = 0.0
+    # per step, the worst of each measure, floored at 0; folded with nan_max
+    # so that a NaN fails the check
+    worst: list[list[float]] = [[0.0], [0.0], [0.0], [0.0]]
     n_l = n_u = 0
-    for k in range(tree.n_steps):
+    for k in range(y.tree.n_steps):
         grow_p = solution.r_plus.step[k] > 0.0
         grow_m = solution.r_minus.step[k] > 0.0
-        if grow_p.any():
-            contact_l = max(contact_l, float(np.max(np.abs(y.after[k] - low.after[k])[grow_p])))
-        if grow_m.any():
-            contact_u = max(contact_u, float(np.max(np.abs(up.after[k] - y.after[k])[grow_m])))
-        # edge-wise left-semicontinuity: parent interval value vs child value
-        l_parent = np.repeat(low.after[k], 2)
-        u_parent = np.repeat(up.after[k], 2)
-        l_usc_edge = l_parent <= low.at[k + 1]
-        u_lsc_edge = u_parent >= up.at[k + 1]
-        gp = np.repeat(grow_p, 2) & l_usc_edge
-        gm = np.repeat(grow_m, 2) & u_lsc_edge
-        if gp.any():
-            n_l += int(gp.sum())
-            drop = np.repeat(y.after[k], 2) - y.at[k + 1]
-            down_l = max(down_l, float(np.max(drop[gp])))
-        if gm.any():
-            n_u += int(gm.sum())
-            rise = y.at[k + 1] - np.repeat(y.after[k], 2)
-            up_u = max(up_u, float(np.max(rise[gm])))
-    passed = max(contact_l, contact_u, down_l, up_u) <= tol
-    return ContinuityAnalogueReport(passed=passed, step_contact_lower=contact_l,
-                                    step_contact_upper=contact_u,
-                                    downward_jump_lower=max(down_l, 0.0),
-                                    upward_jump_upper=max(up_u, 0.0),
+        # growth edges across which the barrier is left-semicontinuous
+        gp = np.repeat(grow_p, 2) & (np.repeat(low.after[k], 2) <= low.at[k + 1])
+        gm = np.repeat(grow_m, 2) & (np.repeat(up.after[k], 2) >= up.at[k + 1])
+        n_l += int(gp.sum())
+        n_u += int(gm.sum())
+        jump = y.at[k + 1] - np.repeat(y.after[k], 2)
+        gaps = (np.abs(y.after[k] - low.after[k]), np.abs(up.after[k] - y.after[k]), -jump, jump)
+        for out, gap, where in zip(worst, gaps, (grow_p, grow_m, gp, gm)):
+            out.append(float(np.max(gap[where], initial=0.0)))
+    contact_l, contact_u, down_l, up_u = (nan_max(w) for w in worst)
+    return ContinuityAnalogueReport(passed=nan_max([contact_l, contact_u, down_l, up_u]) <= tol,
+                                    step_contact_lower=contact_l, step_contact_upper=contact_u,
+                                    downward_jump_lower=down_l, upward_jump_upper=up_u,
                                     lower_edges_checked=n_l, upper_edges_checked=n_u)
 
 

@@ -15,6 +15,7 @@ comparison fails beyond 1/sqrt(dt)) and positive monotonicity stays below
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -133,20 +134,29 @@ _DRIVER_SCHEMAS: dict[str, dict[str, Any]] = {
 }
 
 
-class _SeededUniform:
-    """Fixed-seed ``uniform(low, high, size)`` draws from the standard library.
+@functools.lru_cache(maxsize=1)
+def _spot_check_draws() -> np.ndarray:
+    """The first 1,280 numbers of ``random.Random(0)``, drawn once per
+    process: what one driver spot-check consumes.  They come from the
+    standard library because numpy imports ``numpy.random`` lazily, and
+    importing it for them would add about 6 MB of resident memory and 15 ms
+    to each CLI process."""
+    rng = random.Random(0)
+    draws = np.array([rng.random() for _ in range(1280)])
+    draws.setflags(write=False)
+    return draws
 
-    Every load spot-checks the driver on 1,280 such numbers; numpy imports
-    ``numpy.random`` lazily, and importing it for them would add about 6 MB
-    of resident memory and 15 ms to each CLI process.
-    """
 
-    def __init__(self, seed: int) -> None:
-        self._rng = random.Random(seed)
+class _SpotCheckDraws:
+    """``uniform(low, high, size)`` over :func:`_spot_check_draws`, in order:
+    every load spot-checks its driver on the same numbers."""
+
+    def __init__(self) -> None:
+        self._left = _spot_check_draws()
 
     def uniform(self, low: float, high: float, size: int | tuple[int, ...]) -> np.ndarray:
-        out = np.empty(size)
-        out.flat = [self._rng.random() for _ in range(out.size)]
+        out = self._left[:size if isinstance(size, int) else math.prod(size)].reshape(size)
+        self._left = self._left[out.size:]
         return low + (high - low) * out
 
 
@@ -334,8 +344,8 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     driver = _build_driver(data["driver"], "/driver")
     try:
         # the implicit-step guard and the root solvers rely on the declared
-        # constants; a fixed seed keeps loading deterministic
-        driver.spot_check(_SeededUniform(0))
+        # constants; fixed draws keep loading deterministic
+        driver.spot_check(_SpotCheckDraws())
     except ValueError as exc:
         raise ScenarioError(f"/driver: {exc}") from None
     tolerances = dict(DEFAULT_TOLERANCES)

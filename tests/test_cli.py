@@ -117,6 +117,38 @@ def test_game_matches_solver_value(tmp_path, capsys):
     assert rep["theta"] == {"step": 1, "node": 1}
 
 
+@pytest.mark.parametrize("command", ["game", "saddle"])
+@pytest.mark.parametrize("step, node, message", [
+    ("1", "5", "--theta-node 5 is outside [0, 1] at --theta-step 1"),
+    ("1", "-1", "--theta-node -1 is outside [0, 1] at --theta-step 1"),
+    ("2", "0", "--theta-step 2 is outside [0, 1]"),
+    ("-1", "0", "--theta-step -1 is outside [0, 1]"),
+])
+def test_a_theta_outside_the_scenario_exits_2(tmp_path, capsys, command, step, node, message):
+    path = _write(tmp_path, random_scenario(12, n_steps=2).data)
+    rc = main([command, path, "--theta-step", step, "--theta-node", node])
+    rep = _json_out(capsys)
+    assert rc == 2 and not rep["passed"] and rep["error"] == message
+
+
+def test_verify_solves_a_shallow_scenario_once(tmp_path, capsys, monkeypatch):
+    from rbsde_lab import cli, games
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n_steps)
+        return solve_rbsde(*args, **kwargs)
+
+    for module in (cli, games):
+        monkeypatch.setattr(module, "solve_rbsde", counted)
+    for depth in (2, 5):  # with and without the game oracle
+        calls.clear()
+        assert main(["verify", _write(tmp_path, random_scenario(3, n_steps=depth).data)]) == 0
+        assert calls == [depth]
+        capsys.readouterr()
+
+
 def test_csv_format_requires_out_dir(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", _write(tmp_path, TRIVIAL), "--format", "csv"])

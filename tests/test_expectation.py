@@ -366,3 +366,14 @@ def test_stability_gap_shrinks_with_perturbation():
         gaps.append(base.sup_abs_diff(pert))
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < gaps[0]
+
+
+def test_onestep_classification_fails_on_a_nan():
+    # a NaN in the process was dropped by the fold of the per-step maxima
+    tree = build_tree(2, 0.5)
+    proc = OptionalProcess.from_constant(tree, 1.0)
+    assert classify_ef(proc, constant_driver(0.0)).verdict == "martingale"
+    proc.after[1][0] = np.nan
+    res = classify_ef(proc, constant_driver(0.0), mode="onestep")
+    assert res.verdict == "neither" and not res.is_supermartingale and not res.is_submartingale
+    assert np.isnan(res.max_super_violation) and np.isnan(res.max_sub_violation)

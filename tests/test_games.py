@@ -31,6 +31,7 @@ from rbsde_lab import (
 )
 from rbsde_lab import expectation, games
 from rbsde_lab.expectation import check_enumeration_budget
+from test_oracles import reference_payoff_tensor
 
 
 def _proc(tree, at, after):
@@ -48,8 +49,14 @@ def _one_step_game():
 
 
 def _payoff(barriers, tau, sigma):
-    """Per-leaf payoff of one strategy pair, read off the payoff tensor."""
-    return games._payoff_tensor(barriers, tau.keys[None], sigma.keys[None])[0][0, 0]
+    """Per-leaf payoff of one strategy pair by the package's payoff rule,
+    which must agree with the reference payoff tensor."""
+    slots = range(2 * barriers.tree.n_steps + 1)
+    flat = np.concatenate([barriers.lower.slot(q) for q in slots] + [barriers.upper.slot(q) for q in slots]
+                          + [barriers.terminal])
+    j = flat[games._pair_sources(barriers.tree.n_steps, tau.keys, sigma.keys)]
+    assert np.array_equal(j, reference_payoff_tensor(barriers, tau.keys[None], sigma.keys[None])[0][0, 0])
+    return j
 
 
 # -- payoff branches ----------------------------------------------------------
@@ -182,6 +189,61 @@ def test_every_brute_force_path_checks_the_budget_before_enumerating(monkeypatch
     for call in calls:
         with pytest.raises(EnumerationBudgetError, match="depth-4 subgame"):
             call()
+
+
+@pytest.mark.parametrize("step, node", [(1, 2), (1, 5), (1, -1), (2, 0), (-1, 0), (0, 1)])
+def test_a_theta_outside_the_tree_is_refused(step, node):
+    # numpy would read node -1 as the last node of the step
+    sc = random_scenario(4, n_steps=2, driver_kind="linear")
+    calls = [
+        lambda: brute_force_values(sc.tree, sc.barriers, sc.driver, theta_step=step, theta_node=node),
+        lambda: saddle_points(sc.tree, sc.barriers, sc.driver, theta_step=step, theta_node=node),
+        lambda: epsilon_saddle(sc.tree, sc.barriers, sc.driver, 0.1, theta_step=step, theta_node=node),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^theta \(step {step}, node {node}\) is not a node"):
+            call()
+
+
+@pytest.mark.parametrize("include_plain", [False, True])
+def test_the_oracle_runs_one_batch_per_step_and_mode_on_the_full_barriers(monkeypatch, include_plain):
+    sc = random_scenario(8, n_steps=4, driver_kind="cubic")
+    batches = []
+
+    def counted(tree, driver, rows, *args, **kwargs):
+        batches.append((tree.n_steps, rows.shape[0]))
+        return expectation.ef_backward_batch(tree, driver, rows, *args, **kwargs)
+
+    def restricted(*args):
+        raise AssertionError("a subgame was restricted")
+
+    monkeypatch.setattr(games, "ef_backward_batch", counted)
+    monkeypatch.setattr(Barriers, "restrict", restricted)
+    chk = game_equals_rbsde(sc.tree, sc.barriers, sc.driver, include_plain=include_plain)
+    assert len(chk.checks) == 2 + 4 + 8
+    # steps 1, 2, 3: every node's distinct payoff rows in one stack per mode
+    ext = [(3, 2 * 845), (2, 4 * 29), (1, 8 * 5)]
+    plain = [(3, 2 * 123), (2, 4 * 11), (1, 8 * 3)]
+    assert batches == ([b for pair in zip(ext, plain) for b in pair] if include_plain else ext)
+    brute_force_values(sc.tree, sc.barriers, sc.driver, theta_step=2, theta_node=3)
+    assert batches[-1] == (2, 29)
+
+
+def test_a_stack_past_the_budget_splits_into_batches_of_whole_nodes(monkeypatch):
+    sc = random_scenario(9, n_steps=4, driver_kind="truncated")
+    whole = game_equals_rbsde(sc.tree, sc.barriers, sc.driver, include_plain=True)
+    rows = []
+
+    def counted(tree, driver, terminal_rows, *args, **kwargs):
+        rows.append(terminal_rows.shape[0])
+        return expectation.ef_backward_batch(tree, driver, terminal_rows, *args, **kwargs)
+
+    monkeypatch.setattr(games, "ef_backward_batch", counted)
+    monkeypatch.setattr(games, "_STACK_BUDGET", 3 * 29 * 4)  # three depth-2 extended subgames
+    split = game_equals_rbsde(sc.tree, sc.barriers, sc.driver, include_plain=True)
+    assert split.checks == whole.checks
+    # step 1: one node per batch; step 2: 3 + 1 nodes; step 3: 8 nodes at once
+    assert rows == [845, 845, 123, 123, 3 * 29, 29, 4 * 11, 8 * 5, 8 * 3]
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,7 +10,12 @@ builder must raise the same errors.  So do the per-key gathers that
 classification gives equal results.  The two brute-force oracles now run
 one backward row per distinct input row; the per-pair paths they replaced
 (one row per strategy pair, one row per ordered pair) are kept as
-references, and the matrices and classifications must match bit for bit.  The report emitters that now render
+references, and the matrices and classifications must match bit for bit.
+Every game check now reads its payoff from one rule of source indices and
+solves it in one subgame engine that stacks a step's nodes; the payoff
+tensor over restricted barriers and its one-row-per-pair root values are
+kept as references for the game oracle, the saddle residuals and the
+epsilon pairs.  The report emitters that now render
 a row of floats, or a block of the solution table, in one call and escape a
 string in one pass are checked byte for byte against the per-element
 emitters and ``csv.writer``.  The
@@ -39,6 +44,7 @@ from hypothesis import strategies as st
 from rbsde_lab import (
     Barriers,
     ClassifyResult,
+    Driver,
     OptionalProcess,
     Phase,
     RootSolveError,
@@ -69,7 +75,15 @@ from rbsde_lab import reflect
 from rbsde_lab import report as report_module
 from rbsde_lab.cli import _HANDLERS, build_parser
 from rbsde_lab.expectation import _row_max, _window_pairs, ef_backward_batch
-from rbsde_lab.games import _pair_patterns, _payoff_tensor, _root_values, _strategy_keys, brute_force_values
+from rbsde_lab.games import (
+    _freeze_masks,
+    _pair_patterns,
+    _strategy_keys,
+    brute_force_values,
+    epsilon_saddle,
+    game_equals_rbsde,
+    saddle_points,
+)
 from rbsde_lab.lattice import is_adapted
 from rbsde_lab.report import (
     SOLUTION_ROW_HEADER,
@@ -475,16 +489,50 @@ def test_brute_classification_matches_the_per_pair_batch(seed, depth, kind, solv
             assert got == ("raised", ValueError, "empty window: from_time exceeds to_time")
 
 
-# -- brute-force game values: one backward row per payoff pattern -------------
+# -- brute-force game values: one payoff rule, one subgame engine -------------
+
+def reference_payoff_tensor(sub_barriers, tau_keys, sigma_keys):
+    """Payoff J and the freeze step min(tau, sigma) for every strategy pair,
+    as values: the payoff rule before it became source indices.
+
+    ``tau_keys`` and ``sigma_keys`` are (S, n_leaves) order keys of the
+    points each strategy reads.  Returns (S_tau, S_sigma, n_leaves) arrays.
+    """
+    n = sub_barriers.tree.n_steps
+    low_read = sub_barriers.lower.at_keys(tau_keys)
+    up_read = sub_barriers.upper.at_keys(sigma_keys)
+    ts = (tau_keys >> 1)[:, None, :]
+    ss = (sigma_keys >> 1)[None, :, :]
+    j = np.where((ts <= ss) & (ts < n), low_read[:, None, :],
+                 np.where(ss < ts, up_read[None, :, :],
+                          sub_barriers.terminal[None, None, :]))
+    return j, np.minimum(ts, ss)
+
+
+def reference_root_values(subtree, driver, j, min_steps, step_offset, tol_root, max_iter):
+    """Game expectation at the subgame root for every strategy pair: one
+    backward row per pair of the tensor."""
+    s_tau, s_sigma, p = j.shape
+    term = j.reshape(s_tau * s_sigma, p)
+    flat = np.broadcast_to(min_steps, j.shape).reshape(s_tau * s_sigma, p)
+    masks = [flat[:, ::subtree.leaf_stride(k)] >= k + 1 for k in range(subtree.n_steps)]
+    vals = ef_backward_batch(subtree, driver, term, masks, step_offset=step_offset,
+                             tol_root=tol_root, max_iter=max_iter)
+    return vals[0][:, 0].reshape(s_tau, s_sigma)
+
+
+def reference_pair_values(tree, barriers, driver, theta_step, theta_node, tau_keys, sigma_keys):
+    """Root values of every (tau, sigma) pair in the restricted subgame."""
+    subtree = tree.subtree(theta_step)
+    j, ms = reference_payoff_tensor(barriers.restrict(theta_step, theta_node), tau_keys, sigma_keys)
+    return reference_root_values(subtree, driver, j, ms, theta_step, 1e-12, 200)
+
 
 def reference_brute_force_values(tree, barriers, driver, mode, theta_step, theta_node):
     """The per-pair path: the payoff tensor over all S**2 strategy pairs and
     one backward row per pair.  Returns (matrix, upper, lower)."""
-    subtree = tree.subtree(theta_step)
-    sub_b = barriers.restrict(theta_step, theta_node)
-    keys = _strategy_keys(subtree, mode == "extended")
-    j, ms = _payoff_tensor(sub_b, keys, keys)
-    matrix = _root_values(subtree, driver, j, ms, theta_step, 1e-12, 200)
+    keys = _strategy_keys(tree.subtree(theta_step), mode == "extended")
+    matrix = reference_pair_values(tree, barriers, driver, theta_step, theta_node, keys, keys)
     return matrix, float(matrix.max(axis=0).min()), float(matrix.min(axis=1).max())
 
 
@@ -521,12 +569,13 @@ def test_brute_force_values_match_the_per_pair_path(seed, depth, theta_step, mod
 @pytest.mark.parametrize("phase_resolved, counts", [(True, (5, 29, 845)), (False, (3, 11, 123))])
 def test_pair_patterns_read_the_payoff_and_fix_the_freeze_step(phase_resolved, counts):
     for depth, count in zip((1, 2, 3), counts):
-        src, masks, inverse, n_strat = _pair_patterns(depth, phase_resolved)
+        src, inverse, n_strat = _pair_patterns(depth, phase_resolved)
         keys = _strategy_keys(build_tree(depth, 1.0), phase_resolved)
         assert src.shape == (count, 1 << depth)
         assert n_strat == keys.shape[0] and inverse.shape == (n_strat ** 2,)
         # each row's freeze step, rebuilt from its masks, is min(tau, sigma)
         # of every pair mapped to it
+        masks = _freeze_masks(depth, src)
         freeze = sum(np.repeat(m, 1 << (depth - k), axis=1) for k, m in enumerate(masks))
         steps = keys >> 1
         pair_min = np.minimum(steps[:, None, :], steps[None, :, :]).reshape(n_strat ** 2, -1)
@@ -536,9 +585,95 @@ def test_pair_patterns_read_the_payoff_and_fix_the_freeze_step(phase_resolved, c
         slots = range(2 * depth + 1)
         flat = np.concatenate([barriers.lower.slot(q) for q in slots] + [barriers.upper.slot(q) for q in slots]
                               + [barriers.terminal])
-        j, ms = _payoff_tensor(barriers, keys, keys)
+        j, ms = reference_payoff_tensor(barriers, keys, keys)
         assert _same_bits(flat[src][inverse], j.reshape(n_strat ** 2, -1))
         assert np.array_equal(ms.reshape(n_strat ** 2, -1), pair_min)
+
+
+def reference_game_check(tree, barriers, driver, include_plain, enum_bound):
+    """The rows of ``game_equals_rbsde`` from a per-node loop over the
+    per-pair path: (step, node, y, upper, lower[, plain upper, plain lower])."""
+    y = solve_rbsde(tree, barriers, driver).y
+    rows = []
+    for k in range(max(0, tree.n_steps - enum_bound), tree.n_steps):
+        for node in range(tree.nodes_at(k)):
+            row = [k, node, y.at[k][node]]
+            for mode in ("extended", "plain") if include_plain else ("extended",):
+                row += reference_brute_force_values(tree, barriers, driver, mode, k, node)[1:]
+            rows.append(row)
+    return rows
+
+
+# a driver that reads the time, so that a subgame solved at the wrong
+# time offset shows; it declares no structure, so its steps bisect
+_TIMED = Driver(fn=lambda t, y, z: t - 0.5 * y + 0.25 * z, lambda_z=0.25, mu=-0.5, tag="timed")
+_GAME_DRIVERS = _DRIVER_KINDS[1:] + ["timed"]
+
+
+def _game_draw(seed, depth, theta_step, kind, touching, regular=False):
+    """A scenario of depth ``depth + theta_step``, its barriers (pulled
+    together at random points when ``touching``), its driver and a
+    step-``theta_step`` node."""
+    rng = np.random.default_rng(seed)
+    flags = dict.fromkeys(("lower_right_usc", "lower_left_usc", "upper_right_lsc", "upper_left_lsc"),
+                          True if regular else None)
+    scn = random_scenario(seed, n_steps=depth + theta_step, driver_kind="linear" if kind == "timed" else kind,
+                          touching=touching, **flags)
+    barriers = _touching(scn.barriers, rng, 0.3) if touching else scn.barriers
+    driver = _TIMED if kind == "timed" else scn.driver
+    return scn, barriers, driver, int(rng.integers(scn.tree.nodes_at(theta_step)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 2),
+       st.sampled_from(_GAME_DRIVERS), st.booleans(), st.booleans())
+def test_game_check_matches_the_per_node_loop(seed, depth, theta_step, kind, touching, include_plain):
+    """Each step's subgames run as one stack; their values match the
+    per-node, per-pair path bit for bit."""
+    scn, barriers, driver, _ = _game_draw(seed, depth, theta_step, kind, touching)
+    chk = game_equals_rbsde(scn.tree, barriers, driver, include_plain=include_plain, enum_bound=depth)
+    got = [[c.step, c.node, c.y, c.extended_upper, c.extended_lower]
+           + ([c.plain_upper, c.plain_lower] if include_plain else []) for c in chk.checks]
+    want = reference_game_check(scn.tree, barriers, driver, include_plain, depth)
+    assert _same_bits(np.array(got, dtype=float), np.array(want, dtype=float))
+
+
+def reference_shortfall(tree, barriers, driver, theta, y_theta, own, maximiser, phase_resolved):
+    """Worst-case shortfall of one committed player over every opponent,
+    by the per-pair path."""
+    opp = _strategy_keys(tree.subtree(theta[0]), phase_resolved)
+    pair = (own[None], opp) if maximiser else (opp, own[None])
+    vals = reference_pair_values(tree, barriers, driver, *theta, *pair)
+    return max(0.0, y_theta - float(vals.min())) if maximiser else max(0.0, float(vals.max()) - y_theta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 2),
+       st.sampled_from(_GAME_DRIVERS), st.booleans(), st.booleans())
+def test_saddle_residuals_match_the_per_pair_path(seed, depth, theta_step, kind, touching, regular):
+    scn, barriers, driver, node = _game_draw(seed, depth, theta_step, kind, touching, regular)
+    tree, theta = scn.tree, (theta_step, node)
+    rep = saddle_points(tree, barriers, driver, theta_step=theta_step, theta_node=node, epsilons=(0.1, 0.05))
+    y = rep.y_theta
+    stops = [rep.tau_star.keys, rep.sigma_star.keys, rep.tau_bar.keys, rep.sigma_bar.keys]
+    got = [rep.star_extended_up, rep.star_extended_down, rep.bar_extended_up, rep.bar_extended_down]
+    want = [reference_shortfall(tree, barriers, driver, theta, y, own, i % 2 == 0, True)
+            for i, own in enumerate(stops)]
+    if rep.star_plain_up is not None:
+        got += [rep.star_plain_up, rep.star_plain_down, rep.bar_plain_up, rep.bar_plain_down]
+        want += [reference_shortfall(tree, barriers, driver, theta, y, 2 * (own >> 1), i % 2 == 0, False)
+                 for i, own in enumerate(stops)]
+    # the epsilon pairs: the pair's own value has no depth cap, the
+    # residuals sweep every opponent
+    for es in rep.epsilon_saddles:
+        tau, sigma = es.tau.keys, es.sigma.keys
+        got += [es.pair_value, es.residual_up, es.residual_down]
+        want += [float(reference_pair_values(tree, barriers, driver, *theta, tau[None], sigma[None])[0, 0]),
+                 reference_shortfall(tree, barriers, driver, theta, y, tau, True, True),
+                 reference_shortfall(tree, barriers, driver, theta, y, sigma, False, True)]
+    assert _same_bits(np.array(got), np.array(want))
+    if regular and not touching:
+        assert rep.star_plain_up is not None  # the plain sweeps ran
 
 
 # -- report emission: the per-element emitters the row joins replaced ---------

@@ -143,6 +143,15 @@ def test_verify_dynamics_catches_tampered_solution():
     assert not verify_dynamics(bad, sc.barriers, sc.driver, tol=4e-12).passed
 
 
+def test_a_nan_at_a_growth_point_fails_the_continuity_check():
+    sc = random_scenario(0, n_steps=3, driver_kind="linear")
+    sol = solve_rbsde(sc.tree, sc.barriers, sc.driver)
+    assert sol.r_plus.step[0][0] > 0.0 and continuity_analogue(sol, sc.barriers).passed
+    sol.y.after[0][0] = np.nan
+    rep = continuity_analogue(sol, sc.barriers)
+    assert not rep.passed and np.isnan(rep.step_contact_lower)
+
+
 @pytest.mark.parametrize("slot", ["z", "r_plus.step", "r_minus.phase", "y.after"])
 def test_a_nan_in_a_stored_solution_fails_the_checks(slot):
     # Python's max drops a NaN that is not its first argument, so folding

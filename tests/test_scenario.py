@@ -29,6 +29,8 @@ from rbsde_lab.scenario import (
     _TERMINAL_SCHEMAS,
     SCENARIO_SCHEMA,
     _read_json,
+    _spot_check_draws,
+    _SpotCheckDraws,
     _validate,
 )
 
@@ -156,6 +158,24 @@ def test_declared_driver_constants_are_spot_checked():
         scenario_from_dict(_minimal(driver=lying))
     honest = dict(lying, lambda_z=10.0, mu=3.0)
     assert scenario_from_dict(_minimal(dt=0.25, driver=honest)).driver.mu == 3.0
+
+
+def test_spot_check_draws_are_made_once_and_served_in_order():
+    rng = random.Random(0)
+    want = [rng.random() for _ in range(1280)]
+    draws = _spot_check_draws()
+    assert draws.tolist() == want and not draws.flags.writeable
+    assert _spot_check_draws() is draws
+    # each spot-check reads the same numbers, in the order the seeded
+    # stream gave them: 256 times, then twice 2 x 256 values
+    rng = _SpotCheckDraws()
+    t = rng.uniform(0.0, 1.0, 256)
+    y = rng.uniform(-5.0, 5.0, (2, 256))
+    z = rng.uniform(-5.0, 5.0, (2, 256))
+    assert t.tolist() == want[:256]
+    assert y.tolist() == (-5.0 + 10.0 * np.array(want[256:768]).reshape(2, 256)).tolist()
+    assert z.tolist() == (-5.0 + 10.0 * np.array(want[768:])).reshape(2, 256).tolist()
+    assert _SpotCheckDraws().uniform(0.0, 1.0, 3).tolist() == want[:3]
 
 
 @pytest.mark.parametrize("power", [40000, 1e300])
