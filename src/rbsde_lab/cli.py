@@ -5,9 +5,9 @@ requested computation, assert its checks, and emit a canonical JSON
 report (plus CSV tables on request).  Reports carry no timestamps,
 paths, or machine details, so identical inputs give byte-identical
 output.  Exit codes: 0 all asserted checks passed, 1 a check failed or
-a guarded computation refused to run, 2 an input file would not load or
-a truncation ladder or strategy enumeration would exceed its element
-budget.
+a guarded computation refused to run, 2 an input file or a theta flag
+does not fit, or a truncation ladder or strategy enumeration would
+exceed its element budget.
 """
 
 from __future__ import annotations
