@@ -5,15 +5,16 @@ requested computation, assert its checks, and emit a canonical JSON
 report (plus CSV tables on request).  Reports carry no timestamps,
 paths, or machine details, so identical inputs give byte-identical
 output.  Exit codes: 0 all asserted checks passed, 1 a check failed or
-a guarded computation refused to run, 2 an input file or a theta flag
-does not fit, or a truncation ladder or strategy enumeration would
-exceed its element budget.
+a guarded computation refused to run, 2 an input file (a scenario, or a
+solution on another grid), a flag or a theta node does not fit, or a
+truncation ladder or strategy enumeration would exceed its element budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -226,8 +227,9 @@ def _cmd_saddle(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     return report, {}
 
 
-def _load_solution(path: str):
-    """Read a dumped solution, unwrapping a full solve report if handed one."""
+def _load_solution(path: str, tree: TwoPhaseTree):
+    """Read a dumped solution, unwrapping a full solve report if handed one;
+    a solution on another grid than ``tree`` is refused before it is built."""
     try:
         data = _read_json(Path(path))
     except json.JSONDecodeError as exc:
@@ -236,6 +238,13 @@ def _load_solution(path: str):
         raise ScenarioError(f"{path}: {exc}") from None
     if isinstance(data, dict) and "steps" not in data and isinstance(data.get("solution"), dict):
         data = data["solution"]
+    try:
+        grid = (int(data["steps"]), float(data["dt"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"{path} is not a solution document: {exc}") from exc
+    if grid != (tree.n_steps, tree.dt):
+        raise ScenarioError(f"{path}: solution grid (steps {grid[0]}, dt {grid[1]!r}) does not match "
+                            f"the scenario's (steps {tree.n_steps}, dt {tree.dt!r})")
     try:
         return solution_from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -307,7 +316,7 @@ def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     round_trip: dict[str, Any] | None = None
     rt_ok = True
     if args.solution is not None:
-        reloaded = _load_solution(args.solution)
+        reloaded = _load_solution(args.solution, tree)
         r_mini = check_minimality(reloaded, barriers, tol_comp=t["tol_comp"])
         r_dyn = verify_dynamics(reloaded, barriers, driver, tol=_DYNAMICS_SLACK * t["tol_root"])
         drift = reloaded.y.sup_abs_diff(sol.y)
@@ -434,16 +443,23 @@ def _run_one(path: str, args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     return report, 0 if report["passed"] else 1
 
 
-def _count(text: str) -> int:
-    """argparse type of a count flag: an integer >= 1, refused before any
-    scenario is read."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _flag(convert: Callable[[str], Any], ok: Callable[[Any], bool], what: str) -> Callable[[str], Any]:
+    """argparse type of a flag that takes ``what``: its value is refused
+    before any scenario is read."""
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_count = _flag(int, lambda v: v >= 1, "an integer >= 1")
+_tolerance = _flag(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_epsilon = _flag(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,11 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write per-scenario reports into this directory")
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="also emit CSV tables (requires --out)")
-    common.add_argument("--enum-bound", dest="enum_bound", type=int, default=None,
+    common.add_argument("--enum-bound", dest="enum_bound", type=_count, default=None,
                         help="max subgame depth for strategy enumeration")
     common.add_argument("--max-iter", dest="max_iter", type=_count, default=None)
     for flag in ("tol-root", "tol-comp", "tol-conv", "tol-game"):
-        common.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=float, default=None)
+        common.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=_tolerance, default=None)
 
     theta = argparse.ArgumentParser(add_help=False)
     theta.add_argument("--theta-step", type=int, default=0,
@@ -478,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     game.add_argument("--mode", choices=("extended", "plain"), default="extended")
     saddle = sub.add_parser("saddle", parents=[common, theta],
                             help="construct and verify saddle-point strategies")
-    saddle.add_argument("--epsilon", type=float, nargs="*", default=None,
+    saddle.add_argument("--epsilon", type=_epsilon, nargs="*", default=None,
                         help="epsilon values for approximate saddles")
     verify = sub.add_parser("verify", parents=[common],
                             help="run the full invariant suite on a scenario")

@@ -408,44 +408,53 @@ def _newton_step(e: np.ndarray, z: np.ndarray, terms: Sequence[tuple[int, int, f
 class TransitionIncrements:
     """Signed increments attached to the transitions of a tree.
 
-    ``phase[k]`` acts on AT(k) -> AFTER(k) (one entry per step-k node);
-    ``step[k]`` acts on AFTER(k) -> AT(k+1) and is predictable: one entry
-    per step-k parent, applied to both children.
+    ``slots[q]`` acts on the transition that leaves the phase point of
+    order key ``q``, for ``q = 0..2N-1``.  The even slots are the tuple view
+    ``phase``: ``phase[k]`` acts on AT(k) -> AFTER(k), one entry per step-k
+    node.  The odd slots are ``step``: ``step[k]`` acts on AFTER(k) ->
+    AT(k+1) and is predictable, one entry per step-k parent, applied to
+    both children.
     """
 
-    __slots__ = ("tree", "phase", "step")
+    __slots__ = ("tree", "slots")
 
     def __init__(self, tree: TwoPhaseTree, phase: Sequence[np.ndarray], step: Sequence[np.ndarray]) -> None:
         if len(phase) != tree.n_steps or len(step) != tree.n_steps:
             raise ValueError("increment slot count does not match the tree depth")
         self.tree = tree
-        self.phase = [np.asarray(a, dtype=float) for a in phase]
-        self.step = [np.asarray(a, dtype=float) for a in step]
-        for k in range(tree.n_steps):
-            if self.phase[k].shape != (tree.nodes_at(k),) or self.step[k].shape != (tree.nodes_at(k),):
-                raise ValueError(f"increment arrays at step {k} have wrong shape")
+        self.slots = [np.asarray(a, dtype=float) for pair in zip(phase, step) for a in pair]
+        for q, arr in enumerate(self.slots):
+            if arr.shape != (tree.nodes_at(q >> 1),):
+                raise ValueError(f"increment arrays at step {q >> 1} have wrong shape")
+
+    @classmethod
+    def from_slots(cls, tree: TwoPhaseTree, slots: Sequence[np.ndarray]) -> "TransitionIncrements":
+        """The increments whose node arrays are ``slots``, in key order."""
+        return cls(tree, slots[0::2], slots[1::2])
 
     @classmethod
     def zeros(cls, tree: TwoPhaseTree) -> "TransitionIncrements":
-        return cls(tree, [np.zeros(tree.nodes_at(k)) for k in range(tree.n_steps)],
-                   [np.zeros(tree.nodes_at(k)) for k in range(tree.n_steps)])
+        return cls.from_slots(tree, [np.zeros(tree.nodes_at(q >> 1)) for q in range(2 * tree.n_steps)])
+
+    @property
+    def phase(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.slots[0::2])
+
+    @property
+    def step(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.slots[1::2])
 
     def combine(self, other: "TransitionIncrements", sign: float = 1.0) -> "TransitionIncrements":
-        return TransitionIncrements(
-            self.tree,
-            [a + sign * b for a, b in zip(self.phase, other.phase)],
-            [a + sign * b for a, b in zip(self.step, other.step)],
-        )
+        return TransitionIncrements.from_slots(self.tree, [a + sign * b for a, b in zip(self.slots, other.slots)])
 
     def is_nonnegative(self, tol: float = 0.0) -> bool:
-        return all(np.all(a >= -tol) for a in self.phase) and all(np.all(a >= -tol) for a in self.step)
+        return all(np.all(a >= -tol) for a in self.slots)
 
     def total_variation(self) -> float:
-        return float(sum(np.sum(np.abs(a)) for a in self.phase) + sum(np.sum(np.abs(a)) for a in self.step))
+        return float(sum(np.sum(np.abs(a)) for a in self.slots))
 
     def max_abs(self) -> float:
-        vals = [np.max(np.abs(a), initial=0.0) for a in self.phase] + [np.max(np.abs(a), initial=0.0) for a in self.step]
-        return float(max(vals, default=0.0))
+        return float(max((np.max(np.abs(a), initial=0.0) for a in self.slots), default=0.0))
 
 
 @dataclass
@@ -454,15 +463,6 @@ class BSDESolution:
 
     y: OptionalProcess
     z: list[np.ndarray]
-
-    def martingale_representation_gap(self) -> float:
-        """Exactness of ``Y_up - Y_down = 2 Z sqrt(dt)`` (should be 0.0)."""
-        tree = self.y.tree
-        gap = 0.0
-        for k in range(tree.n_steps):
-            nxt = self.y.at[k + 1]
-            gap = max(gap, float(np.max(np.abs((nxt[0::2] - nxt[1::2]) - 2.0 * self.z[k] * tree.sqrt_dt))))
-        return gap
 
 
 def solve_bsde(tree: TwoPhaseTree, terminal: np.ndarray, driver: Driver,
@@ -527,11 +527,11 @@ def _unreflected_pass(tree: TwoPhaseTree, terminal: np.ndarray, driver: Driver,
         e = 0.5 * (nxt[..., 0::2] + nxt[..., 1::2])
         z = (nxt[..., 0::2] - nxt[..., 1::2]) / (2.0 * tree.sqrt_dt)
         if dv is not None:
-            e = e + dv.step[k]
+            e = e + dv.slots[2 * k + 1]
         active = None if masks is None else np.asarray(masks[k], dtype=bool)
         after = implicit_step(e, z, (step_offset + k) * dt, driver, dt,
                               active=active, tol=tol_root, max_iter=max_iter)
-        nxt = after if dv is None else after + dv.phase[k]
+        nxt = after if dv is None else after + dv.slots[2 * k]
         yield z, after, nxt
 
 
@@ -572,9 +572,7 @@ def nonlinear_expectation(tree: TwoPhaseTree, alpha: StoppingTime, beta: Stoppin
         masks.append((beta_keys[::stride] >= 2 * (k + 1)))
     vals = ef_backward_batch(tree, driver, xi[None, :], masks,
                              step_offset=step_offset, tol_root=tol_root, max_iter=max_iter)
-    at = [vals[k][0] for k in range(n + 1)]
-    after = [vals[k][0].copy() for k in range(n)]
-    process = OptionalProcess(tree, [a.copy() for a in at], after)
+    process = OptionalProcess.from_slots(tree, [vals[q >> 1][0].copy() for q in range(2 * n + 1)])
     values = gather_slots(vals, alpha.keys)[0]
     return NonlinearExpectation(values=values, process=process)
 
@@ -627,13 +625,13 @@ def classify_ef(process: OptionalProcess, driver: Driver, *, from_time: Stopping
             tk = to_time.keys[::stride]
             phase_in = (fk <= 2 * k) & (tk >= 2 * k + 1)
             step_in = (fk <= 2 * k + 1) & (tk >= 2 * (k + 1))
-            diffs = [(process.after[k] - process.at[k])[phase_in]]  # >0 breaks supermartingale
+            at_k, after_k, nxt = process.slots[2 * k:2 * k + 3]
+            diffs = [(after_k - at_k)[phase_in]]  # >0 breaks supermartingale
             if step_in.any():
-                nxt = process.at[k + 1]
                 e = 0.5 * (nxt[0::2] + nxt[1::2])
                 z = (nxt[0::2] - nxt[1::2]) / (2.0 * tree.sqrt_dt)
                 pred = implicit_step(e, z, tree.time(k), driver, tree.dt, tol=tol_root, max_iter=max_iter)
-                diffs.append((pred - process.after[k])[step_in])
+                diffs.append((pred - after_k)[step_in])
             for diff in diffs:
                 sup_v.append(float(np.max(diff, initial=-np.inf)))
                 sub_v.append(float(np.max(-diff, initial=-np.inf)))

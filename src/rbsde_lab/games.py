@@ -104,13 +104,13 @@ def _subgame_values(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, step
     are contiguous, so a full barrier slot reshaped to one row per node
     holds every subgame's slot.  One backward batch runs over the stack of
     nodes x rows, split only past ``_STACK_BUDGET`` elements."""
-    n_nodes, keys = tree.nodes_at(step), range(2 * step, 2 * tree.n_steps + 1)
+    n_nodes = tree.nodes_at(step)
     masks = _freeze_masks(tree.n_steps - step, src)
     per_batch, out = max(1, _STACK_BUDGET // src.size), []
     for lo in range(nodes.start, nodes.stop, per_batch):
         part = slice(lo, min(lo + per_batch, nodes.stop))
-        flat = np.concatenate([p.slot(q).reshape(n_nodes, -1)[part]
-                               for p in (barriers.lower, barriers.upper) for q in keys]
+        flat = np.concatenate([a.reshape(n_nodes, -1)[part]
+                               for p in (barriers.lower, barriers.upper) for a in p.slots[2 * step:]]
                               + [barriers.terminal.reshape(n_nodes, -1)[part]], axis=1)
         m = flat.shape[0]
         vals = ef_backward_batch(tree.subtree(step), driver, flat[:, src].reshape(m * len(src), -1),
@@ -254,9 +254,7 @@ def value_identity_applicable(barriers: Barriers) -> bool:
     the comparison below holding everywhere, the tie read is defendable and
     both extended values coincide with the reflected solution.
     """
-    low, up = barriers.lower, barriers.upper
-    return all(bool(np.all(low.after[k] <= up.at[k]))
-               for k in range(low.tree.n_steps))
+    return all(bool(np.all(a <= b)) for a, b in zip(barriers.lower.after, barriers.upper.at))
 
 
 def game_equals_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
@@ -277,6 +275,8 @@ def game_equals_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
     away from Y, and it does exactly that whenever reaching Y requires
     stopping on an interval slot — see :func:`right_jump_counterexample`.
     """
+    if enum_bound < 1:
+        raise ValueError(f"enum_bound must be >= 1, got {enum_bound}")
     sol = solve_rbsde(tree, barriers, driver, tol_root=tol_root, max_iter=max_iter)
     checks: list[ThetaCheck] = []
     ext_gap = 0.0
@@ -320,11 +320,9 @@ def _stopped_mass(incr, stop: StoppingTime) -> np.ndarray:
     """Per-leaf reflection mass accumulated by the stop (transitions whose
     right endpoint lies at or before it)."""
     tree = incr.tree
-    keys = stop.keys
     total = np.zeros(tree.n_leaves)
-    for k in range(tree.n_steps):
-        total += tree.spread(incr.phase[k], k) * (keys >= 2 * k + 1)
-        total += tree.spread(incr.step[k], k) * (keys >= 2 * (k + 1))
+    for q, a in enumerate(incr.slots):
+        total += tree.spread(a, q >> 1) * (stop.keys > q)
     return total
 
 
@@ -366,8 +364,8 @@ def epsilon_saddle(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, epsil
     realised as the grid stop with the membership bit cleared.  The
     minimiser is symmetric about the upper barrier.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     _check_theta(tree, theta_step, theta_node)
     subtree = tree.subtree(theta_step)
     sub_b = barriers.restrict(theta_step, theta_node)
@@ -567,6 +565,8 @@ def epsilon_ratio_ok(saddles: list[EpsilonSaddle], *, factor: float = 4.0,
     more than ``factor``, flooring the previous quotient at ``tol`` so that
     residuals at numerical zero don't produce 0/0 verdicts.
     """
+    if any(s.epsilon == 0 for s in saddles):
+        raise ValueError("residual quotients need every epsilon > 0")
     order = sorted(saddles, key=lambda s: -s.epsilon)
     quotients = [max(s.residual_up, s.residual_down) / s.epsilon for s in order]
     ok = all(qb <= factor * max(qa, tol) for qa, qb in zip(quotients, quotients[1:]))

@@ -83,14 +83,6 @@ class TwoPhaseTree:
     def n_leaves(self) -> int:
         return 1 << self.n_steps
 
-    @property
-    def n_nodes(self) -> int:
-        return (1 << (self.n_steps + 1)) - 1
-
-    @property
-    def terminal_time(self) -> float:
-        return self.n_steps * self.dt
-
     def nodes_at(self, step: int) -> int:
         if not 0 <= step <= self.n_steps:
             raise ValueError(f"step {step} outside [0, {self.n_steps}]")
@@ -110,10 +102,6 @@ class TwoPhaseTree:
         self.nodes_at(step)
         if step == self.n_steps and Phase(phase) == Phase.AFTER:
             raise ValueError("the final step has no AFTER phase")
-
-    def node_of_leaf(self, leaf: np.ndarray | int, step: int) -> np.ndarray | int:
-        """Ancestor node index of a leaf (full path) at ``step``."""
-        return leaf >> (self.n_steps - step)
 
     def leaf_stride(self, step: int) -> int:
         """Number of leaves below each node of ``step``."""
@@ -166,45 +154,50 @@ def build_tree(n_steps: int, dt: float) -> TwoPhaseTree:
 class OptionalProcess:
     """A real value for every (node, phase) point of a tree.
 
-    ``at[k]`` has one entry per node of step ``k`` (``k = 0..N``);
-    ``after[k]`` likewise for ``k = 0..N-1``.  The AFTER slot doubles as
-    every one-sided limit the grid can express: the right limsup and right
-    liminf at ``AT(k)`` and the left limsup and left liminf at ``AT(k+1)``
-    along the same path all equal ``after[k]``, because the process is
-    constant on the open interval.
+    ``slots`` holds one node array per phase point, in order-key order
+    ``2k + phase``: ``AT(0), AFTER(0), AT(1), ..., AT(N)``, so ``slots[q]``
+    has one entry per node of step ``q >> 1``.  ``at`` (``k = 0..N``) and
+    ``after`` (``k = 0..N-1``) are read-only tuple views of the even and odd
+    slots.  The AFTER slot doubles as every one-sided limit the grid can
+    express: the right limsup and right liminf at ``AT(k)`` and the left
+    limsup and left liminf at ``AT(k+1)`` along the same path all equal
+    ``after[k]``, because the process is constant on the open interval.
     """
 
-    __slots__ = ("tree", "at", "after")
+    __slots__ = ("tree", "slots")
 
     def __init__(self, tree: TwoPhaseTree, at: Sequence[np.ndarray], after: Sequence[np.ndarray]) -> None:
+        """The process of the table form: the ``at`` and ``after`` rows."""
         if len(at) != tree.n_steps + 1 or len(after) != tree.n_steps:
             raise ValueError("slot count does not match the tree depth")
         self.tree = tree
-        self.at = [np.asarray(a, dtype=float) for a in at]
-        self.after = [np.asarray(a, dtype=float) for a in after]
-        for k, arr in enumerate(self.at):
-            if arr.shape != (tree.nodes_at(k),):
-                raise ValueError(f"at[{k}] has shape {arr.shape}, expected ({tree.nodes_at(k)},)")
-        for k, arr in enumerate(self.after):
-            if arr.shape != (tree.nodes_at(k),):
-                raise ValueError(f"after[{k}] has shape {arr.shape}, expected ({tree.nodes_at(k)},)")
+        self.slots: list[np.ndarray] = [np.empty(0)] * (2 * tree.n_steps + 1)
+        self.slots[0::2] = [np.asarray(a, dtype=float) for a in at]
+        self.slots[1::2] = [np.asarray(a, dtype=float) for a in after]
+        # every AT row before any AFTER row, so an error names the row the table form reads first
+        for q in sorted(range(len(self.slots)), key=lambda q: q & 1):
+            if self.slots[q].shape != (tree.nodes_at(q >> 1),):
+                raise ValueError(f"{('at', 'after')[q & 1]}[{q >> 1}] has shape {self.slots[q].shape}, "
+                                 f"expected ({tree.nodes_at(q >> 1)},)")
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def from_slots(cls, tree: TwoPhaseTree, slots: Sequence[np.ndarray]) -> "OptionalProcess":
+        """The process whose node arrays are ``slots``, in key order."""
+        return cls(tree, slots[0::2], slots[1::2])
+
+    @classmethod
     def from_constant(cls, tree: TwoPhaseTree, value: float) -> "OptionalProcess":
-        at = [np.full(tree.nodes_at(k), float(value)) for k in range(tree.n_steps + 1)]
-        after = [np.full(tree.nodes_at(k), float(value)) for k in range(tree.n_steps)]
-        return cls(tree, at, after)
+        return cls.from_slots(tree, [np.full(tree.nodes_at(q >> 1), float(value))
+                                     for q in range(2 * tree.n_steps + 1)])
 
     @classmethod
     def from_callable(cls, tree: TwoPhaseTree, fn: Callable[[int, Phase, np.ndarray], np.ndarray]) -> "OptionalProcess":
         """Build from ``fn(step, phase, walk_values) -> values`` (vectorised)."""
-        at = [np.broadcast_to(np.asarray(fn(k, Phase.AT, tree.brownian(k)), dtype=float), (tree.nodes_at(k),)).copy()
-              for k in range(tree.n_steps + 1)]
-        after = [np.broadcast_to(np.asarray(fn(k, Phase.AFTER, tree.brownian(k)), dtype=float), (tree.nodes_at(k),)).copy()
-                 for k in range(tree.n_steps)]
-        return cls(tree, at, after)
+        return cls.from_slots(tree, [
+            np.broadcast_to(np.asarray(fn(q >> 1, Phase(q & 1), tree.brownian(q >> 1)), dtype=float),
+                            (tree.nodes_at(q >> 1),)).copy() for q in range(2 * tree.n_steps + 1)])
 
     @classmethod
     def combine(cls, fn: Callable[..., np.ndarray], *procs: "OptionalProcess") -> "OptionalProcess":
@@ -213,39 +206,31 @@ class OptionalProcess:
         for p in procs[1:]:
             if not tree.same_grid(p.tree):
                 raise ValueError("processes live on different grids")
-        at = [np.asarray(fn(*(p.at[k] for p in procs)), dtype=float) for k in range(tree.n_steps + 1)]
-        after = [np.asarray(fn(*(p.after[k] for p in procs)), dtype=float) for k in range(tree.n_steps)]
-        return cls(tree, at, after)
+        return cls.from_slots(tree, [fn(*arrays) for arrays in zip(*(p.slots for p in procs))])
 
     # -- accessors ------------------------------------------------------
 
-    def value(self, step: int, phase: Phase, node: int) -> float:
-        if Phase(phase) == Phase.AT:
-            return float(self.at[step][node])
-        if step >= self.tree.n_steps:
-            raise ValueError("the final step has no AFTER phase")
-        return float(self.after[step][node])
+    @property
+    def at(self) -> tuple[np.ndarray, ...]:
+        """The AT(k) slots, ``k = 0..N``."""
+        return tuple(self.slots[0::2])
 
-    def slot(self, key: int) -> np.ndarray:
-        """Node array of the phase point with order key ``key``."""
-        step, ph = key >> 1, key & 1
-        return self.at[step] if ph == 0 else self.after[step]
+    @property
+    def after(self) -> tuple[np.ndarray, ...]:
+        """The AFTER(k) slots, ``k = 0..N-1``."""
+        return tuple(self.slots[1::2])
+
+    def value(self, step: int, phase: Phase, node: int) -> float:
+        self.tree.check_point(step, phase)
+        return float(self.slots[2 * step + phase][node])
 
     def at_keys(self, keys: np.ndarray) -> np.ndarray:
         """Values at per-leaf order keys, (n_leaves,) or (R, n_leaves)."""
-        return gather_slots([self.slot(key) for key in range(2 * self.tree.n_steps + 1)], keys)
-
-    def right_limit(self, step: int, node: int) -> float:
-        """Right limsup = right liminf at AT(step); undefined at the horizon."""
-        return float(self.after[step][node])
-
-    def left_limit(self, step: int, node: int) -> float:
-        """Left limsup = left liminf at AT(step) along the path (step >= 1)."""
-        return float(self.after[step - 1][node >> 1])
+        return gather_slots(self.slots, keys)
 
     @property
     def terminal(self) -> np.ndarray:
-        return self.at[self.tree.n_steps]
+        return self.slots[-1]
 
     def table_rows(self) -> dict[str, list[list[float]]]:
         """The ``at`` and ``after`` slot rows as lists of floats (the JSON table form)."""
@@ -254,37 +239,31 @@ class OptionalProcess:
     # -- transforms -----------------------------------------------------
 
     def copy(self) -> "OptionalProcess":
-        return OptionalProcess(self.tree, [a.copy() for a in self.at], [a.copy() for a in self.after])
+        return OptionalProcess.from_slots(self.tree, [a.copy() for a in self.slots])
 
     def with_terminal(self, values: np.ndarray) -> "OptionalProcess":
         """Same process with the AT(N) slot replaced (used for xi-patched barriers)."""
         values = np.asarray(values, dtype=float)
         if values.shape != (self.tree.n_leaves,):
             raise ValueError("terminal replacement has the wrong shape")
-        out = self.copy()
-        out.at[self.tree.n_steps] = values.copy()
-        return out
+        return OptionalProcess.from_slots(self.tree, [a.copy() for a in self.slots[:-1]] + [values.copy()])
 
     def restrict(self, step: int, node: int) -> "OptionalProcess":
-        """Restriction to the subtree rooted at (step, node)."""
-        sub = self.tree.subtree(step)
-        at = [self.at[step + j][node << j:(node + 1) << j].copy() for j in range(sub.n_steps + 1)]
-        after = [self.after[step + j][node << j:(node + 1) << j].copy() for j in range(sub.n_steps)]
-        return OptionalProcess(sub, at, after)
+        """Restriction to the subtree rooted at (step, node): the leaves under a
+        node are contiguous, so each slot from step on, one row per step-``step``
+        node, holds the subtree's slot in row ``node``."""
+        return OptionalProcess.from_slots(self.tree.subtree(step), [
+            a.reshape(self.tree.nodes_at(step), -1)[node].copy() for a in self.slots[2 * step:]])
 
     def sup_abs_diff(self, other: "OptionalProcess") -> float:
-        return nan_max([0.0] + [float(np.max(np.abs(a - b))) for a, b in self._slot_pairs(other)])
+        return nan_max([0.0] + [float(np.max(np.abs(a - b))) for a, b in zip(self.slots, other.slots)])
 
     def pointwise_leq(self, other: "OptionalProcess", tol: float = 0.0) -> bool:
-        return not any(np.any(a > b + tol) for a, b in self._slot_pairs(other))
+        return not any(np.any(a > b + tol) for a, b in zip(self.slots, other.slots))
 
     def max_exceedance(self, other: "OptionalProcess") -> float:
         """sup of (self - other) over all points; <= 0 means self <= other."""
-        return nan_max([-np.inf] + [float(np.max(a - b)) for a, b in self._slot_pairs(other)])
-
-    def _slot_pairs(self, other: "OptionalProcess") -> list[tuple[np.ndarray, np.ndarray]]:
-        """Matching slot arrays of two processes, all AT slots then all AFTER slots."""
-        return list(zip(self.at, other.at)) + list(zip(self.after, other.after))
+        return nan_max([-np.inf] + [float(np.max(a - b)) for a, b in zip(self.slots, other.slots)])
 
 
 def nan_max(values: list[float]) -> float:
@@ -379,14 +358,6 @@ class StoppingTime:
     def leq(self, other: "StoppingTime") -> bool:
         return bool(np.all(self.keys <= other.keys))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StoppingTime):
-            return NotImplemented
-        return self.tree.same_grid(other.tree) and np.array_equal(self.keys, other.keys)
-
-    def __hash__(self) -> int:  # realized stops define identity
-        return hash((self.tree.n_steps, self.tree.dt, self.keys.tobytes()))
-
 
 class StoppingSystem:
     """A stopping time together with an H flag on its stop atoms.
@@ -447,7 +418,7 @@ def gather_slots(slots: Sequence[np.ndarray], keys: np.ndarray) -> np.ndarray:
     """Slot values read at per-leaf phase-order keys.
 
     ``slots`` holds node arrays in key order: one per phase point (``2n +
-    1``, as :meth:`OptionalProcess.slot` gives them), or one per step (``n +
+    1``, as :attr:`OptionalProcess.slots` holds them), or one per step (``n +
     1``), which then serves both phases of its step.  A slot is ``(2**k,)``,
     or ``(R, 2**k)`` for R rows; ``keys`` is ``(n_leaves,)`` or ``(R,
     n_leaves)``.  The slots are laid end to end and read with one index,
@@ -492,7 +463,7 @@ def first_hitting(condition: OptionalProcess, theta: StoppingTime | None = None)
         raise ValueError("condition and theta live on different grids")
     theta_keys = theta.keys
     stop_key, hit = _first_key(
-        tree, lambda key: (theta_keys <= key) & (tree.spread(condition.slot(key), key >> 1) != 0.0))
+        tree, lambda key: (theta_keys <= key) & (tree.spread(condition.slots[key], key >> 1) != 0.0))
     stop = StoppingTime.from_realized(tree, stop_key >> 1, stop_key & 1)
     return HittingResult(stop=stop, hit=hit)
 
@@ -503,15 +474,13 @@ def semicontinuity(process: OptionalProcess, tol: float = 0.0) -> Semicontinuity
     Right flags compare AT(k) with AFTER(k) at each node (k < N); left
     flags compare AT(k+1) with AFTER(k) along each edge.
     """
-    tree = process.tree
     right_usc = right_lsc = left_usc = left_lsc = True
-    for k in range(tree.n_steps):
-        at_k, after_k = process.at[k], process.after[k]
+    for at_k, after_k, at_next in zip(process.at, process.after, process.at[1:]):
         right_usc &= bool(np.all(at_k >= after_k - tol))
         right_lsc &= bool(np.all(at_k <= after_k + tol))
         child = np.repeat(after_k, 2)
-        left_usc &= bool(np.all(process.at[k + 1] >= child - tol))
-        left_lsc &= bool(np.all(process.at[k + 1] <= child + tol))
+        left_usc &= bool(np.all(at_next >= child - tol))
+        left_lsc &= bool(np.all(at_next <= child + tol))
     return SemicontinuityFlags(right_usc, right_lsc, left_usc, left_lsc)
 
 

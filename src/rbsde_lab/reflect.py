@@ -73,8 +73,8 @@ class Barriers:
         tree = self.lower.tree
         if self.terminal.shape != (tree.n_leaves,):
             raise ValueError("terminal must have one value per leaf")
-        for key in range(2 * tree.n_steps + 1):
-            bad = np.nonzero(self.lower.slot(key) > self.upper.slot(key))[0]
+        for key, (lv, uv) in enumerate(zip(self.lower.slots, self.upper.slots)):
+            bad = np.nonzero(lv > uv)[0]
             if bad.size:
                 name = "at" if key & 1 == 0 else "after"
                 raise ValueError(f"lower barrier exceeds upper barrier at step {key >> 1} "
@@ -118,9 +118,7 @@ def solve_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
     """Backward clamped solve of the doubly reflected equation."""
     if not tree.same_grid(barriers.tree):
         raise ValueError("barriers live on a different grid")
-    keys = range(2 * tree.n_steps + 1)
-    steps = _reflected_pass(tree, barriers.terminal, [barriers.lower.slot(key) for key in keys],
-                            [barriers.upper.slot(key) for key in keys], driver,
+    steps = _reflected_pass(tree, barriers.terminal, barriers.lower.slots, barriers.upper.slots, driver,
                             step_offset=step_offset, tol_root=tol_root, max_iter=max_iter)
     # the pass yields from the horizon back; each column is reversed to start at step 0
     z, after, at, rp_step, rm_step, rp_phase, rm_phase = (list(col)[::-1] for col in zip(*steps))
@@ -182,6 +180,8 @@ def check_minimality(solution: RBSDESolution, barriers: Barriers, tol_comp: floa
     exactly, not to tolerance.
     """
     tree = solution.y.tree
+    if not tree.same_grid(barriers.tree):
+        raise ValueError("barriers live on a different grid")
     low, up = barriers.lower, barriers.upper
     y = solution.y
     worst = 0.0
@@ -231,6 +231,8 @@ def verify_dynamics(solution: RBSDESolution, barriers: Barriers, driver: Driver,
     round-trips can be re-verified without re-solving.
     """
     tree = solution.y.tree
+    if not tree.same_grid(barriers.tree):
+        raise ValueError("barriers live on a different grid")
     y = solution.y
     step_res, phase_res, rep = [0.0], [0.0], [0.0]
     for k in range(tree.n_steps):
@@ -261,9 +263,7 @@ def snell_envelopes(tree: TwoPhaseTree, barriers: Barriers) -> tuple[OptionalPro
     Each envelope is the reflected solution with the zero driver, its own
     barrier as terminal value and obstacle, and the other obstacle at
     infinity (the optimal-stopping reading of the reflected equation)."""
-    keys = range(2 * tree.n_steps + 1)
-    low = [barriers.lower.slot(key) for key in keys]
-    up = [barriers.upper.slot(key) for key in keys]
+    low, up = barriers.lower.slots, barriers.upper.slots
 
     def envelope(lower: list, upper: list, terminal: np.ndarray) -> OptionalProcess:
         # value slots from the horizon back: AT(N), AFTER(N-1), AT(N-1), ...
@@ -271,9 +271,9 @@ def snell_envelopes(tree: TwoPhaseTree, barriers: Barriers) -> tuple[OptionalPro
         for _, after, at, *_ in _reflected_pass(tree, terminal, lower, upper, constant_driver(0.0),
                                                 step_offset=0, tol_root=1e-12, max_iter=200):
             y += (after, at)
-        return OptionalProcess(tree, y[::-2], y[-2::-2])
+        return OptionalProcess.from_slots(tree, y[::-1])
 
-    return envelope([-np.inf] * len(keys), low, low[-1]), envelope(up, [np.inf] * len(keys), up[-1])
+    return envelope([-np.inf] * len(low), low, low[-1]), envelope(up, [np.inf] * len(up), up[-1])
 
 
 @dataclass(frozen=True)
@@ -308,34 +308,31 @@ def mokobodzki_witness(tree: TwoPhaseTree, barriers: Barriers) -> Witness | Sepa
     """
     low, up = barriers.lower, barriers.upper
     n = tree.n_steps
-    for key in range(2 * n + 1):
-        lv, uv = low.slot(key), up.slot(key)
+    for key, (lv, uv) in enumerate(zip(low.slots, up.slots)):
         bad = np.nonzero(lv >= uv)[0]
         if bad.size:
             j = int(bad[0])
             return SeparationFailure(step=key >> 1, phase=Phase(key & 1), node=j,
                                      lower=float(lv[j]), upper=float(uv[j]))
     # the anchor depends only on the path prefix, so it is carried per node
-    x_at: list[np.ndarray] = []
-    x_after: list[np.ndarray] = []
+    x_slots: list[np.ndarray] = []
     anchor = np.full(1, np.nan)
     n_cuts = np.zeros(1, dtype=np.int64)
     cut_log = []  # (key, cut nodes, ordinal of this cut on their paths)
-    for key in range(2 * n + 1):
-        step, ph = key >> 1, key & 1
-        if ph == 0 and step > 0:
+    for key, (lv, uv) in enumerate(zip(low.slots, up.slots)):
+        step = key >> 1
+        if key & 1 == 0 and step > 0:
             anchor, n_cuts = np.repeat(anchor, 2), np.repeat(n_cuts, 2)
-        lv, uv = low.slot(key), up.slot(key)
         is_cut = (anchor < lv) | (anchor > uv)
         if key == 0 or key == 2 * n:
             is_cut[:] = True
-        (x_at if ph == 0 else x_after).append(np.where(is_cut, 0.5 * (lv + uv), anchor))
+        x_slots.append(np.where(is_cut, 0.5 * (lv + uv), anchor))
         if step < n:
-            anchor = np.where(is_cut, 0.5 * (low.after[step] + up.after[step]), anchor)
+            anchor = np.where(is_cut, 0.5 * (low.slots[2 * step + 1] + up.slots[2 * step + 1]), anchor)
         nodes = np.flatnonzero(is_cut)
         cut_log.append((key, nodes, n_cuts[nodes]))
         n_cuts[nodes] += 1
-    x = OptionalProcess(tree, x_at, x_after)
+    x = OptionalProcess.from_slots(tree, x_slots)
     if not (low.pointwise_leq(x) and x.pointwise_leq(up)):  # pragma: no cover - construction guarantees it
         raise AssertionError("witness left the barrier band")
     # row i holds each leaf's i-th cut key, padded with the horizon
@@ -352,11 +349,8 @@ def growth_points(incr: TransitionIncrements, tol: float = 0.0) -> OptionalProce
     """Indicator process of reflection growth, attributed to each
     transition's left endpoint: phase increments flag AT(k), diffusion
     increments flag AFTER(k)."""
-    tree = incr.tree
-    at = [np.asarray(incr.phase[k] > tol, dtype=float) for k in range(tree.n_steps)]
-    at.append(np.zeros(tree.n_leaves))
-    after = [np.asarray(incr.step[k] > tol, dtype=float) for k in range(tree.n_steps)]
-    return OptionalProcess(tree, at, after)
+    return OptionalProcess.from_slots(incr.tree, [np.asarray(a > tol, dtype=float) for a in incr.slots]
+                                      + [np.zeros(incr.tree.n_leaves)])
 
 
 @dataclass
@@ -386,6 +380,8 @@ def continuity_analogue(solution: RBSDESolution, barriers: Barriers,
                         tol: float = 1e-12) -> ContinuityAnalogueReport:
     """Check the no-jump consequences of minimality at growth transitions."""
     y, low, up = solution.y, barriers.lower, barriers.upper
+    if not y.tree.same_grid(barriers.tree):
+        raise ValueError("barriers live on a different grid")
     # per step, the worst of each measure, floored at 0; folded with nan_max
     # so that a NaN fails the check
     worst: list[list[float]] = [[0.0], [0.0], [0.0], [0.0]]
@@ -509,16 +505,14 @@ def truncation_scheme(tree: TwoPhaseTree, barriers: Barriers, driver: Driver,
     # row i * m_max + j of the stack is grid member (i + 1, j + 1)
     stage_n = np.repeat(np.arange(1, n_max + 1), m_max)[:, None]
     stage_m = np.tile(np.arange(1, m_max + 1), n_max)[:, None]
-    keys = range(2 * tree.n_steps + 1)
-    lower = [barriers.lower.slot(key) for key in keys]
-    upper = [barriers.upper.slot(key) for key in keys]
+    lower, upper = barriers.lower.slots, barriers.upper.slots
     if cut_step is not None:
         # stage s keeps the true barriers up to key 2 min(cut_step s, N)
         lhat, uhat = snell_envelopes(tree, barriers)
         cut_n = 2 * np.minimum(cut_step * stage_n, tree.n_steps)
         cut_m = 2 * np.minimum(cut_step * stage_m, tree.n_steps)
-        lower = [np.where(key <= cut_n, lower[key], lhat.slot(key)) for key in keys]
-        upper = [np.where(key <= cut_m, upper[key], uhat.slot(key)) for key in keys]
+        lower = [np.where(key <= cut_n, a, b) for key, (a, b) in enumerate(zip(lower, lhat.slots))]
+        upper = [np.where(key <= cut_m, a, b) for key, (a, b) in enumerate(zip(upper, uhat.slots))]
     # value slots from the horizon back: AT(N), AFTER(N-1), AT(N-1), ...
     y = [np.broadcast_to(barriers.terminal, (n_max * m_max, tree.n_leaves))]
     for _, after, at, *_ in _reflected_pass(tree, y[0], lower, upper, clipped_driver(driver, stage_m, stage_n),
@@ -535,8 +529,7 @@ def truncation_scheme(tree: TwoPhaseTree, barriers: Barriers, driver: Driver,
     mono_m = float(np.max(worst(lambda g: g[:, 1:] - g[:, :-1]), initial=0.0))
     n_gaps = worst(lambda g: np.abs(g[:, -1] - g[-1, -1])).tolist()
     m_gaps = worst(lambda g: np.abs(g[-1] - g[-1, -1])).tolist()
-    corner = [g[-1, -1].copy() for g in grid]
-    y_limit = OptionalProcess(tree, corner[0::2], corner[1::2])
+    y_limit = OptionalProcess.from_slots(tree, [g[-1, -1].copy() for g in grid])
     limit_gap = y_limit.sup_abs_diff(reference.y)
     passed = mono_n <= tol_mono and mono_m <= tol_mono and limit_gap <= tol_conv
     return TruncationReport(n_max=n_max, m_max=m_max, cut_step=cut_step,

@@ -74,7 +74,8 @@ SCENARIO_SCHEMA: dict[str, Any] = {
         "driver": {"type": "object", "required": ["kind"]},
         "tolerances": {
             "type": "object",
-            "properties": {k: _NUM for k in DEFAULT_TOLERANCES},
+            "properties": {k: {"type": "integer", "minimum": 1} if k in ("max_iter", "enum_bound")
+                           else {"type": "number", "minimum": 0} for k in DEFAULT_TOLERANCES},
             "additionalProperties": False,
         },
         "seed": {"type": "integer"},
@@ -249,19 +250,16 @@ def _check_kind(spec: dict[str, Any], catalog: dict[str, Any], base: str, what: 
 
 
 def _table_process(tree: TwoPhaseTree, spec: dict[str, Any], base: str) -> OptionalProcess:
-    at_rows, after_rows = spec["at"], spec["after"]
-    if len(at_rows) != tree.n_steps + 1:
-        raise ScenarioError(f"{base}/at: expected {tree.n_steps + 1} rows, got {len(at_rows)}")
-    if len(after_rows) != tree.n_steps:
-        raise ScenarioError(f"{base}/after: expected {tree.n_steps} rows, got {len(after_rows)}")
-    for k, row in enumerate(at_rows):
-        if len(row) != tree.nodes_at(k):
-            raise ScenarioError(f"{base}/at/{k}: expected {tree.nodes_at(k)} values, got {len(row)}")
-    for k, row in enumerate(after_rows):
-        if len(row) != tree.nodes_at(k):
-            raise ScenarioError(f"{base}/after/{k}: expected {tree.nodes_at(k)} values, got {len(row)}")
-    return OptionalProcess(tree, [np.asarray(r, dtype=float) for r in at_rows],
-                           [np.asarray(r, dtype=float) for r in after_rows])
+    tables = (("at", spec["at"], tree.n_steps + 1), ("after", spec["after"], tree.n_steps))
+    # both row counts are checked before any row length
+    for name, rows, count in tables:
+        if len(rows) != count:
+            raise ScenarioError(f"{base}/{name}: expected {count} rows, got {len(rows)}")
+    for name, rows, _ in tables:
+        for k, row in enumerate(rows):
+            if len(row) != tree.nodes_at(k):
+                raise ScenarioError(f"{base}/{name}/{k}: expected {tree.nodes_at(k)} values, got {len(row)}")
+    return OptionalProcess(tree, *([np.asarray(r, dtype=float) for r in rows] for _, rows, _ in tables))
 
 
 def _barrier_process(tree: TwoPhaseTree, spec: dict[str, Any], base: str) -> OptionalProcess:

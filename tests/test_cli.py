@@ -344,7 +344,7 @@ def test_approx_with_explicit_cut_step(tmp_path, capsys):
     assert rep["n_gaps"][-1] <= 1e-8
 
 
-@pytest.mark.parametrize("flag", ["--n-max", "--m-max", "--cut-step", "--max-iter"])
+@pytest.mark.parametrize("flag", ["--n-max", "--m-max", "--cut-step", "--max-iter", "--enum-bound"])
 @pytest.mark.parametrize("value", ["0", "-2", "1.5"])
 def test_count_flags_below_one_are_refused_before_any_file_is_read(tmp_path, capsys, flag, value):
     # the scenario path does not exist: a refusal after loading would
@@ -458,3 +458,89 @@ def test_cli_import_loads_neither_jsonschema_nor_numpy_random():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def _cli_output(capsys):
+    """The error report a refused scenario prints, and the status lines after it."""
+    out = capsys.readouterr().out
+    end = out.index("\n}\n") + 3
+    return json.loads(out[:end]), out[end:]
+
+
+@pytest.mark.parametrize("case", ["deeper", "coarser"])
+def test_a_solution_on_another_grid_exits_2_and_later_scenarios_still_run(tmp_path, capsys, case):
+    small = random_scenario(5, n_steps=2, driver_kind="linear", name="small")
+    dt = small.data["dt"]
+    if case == "deeper":
+        # a depth-4 solution for a depth-2 scenario once ended the command
+        # with an IndexError traceback
+        solved, target, grid = random_scenario(5, n_steps=4, driver_kind="linear", name="deep").data, small.data, 4
+    else:
+        # the same depth at twice the dt once ran and failed its dynamics check
+        solved, target, grid = small.data, dict(small.data, name="coarse", dt=2 * dt), 2
+    solved_path = _write(tmp_path, solved, "solved.json")
+    assert main(["solve", solved_path, "--out", str(tmp_path / "solved")]) == 0
+    report = str(tmp_path / "solved" / f"{solved['name']}.solve.json")
+    capsys.readouterr()
+    rc = main(["verify", _write(tmp_path, target, "target.json"), solved_path,
+               "--solution", report, "--out", str(tmp_path / "out")])
+    refused, rest = _cli_output(capsys)
+    assert rc == 2 and not refused["passed"]
+    want = (f"steps {grid}, dt {dt!r}", f"steps 2, dt {target['dt']!r}")
+    assert refused["error"] == f"{report}: solution grid ({want[0]}) does not match the scenario's ({want[1]})"
+    assert rest == f"ok {solved['name']} (verify)\n"
+    assert json.loads((tmp_path / "out" / f"{solved['name']}.verify.json").read_text())["round_trip"]["passed"]
+
+
+def test_a_solution_grid_is_checked_before_the_solution_is_built(tmp_path, capsys, monkeypatch):
+    # solution files have no depth cap: steps 40 would allocate 2**41 floats
+    from rbsde_lab import cli
+
+    def refuse(_data):
+        raise AssertionError("the solution was built")
+
+    monkeypatch.setattr(cli, "solution_from_dict", refuse)
+    sol = tmp_path / "deep.json"
+    sol.write_text(json.dumps({"steps": 40, "dt": 0.5}))
+    rc = main(["verify", _write(tmp_path, TRIVIAL), "--solution", str(sol)])
+    rep = _json_out(capsys)
+    assert rc == 2
+    assert rep["error"] == f"{sol}: solution grid (steps 40, dt 0.5) does not match the scenario's (steps 2, dt 0.5)"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "-0.5", "nan", "inf", "1e400", "x"])
+def test_an_epsilon_that_is_not_a_finite_positive_number_is_refused_before_any_file_is_read(
+        tmp_path, capsys, value):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["saddle", missing, "--epsilon", "0.1", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --epsilon: expected a finite number > 0, got '{value}'" in captured.err
+
+
+@pytest.mark.parametrize("flag, value", [("--tol-root", "nan"), ("--tol-game", "inf"),
+                                         ("--tol-comp", "-1e-9"), ("--tol-conv", "x")])
+def test_tolerance_flags_out_of_range_are_refused_before_any_file_is_read(tmp_path, capsys, flag, value):
+    # --tol-game inf once passed every game, and --tol-root nan failed a check
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", missing, f"{flag}={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected a finite number >= 0, got '{value}'" in captured.err
+
+
+@pytest.mark.parametrize("name, value", [("enum_bound", -2), ("enum_bound", 0), ("max_iter", 0),
+                                         ("max_iter", 2.7), ("tol_root", -1e-9)])
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_scenario_tolerances_out_of_range_exit_2_with_a_pointer(tmp_path, capsys, name, value, command):
+    # at depth 4 an enumeration bound below one once checked no node and passed
+    data = dict(random_scenario(3, n_steps=4, driver_kind="linear").data, tolerances={name: value})
+    rc = main([command, _write(tmp_path, data)])
+    rep = _json_out(capsys)
+    rule = ("is not of type 'integer'" if value == 2.7
+            else f"is less than the minimum of {1 if name in ('enum_bound', 'max_iter') else 0}")
+    assert rc == 2 and not rep["passed"] and rep["error"] == f"/tolerances/{name}: {value} {rule}"

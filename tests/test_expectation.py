@@ -38,7 +38,8 @@ def test_zero_driver_is_martingale_representation():
     sol = solve_bsde(tree, tree.brownian(1), constant_driver(0.0))
     assert sol.y.at[0][0] == 0.0
     assert sol.z[0][0] == 1.0
-    assert sol.martingale_representation_gap() == 0.0
+    # Y_up - Y_down = 2 Z sqrt(dt) on the one diffusion transition
+    assert sol.y.at[1][0] - sol.y.at[1][1] == 2.0 * sol.z[0][0] * tree.sqrt_dt
 
 
 def test_minus_y_driver_implicit_half():

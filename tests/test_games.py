@@ -51,9 +51,7 @@ def _one_step_game():
 def _payoff(barriers, tau, sigma):
     """Per-leaf payoff of one strategy pair by the package's payoff rule,
     which must agree with the reference payoff tensor."""
-    slots = range(2 * barriers.tree.n_steps + 1)
-    flat = np.concatenate([barriers.lower.slot(q) for q in slots] + [barriers.upper.slot(q) for q in slots]
-                          + [barriers.terminal])
+    flat = np.concatenate(barriers.lower.slots + barriers.upper.slots + [barriers.terminal])
     j = flat[games._pair_sources(barriers.tree.n_steps, tau.keys, sigma.keys)]
     assert np.array_equal(j, reference_payoff_tensor(barriers, tau.keys[None], sigma.keys[None])[0][0, 0])
     return j
@@ -112,7 +110,7 @@ def test_identical_stops_collect_the_lower_barrier(seed, idx):
     for leaf in range(sc.tree.n_leaves):
         k = int(row[leaf])
         want = (sc.barriers.terminal[leaf] if k == sc.tree.n_steps
-                else low.at[k][sc.tree.node_of_leaf(leaf, k)])
+                else low.at[k][leaf >> (sc.tree.n_steps - k)])
         assert j[leaf] == want
 
 
@@ -189,6 +187,28 @@ def test_every_brute_force_path_checks_the_budget_before_enumerating(monkeypatch
     for call in calls:
         with pytest.raises(EnumerationBudgetError, match="depth-4 subgame"):
             call()
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0])
+def test_an_epsilon_that_is_not_finite_and_nonnegative_is_refused(epsilon):
+    sc = random_scenario(4, n_steps=2, driver_kind="linear")
+    with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+        epsilon_saddle(sc.tree, sc.barriers, sc.driver, epsilon)
+
+
+def test_residual_quotients_refuse_an_epsilon_of_zero():
+    sc = random_scenario(4, n_steps=2, driver_kind="linear")
+    saddles = [epsilon_saddle(sc.tree, sc.barriers, sc.driver, e) for e in (0.1, 0.0)]
+    with pytest.raises(ValueError, match="every epsilon > 0"):
+        epsilon_ratio_ok(saddles)
+
+
+@pytest.mark.parametrize("enum_bound", [0, -3])
+def test_the_game_oracle_refuses_an_enumeration_bound_below_one(enum_bound):
+    # a bound below one would check no node and pass
+    sc = random_scenario(4, n_steps=2, driver_kind="linear")
+    with pytest.raises(ValueError, match=f"enum_bound must be >= 1, got {enum_bound}"):
+        game_equals_rbsde(sc.tree, sc.barriers, sc.driver, enum_bound=enum_bound)
 
 
 @pytest.mark.parametrize("step, node", [(1, 2), (1, 5), (1, -1), (2, 0), (-1, 0), (0, 1)])

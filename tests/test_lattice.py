@@ -16,6 +16,7 @@ from rbsde_lab import (
     Phase,
     StoppingSystem,
     StoppingTime,
+    TransitionIncrements,
     build_tree,
     enumerate_stopping_times,
     eval_at_system,
@@ -33,15 +34,15 @@ def _process(tree, at, after):
 
 def test_one_step_tree_geometry():
     tree = build_tree(1, 1.0)
-    assert tree.n_nodes == 3
+    assert tree.nodes_at(0) + tree.nodes_at(1) == 3
     assert tree.n_leaves == 2
     np.testing.assert_allclose(tree.brownian(1), [1.0, -1.0])
-    assert tree.terminal_time == 1.0
+    assert tree.time(tree.n_steps) == 1.0
 
 
 def test_two_step_tree_walk_values():
     tree = build_tree(2, 0.5)
-    assert tree.n_nodes == 7
+    assert sum(tree.nodes_at(k) for k in range(3)) == 7
     s = math.sqrt(0.5)
     np.testing.assert_allclose(tree.brownian(2), [2 * s, 0.0, 0.0, -2 * s])
 
@@ -95,23 +96,15 @@ def test_after_horizon_point_does_not_exist():
         proc.value(2, Phase.AFTER, 0)
 
 
-def test_node_of_leaf_prefix_arithmetic():
-    tree = build_tree(3, 1.0)
-    # leaf 5 = paths bits 101 (down, up, down); ancestors are bit prefixes
-    assert tree.node_of_leaf(5, 0) == 0
-    assert tree.node_of_leaf(5, 1) == 1
-    assert tree.node_of_leaf(5, 2) == 2
-    assert tree.node_of_leaf(5, 3) == 5
-
-
 # -- optional processes -----------------------------------------------------
 
 def test_one_sided_limits_read_the_interval_slot():
     tree = build_tree(1, 1.0)
     proc = _process(tree, [[1.0], [5.0, 6.0]], [[2.0]])
-    assert proc.right_limit(0, 0) == 2.0
-    assert proc.left_limit(1, 0) == 2.0
-    assert proc.left_limit(1, 1) == 2.0
+    # the right limit at AT(0) is the slot after it; the left limit at each
+    # AT(1) node is its parent's entry of that slot
+    assert [a.tolist() for a in proc.slots] == [[1.0], [2.0], [5.0, 6.0]]
+    assert [proc.after[0][node >> 1] for node in range(2)] == [2.0, 2.0]
     assert proc.value(0, Phase.AFTER, 0) == 2.0
 
 
@@ -125,6 +118,53 @@ def test_restrict_matches_direct_subtree_read():
     assert sub.at[0][0] == proc.at[1][1]
     np.testing.assert_array_equal(sub.at[2], proc.at[3][4:8])
     np.testing.assert_array_equal(sub.after[1], proc.after[2][2:4])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_a_process_is_its_key_ordered_slots(n, seed):
+    tree = build_tree(n, 0.5)
+    rng = np.random.default_rng(seed)
+    at = [rng.normal(size=tree.nodes_at(k)) for k in range(n + 1)]
+    after = [rng.normal(size=tree.nodes_at(k)) for k in range(n)]
+    proc = OptionalProcess(tree, at, after)
+    assert len(proc.slots) == 2 * n + 1
+    for key, arr in enumerate(proc.slots):
+        assert arr is (at if key & 1 == 0 else after)[key >> 1]
+    # the table form and the key order build the same process, slot for slot
+    for other in (OptionalProcess.from_slots(tree, proc.slots), OptionalProcess(tree, proc.at, proc.after)):
+        assert len(other.slots) == len(proc.slots)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(other.slots, proc.slots))
+    # the views are tuples: a slot cannot be swapped through them
+    for view in (proc.at, proc.after):
+        assert isinstance(view, tuple)
+        with pytest.raises(TypeError):
+            view[0] = np.zeros(1)
+    incr = TransitionIncrements(tree, at[:n], after)
+    assert all(a is b for a, b in zip(incr.slots, [x for pair in zip(at, after) for x in pair]))
+    same = TransitionIncrements.from_slots(tree, incr.slots)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(same.slots, incr.slots))
+    for view in (incr.phase, incr.step):
+        assert isinstance(view, tuple)
+        with pytest.raises(TypeError):
+            view[0] = np.zeros(1)
+
+
+def test_both_constructors_name_the_first_bad_row_of_the_table_form():
+    tree = build_tree(2, 0.5)
+    slots = [np.zeros(tree.nodes_at(q >> 1)) for q in range(5)]
+    # AFTER(0) and AT(1) both have the wrong shape: every AT row is checked first
+    slots[1], slots[2] = np.zeros(3), np.zeros(3)
+    for build in (lambda: OptionalProcess.from_slots(tree, slots),
+                  lambda: OptionalProcess(tree, slots[0::2], slots[1::2])):
+        with pytest.raises(ValueError, match=r"^at\[1\] has shape \(3,\), expected \(2,\)$"):
+            build()
+    slots[2] = np.zeros(2)
+    with pytest.raises(ValueError, match=r"^after\[0\] has shape \(3,\), expected \(1,\)$"):
+        OptionalProcess.from_slots(tree, slots)
+    for count in (4, 6):
+        with pytest.raises(ValueError, match="slot count"):
+            OptionalProcess.from_slots(tree, [np.zeros(1)] * count)
 
 
 def test_process_rows_serialization_shape():
@@ -159,7 +199,7 @@ def test_eval_on_and_off_membership_reads():
     np.testing.assert_array_equal(eval_at_system(proc, off), [2.0, 2.0])
     # the right limsup and liminf readings coincide on the grid: both are
     # the interval slot
-    np.testing.assert_array_equal(eval_at_system(proc, off), [proc.right_limit(0, 0)] * 2)
+    np.testing.assert_array_equal(eval_at_system(proc, off), [proc.after[0][0]] * 2)
 
 
 def test_eval_full_membership_equals_plain_read():
@@ -228,7 +268,7 @@ def test_hitting_monotone_in_condition(bits_a, bits_extra, n):
         proc = OptionalProcess(tree, at, after)
         i = 0
         for key in range(n_slots):
-            arr = proc.slot(key)
+            arr = proc.slots[key]
             for node in range(arr.size):
                 if bits >> (i % 12) & 1:
                     arr[node] = 1.0

@@ -24,7 +24,10 @@ cell for cell against one ``solve_rbsde`` per grid member, and
 ``implicit_step`` on a stack of rows against each row solved alone.  The
 Snell envelopes, now two zero-driver reflected passes, and ``solve_bsde``
 and ``ef_backward_batch``, now one unreflected pass, are checked bit for
-bit against the three loops they replaced.
+bit against the three loops they replaced.  ``growth_points`` and the
+stopped reflection mass of the epsilon saddle, now one pass over the
+key-ordered increment slots, are checked bit for bit against their
+per-step loops over the phase and step increments.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from rbsde_lab import (
     enumerate_stopping_times,
     eval_at_system,
     gather_slots,
+    growth_points,
     implicit_step,
     linear_driver,
     mokobodzki_witness,
@@ -78,6 +82,7 @@ from rbsde_lab.expectation import _row_max, _window_pairs, ef_backward_batch
 from rbsde_lab.games import (
     _freeze_masks,
     _pair_patterns,
+    _stopped_mass,
     _strategy_keys,
     brute_force_values,
     epsilon_saddle,
@@ -345,7 +350,7 @@ def reference_eval_at_system(process, system):
     out = np.empty(process.tree.n_leaves)
     for key in np.flatnonzero(np.bincount(keys)).tolist():
         sel = keys == key
-        out[sel] = process.slot(key)[nodes[sel]]
+        out[sel] = (process.after if key & 1 else process.at)[key >> 1][nodes[sel]]
     return out
 
 
@@ -582,9 +587,7 @@ def test_pair_patterns_read_the_payoff_and_fix_the_freeze_step(phase_resolved, c
         assert np.array_equal(freeze[inverse], pair_min)
         # and each row reads the payoff the tensor computes
         barriers = random_scenario(depth, n_steps=depth).barriers
-        slots = range(2 * depth + 1)
-        flat = np.concatenate([barriers.lower.slot(q) for q in slots] + [barriers.upper.slot(q) for q in slots]
-                              + [barriers.terminal])
+        flat = np.concatenate(barriers.lower.slots + barriers.upper.slots + [barriers.terminal])
         j, ms = reference_payoff_tensor(barriers, keys, keys)
         assert _same_bits(flat[src][inverse], j.reshape(n_strat ** 2, -1))
         assert np.array_equal(ms.reshape(n_strat ** 2, -1), pair_min)
@@ -1195,3 +1198,41 @@ def test_one_row_whose_band_disagrees_with_fn_fails_the_stack(base):
         implicit_step(e[1], z[1], 0.0, dishonest_row, 0.5)
     with pytest.raises(RootSolveError, match="residual"):
         implicit_step(e, z, 0.0, dishonest, 0.5)
+
+
+def reference_growth_points(incr, tol):
+    """Growth indicator, step by step: phase increments flag AT(k), step
+    increments flag AFTER(k), and AT(N) is never flagged."""
+    tree = incr.tree
+    at = [np.asarray(incr.phase[k] > tol, dtype=float) for k in range(tree.n_steps)]
+    after = [np.asarray(incr.step[k] > tol, dtype=float) for k in range(tree.n_steps)]
+    return OptionalProcess(tree, at + [np.zeros(tree.n_leaves)], after)
+
+
+def reference_stopped_mass(incr, stop):
+    """Per-leaf increments of the transitions that end at or before the
+    stop, added step by step: the phase increment, then the step one."""
+    tree = incr.tree
+    total = np.zeros(tree.n_leaves)
+    for k in range(tree.n_steps):
+        total += tree.spread(incr.phase[k], k) * (stop.keys >= 2 * k + 1)
+        total += tree.spread(incr.step[k], k) * (stop.keys >= 2 * (k + 1))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([0.0, 0.25]))
+def test_growth_points_and_stopped_mass_match_the_per_step_loops(seed, depth, tol):
+    rng = np.random.default_rng(seed)
+    tree = build_tree(depth, 0.5)
+    def draw(k):
+        """Signed increments of step k with exact zeros and entries at the tolerance."""
+        size = tree.nodes_at(k)
+        return np.where(rng.random(size) < 0.3, rng.choice([0.0, -0.0, tol], size), rng.normal(size=size))
+
+    incr = TransitionIncrements(tree, [draw(k) for k in range(depth)], [draw(k) for k in range(depth)])
+    got, want = growth_points(incr, tol), reference_growth_points(incr, tol)
+    assert len(got.slots) == len(want.slots) == 2 * depth + 1
+    assert all(_same_bits(a, b) for a, b in zip(got.slots, want.slots))
+    stop = _random_stop(tree, rng)
+    assert _same_bits(_stopped_mass(incr, stop), reference_stopped_mass(incr, stop))

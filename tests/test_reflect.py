@@ -24,6 +24,7 @@ from rbsde_lab import (
     linear_driver,
     mokobodzki_witness,
     random_scenario,
+    scenario_from_dict,
     snell_envelopes,
     solve_bsde,
     solve_rbsde,
@@ -369,3 +370,16 @@ def test_no_downward_jump_at_growth_under_left_usc():
         sol = solve_rbsde(sc.tree, sc.barriers, sc.driver)
         rep = continuity_analogue(sol, sc.barriers, tol=4e-12)
         assert rep.passed, rep
+
+
+def test_the_checks_refuse_barriers_on_another_grid():
+    sc = random_scenario(3, n_steps=2, driver_kind="linear")
+    sol = solve_rbsde(sc.tree, sc.barriers, sc.driver)
+    deeper = random_scenario(3, n_steps=4, driver_kind="linear")
+    coarser = scenario_from_dict(dict(sc.data, dt=2 * sc.data["dt"]))
+    for other in (deeper, coarser):
+        for check in (lambda: check_minimality(sol, other.barriers),
+                      lambda: verify_dynamics(sol, other.barriers, sc.driver),
+                      lambda: continuity_analogue(sol, other.barriers)):
+            with pytest.raises(ValueError, match="barriers live on a different grid"):
+                check()

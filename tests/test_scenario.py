@@ -52,7 +52,7 @@ def _minimal(**overrides):
 def test_minimal_document_materializes():
     sc = scenario_from_dict(_minimal())
     assert sc.name == "scenario"
-    assert sc.tree.n_steps == 1 and sc.tree.n_nodes == 3
+    assert sc.tree.n_steps == 1 and sc.tree.n_leaves == 2
     assert sc.tolerances == DEFAULT_TOLERANCES
     assert np.all(sc.barriers.terminal == 0.0)
 
