@@ -5,11 +5,11 @@ time slice and is solved implicitly: with ``E`` the equal-weight average of
 the two children and ``Z = (Y_up - Y_down) / (2 sqrt(dt))``, the interval
 value solves ``y = E + f(t_k, y, Z) dt (+ dV)``.  The map ``y -> y - dt
 f(t, y, z)`` is strictly increasing whenever ``dt * max(0, mu) < 1``, so the
-root is unique; :func:`implicit_step` finds it in closed form, by a
-safeguarded Newton iteration or by bracketed bisection, depending on the
-structure the driver declares.  The phase transition AT(k) -> AFTER(k)
-carries no noise and no driver time; only finite-variation increments act
-there.
+root is unique; :func:`implicit_step` finds it in closed form (affine and
+odd-cubic drivers), by a safeguarded Newton iteration or by bracketed
+bisection, depending on the structure the driver declares.  The phase
+transition AT(k) -> AFTER(k) carries no noise and no driver time; only
+finite-variation increments act there.
 
 Martingale representation is exact by construction: ``Y_up - Y_down =
 2 Z sqrt(dt)`` at every diffusion transition.
@@ -184,7 +184,8 @@ def truncated_driver(const: float, y_coef: float, z_coef: float, bound: float) -
 
 def polynomial_driver(terms: Sequence[tuple[int, int, float]], lambda_z: float, mu: float,
                       z_growth: tuple[float, float, float] | None = None, tag: str = "polynomial") -> Driver:
-    """Driver ``f(t, y, z) = sum c * y**i * z**j`` with declared constants."""
+    """Driver ``f(t, y, z) = sum c * y**i * z**j`` with declared constants,
+    evaluated by sparse Horner (:func:`_y_coefficients`, :func:`_horner`)."""
     terms = tuple((int(i), int(j), float(c)) for i, j, c in terms)
     for i, j, _ in terms:
         if i < 0 or j < 0:
@@ -194,11 +195,51 @@ def polynomial_driver(terms: Sequence[tuple[int, int, float]], lambda_z: float, 
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
         acc = np.zeros(np.broadcast(y, z).shape)
-        for i, j, c in terms:
-            acc += c * y**i * z**j
+        if terms:
+            acc += _horner(_y_coefficients(terms, z), y)
         return acc
 
     return Driver(fn=fn, lambda_z=float(lambda_z), mu=float(mu), tag=tag, z_growth=z_growth, terms=terms)
+
+
+def _horner(pairs: Sequence[tuple[int, object]], x: np.ndarray, slope: bool = False):
+    """``sum a * x**p`` over ``(p, a)`` pairs in strictly descending ``p``, by
+    sparse Horner: a gap of ``g`` powers between declared ones costs one
+    ``x**g`` (a product when ``g`` is 1), never a power per term or a
+    coefficient per degree.  With ``slope``, returns the value and its
+    derivative in ``x``."""
+    p, f = pairs[0]
+    df = 0.0
+    # the last pair, with nothing to add, lifts the sum from x**p to x**0
+    for q, a in [*pairs[1:], (0, None)]:
+        g = p - q
+        if g == 1:
+            if slope:
+                df = df * x + f
+            f = f * x
+        elif g and slope:
+            lift = x ** (g - 1)
+            shift = lift * x
+            df = df * shift + g * f * lift
+            f = f * shift
+        elif g:
+            f = f * x**g
+        if a is not None:
+            f = f + a
+        p = q
+    return (f, df) if slope else f
+
+
+def _y_coefficients(terms: Sequence[tuple[int, int, float]], z: np.ndarray) -> list[tuple[int, object]]:
+    """``(i, a_i(z))`` in descending ``i``, with ``sum c y**i z**j = sum
+    a_i(z) y**i``; each ``a_i`` is a sparse Horner in ``z``, a float when
+    only ``j = 0`` enters it."""
+    grouped: dict[int, dict[int, float]] = {}
+    for i, j, c in terms:
+        row = grouped.setdefault(i, {})
+        row[j] = row.get(j, 0.0) + c
+    return [(i, _horner(sorted(grouped[i].items(), reverse=True), z))
+            for i in sorted(grouped, reverse=True)]
 
 
 def cfl_margin(driver: Driver, tree: TwoPhaseTree) -> float:
@@ -218,12 +259,15 @@ def implicit_step(e: np.ndarray, z: np.ndarray, t: float, driver: Driver, dt: fl
     The driver's declared structure picks the solver: the closed form for
     affine ``terms``; for affine ``terms`` under a ``clip`` band ``[lo,
     hi]``, the closed form clipped to ``[e + dt lo, e + dt hi]`` (exact while
-    the unclipped residual is strictly increasing); a safeguarded Newton
+    the unclipped residual is strictly increasing); for odd-cubic ``terms``
+    (:func:`_odd_cubic`), clipped or not, the hyperbolic closed form with
+    one Newton correction, clipped the same way; a safeguarded Newton
     iteration for other ``terms``, clipped or not; and bracketed bisection
     on ``fn`` for drivers without ``terms``.  Each path but the affine one
     ends with a residual check against ``fn`` at ``tol``, so structure that
-    disagrees with ``fn`` raises :class:`RootSolveError`.  ``max_iter`` caps
-    the Newton and bisection rounds.
+    disagrees with ``fn`` raises :class:`RootSolveError`; an odd-cubic row
+    that fails it takes the Newton root first.  ``max_iter`` caps the
+    Newton and bisection rounds.
 
     Every leading axis indexes rows, and every test that decides something
     (a stop test, the residual check) reduces over the last axis only, so a
@@ -239,18 +283,21 @@ def implicit_step(e: np.ndarray, z: np.ndarray, t: float, driver: Driver, dt: fl
         a, b, c = affine
         y = (e + dt * (a + c * z)) / (1.0 - dt * b)
     else:
+        cubic = None
         if affine is not None:
             y = _clipped_affine_step(e, z, affine, driver.clip, dt)
-        elif driver.terms is not None:
-            y = _newton_step(e, z, driver.terms, driver.clip, dt, max_iter)
-        else:
+        elif driver.terms is None:
             y = _bisect_step(e, z, t, driver.fn, dt, max_iter)
-        resid = np.multiply(driver.fn(t, y, z), -dt)
-        resid += y
-        resid -= e
-        worst = _row_max(np.abs(resid, out=resid))
-        # fmax, like max(tol, .), ignores a NaN scale
-        failed = worst > np.fmax(tol, tol * _row_max(np.abs(y)))
+        elif (cubic := _odd_cubic(driver.terms, dt)) is not None:
+            y = _odd_cubic_step(e, z, cubic, driver.clip, dt)
+        else:
+            y = _newton_step(e, z, driver.terms, driver.clip, dt, max_iter)
+        worst, failed = _residual_rows(y, e, z, t, driver.fn, dt, tol)
+        if cubic is not None and failed.any():
+            # the closed form can miss by the last ulp where Newton's iterate
+            # does not: such a row takes Newton's root instead
+            y = np.where(failed, _newton_step(e, z, driver.terms, driver.clip, dt, max_iter), y)
+            worst, failed = _residual_rows(y, e, z, t, driver.fn, dt, tol)
         if failed.any():
             raise RootSolveError(f"one-step residual {np.max(worst[failed]):.3e} above tolerance {tol:.3e}")
     if active is not None:
@@ -258,6 +305,18 @@ def implicit_step(e: np.ndarray, z: np.ndarray, t: float, driver: Driver, dt: fl
     if not np.all(np.isfinite(y)):
         raise RootSolveError("implicit step produced non-finite values")
     return y.reshape(()) if scalar else y
+
+
+def _residual_rows(y: np.ndarray, e: np.ndarray, z: np.ndarray, t: float, fn: Callable,
+                   dt: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the worst ``|y - dt fn(t, y, z) - e|`` and whether it is above
+    ``max(tol, tol * max|y|)``, both as ``(..., 1)`` columns."""
+    resid = np.multiply(fn(t, y, z), -dt)
+    resid += y
+    resid -= e
+    worst = _row_max(np.abs(resid, out=resid))
+    # fmax, like max(tol, .), ignores a NaN scale
+    return worst, worst > np.fmax(tol, tol * _row_max(np.abs(y)))
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
@@ -288,18 +347,68 @@ def _clipped_affine_step(e: np.ndarray, z: np.ndarray, affine: tuple[float, floa
     place to keep two temporaries alive.
     """
     a, b, c = affine
-    lo, hi = band
     y = np.empty(np.broadcast_shapes(e.shape, z.shape))
     np.multiply(z, c, out=y)
     y += a
     y *= dt
     y += e
     y /= 1.0 - dt * b
-    edge = np.add(e, dt * lo)
+    return _clip_to_band(y, e, band, dt)
+
+
+def _clip_to_band(y: np.ndarray, e: np.ndarray, band: tuple[float, float], dt: float) -> np.ndarray:
+    """``y`` clipped in place to ``[e + dt lo, e + dt hi]``."""
+    edge = np.add(e, dt * band[0])
     np.maximum(y, edge, out=y)
-    np.add(e, dt * hi, out=edge)
+    np.add(e, dt * band[1], out=edge)
     np.minimum(y, edge, out=y)
     return y
+
+
+def _odd_cubic(terms: Sequence[tuple[int, int, float]], dt: float) -> tuple[float, float, list] | None:
+    """``(a3, a1, zterms)`` with ``y = e + dt f(y, z)`` the odd cubic ``a3 y**3
+    + a1 y = e + dt sum c z**j`` over the ``(0, j, c)`` in ``zterms``, ``a3 > 0``
+    and ``a1 > 0``; None unless ``terms`` are ``(3, 0, c3)`` with ``c3 < 0``,
+    ``(1, 0, c1)`` with ``1 - dt c1 > 0`` and ``(0, j, c)`` terms."""
+    if any(i not in (0, 1, 3) or (i and j) for i, j, _ in terms):
+        return None
+    a3 = -dt * sum(c for i, _, c in terms if i == 3)
+    a1 = 1.0 - dt * sum(c for i, _, c in terms if i == 1)
+    if not (a3 > 0.0 and a1 > 0.0):
+        return None
+    return a3, a1, [term for term in terms if term[0] == 0]
+
+
+def _odd_cubic_step(e: np.ndarray, z: np.ndarray, cubic: tuple[float, float, list],
+                    band: tuple[float, float] | None, dt: float) -> np.ndarray:
+    """Root of ``a3 y**3 + a1 y = rhs``, ``rhs = e + dt g(z)``, then clipped to
+    ``[e + dt lo, e + dt hi]`` under a band (the clip identity of
+    :func:`_clipped_affine_step`, which holds for any ``f`` with ``y - dt f``
+    increasing).
+
+    The one real root is ``(2 / k) sinh(asinh(1.5 k rhs / a1) / 3)`` with
+    ``k = sqrt(3 a3 / a1)``.  That form is about an ulp off, which a residual
+    check at ``tol * max|y|`` can see once ``a3 y**3`` dwarfs ``y``, so one
+    Newton correction on the cubic follows.  Computed in place.
+    """
+    a3, a1, zterms = cubic
+    rhs = e if not zterms else e + dt * _y_coefficients(zterms, z)[0][1]
+    k = np.sqrt(3.0 * a3 / a1)
+    y = np.multiply(rhs, 1.5 * k / a1)
+    np.arcsinh(y, out=y)
+    y /= 3.0
+    np.sinh(y, out=y)
+    y *= 2.0 / k
+    y2 = y * y
+    r = np.multiply(y2, a3)
+    r += a1
+    r *= y
+    r -= rhs
+    y2 *= 3.0 * a3
+    y2 += a1
+    r /= y2
+    y -= r
+    return y if band is None else _clip_to_band(y, e, band, dt)
 
 
 def _bracket(resid: Callable[[np.ndarray], np.ndarray], e: np.ndarray,
@@ -344,22 +453,16 @@ def _newton_step(e: np.ndarray, z: np.ndarray, terms: Sequence[tuple[int, int, f
                  band: tuple[float, float] | None, dt: float, max_iter: int) -> np.ndarray:
     """Safeguarded Newton (the ``rtsafe`` pattern) on ``y - dt f - e``.
 
-    ``f`` and ``df/dy`` come from ``terms`` by Horner's rule in ``y``, with
+    ``f`` and ``df/dy`` come from ``terms`` by sparse Horner in ``y``, with
     ``z`` frozen; a clip band zeroes the slope outside it.  The bracket is
     ``[e + dt lo, e + dt hi]`` under a band, else the doubling bracket.  Each
     residual sign shrinks the bracket, and a Newton step that leaves it, or
     is not under half the step before last, falls back to bisection.
     """
-    deg = max((i for i, _, _ in terms), default=0)
-    coef: list = [0.0] * (deg + 1)  # coefficient of y**i, a function of z
-    for i, j, c in terms:
-        coef[i] = coef[i] + (c if j == 0 else c * z**j)
+    coef = _y_coefficients(terms, z)
 
     def value_slope(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f, df = coef[deg], 0.0
-        for i in range(deg - 1, -1, -1):
-            df = df * y + f
-            f = f * y + coef[i]
+        f, df = _horner(coef, y, slope=True)
         if band is not None:
             inside = (f > band[0]) & (f < band[1])
             f = np.clip(f, band[0], band[1])

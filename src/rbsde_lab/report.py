@@ -170,6 +170,11 @@ def solution_from_dict(data: dict[str, Any]) -> RBSDESolution:
     y = OptionalProcess(tree, [np.asarray(r, dtype=float) for r in data["y"]["at"]],
                         [np.asarray(r, dtype=float) for r in data["y"]["after"]])
     z = [np.asarray(r, dtype=float) for r in data["z"]]
+    if len(z) != tree.n_steps:
+        raise ValueError(f"z has {len(z)} rows, expected {tree.n_steps}")
+    for k, row in enumerate(z):
+        if row.shape != (tree.nodes_at(k),):
+            raise ValueError(f"z[{k}] has shape {row.shape}, expected ({tree.nodes_at(k)},)")
 
     def incr(block: dict[str, Any]) -> TransitionIncrements:
         return TransitionIncrements(tree,

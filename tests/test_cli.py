@@ -324,6 +324,31 @@ def test_verify_rejects_malformed_solution_cleanly(tmp_path, capsys):
     assert main(["verify", path, "--solution", missing]) == 2
 
 
+@pytest.mark.parametrize("cut, error", [
+    # once an IndexError traceback that ended the command
+    (lambda z: z[:2], "z has 2 rows, expected 3"),
+    # once broadcast, and reported as a failed dynamics check
+    (lambda z: [z[0], z[1][:1], z[2]], "z[1] has shape (1,), expected (2,)"),
+], ids=["rows", "row-shape"])
+def test_a_solution_with_malformed_z_exits_2_and_later_scenarios_still_run(tmp_path, capsys, cut, error):
+    scn = random_scenario(5, n_steps=3, driver_kind="linear", name="three")
+    path = _write(tmp_path, scn.data)
+    assert main(["solve", path, "--out", str(tmp_path / "solved")]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "solved" / "three.solve.json").read_text())
+    report["solution"]["z"] = cut(report["solution"]["z"])
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(report))
+    # the later scenario is on a depth-2 grid, so it is refused in turn
+    later = _write(tmp_path, dict(TRIVIAL, name="later"), "later.json")
+    rc = main(["verify", path, later, "--solution", str(edited), "--out", str(tmp_path / "out")])
+    refused, rest = _cli_output(capsys)
+    assert rc == 2 and not refused["passed"]
+    assert refused["error"] == f"{edited} is not a solution document: {error}"
+    assert json.loads(rest)["error"] == (f"{edited}: solution grid (steps 3, dt {scn.data['dt']!r}) "
+                                         "does not match the scenario's (steps 2, dt 0.5)")
+
+
 def test_saddle_with_epsilon_sweep(tmp_path, capsys):
     path = _write(tmp_path, random_scenario(31, n_steps=2).data)
     rc = main(["saddle", path, "--epsilon", "0.1", "0.05"])

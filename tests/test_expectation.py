@@ -28,7 +28,8 @@ from rbsde_lab import (
     solve_bsde,
     truncated_driver,
 )
-from rbsde_lab.expectation import TransitionIncrements, _check_mu
+from rbsde_lab.expectation import (TransitionIncrements, _check_mu, _newton_step, _odd_cubic, _odd_cubic_step,
+                                   _residual_rows)
 
 
 # -- frozen one-step solves ---------------------------------------------------
@@ -77,31 +78,41 @@ def test_bisection_agrees_with_closed_form():
 @st.composite
 def _structured_drivers(draw):
     """A driver with declared structure, and a dt that keeps the residual's
-    slope ``1 - dt * df/dy`` at 0.1 or more."""
+    slope ``1 - dt * df/dy`` at 0.1 or more.  Bands are scalar or ``(3, 1)``
+    columns, one band per row of a ``(3, 40)`` stack."""
     unit = st.floats(-1.0, 1.0)
     a, c = draw(unit), draw(unit)
     b = draw(st.floats(-1.5, 0.5))
-    kind = draw(st.sampled_from(["truncated", "clipped_affine", "cubic", "polynomial_z"]))
+    kind = draw(st.sampled_from(["truncated", "clipped_affine", "odd_cubic", "polynomial_z"]))
     if kind == "truncated":
         drv = truncated_driver(a, b, c, draw(st.floats(0.1, 2.0)))
     elif kind == "clipped_affine":
         drv = linear_driver(a, b, c)
     else:
         terms = [(0, 0, a), (1, 0, b), (3, 0, -draw(st.floats(0.1, 3.0)))]
-        if kind == "polynomial_z":
+        if kind == "odd_cubic":
+            # z enters through z and z**2 alone: the closed form's shape
+            terms += [(0, 1, c), (0, 2, draw(st.floats(-0.5, 0.5)))][:draw(st.integers(0, 2))]
+        else:
             # z enters through z, z**2 and y*z; |y*z coefficient| * max|z| <= 0.4
             terms += [(0, 1, c), (0, 2, draw(st.floats(-0.5, 0.5))), (1, 1, 0.2 * draw(unit))]
         drv = polynomial_driver(terms, lambda_z=10.0, mu=max(b, 0.0) + 0.4)
     # ladder-style bands, nested twice at most, on any base
+    level = st.floats(0.0, 3.0)
     for _ in range(draw(st.integers(1 if kind == "clipped_affine" else 0, 2))):
-        drv = clipped_driver(drv, draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0)))
+        if draw(st.booleans()):
+            drv = clipped_driver(drv, draw(level), draw(level))
+        else:
+            drv = clipped_driver(drv, *(np.array(draw(st.lists(level, min_size=3, max_size=3)))[:, None]
+                                        for _ in range(2)))
     return drv, draw(st.floats(0.05, 1.0))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_structured_drivers(), st.integers(0, 10_000), st.booleans())
 def test_structured_steps_match_bisection(drv_dt, seed, masked):
-    """Clip identity and Newton agree with bisection on the bare fn."""
+    """Clip identity, the odd-cubic closed form and Newton agree with
+    bisection on the bare fn, and the closed form with Newton too."""
     drv, dt = drv_dt
     rng = np.random.default_rng(seed)
     e = rng.uniform(-3.0, 3.0, (3, 40))
@@ -112,6 +123,54 @@ def test_structured_steps_match_bisection(drv_dt, seed, masked):
     assert np.all(np.abs(fast - slow) <= 1e-13 * np.maximum(1.0, np.abs(slow)))
     if masked:
         assert np.array_equal(fast[~active], e[~active])
+    cubic = _odd_cubic(drv.terms, dt)
+    if cubic is not None:
+        # at this scale the closed form, band included, needs no Newton fallback
+        closed = _odd_cubic_step(e, z, cubic, drv.clip, dt)
+        assert not _residual_rows(closed, e, z, 0.0, drv.fn, dt, 1e-12)[1].any()
+        newton = _newton_step(e, z, drv.terms, drv.clip, dt, 200)
+        newton = newton if active is None else np.where(active, newton, e)
+        assert np.all(np.abs(fast - newton) <= 1e-13 * np.maximum(1.0, np.abs(newton)))
+
+
+def test_odd_cubic_step_fails_no_row_that_newton_solves():
+    """On catalogue cubics at scales where the bare closed form misses the
+    residual check by its last ulp, no row of a stack fails that Newton
+    solves, and a stack whose rows partly fall back to Newton still solves
+    bit for bit as each row alone."""
+    rng = np.random.default_rng(2024)
+    bare_misses = fallbacks = 0
+    for scale in (1.0, 1e3, 3e4, 1e5):
+        for _ in range(150):
+            drv = polynomial_driver([(3, 0, -rng.uniform(0.5, 3.0)), (1, 0, -1.0)], lambda_z=0.0, mu=-1.0)
+            dt = rng.uniform(0.01, 1.0)
+            e = scale * rng.uniform(-1.0, 1.0, (4, 16))
+            z = rng.uniform(-1.0, 1.0, (4, 16))
+            a3, a1, _ = _odd_cubic(drv.terms, dt)
+            k = np.sqrt(3.0 * a3 / a1)
+            bare = 2.0 / k * np.sinh(np.arcsinh(1.5 * k / a1 * e) / 3.0)
+            bare_misses += _residual_rows(bare, e, z, 0.0, drv.fn, dt, 1e-12)[1].sum()
+            fallbacks += _residual_rows(_odd_cubic_step(e, z, (a3, a1, []), None, dt),
+                                        e, z, 0.0, drv.fn, dt, 1e-12)[1].sum()
+            newton_ok = ~_residual_rows(_newton_step(e, z, drv.terms, None, dt, 200),
+                                        e, z, 0.0, drv.fn, dt, 1e-12)[1][:, 0]
+            alone = [_solved_or_none(e[r], z[r], drv, dt) for r in range(4)]
+            assert all(row is not None for row, ok in zip(alone, newton_ok) if ok)
+            stacked = _solved_or_none(e, z, drv, dt)
+            if any(row is None for row in alone):
+                assert stacked is None
+            else:
+                assert all(stacked[r].tobytes() == alone[r].tobytes() for r in range(4))
+    # the draws reach the trap; the one correction clears most of it (698
+    # rows miss bare, 44 after it), and the fallback runs on the rest
+    assert 0 < 4 * fallbacks < bare_misses
+
+
+def _solved_or_none(e, z, driver, dt):
+    try:
+        return implicit_step(e, z, 0.0, driver, dt)
+    except RootSolveError:
+        return None
 
 
 def test_structure_that_disagrees_with_fn_raises():
@@ -129,9 +188,10 @@ def test_structure_that_disagrees_with_fn_raises():
 @pytest.mark.parametrize("driver", [
     linear_driver(0.3, -1.0, 0.5),                                    # closed form
     truncated_driver(0.3, -1.0, 0.5, 0.2),                            # clip identity
-    polynomial_driver([(3, 0, -1.0), (1, 0, -1.0)], lambda_z=0.0, mu=-1.0),  # Newton
+    polynomial_driver([(3, 0, -1.0), (1, 0, -1.0)], lambda_z=0.0, mu=-1.0),  # odd-cubic closed form
+    polynomial_driver([(3, 0, -1.0), (2, 0, 0.1), (1, 0, -1.0)], lambda_z=0.0, mu=-0.99),  # Newton
     _bisection_oracle(polynomial_driver([(3, 0, -1.0)], lambda_z=0.0, mu=0.0)),  # bisection
-], ids=["closed-form", "clip", "newton", "bisection"])
+], ids=["closed-form", "clip", "odd-cubic", "newton", "bisection"])
 @pytest.mark.parametrize("active", [None, np.bool_(True), np.bool_(False)])
 def test_zero_d_input_solves_as_one_row_of_one(driver, active):
     got = implicit_step(np.float64(0.7), np.float64(0.3), 0.0, driver, 0.5, active=active)

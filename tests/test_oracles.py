@@ -27,7 +27,9 @@ and ``ef_backward_batch``, now one unreflected pass, are checked bit for
 bit against the three loops they replaced.  ``growth_points`` and the
 stopped reflection mass of the epsilon saddle, now one pass over the
 key-ordered increment slots, are checked bit for bit against their
-per-step loops over the phase and step increments.
+per-step loops over the phase and step increments.  ``polynomial_driver``
+now evaluates by sparse Horner; the term-by-term sum it replaced is kept
+as a reference, within a few ulps of the terms' magnitudes.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from rbsde_lab import (
 from rbsde_lab import reflect
 from rbsde_lab import report as report_module
 from rbsde_lab.cli import _HANDLERS, build_parser
-from rbsde_lab.expectation import _row_max, _window_pairs, ef_backward_batch
+from rbsde_lab.expectation import _horner, _odd_cubic, _row_max, _window_pairs, _y_coefficients, ef_backward_batch
 from rbsde_lab.games import (
     _freeze_masks,
     _pair_patterns,
@@ -1120,24 +1122,31 @@ def test_row_max_folds_narrow_rows_as_np_max_reduces_them(shape):
 @st.composite
 def _row_stacks(draw):
     """A base driver on one root-solve path, per-row clip levels or None,
-    the row count and dt.  The residual's slope stays at 0.5 or more."""
-    path = draw(st.sampled_from(["closed_form", "clip_identity", "newton", "newton_band", "bisection"]))
+    the row count and dt.  The residual's slope stays at 0.3 or more."""
+    path = draw(st.sampled_from(["closed_form", "clip_identity", "odd_cubic", "newton", "newton_band",
+                                 "bisection"]))
     unit = st.floats(-1.0, 1.0)
     a, c = draw(unit), draw(unit)
     b = draw(st.floats(-1.5, 0.5))
     if path in ("closed_form", "clip_identity"):
         base = linear_driver(a, b, c)
     else:
-        base = polynomial_driver([(0, 0, a), (1, 0, b), (0, 1, c), (3, 0, -draw(st.floats(0.1, 3.0)))],
-                                 lambda_z=10.0, mu=max(b, 0.0) + 0.4)
+        terms = [(0, 0, a), (1, 0, b), (0, 1, c), (3, 0, -draw(st.floats(0.1, 3.0)))]
+        if path in ("newton", "newton_band"):
+            # a y*z term takes the driver off the odd-cubic closed form
+            terms.append((1, 1, 0.1 * draw(unit)))
+        base = polynomial_driver(terms, lambda_z=10.0, mu=max(b, 0.0) + 0.4)
         if path == "bisection":
             base = dataclasses.replace(base, terms=None)
     rows = draw(st.integers(1, 5))
     levels = None
-    if path in ("clip_identity", "newton_band") or (path == "bisection" and draw(st.booleans())):
+    if path in ("clip_identity", "newton_band") or (path in ("odd_cubic", "bisection") and draw(st.booleans())):
         levels = [np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=rows, max_size=rows)))
                   for _ in range(2)]
-    return base, levels, rows, draw(st.floats(0.05, 1.0))
+    dt = draw(st.floats(0.05, 1.0))
+    # each draw takes the path it is named for
+    assert (path == "odd_cubic") == (base.terms is not None and _odd_cubic(base.terms, dt) is not None)
+    return base, levels, rows, dt
 
 
 def _solved_or_none(e, z, driver, dt, active):
@@ -1198,6 +1207,45 @@ def test_one_row_whose_band_disagrees_with_fn_fails_the_stack(base):
         implicit_step(e[1], z[1], 0.0, dishonest_row, 0.5)
     with pytest.raises(RootSolveError, match="residual"):
         implicit_step(e, z, 0.0, dishonest, 0.5)
+
+
+def reference_polynomial(terms, y, z):
+    """``sum c y**i z**j`` term by term, as ``polynomial_driver`` summed it
+    before its sparse Horner, with the sum of the terms' magnitudes and
+    the same two sums for the slope in ``y``."""
+    value, size, slope, slope_size = (np.zeros(np.broadcast(y, z).shape) for _ in range(4))
+    for i, j, c in terms:
+        term = c * y**i * z**j
+        value += term
+        size += np.abs(term)
+        if i:
+            term = i * c * y**(i - 1) * z**j
+            slope += term
+            slope_size += np.abs(term)
+    return value, size, slope, slope_size
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3), st.floats(-3.0, 3.0)), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_horner_matches_the_term_by_term_sum(terms, seed):
+    """Within a few ulps of the terms' magnitudes, for the driver's value
+    and for the slope that Newton reads, with repeated and gapped powers.
+    A product that lands among the subnormals rounds with an absolute error
+    of up to half the smallest subnormal, which no relative bound covers,
+    and the later products of a term scale that error by at most
+    ``6 max(1, |y|)**6 max(1, |z|)**3``; each side forms at most a dozen
+    products per term, so each term also allows a few dozen such errors."""
+    rng = np.random.default_rng(seed)
+    y, z = rng.uniform(-2.0, 2.0, (2, 64))
+    value, size, slope, slope_size = reference_polynomial(terms, y, z)
+    ulp = np.finfo(float).eps
+    scale = 6 * np.maximum(1.0, np.abs(y))**6 * np.maximum(1.0, np.abs(z))**3
+    underflow = 32 * len(terms) * np.finfo(float).smallest_subnormal * scale
+    assert np.all(np.abs(polynomial_driver(terms, lambda_z=0.0, mu=0.0)(0.0, y, z) - value)
+                  <= 8 * ulp * size + underflow)
+    _, got_slope = _horner(_y_coefficients(terms, z), y, slope=True)
+    assert np.all(np.abs(got_slope - slope) <= 8 * ulp * slope_size + underflow)
 
 
 def reference_growth_points(incr, tol):
