@@ -550,8 +550,8 @@ class TransitionIncrements:
     def combine(self, other: "TransitionIncrements", sign: float = 1.0) -> "TransitionIncrements":
         return TransitionIncrements.from_slots(self.tree, [a + sign * b for a, b in zip(self.slots, other.slots)])
 
-    def is_nonnegative(self, tol: float = 0.0) -> bool:
-        return all(np.all(a >= -tol) for a in self.slots)
+    def is_nonnegative(self) -> bool:
+        return all(np.all(a >= 0.0) for a in self.slots)
 
     def total_variation(self) -> float:
         return float(sum(np.sum(np.abs(a)) for a in self.slots))

@@ -19,13 +19,16 @@ Values are computed per theta-atom: the subgame below a node is a fresh
 game on the remaining depth, so conditional values come from reading the
 subgame's barrier slots and offsetting driver time, never from
 re-weighting paths.  One payoff rule (:func:`_pair_sources`) and one
-subgame engine (:func:`_subgame_values`) serve every check here.
+subgame engine (:func:`_subgame_values`) serve every check here.  A saddle
+report solves its theta-subgame once and runs each game mode's opponent
+sweeps as one stacked engine call.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -149,17 +152,6 @@ def _subgame_matrices(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, st
     src, inverse, n_strat = _pair_patterns(tree.n_steps - step, mode == "extended")
     vals = _subgame_values(tree, barriers, driver, step, nodes, src, tol_root, max_iter)
     return vals[:, inverse].reshape(len(nodes), n_strat, n_strat)
-
-
-def _shortfall(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, theta: tuple[int, int],
-               y_theta: float, own: np.ndarray, opp_keys: np.ndarray, maximiser: bool,
-               tol_root: float, max_iter: int) -> float:
-    """How far a player committed to the keys ``own`` falls short of
-    ``y_theta`` against its worst opponent among ``opp_keys``, clipped at 0."""
-    pair = (own[None], opp_keys) if maximiser else (opp_keys, own[None])
-    vals = _subgame_values(tree, barriers, driver, theta[0], range(theta[1], theta[1] + 1),
-                           _pair_sources(tree.n_steps - theta[0], *pair), tol_root, max_iter)
-    return max(0.0, y_theta - float(vals.min())) if maximiser else max(0.0, float(vals.max()) - y_theta)
 
 
 def _check_theta(tree: TwoPhaseTree, step: int, node: int) -> None:
@@ -308,12 +300,11 @@ def game_equals_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
                      identity_applicable=value_identity_applicable(barriers))
 
 
-def _hit_system(tree: TwoPhaseTree, hit: HittingResult) -> StoppingSystem:
+def _hit_system(stop: StoppingTime) -> StoppingSystem:
     """Canonical system of a first-hitting point: an AFTER(k) hit becomes
     the grid stop AT(k) with the membership bit cleared."""
-    steps = hit.stop.steps
-    tau = StoppingTime.from_realized(tree, steps, np.zeros_like(steps))
-    return StoppingSystem(tau, hit.stop.phases == 0)
+    tau = StoppingTime.from_realized(stop.tree, stop.steps, np.zeros_like(stop.steps))
+    return StoppingSystem(tau, stop.phases == 0)
 
 
 def _stopped_mass(incr, stop: StoppingTime) -> np.ndarray:
@@ -331,12 +322,11 @@ class EpsilonSaddle:
     """An epsilon-optimal pair built from barrier proximity, with evidence.
 
     ``residual_up`` is how far the maximiser falls short of the reflected
-    value when committed to ``tau`` against a worst-case opponent (clipped
-    at zero); ``residual_down`` mirrors it.  Both are exhaustive over the
-    opponent's strategies when ``opponents_checked``.  ``hit_gap_*`` and
-    ``reflection_mass_*`` re-check the two structural facts the pair is
-    built on: the barrier is within epsilon at the stop, and no reflection
-    acts strictly inside the stopped interval.
+    value when committed to ``tau`` against its worst opponent over every
+    opponent strategy (clipped at zero); ``residual_down`` mirrors it.
+    ``hit_gap_*`` and ``reflection_mass_*`` re-check the two structural
+    facts the pair is built on: the barrier is within epsilon at the stop,
+    and no reflection acts strictly inside the stopped interval.
     """
 
     epsilon: float
@@ -350,62 +340,105 @@ class EpsilonSaddle:
     hit_gap_upper: float
     reflection_mass_lower: float
     reflection_mass_upper: float
-    opponents_checked: bool
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+
+
+@dataclass
+class _ThetaGame:
+    """The theta-subgame behind a saddle report, solved once: its barriers,
+    their terminal-patched versions ``lower`` and ``upper``, the reflected
+    solution, Y at theta, and ``engine``, the subgame engine at theta from
+    source rows to root values.  Every pair of the report is built from
+    this one solve."""
+
+    barriers: Barriers
+    lower: OptionalProcess
+    upper: OptionalProcess
+    sol: RBSDESolution
+    y_theta: float
+    engine: Callable[[np.ndarray], np.ndarray]
+
+    @classmethod
+    def solve(cls, tree: TwoPhaseTree, barriers: Barriers, driver: Driver, theta_step: int,
+              theta_node: int, enum_bound: int, tol_root: float, max_iter: int) -> "_ThetaGame":
+        """Check theta and the enumeration guard, then solve the subgame."""
+        _check_theta(tree, theta_step, theta_node)
+        _guard_depth(tree.n_steps - theta_step, enum_bound)
+        sub_b = barriers.restrict(theta_step, theta_node)
+        sol = solve_rbsde(tree.subtree(theta_step), sub_b, driver, step_offset=theta_step,
+                          tol_root=tol_root, max_iter=max_iter)
+        engine = functools.partial(_subgame_values, tree, barriers, driver, theta_step,
+                                   range(theta_node, theta_node + 1), tol_root=tol_root, max_iter=max_iter)
+        return cls(sub_b, sub_b.lower_with_terminal(), sub_b.upper_with_terminal(), sol,
+                   float(sol.y.at[0][0]), engine)
+
+    def sweep(self, committed: list[tuple[np.ndarray, bool]], pairs: list[tuple[np.ndarray, np.ndarray]],
+              phase_resolved: bool) -> tuple[list[float], list[float]]:
+        """One engine call for one game mode: per committed ``(keys,
+        maximiser)`` player one row per opponent strategy of the mode, then
+        one row per ``(tau_keys, sigma_keys)`` pair.  Returns how far each
+        player falls short of ``y_theta`` against its worst opponent (below
+        it for the maximiser, above it for the minimiser, clipped at 0) and
+        each pair's value."""
+        n = self.sol.y.tree.n_steps
+        opp = _strategy_keys(self.sol.y.tree, phase_resolved)
+        src = np.concatenate([_pair_sources(n, own[None], opp) if maximiser else _pair_sources(n, opp, own[None])
+                              for own, maximiser in committed]
+                             + [_pair_sources(n, tau[None], sigma[None]) for tau, sigma in pairs])
+        vals = self.engine(src)[0]
+        split = len(committed) * len(opp)
+        shortfalls = [max(0.0, self.y_theta - float(row.min())) if maximiser
+                      else max(0.0, float(row.max()) - self.y_theta)
+                      for row, (_, maximiser) in zip(vals[:split].reshape(len(committed), len(opp)), committed)]
+        return shortfalls, vals[split:].tolist()
+
+    def extended_stack(self, committed: list[tuple[np.ndarray, bool]],
+                       epsilons: tuple[float, ...]) -> tuple[list[float], list[EpsilonSaddle]]:
+        """The extended-mode engine call: the ``committed`` players'
+        shortfalls, then the epsilon pair of :func:`epsilon_saddle` at each
+        of ``epsilons``, with its value and both residuals."""
+        sol = self.sol
+        stops = []
+        for e in epsilons:
+            tau = first_hitting(OptionalProcess.combine(
+                lambda y, l: (y <= l + e).astype(float), sol.y, self.lower))
+            sigma = first_hitting(OptionalProcess.combine(
+                lambda y, u: (y >= u - e).astype(float), sol.y, self.upper))
+            # the terminal slot satisfies both conditions, so the scans always hit
+            assert tau.hit.all() and sigma.hit.all()
+            stops.append((tau.stop, sigma.stop))
+        players = [(stop.keys, maximiser) for pair in stops for stop, maximiser in zip(pair, (True, False))]
+        shortfalls, values = self.sweep(committed + players, [(t.keys, s.keys) for t, s in stops], True)
+        residuals = shortfalls[len(committed):]
+        saddles = [EpsilonSaddle(
+            epsilon=e, y_theta=self.y_theta, tau=_hit_system(t), sigma=_hit_system(s), pair_value=value,
+            residual_up=residuals[2 * i], residual_down=residuals[2 * i + 1],
+            hit_gap_lower=max(0.0, float(np.max(sol.y.at_keys(t.keys) - self.lower.at_keys(t.keys) - e))),
+            hit_gap_upper=max(0.0, float(np.max(self.upper.at_keys(s.keys) - e - sol.y.at_keys(s.keys)))),
+            reflection_mass_lower=float(np.max(_stopped_mass(sol.r_plus, t))),
+            reflection_mass_upper=float(np.max(_stopped_mass(sol.r_minus, s))))
+            for i, (e, (t, s), value) in enumerate(zip(epsilons, stops, values))]
+        return shortfalls[:len(committed)], saddles
 
 
 def epsilon_saddle(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, epsilon: float, *,
                    theta_step: int = 0, theta_node: int = 0, enum_bound: int = 3,
-                   check_opponents: bool = True, tol_root: float = 1e-12,
-                   max_iter: int = 200) -> EpsilonSaddle:
+                   tol_root: float = 1e-12, max_iter: int = 200) -> EpsilonSaddle:
     """Construct the epsilon-saddle pair at a node and measure its slack.
 
     The maximiser stops on first entry of Y into the epsilon-neighbourhood
     of the terminal-patched lower barrier; entry on an interval slot is
     realised as the grid stop with the membership bit cleared.  The
-    minimiser is symmetric about the upper barrier.
+    minimiser is symmetric about the upper barrier.  The pair's value and
+    both residuals come from one stacked engine call.
     """
-    if not 0 <= epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
-    _check_theta(tree, theta_step, theta_node)
-    subtree = tree.subtree(theta_step)
-    sub_b = barriers.restrict(theta_step, theta_node)
-    sol = solve_rbsde(subtree, sub_b, driver, step_offset=theta_step,
-                      tol_root=tol_root, max_iter=max_iter)
-    lxi = sub_b.lower_with_terminal()
-    uxi = sub_b.upper_with_terminal()
-    tau_hit = first_hitting(OptionalProcess.combine(
-        lambda y, l: (y <= l + epsilon).astype(float), sol.y, lxi))
-    sigma_hit = first_hitting(OptionalProcess.combine(
-        lambda y, u: (y >= u - epsilon).astype(float), sol.y, uxi))
-    # the terminal slot satisfies both conditions, so the scans always hit
-    assert tau_hit.hit.all() and sigma_hit.hit.all()
-    y_theta = float(sol.y.at[0][0])
-
-    t_keys, s_keys = tau_hit.stop.keys, sigma_hit.stop.keys
-    hit_gap_lower = max(0.0, float(np.max(sol.y.at_keys(t_keys) - lxi.at_keys(t_keys) - epsilon)))
-    hit_gap_upper = max(0.0, float(np.max(uxi.at_keys(s_keys) - epsilon - sol.y.at_keys(s_keys))))
-    mass_lower = float(np.max(_stopped_mass(sol.r_plus, tau_hit.stop)))
-    mass_upper = float(np.max(_stopped_mass(sol.r_minus, sigma_hit.stop)))
-
-    theta = (theta_step, theta_node)
-    pair_value = float(_subgame_values(tree, barriers, driver, theta_step, range(theta_node, theta_node + 1),
-                                       _pair_sources(subtree.n_steps, t_keys[None], s_keys[None]),
-                                       tol_root, max_iter)[0, 0])
-    residual_up = residual_down = float("nan")
-    opponents_checked = False
-    if check_opponents:
-        _guard_depth(subtree.n_steps, enum_bound)
-        keys = _strategy_keys(subtree, True)
-        residual_up = _shortfall(tree, barriers, driver, theta, y_theta, t_keys, keys, True, tol_root, max_iter)
-        residual_down = _shortfall(tree, barriers, driver, theta, y_theta, s_keys, keys, False, tol_root, max_iter)
-        opponents_checked = True
-
-    return EpsilonSaddle(epsilon=epsilon, y_theta=y_theta,
-                         tau=_hit_system(subtree, tau_hit), sigma=_hit_system(subtree, sigma_hit),
-                         pair_value=pair_value, residual_up=residual_up,
-                         residual_down=residual_down, hit_gap_lower=hit_gap_lower,
-                         hit_gap_upper=hit_gap_upper, reflection_mass_lower=mass_lower,
-                         reflection_mass_upper=mass_upper, opponents_checked=opponents_checked)
+    _check_epsilon(epsilon)
+    game = _ThetaGame.solve(tree, barriers, driver, theta_step, theta_node, enum_bound, tol_root, max_iter)
+    return game.extended_stack([], (epsilon,))[1][0]
 
 
 @dataclass
@@ -417,15 +450,18 @@ class SaddleReport:
     first growth of the matching reflection measure, attributed to the
     transition's left endpoint.  On this grid the contact stop never comes
     later than the action stop, and the barrier is touched exactly where
-    reflection acts; both are checked, not assumed.
+    reflection acts; both are checked, not assumed.  ``contacts`` holds the
+    largest gap between Y and the barrier at each stop, keyed
+    ``star_lower``, ``star_upper``, ``bar_lower`` and ``bar_upper``.
 
-    Residuals are exhaustive over the opponent's strategies: ``*_up`` is
-    the maximiser's shortfall below the reflected value when committed to
-    the pair's tau, ``*_down`` the minimiser's overshoot, both clipped at
-    zero.  Extended-game residuals are always computed.  Plain-game
-    residuals (grid-time opponents, on-time barrier reads) are only
-    meaningful when the barriers have the one-sided regularity that keeps
-    optimal stops on grid times; otherwise they are skipped with a warning.
+    ``residuals`` are exhaustive over the opponent's strategies:
+    ``*_up`` is the maximiser's shortfall below the reflected value when
+    committed to the pair's tau, ``*_down`` the minimiser's overshoot, both
+    clipped at zero; keys run ``star_extended_up`` to ``bar_plain_down``.
+    Extended-game residuals are always computed.  Plain-game residuals
+    (grid-time opponents, on-time barrier reads) are only meaningful when
+    the barriers have the one-sided regularity that keeps optimal stops on
+    grid times; otherwise they are ``None`` and a warning says why.
     """
 
     y_theta: float
@@ -437,51 +473,31 @@ class SaddleReport:
     sigma_bar_attained: np.ndarray
     order_tau_ok: bool
     order_sigma_ok: bool
-    star_contact_lower: float
-    star_contact_upper: float
-    bar_contact_lower: float
-    bar_contact_upper: float
-    star_extended_up: float
-    star_extended_down: float
-    bar_extended_up: float
-    bar_extended_down: float
+    contacts: dict[str, float]
+    residuals: dict[str, float | None]
     lower_flags: SemicontinuityFlags
     upper_flags: SemicontinuityFlags
-    star_plain_up: float | None = None
-    star_plain_down: float | None = None
-    bar_plain_up: float | None = None
-    bar_plain_down: float | None = None
     epsilon_saddles: list[EpsilonSaddle] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
-    def residuals(self) -> list[float]:
-        out = [self.star_extended_up, self.star_extended_down,
-               self.bar_extended_up, self.bar_extended_down]
-        out += [r for r in (self.star_plain_up, self.star_plain_down,
-                            self.bar_plain_up, self.bar_plain_down) if r is not None]
-        return out
-
     def passed(self, tol_game: float) -> bool:
-        ok = (self.order_tau_ok and self.order_sigma_ok
-              and self.star_contact_lower <= tol_game and self.star_contact_upper <= tol_game
-              and self.bar_contact_lower <= tol_game and self.bar_contact_upper <= tol_game)
-        return ok and all(r <= tol_game for r in self.residuals() if not np.isnan(r))
+        return (self.order_tau_ok and self.order_sigma_ok
+                and all(c <= tol_game for c in self.contacts.values())
+                and all(r <= tol_game for r in self.residuals.values() if r is not None))
 
 
 def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
                   theta_step: int = 0, theta_node: int = 0, enum_bound: int = 3,
-                  check_opponents: bool = True, epsilons: tuple[float, ...] = (),
-                  tol_root: float = 1e-12, max_iter: int = 200) -> SaddleReport:
+                  epsilons: tuple[float, ...] = (), tol_root: float = 1e-12,
+                  max_iter: int = 200) -> SaddleReport:
     """First-contact and first-action stops of the reflected solution,
-    verified against every opposing strategy when the depth permits."""
-    _check_theta(tree, theta_step, theta_node)
-    subtree = tree.subtree(theta_step)
-    sub_b = barriers.restrict(theta_step, theta_node)
-    sol = solve_rbsde(subtree, sub_b, driver, step_offset=theta_step,
-                      tol_root=tol_root, max_iter=max_iter)
-    lxi = sub_b.lower_with_terminal()
-    uxi = sub_b.upper_with_terminal()
-    y_theta = float(sol.y.at[0][0])
+    verified against every opposing strategy.  The theta-subgame is solved
+    once for every pair, and each game mode's opponent sweeps, with the
+    epsilon pairs' in the extended one, run as one stacked engine call."""
+    game = _ThetaGame.solve(tree, barriers, driver, theta_step, theta_node, enum_bound, tol_root, max_iter)
+    for e in epsilons:
+        _check_epsilon(e)
+    sol, lxi, uxi, sub_b = game.sol, game.lower, game.upper, game.barriers
 
     tau_star_hit = first_hitting(OptionalProcess.combine(
         lambda y, l: (np.abs(y - l) <= tol_root).astype(float), sol.y, lxi))
@@ -503,56 +519,37 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
     # the star stops satisfy their condition on every leaf (the terminal
     # slot of the patched barrier is a guaranteed hit); the bar stops touch
     # only where growth was actually attained
-    star_contact_lower = contact_gap(tau_star_hit, lxi, True)
-    star_contact_upper = contact_gap(sigma_star_hit, uxi, True)
-    bar_contact_lower = contact_gap(tau_bar_hit, sub_b.lower, False)
-    bar_contact_upper = contact_gap(sigma_bar_hit, sub_b.upper, False)
+    contacts = {"star_lower": contact_gap(tau_star_hit, lxi, True),
+                "star_upper": contact_gap(sigma_star_hit, uxi, True),
+                "bar_lower": contact_gap(tau_bar_hit, sub_b.lower, False),
+                "bar_upper": contact_gap(sigma_bar_hit, sub_b.upper, False)}
 
-    # residuals of the committed star up, star down, bar up and bar down players
-    ext = [float("nan")] * 4
-    plain: list[float | None] = [None] * 4
-    lower_flags = semicontinuity(sub_b.lower)
-    upper_flags = semicontinuity(sub_b.upper)
+    # the committed star up, star down, bar up and bar down players
+    committed = [(tau_star_hit.stop, True), (sigma_star_hit.stop, False),
+                 (tau_bar_hit.stop, True), (sigma_bar_hit.stop, False)]
+    ext, eps_reports = game.extended_stack([(stop.keys, m) for stop, m in committed], epsilons)
+    lower_flags, upper_flags = semicontinuity(sub_b.lower), semicontinuity(sub_b.upper)
     warnings: list[str] = []
-    if check_opponents:
-        _guard_depth(subtree.n_steps, enum_bound)
-        committed = ((tau_star_hit, True), (sigma_star_hit, False), (tau_bar_hit, True), (sigma_bar_hit, False))
+    plain: list[float | None] = [None] * 4
+    if lower_flags.right_usc and lower_flags.left_usc and upper_flags.right_lsc and upper_flags.left_lsc:
+        # the plain game, with the stops moved to their grid times
+        plain = game.sweep([(2 * stop.steps, m) for stop, m in committed], [], False)[0]
+    else:
+        warnings.append("plain saddle residuals skipped: grid-time stops are only "
+                        "optimal when the lower barrier is USC and the upper "
+                        "barrier is LSC on both sides")
+    names = ("star_{}_up", "star_{}_down", "bar_{}_up", "bar_{}_down")
+    residuals = {name.format(mode): r for mode, rs in (("extended", ext), ("plain", plain))
+                 for name, r in zip(names, rs)}
 
-        def against_all(project: bool) -> list[float]:
-            """Each committed player's shortfall over all opponents; ``project``
-            plays the plain game, with the stops moved to their grid times."""
-            opp_keys = _strategy_keys(subtree, not project)
-            return [_shortfall(tree, barriers, driver, (theta_step, theta_node), y_theta,
-                               2 * hit.stop.steps if project else hit.stop.keys, opp_keys, maximiser,
-                               tol_root, max_iter) for hit, maximiser in committed]
-
-        ext = against_all(False)
-        if (lower_flags.right_usc and lower_flags.left_usc
-                and upper_flags.right_lsc and upper_flags.left_lsc):
-            plain = against_all(True)
-        else:
-            warnings.append("plain saddle residuals skipped: grid-time stops are only "
-                            "optimal when the lower barrier is USC and the upper "
-                            "barrier is LSC on both sides")
-
-    eps_reports = [epsilon_saddle(tree, barriers, driver, e, theta_step=theta_step,
-                                  theta_node=theta_node, enum_bound=enum_bound,
-                                  check_opponents=check_opponents, tol_root=tol_root,
-                                  max_iter=max_iter) for e in epsilons]
-
-    return SaddleReport(y_theta=y_theta,
-                        tau_star=_hit_system(subtree, tau_star_hit),
-                        sigma_star=_hit_system(subtree, sigma_star_hit),
+    return SaddleReport(y_theta=game.y_theta,
+                        tau_star=_hit_system(tau_star_hit.stop),
+                        sigma_star=_hit_system(sigma_star_hit.stop),
                         tau_bar=tau_bar_hit.stop, sigma_bar=sigma_bar_hit.stop,
                         tau_bar_attained=tau_bar_hit.hit, sigma_bar_attained=sigma_bar_hit.hit,
                         order_tau_ok=order_tau, order_sigma_ok=order_sigma,
-                        star_contact_lower=star_contact_lower, star_contact_upper=star_contact_upper,
-                        bar_contact_lower=bar_contact_lower, bar_contact_upper=bar_contact_upper,
-                        star_extended_up=ext[0], star_extended_down=ext[1],
-                        bar_extended_up=ext[2], bar_extended_down=ext[3],
+                        contacts=contacts, residuals=residuals,
                         lower_flags=lower_flags, upper_flags=upper_flags,
-                        star_plain_up=plain[0], star_plain_down=plain[1],
-                        bar_plain_up=plain[2], bar_plain_down=plain[3],
                         epsilon_saddles=eps_reports, warnings=warnings)
 
 

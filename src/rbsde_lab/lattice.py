@@ -258,8 +258,8 @@ class OptionalProcess:
     def sup_abs_diff(self, other: "OptionalProcess") -> float:
         return nan_max([0.0] + [float(np.max(np.abs(a - b))) for a, b in zip(self.slots, other.slots)])
 
-    def pointwise_leq(self, other: "OptionalProcess", tol: float = 0.0) -> bool:
-        return not any(np.any(a > b + tol) for a, b in zip(self.slots, other.slots))
+    def pointwise_leq(self, other: "OptionalProcess") -> bool:
+        return not any(np.any(a > b) for a, b in zip(self.slots, other.slots))
 
     def max_exceedance(self, other: "OptionalProcess") -> float:
         """sup of (self - other) over all points; <= 0 means self <= other."""
@@ -269,20 +269,6 @@ class OptionalProcess:
 def nan_max(values: list[float]) -> float:
     """``max`` that is NaN when any value is; ``max`` drops a NaN that is not first."""
     return math.nan if any(v != v for v in values) else max(values)
-
-
-def _first_key(tree: TwoPhaseTree, holds: Callable[[int], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Per leaf, the first key where the per-leaf flags ``holds(key)`` are
-    set, capped at AT(N), and whether any was set."""
-    stop_key = np.full(tree.n_leaves, 2 * tree.n_steps, dtype=np.int64)
-    hit = np.zeros(tree.n_leaves, dtype=bool)
-    for key in range(2 * tree.n_steps + 1):
-        here = ~hit & holds(key)
-        stop_key[here] = key
-        hit |= here
-        if hit.all():
-            break
-    return stop_key, hit
 
 
 def is_adapted(keys: np.ndarray) -> np.ndarray:
@@ -461,14 +447,19 @@ def first_hitting(condition: OptionalProcess, theta: StoppingTime | None = None)
         theta = StoppingTime.constant(tree, 0, Phase.AT)
     if not tree.same_grid(theta.tree):
         raise ValueError("condition and theta live on different grids")
-    theta_keys = theta.keys
-    stop_key, hit = _first_key(
-        tree, lambda key: (theta_keys <= key) & (tree.spread(condition.slots[key], key >> 1) != 0.0))
+    stop_key = np.full(tree.n_leaves, 2 * tree.n_steps, dtype=np.int64)
+    hit = np.zeros(tree.n_leaves, dtype=bool)
+    for key in range(2 * tree.n_steps + 1):
+        here = ~hit & (theta.keys <= key) & (tree.spread(condition.slots[key], key >> 1) != 0.0)
+        stop_key[here] = key
+        hit |= here
+        if hit.all():
+            break
     stop = StoppingTime.from_realized(tree, stop_key >> 1, stop_key & 1)
     return HittingResult(stop=stop, hit=hit)
 
 
-def semicontinuity(process: OptionalProcess, tol: float = 0.0) -> SemicontinuityFlags:
+def semicontinuity(process: OptionalProcess) -> SemicontinuityFlags:
     """One-sided semicontinuity read off the grid.
 
     Right flags compare AT(k) with AFTER(k) at each node (k < N); left
@@ -476,11 +467,11 @@ def semicontinuity(process: OptionalProcess, tol: float = 0.0) -> Semicontinuity
     """
     right_usc = right_lsc = left_usc = left_lsc = True
     for at_k, after_k, at_next in zip(process.at, process.after, process.at[1:]):
-        right_usc &= bool(np.all(at_k >= after_k - tol))
-        right_lsc &= bool(np.all(at_k <= after_k + tol))
+        right_usc &= bool(np.all(at_k >= after_k))
+        right_lsc &= bool(np.all(at_k <= after_k))
         child = np.repeat(after_k, 2)
-        left_usc &= bool(np.all(at_next >= child - tol))
-        left_lsc &= bool(np.all(at_next <= child + tol))
+        left_usc &= bool(np.all(at_next >= child))
+        left_lsc &= bool(np.all(at_next <= child))
     return SemicontinuityFlags(right_usc, right_lsc, left_usc, left_lsc)
 
 

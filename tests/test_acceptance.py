@@ -102,7 +102,7 @@ def test_c04_epsilon_saddle_residual_scales_with_epsilon():
         rep = saddle_points(sc.tree, sc.barriers, sc.driver,
                             epsilons=(0.1, 0.05, 0.025))
         for sad in rep.epsilon_saddles:
-            assert sad.opponents_checked
+            assert np.isfinite(sad.residual_up) and np.isfinite(sad.residual_down)
             assert sad.residual_up <= sad.epsilon + 1e-10
             assert sad.residual_down <= sad.epsilon + 1e-10
         ratio_ok, quotients = epsilon_ratio_ok(rep.epsilon_saddles, factor=4.0)
@@ -119,11 +119,10 @@ def test_c05_exact_saddles_beat_all_opponents():
                              lower_right_usc=True, lower_left_usc=True,
                              upper_right_lsc=True, upper_left_lsc=True)
         rep = saddle_points(sc.tree, sc.barriers, sc.driver)
-        assert rep.passed(TOL_GAME), (rep.residuals(), rep.warnings)
+        assert rep.passed(TOL_GAME), (rep.residuals, rep.warnings)
         assert rep.order_tau_ok and rep.order_sigma_ok
-        worst_resid = max(worst_resid, *(r for r in rep.residuals() if not np.isnan(r)))
-        worst_contact = max(worst_contact, rep.star_contact_lower, rep.star_contact_upper,
-                            rep.bar_contact_lower, rep.bar_contact_upper)
+        worst_resid = max(worst_resid, *(r for r in rep.residuals.values() if r is not None))
+        worst_contact = max(worst_contact, *rep.contacts.values())
     ok = worst_resid <= TOL_GAME and worst_contact <= 4.0 * TOL_ROOT
     _line(5, "contact and action stops are saddle points", ok,
           f"50 two-sided scenarios, worst residual {worst_resid:.2e}, "

@@ -346,7 +346,7 @@ def test_epsilon_pair_stops_immediately_when_pinned():
     assert np.all(sad.tau.membership)
     assert sad.residual_up <= 1e-12 and sad.residual_down <= 1e-12
     assert sad.hit_gap_lower <= 1e-12
-    assert sad.opponents_checked
+    assert np.isfinite(sad.residual_up) and np.isfinite(sad.residual_down)
 
 
 def test_epsilon_pair_waits_to_horizon_in_the_interior():
@@ -380,9 +380,9 @@ def test_saddle_report_when_pinned_at_the_root():
     tree, b = _pinned_game()
     rep = saddle_points(tree, b, constant_driver(0.0))
     assert np.all(rep.tau_star.tau.steps == 0)
-    assert rep.star_contact_lower <= 1e-12
+    assert rep.contacts["star_lower"] <= 1e-12
     assert np.all(rep.sigma_star.tau.steps == tree.n_steps)  # U is never touched
-    assert rep.passed(1e-8), rep.residuals()
+    assert rep.passed(1e-8), rep.residuals
 
 
 def test_saddle_report_interior_until_horizon():
@@ -411,10 +411,10 @@ def test_action_stop_lands_on_the_reflection_transition():
     assert np.all(rep.tau_bar_attained)
     assert np.all(rep.tau_bar.steps == 0)
     assert np.all(rep.tau_bar.phases == int(Phase.AFTER))
-    assert rep.bar_contact_lower <= 1e-12
+    assert rep.contacts["bar_lower"] <= 1e-12
     assert not np.any(rep.sigma_bar_attained)  # no downward reflection anywhere
     assert rep.order_tau_ok and rep.order_sigma_ok
-    assert rep.passed(1e-8), rep.residuals()
+    assert rep.passed(1e-8), rep.residuals
 
 
 @settings(max_examples=15, deadline=None)
@@ -423,4 +423,28 @@ def test_saddle_identities_on_random_scenarios(seed):
     sc = random_scenario(seed, n_steps=2)
     rep = saddle_points(sc.tree, sc.barriers, sc.driver)
     assert rep.order_tau_ok and rep.order_sigma_ok
-    assert rep.passed(1e-8), (rep.residuals(), rep.warnings)
+    assert rep.passed(1e-8), (rep.residuals, rep.warnings)
+
+
+def test_a_saddle_report_solves_once_and_stacks_each_mode(monkeypatch):
+    sc = random_scenario(11, n_steps=3, driver_kind="linear", lower_right_usc=True, lower_left_usc=True,
+                         upper_right_lsc=True, upper_left_lsc=True)
+    calls = []
+
+    def counted(name):
+        fn = getattr(games, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(games, name, wrapper)
+
+    for name in ("solve_rbsde", "_subgame_values", "_strategy_keys"):
+        counted(name)
+    rep = saddle_points(sc.tree, sc.barriers, sc.driver, epsilons=(0.1, 0.05))
+    assert rep.residuals["star_plain_up"] is not None  # both modes ran
+    assert calls.count("solve_rbsde") == 1
+    assert calls.count("_subgame_values") <= 2 and calls.count("_strategy_keys") <= 2
+    calls.clear()
+    epsilon_saddle(sc.tree, sc.barriers, sc.driver, 0.1)
+    assert calls.count("solve_rbsde") == 1 and calls.count("_subgame_values") == 1

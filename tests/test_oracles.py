@@ -654,23 +654,26 @@ def reference_shortfall(tree, barriers, driver, theta, y_theta, own, maximiser, 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(0, 2),
-       st.sampled_from(_GAME_DRIVERS), st.booleans(), st.booleans())
-def test_saddle_residuals_match_the_per_pair_path(seed, depth, theta_step, kind, touching, regular):
+       st.sampled_from(_GAME_DRIVERS), st.booleans(), st.booleans(), st.floats(0.0, 0.5))
+def test_saddle_residuals_match_the_per_pair_path(seed, depth, theta_step, kind, touching, regular, epsilon):
     scn, barriers, driver, node = _game_draw(seed, depth, theta_step, kind, touching, regular)
     tree, theta = scn.tree, (theta_step, node)
     rep = saddle_points(tree, barriers, driver, theta_step=theta_step, theta_node=node, epsilons=(0.1, 0.05))
     y = rep.y_theta
     stops = [rep.tau_star.keys, rep.sigma_star.keys, rep.tau_bar.keys, rep.sigma_bar.keys]
-    got = [rep.star_extended_up, rep.star_extended_down, rep.bar_extended_up, rep.bar_extended_down]
+    players = ("star_{}_up", "star_{}_down", "bar_{}_up", "bar_{}_down")
+    got = [rep.residuals[name.format("extended")] for name in players]
     want = [reference_shortfall(tree, barriers, driver, theta, y, own, i % 2 == 0, True)
             for i, own in enumerate(stops)]
-    if rep.star_plain_up is not None:
-        got += [rep.star_plain_up, rep.star_plain_down, rep.bar_plain_up, rep.bar_plain_down]
+    if rep.residuals["star_plain_up"] is not None:
+        got += [rep.residuals[name.format("plain")] for name in players]
         want += [reference_shortfall(tree, barriers, driver, theta, y, 2 * (own >> 1), i % 2 == 0, False)
                  for i, own in enumerate(stops)]
-    # the epsilon pairs: the pair's own value has no depth cap, the
-    # residuals sweep every opponent
-    for es in rep.epsilon_saddles:
+    # the epsilon pairs, in the saddle's stack and each on its own: the
+    # pair's own value has no depth cap, the residuals sweep every opponent
+    alone = [epsilon_saddle(tree, barriers, driver, e, theta_step=theta_step, theta_node=node)
+             for e in (0.1, 0.05, epsilon)]
+    for es in rep.epsilon_saddles + alone:
         tau, sigma = es.tau.keys, es.sigma.keys
         got += [es.pair_value, es.residual_up, es.residual_down]
         want += [float(reference_pair_values(tree, barriers, driver, *theta, tau[None], sigma[None])[0, 0]),
@@ -678,7 +681,7 @@ def test_saddle_residuals_match_the_per_pair_path(seed, depth, theta_step, kind,
                  reference_shortfall(tree, barriers, driver, theta, y, sigma, False, True)]
     assert _same_bits(np.array(got), np.array(want))
     if regular and not touching:
-        assert rep.star_plain_up is not None  # the plain sweeps ran
+        assert rep.residuals["star_plain_up"] is not None  # the plain sweeps ran
 
 
 # -- report emission: the per-element emitters the row joins replaced ---------
