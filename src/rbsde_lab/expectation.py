@@ -24,8 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import (OptionalProcess, Phase, StoppingTime, TwoPhaseTree, build_tree,
-                      enumerate_stopping_times, gather_slots, nan_max)
+from .lattice import OptionalProcess, Phase, StoppingTime, TwoPhaseTree, gather_slots, nan_max, stopping_keys
 
 __all__ = [
     "Driver",
@@ -591,47 +590,48 @@ def solve_bsde(tree: TwoPhaseTree, terminal: np.ndarray, driver: Driver,
 
 
 def ef_backward_batch(tree: TwoPhaseTree, driver: Driver, terminal_rows: np.ndarray,
-                      masks: Sequence[np.ndarray] | None = None, *, step_offset: int = 0,
+                      stops: np.ndarray | None = None, *, step_offset: int = 0,
                       tol_root: float = 1e-12, max_iter: int = 200) -> list[np.ndarray]:
     """Vectorised batch of unreflected backward recursions.
 
-    ``terminal_rows`` has shape (R, n_leaves); ``masks[k]`` (R, 2**k)
-    activates the driver per row and parent.  Returns per-step value
-    matrices ``val[k]`` of shape (R, 2**k); phase transitions carry nothing
-    here, so ``val[k]`` is the value at both AT(k) and AFTER(k).
+    ``terminal_rows`` has shape (R, n_leaves); ``stops`` (R, n_leaves) holds
+    each row's per-leaf stop keys, and the driver acts on step k's diffusion
+    transition only below a parent whose stop key is ``2(k + 1)`` or more:
+    it is frozen from each row's stop on.  Returns per-step value matrices
+    ``val[k]`` of shape (R, 2**k); phase transitions carry nothing here, so
+    ``val[k]`` is the value at both AT(k) and AFTER(k).
     """
     terminal_rows = np.asarray(terminal_rows, dtype=float)
     if terminal_rows.ndim != 2 or terminal_rows.shape[1] != tree.n_leaves:
         raise ValueError("terminal_rows must have shape (rows, n_leaves)")
-    steps = _unreflected_pass(tree, terminal_rows, driver, masks, step_offset=step_offset,
+    steps = _unreflected_pass(tree, terminal_rows, driver, stops, step_offset=step_offset,
                               tol_root=tol_root, max_iter=max_iter)
     return [after for _, after, _ in steps][::-1] + [terminal_rows]
 
 
 def _unreflected_pass(tree: TwoPhaseTree, terminal: np.ndarray, driver: Driver,
-                      masks: Sequence[np.ndarray] | None = None,
+                      stops: np.ndarray | None = None,
                       dv: TransitionIncrements | None = None, *, step_offset: int,
                       tol_root: float, max_iter: int) -> Iterator[tuple[np.ndarray, ...]]:
     """The backward pass of the unreflected equation over value rows.
 
-    Leading axes of ``terminal`` are rows.  ``masks[k]`` (per row and step-k
-    parent, boolean) switches the driver off on masked diffusion
-    transitions; ``dv`` adds its step increment to the children's average
-    and its phase increment on AT(k) -> AFTER(k).  Yields, for ``k = N-1``
-    down to 0, the integrand and the AFTER(k) and AT(k) values; without
-    ``dv`` the last two are one array.  This pass stays apart from the
-    reflected one on purpose: it is the independent side of the feed-back
-    identity and of the game oracle.
+    Leading axes of ``terminal`` are rows.  ``stops`` (per row and leaf,
+    order keys) switches the driver off on step k's diffusion transition
+    below a parent whose stop key is under ``2(k + 1)``; ``dv`` adds its
+    step increment to the children's average and its phase increment on
+    AT(k) -> AFTER(k).  Yields, for ``k = N-1`` down to 0, the integrand
+    and the AFTER(k) and AT(k) values; without ``dv`` the last two are one
+    array.  This pass stays apart from the reflected one on purpose: it is
+    the independent side of the feed-back identity and of the game oracle.
     """
     _check_mu(driver, tree.dt)
     dt = tree.dt
     nxt = terminal
     for k in range(tree.n_steps - 1, -1, -1):
-        e = 0.5 * (nxt[..., 0::2] + nxt[..., 1::2])
-        z = (nxt[..., 0::2] - nxt[..., 1::2]) / (2.0 * tree.sqrt_dt)
+        e, z = tree.children(nxt)
         if dv is not None:
             e = e + dv.slots[2 * k + 1]
-        active = None if masks is None else np.asarray(masks[k], dtype=bool)
+        active = None if stops is None else stops[..., ::tree.leaf_stride(k)] >= 2 * (k + 1)
         after = implicit_step(e, z, (step_offset + k) * dt, driver, dt,
                               active=active, tol=tol_root, max_iter=max_iter)
         nxt = after if dv is None else after + dv.slots[2 * k]
@@ -666,14 +666,9 @@ def nonlinear_expectation(tree: TwoPhaseTree, alpha: StoppingTime, beta: Stoppin
     if not alpha.leq(beta):
         raise ValueError("alpha must not exceed beta")
     n = tree.n_steps
-    beta_keys = beta.keys
     if np.any(xi != xi[beta.stop_nodes() << (n - beta.steps)]):
         raise ValueError("xi is not measurable at beta (differs within a beta-atom)")
-    masks = []
-    for k in range(n):
-        stride = tree.leaf_stride(k)
-        masks.append((beta_keys[::stride] >= 2 * (k + 1)))
-    vals = ef_backward_batch(tree, driver, xi[None, :], masks,
+    vals = ef_backward_batch(tree, driver, xi[None, :], beta.keys[None],
                              step_offset=step_offset, tol_root=tol_root, max_iter=max_iter)
     process = OptionalProcess.from_slots(tree, [vals[q >> 1][0].copy() for q in range(2 * n + 1)])
     values = gather_slots(vals, alpha.keys)[0]
@@ -731,8 +726,7 @@ def classify_ef(process: OptionalProcess, driver: Driver, *, from_time: Stopping
             at_k, after_k, nxt = process.slots[2 * k:2 * k + 3]
             diffs = [(after_k - at_k)[phase_in]]  # >0 breaks supermartingale
             if step_in.any():
-                e = 0.5 * (nxt[0::2] + nxt[1::2])
-                z = (nxt[0::2] - nxt[1::2]) / (2.0 * tree.sqrt_dt)
+                e, z = tree.children(nxt)
                 pred = implicit_step(e, z, tree.time(k), driver, tree.dt, tol=tol_root, max_iter=max_iter)
                 diffs.append((pred - after_k)[step_in])
             for diff in diffs:
@@ -756,10 +750,9 @@ def classify_ef(process: OptionalProcess, driver: Driver, *, from_time: Stopping
     # a pair's backward row depends on tau alone, and every window member is
     # the tau of its pair with itself: one row per member
     win = keys_m[idx]
+    # terminal per row: X read at tau's slot, the driver frozen from tau on
     x_win = process.at_keys(win)
-    masks = [win[:, ::tree.leaf_stride(k)] >= 2 * (k + 1) for k in range(tree.n_steps)]
-    # terminal per row: X read at tau's slot
-    vals = ef_backward_batch(tree, driver, x_win, masks, tol_root=tol_root, max_iter=max_iter)
+    vals = ef_backward_batch(tree, driver, x_win, win, tol_root=tol_root, max_iter=max_iter)
     at_sigma = gather_slots([v[tau] for v in vals], win[sig])
     diff = at_sigma - x_win[sig]  # >0 breaks supermartingale
     sup_v = float(np.max(diff, initial=0.0))
@@ -772,10 +765,8 @@ def _stop_order(depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Order keys of every phase-resolved stopping time of a depth-``depth``
     tree, one row each, and the relation ``leq[i, j]``: ``keys[i] <=
     keys[j]`` on every leaf."""
-    steps, phases = enumerate_stopping_times(build_tree(depth, 1.0), phase_resolved=True)
-    keys = 2 * steps.astype(np.int64) + phases
+    keys = stopping_keys(depth, True)
     leq = np.all(keys[:, None, :] <= keys[None, :, :], axis=2)
-    keys.setflags(write=False)
     leq.setflags(write=False)
     return keys, leq
 

@@ -5,7 +5,7 @@ at grid times only and the payoff reads the barrier at the stop.  An
 *extended* strategy carries a membership bit: on the member atoms the
 barrier is read at the stop, off them it is read as the one-sided right
 limit (the interval slot).  Extended strategies are enumerated directly as
-phase-resolved stop vectors — stopping "just after" t_k is the same data as
+phase-resolved order keys — stopping "just after" t_k is the same data as
 stopping at the AFTER(k) point — which keeps the census exact: 3, 11, 123
 per player at depths 1, 2, 3.
 
@@ -47,9 +47,9 @@ from .lattice import (
     StoppingTime,
     TwoPhaseTree,
     build_tree,
-    enumerate_stopping_times,
     first_hitting,
     semicontinuity,
+    stopping_keys,
 )
 from .reflect import Barriers, RBSDESolution, growth_points, solve_rbsde
 
@@ -82,19 +82,17 @@ def _pair_sources(n: int, tau_keys: np.ndarray, sigma_keys: np.ndarray) -> np.nd
                              2 * span + leaves))
 
 
-def _freeze_masks(n: int, src: np.ndarray) -> list[np.ndarray]:
-    """Per-step driver masks of source rows: the driver acts up to the freeze
-    step ``min(tau, sigma)``, which is the step of the entry read."""
-    sizes = [1 << (q >> 1) for q in range(2 * n + 1)]
-    step_of = np.repeat(np.arange(2 * n + 1) >> 1, sizes)
-    freeze = np.concatenate([step_of, step_of, np.full(1 << n, n)])[src]
-    return [freeze[..., ::1 << (n - k)] >= k + 1 for k in range(n)]
+def _freeze_keys(n: int, src: np.ndarray) -> np.ndarray:
+    """The stop keys of source rows: each entry's slot key, ``2 n`` for the
+    terminal.  The driver acts up to the freeze step ``min(tau, sigma)``,
+    which is the step of the entry read."""
+    key_of = np.repeat(np.arange(2 * n + 1), [1 << (q >> 1) for q in range(2 * n + 1)])
+    return np.concatenate([key_of, key_of, np.full(1 << n, 2 * n)])[src]
 
 
 def _strategy_keys(tree: TwoPhaseTree, phase_resolved: bool) -> np.ndarray:
     """Order keys of every stopping time of ``tree``, one row per strategy."""
-    steps, phases = enumerate_stopping_times(tree, phase_resolved=phase_resolved)
-    return 2 * steps.astype(np.int64) + phases
+    return stopping_keys(tree.n_steps, phase_resolved)
 
 
 _STACK_BUDGET = 1 << 18  # elements per backward batch of stacked subgames
@@ -108,7 +106,7 @@ def _subgame_values(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, step
     holds every subgame's slot.  One backward batch runs over the stack of
     nodes x rows, split only past ``_STACK_BUDGET`` elements."""
     n_nodes = tree.nodes_at(step)
-    masks = _freeze_masks(tree.n_steps - step, src)
+    stops = _freeze_keys(tree.n_steps - step, src)
     per_batch, out = max(1, _STACK_BUDGET // src.size), []
     for lo in range(nodes.start, nodes.stop, per_batch):
         part = slice(lo, min(lo + per_batch, nodes.stop))
@@ -117,7 +115,7 @@ def _subgame_values(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, step
                               + [barriers.terminal.reshape(n_nodes, -1)[part]], axis=1)
         m = flat.shape[0]
         vals = ef_backward_batch(tree.subtree(step), driver, flat[:, src].reshape(m * len(src), -1),
-                                 [np.tile(mask, (m, 1)) for mask in masks], step_offset=step,
+                                 np.tile(stops, (m, 1)), step_offset=step,
                                  tol_root=tol_root, max_iter=max_iter)
         out.append(vals[0][:, 0].reshape(m, len(src)))
     return np.concatenate(out)
@@ -127,7 +125,7 @@ def _subgame_values(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, step
 def _pair_patterns(depth: int, phase_resolved: bool) -> tuple[np.ndarray, np.ndarray, int]:
     """The distinct rows of :func:`_pair_sources` over every strategy pair
     of a depth-``depth`` game, the map from the row-major pairs to them, and
-    the strategy count S.  A row fixes its freeze masks too, so two pairs
+    the strategy count S.  A row fixes its freeze keys too, so two pairs
     with one row get the same backward row, bit for bit."""
     keys = _strategy_keys(build_tree(depth, 1.0), phase_resolved)
     src = _pair_sources(depth, keys[:, None, :], keys[None, :, :]).reshape(-1, 1 << depth)
@@ -303,8 +301,7 @@ def game_equals_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
 def _hit_system(stop: StoppingTime) -> StoppingSystem:
     """Canonical system of a first-hitting point: an AFTER(k) hit becomes
     the grid stop AT(k) with the membership bit cleared."""
-    tau = StoppingTime.from_realized(stop.tree, stop.steps, np.zeros_like(stop.steps))
-    return StoppingSystem(tau, stop.phases == 0)
+    return StoppingSystem(StoppingTime(stop.tree, stop.keys & ~1), stop.phases == 0)
 
 
 def _stopped_mass(incr, stop: StoppingTime) -> np.ndarray:
@@ -373,8 +370,8 @@ class _ThetaGame:
                           tol_root=tol_root, max_iter=max_iter)
         engine = functools.partial(_subgame_values, tree, barriers, driver, theta_step,
                                    range(theta_node, theta_node + 1), tol_root=tol_root, max_iter=max_iter)
-        return cls(sub_b, sub_b.lower_with_terminal(), sub_b.upper_with_terminal(), sol,
-                   float(sol.y.at[0][0]), engine)
+        lower, upper = (p.with_terminal(sub_b.terminal) for p in (sub_b.lower, sub_b.upper))
+        return cls(sub_b, lower, upper, sol, float(sol.y.at[0][0]), engine)
 
     def sweep(self, committed: list[tuple[np.ndarray, bool]], pairs: list[tuple[np.ndarray, np.ndarray]],
               phase_resolved: bool) -> tuple[list[float], list[float]]:

@@ -38,6 +38,7 @@ __all__ = [
     "is_adapted",
     "semicontinuity",
     "enumerate_stopping_times",
+    "stopping_keys",
     "nan_max",
 ]
 
@@ -106,6 +107,13 @@ class TwoPhaseTree:
     def leaf_stride(self, step: int) -> int:
         """Number of leaves below each node of ``step``."""
         return 1 << (self.n_steps - step)
+
+    def children(self, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The conditional step over the last axis of next-step values: the
+        children's average ``e`` and the integrand ``z = (up - down) / (2
+        sqrt(dt))`` at each parent."""
+        up, down = nxt[..., 0::2], nxt[..., 1::2]
+        return 0.5 * (up + down), (up - down) / (2.0 * self.sqrt_dt)
 
     def spread(self, values: np.ndarray, step: int) -> np.ndarray:
         """Broadcast per-node values at ``step`` to per-leaf values."""
@@ -455,8 +463,7 @@ def first_hitting(condition: OptionalProcess, theta: StoppingTime | None = None)
         hit |= here
         if hit.all():
             break
-    stop = StoppingTime.from_realized(tree, stop_key >> 1, stop_key & 1)
-    return HittingResult(stop=stop, hit=hit)
+    return HittingResult(stop=StoppingTime(tree, stop_key), hit=hit)
 
 
 def semicontinuity(process: OptionalProcess) -> SemicontinuityFlags:
@@ -476,37 +483,27 @@ def semicontinuity(process: OptionalProcess) -> SemicontinuityFlags:
 
 
 @functools.lru_cache(maxsize=32)
-def _stop_vectors(n_steps: int, phase_resolved: bool) -> tuple[np.ndarray, np.ndarray]:
-    """All stopping times of a depth-``n_steps`` tree as stacked per-leaf
-    (steps, phases) matrices.  ``phase_resolved`` admits AFTER-phase stops."""
+def stopping_keys(n_steps: int, phase_resolved: bool) -> np.ndarray:
+    """Order keys of every stopping time of a depth-``n_steps`` tree, one
+    read-only int64 row per stopping time.
 
-    def gen(depth_left: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        step_here = n_steps - depth_left
-        width = 1 << depth_left
-        if depth_left == 0:
-            return [(np.array([step_here], dtype=np.int16), np.array([0], dtype=np.int8))]
-        out = [(np.full(width, step_here, dtype=np.int16), np.zeros(width, dtype=np.int8))]
-        if phase_resolved:
-            out.append((np.full(width, step_here, dtype=np.int16), np.ones(width, dtype=np.int8)))
-        children = gen(depth_left - 1)
-        for up_s, up_p in children:
-            for dn_s, dn_p in children:
-                out.append((np.concatenate([up_s, dn_s]), np.concatenate([up_p, dn_p])))
-        return out
-
-    combos = gen(n_steps)
-    steps = np.stack([s for s, _ in combos])
-    phases = np.stack([p for _, p in combos])
-    steps.setflags(write=False)
-    phases.setflags(write=False)
-    return steps, phases
+    A stopping time either stops at the root or splits into one stopping
+    time of each child subtree; rows list the root stops first (AT, then
+    AFTER with ``phase_resolved``), then every (up, down) pair, up-major.
+    Counts grow as s(d) = 2 + s(d-1)^2 (vs 1 + s(d-1)^2 for AT-only), so
+    callers should gate the depth.
+    """
+    keys = np.array([[2 * n_steps]], dtype=np.int64)
+    for step in range(n_steps - 1, -1, -1):
+        s, width = keys.shape
+        here = [np.full((1, 2 * width), 2 * step + phase, dtype=np.int64) for phase in range(1 + phase_resolved)]
+        keys = np.concatenate(here + [np.concatenate([np.repeat(keys, s, axis=0), np.tile(keys, (s, 1))], axis=1)])
+    keys.setflags(write=False)
+    return keys
 
 
 def enumerate_stopping_times(tree: TwoPhaseTree, phase_resolved: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (steps, phases) per-leaf matrices of every stopping time.
-
-    With ``phase_resolved`` the AFTER slots are admissible stop points;
-    counts grow as s(d) = 2 + s(d-1)^2 (vs 1 + s(d-1)^2 for AT-only), so
-    callers should gate the depth.
-    """
-    return _stop_vectors(tree.n_steps, bool(phase_resolved))
+    """Stacked (steps, phases) per-leaf matrices of every stopping time, the
+    rows of :func:`stopping_keys`."""
+    keys = stopping_keys(tree.n_steps, bool(phase_resolved))
+    return keys >> 1, keys & 1

@@ -86,13 +86,6 @@ class Barriers:
     def tree(self) -> TwoPhaseTree:
         return self.lower.tree
 
-    def lower_with_terminal(self) -> OptionalProcess:
-        """Lower obstacle with the terminal slot replaced by xi."""
-        return self.lower.with_terminal(self.terminal)
-
-    def upper_with_terminal(self) -> OptionalProcess:
-        return self.upper.with_terminal(self.terminal)
-
     def restrict(self, step: int, node: int) -> "Barriers":
         stride = self.tree.leaf_stride(step)
         return Barriers(self.lower.restrict(step, node), self.upper.restrict(step, node),
@@ -147,8 +140,7 @@ def _reflected_pass(tree: TwoPhaseTree, terminal: np.ndarray, lower: list[np.nda
     dt = tree.dt
     nxt = terminal
     for k in range(tree.n_steps - 1, -1, -1):
-        e = 0.5 * (nxt[..., 0::2] + nxt[..., 1::2])
-        z = (nxt[..., 0::2] - nxt[..., 1::2]) / (2.0 * tree.sqrt_dt)
+        e, z = tree.children(nxt)
         t_k = (step_offset + k) * dt
         unconstrained = implicit_step(e, z, t_k, driver, dt, tol=tol_root, max_iter=max_iter)
         after = np.clip(unconstrained, lower[2 * k + 1], upper[2 * k + 1])
@@ -224,7 +216,7 @@ class DynamicsReport:
 
 
 def verify_dynamics(solution: RBSDESolution, barriers: Barriers, driver: Driver, *,
-                    step_offset: int = 0, tol: float = 1e-12) -> DynamicsReport:
+                    tol: float = 1e-12) -> DynamicsReport:
     """Residuals of the reflected one-step equations, evaluated directly.
 
     Works on any stored solution (including one reloaded from a dump), so
@@ -236,11 +228,9 @@ def verify_dynamics(solution: RBSDESolution, barriers: Barriers, driver: Driver,
     y = solution.y
     step_res, phase_res, rep = [0.0], [0.0], [0.0]
     for k in range(tree.n_steps):
-        nxt = y.at[k + 1]
-        e = 0.5 * (nxt[0::2] + nxt[1::2])
-        z_implied = (nxt[0::2] - nxt[1::2]) / (2.0 * tree.sqrt_dt)
+        e, z_implied = tree.children(y.at[k + 1])
         rep.append(float(np.max(np.abs(z_implied - solution.z[k]))))
-        f_val = driver.fn((step_offset + k) * tree.dt, y.after[k], solution.z[k])
+        f_val = driver.fn(tree.time(k), y.after[k], solution.z[k])
         resid = y.after[k] - e - tree.dt * f_val - solution.r_plus.step[k] + solution.r_minus.step[k]
         step_res.append(float(np.max(np.abs(resid))))
         presid = y.at[k] - y.after[k] - solution.r_plus.phase[k] + solution.r_minus.phase[k]
@@ -345,11 +335,11 @@ def mokobodzki_witness(tree: TwoPhaseTree, barriers: Barriers) -> Witness | Sepa
     return Witness(x=x, cut_keys=rows)
 
 
-def growth_points(incr: TransitionIncrements, tol: float = 0.0) -> OptionalProcess:
+def growth_points(incr: TransitionIncrements) -> OptionalProcess:
     """Indicator process of reflection growth, attributed to each
     transition's left endpoint: phase increments flag AT(k), diffusion
     increments flag AFTER(k)."""
-    return OptionalProcess.from_slots(incr.tree, [np.asarray(a > tol, dtype=float) for a in incr.slots]
+    return OptionalProcess.from_slots(incr.tree, [np.asarray(a > 0.0, dtype=float) for a in incr.slots]
                                       + [np.zeros(incr.tree.n_leaves)])
 
 
@@ -480,6 +470,10 @@ def truncation_scheme(tree: TwoPhaseTree, barriers: Barriers, driver: Driver,
     stack of rows, each with its own clip band and barrier slots; every row
     comes out bit-identical to a ``solve_rbsde`` of that member alone.
     """
+    if any(v is not None and v < 1 for v in (n_max, m_max)):
+        raise ValueError("truncation levels must be >= 1")
+    if cut_step is not None and cut_step < 1:
+        raise ValueError("cut_step must be >= 1")
     reference = solve_rbsde(tree, barriers, driver, tol_root=tol_root, max_iter=max_iter)
     if n_max is None or m_max is None:
         fmax = 0.0
@@ -492,10 +486,6 @@ def truncation_scheme(tree: TwoPhaseTree, barriers: Barriers, driver: Driver,
             level = max(level, -(-tree.n_steps // cut_step))
         n_max = level if n_max is None else n_max
         m_max = level if m_max is None else m_max
-    if n_max < 1 or m_max < 1:
-        raise ValueError("truncation levels must be >= 1")
-    if cut_step is not None and cut_step < 1:
-        raise ValueError("cut_step must be >= 1")
     size = n_max * m_max * tree.n_leaves
     if size > LADDER_BUDGET:
         raise LadderBudgetError(

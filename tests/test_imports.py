@@ -1,9 +1,13 @@
-"""Import hygiene: every module of the package uses every name it imports.
+"""Import hygiene: every module of the package uses every name it imports,
+and every private name it defines is used somewhere in the package.
 
-The check reads the source with the standard library's ``ast`` only.  A name
+The checks read the source with the standard library's ``ast`` only.  A name
 counts as used when it is loaded anywhere in the module (an attribute base
 such as ``np`` in ``np.zeros`` included) or appears in a quoted annotation.
-``__init__.py`` is exempt: its imports are the package's exports.
+``__init__.py`` is exempt from the import check: its imports are the
+package's exports.  A module-level private name (``_x``, not a dunder)
+counts as used when some module of the package loads it, imports it or
+reads it as an attribute; a helper left behind by a refactor fails.
 """
 
 from __future__ import annotations
@@ -24,6 +28,13 @@ def _annotations(node: ast.AST) -> list[ast.AST]:
     return [node.annotation] if isinstance(node, ast.AnnAssign) else []
 
 
+def _quoted_names(node: ast.AST) -> set[str]:
+    """Names in the node's quoted annotations: each is a string constant,
+    parsed for its names."""
+    return {n.id for note in _annotations(node) if isinstance(note, ast.Constant) and isinstance(note.value, str)
+            for n in ast.walk(ast.parse(note.value, mode="eval")) if isinstance(n, ast.Name)}
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by the module's imports that it never uses, in source order."""
     module = ast.parse(source)
@@ -38,11 +49,7 @@ def unused_imports(source: str) -> list[str]:
                 imported.setdefault(alias.asname or alias.name, node.lineno)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        for note in _annotations(node):
-            # a quoted annotation is a string constant: parse it for its names
-            if isinstance(note, ast.Constant) and isinstance(note.value, str):
-                used |= {n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
-                         if isinstance(n, ast.Name)}
+        used |= _quoted_names(node)
     return sorted((name for name in imported if name not in used), key=imported.__getitem__)
 
 
@@ -63,3 +70,47 @@ def test_the_check_finds_unused_names_and_sees_every_kind_of_use():
 @pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
 def test_package_modules_use_every_name_they_import(path):
     assert unused_imports((PACKAGE / path).read_text()) == []
+
+
+def _private_definitions(module: ast.Module) -> list[str]:
+    """Module-level private names (``_x``, not ``__x__``) a module defines."""
+    names = []
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` of every module-level private name that no module of
+    ``sources`` (file name -> source) references."""
+    modules = {name: ast.parse(source) for name, source in sources.items()}
+    used: set[str] = set()
+    for module in modules.values():
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+            used |= _quoted_names(node)
+    return [f"{name}:{defined}" for name, module in modules.items()
+            for defined in _private_definitions(module) if defined not in used]
+
+
+def test_the_orphan_check_sees_loads_imports_attributes_and_annotations():
+    sources = {
+        "a.py": ("_CACHE = {}\n_A, _B = 1, 2\n__all__ = []\n"
+                 "def _used(): pass\ndef _orphan(): pass\nclass _Kind: pass\n"
+                 "def f() -> '_Kind':\n    return _CACHE\n"),
+        "b.py": "from .a import _used\nimport a\nx = a._A\n_used()\n",
+    }
+    assert orphaned_private_names(sources) == ["a.py:_B", "a.py:_orphan"]
+
+
+def test_every_private_name_of_the_package_is_used():
+    assert orphaned_private_names({p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []

@@ -47,6 +47,18 @@ def test_two_step_tree_walk_values():
     np.testing.assert_allclose(tree.brownian(2), [2 * s, 0.0, 0.0, -2 * s])
 
 
+def test_children_average_and_difference_each_row():
+    # dt = 0.25 makes 2 sqrt(dt) = 1, so z is the plain up - down difference
+    tree = build_tree(2, 0.25)
+    nxt = np.array([[1.0, 3.0, 0.5, -0.5],
+                    [2.0, 2.0, -1.0, 4.0],
+                    [0.0, 0.0, 10.0, 6.0]])
+    e, z = tree.children(nxt)
+    assert e.tolist() == [[2.0, 0.0], [2.0, 1.5], [0.0, 8.0]]
+    assert z.tolist() == [[-2.0, 1.0], [0.0, -5.0], [0.0, 4.0]]
+    assert np.array_equal(nxt[:, 0::2] - nxt[:, 1::2], 2.0 * z * tree.sqrt_dt)
+
+
 def test_zero_step_tree_rejected():
     with pytest.raises(ValueError):
         build_tree(0, 1.0)

@@ -4,10 +4,12 @@
 leaf in Python.  Those loops live on here as reference implementations:
 the witness must match bit for bit, ``is_adapted`` must pass a row of keys
 exactly where the per-leaf adaptedness loop does, and the stopping-time
-builder must raise the same errors.  So do the per-key gathers that
-``gather_slots`` replaced, and the stopping-pair list comprehension of brute
-``classify_ef``: reads are bit-identical, pairs come in the same order, and
-classification gives equal results.  The two brute-force oracles now run
+builder must raise the same errors.  ``stopping_keys`` must list the rows
+of the recursive (steps, phases) generator it replaced, in its order.  So
+do the per-key gathers that ``gather_slots`` replaced, and the
+stopping-pair list comprehension of brute ``classify_ef``: reads are
+bit-identical, pairs come in the same order, and classification gives
+equal results.  The two brute-force oracles now run
 one backward row per distinct input row; the per-pair paths they replaced
 (one row per strategy pair, one row per ordered pair) are kept as
 references, and the matrices and classifications must match bit for bit.
@@ -23,10 +25,11 @@ truncation ladder, now one backward pass over a stack of rows, is checked
 cell for cell against one ``solve_rbsde`` per grid member, and
 ``implicit_step`` on a stack of rows against each row solved alone.  The
 Snell envelopes, now two zero-driver reflected passes, and ``solve_bsde``
-and ``ef_backward_batch``, now one unreflected pass, are checked bit for
-bit against the three loops they replaced.  ``growth_points`` and the
-stopped reflection mass of the epsilon saddle, now one pass over the
-key-ordered increment slots, are checked bit for bit against their
+and ``ef_backward_batch``, now one unreflected pass that freezes the
+driver from per-row stop keys, are checked bit for bit against the three
+loops they replaced, which take per-step driver masks.  ``growth_points``
+and the stopped reflection mass of the epsilon saddle, now one pass over
+the key-ordered increment slots, are checked bit for bit against their
 per-step loops over the phase and step increments.  ``polynomial_driver``
 now evaluates by sparse Horner; the term-by-term sum it replaced is kept
 as a reference, within a few ulps of the terms' magnitudes.
@@ -82,7 +85,7 @@ from rbsde_lab import report as report_module
 from rbsde_lab.cli import _HANDLERS, build_parser
 from rbsde_lab.expectation import _horner, _odd_cubic, _row_max, _window_pairs, _y_coefficients, ef_backward_batch
 from rbsde_lab.games import (
-    _freeze_masks,
+    _freeze_keys,
     _pair_patterns,
     _stopped_mass,
     _strategy_keys,
@@ -91,7 +94,7 @@ from rbsde_lab.games import (
     game_equals_rbsde,
     saddle_points,
 )
-from rbsde_lab.lattice import is_adapted
+from rbsde_lab.lattice import is_adapted, stopping_keys
 from rbsde_lab.report import (
     SOLUTION_ROW_HEADER,
     canonical_json,
@@ -308,6 +311,39 @@ def test_row_check_matches_the_per_leaf_loop(seed, depth, n_rows):
     assert [bool(is_adapted(keys)) for keys in stack] == want.tolist()
 
 
+def reference_stop_vectors(n_steps, phase_resolved):
+    """Every stopping time of a depth-``n_steps`` tree as stacked per-leaf
+    (steps, phases) matrices, built by the recursive list generator."""
+
+    def gen(depth_left):
+        step_here = n_steps - depth_left
+        width = 1 << depth_left
+        if depth_left == 0:
+            return [(np.array([step_here], dtype=np.int16), np.array([0], dtype=np.int8))]
+        out = [(np.full(width, step_here, dtype=np.int16), np.zeros(width, dtype=np.int8))]
+        if phase_resolved:
+            out.append((np.full(width, step_here, dtype=np.int16), np.ones(width, dtype=np.int8)))
+        children = gen(depth_left - 1)
+        for up_s, up_p in children:
+            for dn_s, dn_p in children:
+                out.append((np.concatenate([up_s, dn_s]), np.concatenate([up_p, dn_p])))
+        return out
+
+    combos = gen(n_steps)
+    return np.stack([s for s, _ in combos]), np.stack([p for _, p in combos])
+
+
+@pytest.mark.parametrize("depth, phase_resolved", [(d, False) for d in (1, 2, 3, 4)]
+                         + [(d, True) for d in (1, 2, 3)])
+def test_stopping_keys_match_the_list_generator_row_for_row(depth, phase_resolved):
+    steps, phases = reference_stop_vectors(depth, phase_resolved)
+    keys = stopping_keys(depth, phase_resolved)
+    assert keys.dtype == np.int64 and not keys.flags.writeable
+    assert np.array_equal(keys, 2 * steps.astype(np.int64) + phases)
+    got_steps, got_phases = enumerate_stopping_times(build_tree(depth, 0.5), phase_resolved)
+    assert np.array_equal(got_steps, steps) and np.array_equal(got_phases, phases)
+
+
 # -- gathers and the brute-force pair set ------------------------------------
 
 def reference_gather_process(process, keys):
@@ -373,8 +409,7 @@ def reference_classify_brute(process, driver, from_time, to_time, tol):
     sig_rows = np.array([i for i, _ in pairs])
     tau_rows = np.array([j for _, j in pairs])
     x_at_tau = reference_gather_process(process, keys_m[tau_rows])
-    masks = [keys_m[tau_rows][:, ::tree.leaf_stride(k)] >= 2 * (k + 1) for k in range(tree.n_steps)]
-    vals = ef_backward_batch(tree, driver, x_at_tau, masks)
+    vals = ef_backward_batch(tree, driver, x_at_tau, keys_m[tau_rows])
     diff = (reference_gather_batch(tree, vals, keys_m[sig_rows])
             - reference_gather_process(process, keys_m[sig_rows]))
     return ClassifyResult.from_violations(max(float(np.max(diff, initial=0.0)), 0.0),
@@ -464,8 +499,7 @@ def reference_classify_per_pair(process, driver, from_time, to_time, tol):
     if sig.size == 0:
         return ClassifyResult.from_violations(0.0, 0.0, tol, "brute")
     sig_keys, tau_keys = win[sig], win[tau]
-    masks = [tau_keys[:, ::tree.leaf_stride(k)] >= 2 * (k + 1) for k in range(tree.n_steps)]
-    vals = ef_backward_batch(tree, driver, process.at_keys(tau_keys), masks)
+    vals = ef_backward_batch(tree, driver, process.at_keys(tau_keys), tau_keys)
     diff = gather_slots(vals, sig_keys) - process.at_keys(sig_keys)
     return ClassifyResult.from_violations(max(float(np.max(diff, initial=0.0)), 0.0),
                                           max(float(np.max(-diff, initial=0.0)), 0.0), tol, "brute")
@@ -522,8 +556,7 @@ def reference_root_values(subtree, driver, j, min_steps, step_offset, tol_root, 
     s_tau, s_sigma, p = j.shape
     term = j.reshape(s_tau * s_sigma, p)
     flat = np.broadcast_to(min_steps, j.shape).reshape(s_tau * s_sigma, p)
-    masks = [flat[:, ::subtree.leaf_stride(k)] >= k + 1 for k in range(subtree.n_steps)]
-    vals = ef_backward_batch(subtree, driver, term, masks, step_offset=step_offset,
+    vals = ef_backward_batch(subtree, driver, term, 2 * flat, step_offset=step_offset,
                              tol_root=tol_root, max_iter=max_iter)
     return vals[0][:, 0].reshape(s_tau, s_sigma)
 
@@ -580,10 +613,9 @@ def test_pair_patterns_read_the_payoff_and_fix_the_freeze_step(phase_resolved, c
         keys = _strategy_keys(build_tree(depth, 1.0), phase_resolved)
         assert src.shape == (count, 1 << depth)
         assert n_strat == keys.shape[0] and inverse.shape == (n_strat ** 2,)
-        # each row's freeze step, rebuilt from its masks, is min(tau, sigma)
-        # of every pair mapped to it
-        masks = _freeze_masks(depth, src)
-        freeze = sum(np.repeat(m, 1 << (depth - k), axis=1) for k, m in enumerate(masks))
+        # each row's freeze step, the step of its freeze keys, is min(tau,
+        # sigma) of every pair mapped to it
+        freeze = _freeze_keys(depth, src) >> 1
         steps = keys >> 1
         pair_min = np.minimum(steps[:, None, :], steps[None, :, :]).reshape(n_strat ** 2, -1)
         assert np.array_equal(freeze[inverse], pair_min)
@@ -961,8 +993,10 @@ def reference_solve_bsde(tree, terminal, driver, dv, step_offset):
     return OptionalProcess(tree, y_at, y_after), zs
 
 
-def reference_ef_backward_batch(tree, driver, terminal_rows, masks, step_offset):
-    """The unreflected loop over rows, with the driver masked per row and parent."""
+def reference_ef_backward_batch(tree, driver, terminal_rows, stops, step_offset):
+    """The unreflected loop over rows, with the driver masked per row and
+    parent: on at step k where the parent's first leaf stops at AT(k + 1)
+    or later."""
     n, dt = tree.n_steps, tree.dt
     vals = [None] * (n + 1)
     vals[n] = terminal_rows
@@ -970,7 +1004,10 @@ def reference_ef_backward_batch(tree, driver, terminal_rows, masks, step_offset)
         nxt = vals[k + 1]
         e = 0.5 * (nxt[:, 0::2] + nxt[:, 1::2])
         z = (nxt[:, 0::2] - nxt[:, 1::2]) / (2.0 * tree.sqrt_dt)
-        active = None if masks is None else masks[k]
+        active = None
+        if stops is not None:
+            first_leaf = np.arange(tree.nodes_at(k)) * tree.leaf_stride(k)
+            active = stops[:, first_leaf] > 2 * k + 1
         vals[k] = implicit_step(e, z, (step_offset + k) * dt, driver, dt, active=active)
     return vals
 
@@ -985,7 +1022,8 @@ def _same_process(got, want):
 def test_backward_engines_match_the_loops_they_replaced(seed, depth, kind, touching, step_offset):
     """Snell envelopes from the reflected pass, and ``solve_bsde`` and
     ``ef_backward_batch`` from the unreflected one, bit for bit against the
-    loops they replaced: with and without a drift, with and without masks."""
+    loops they replaced: with and without a drift, with and without stop
+    keys, adapted or not."""
     rng = np.random.default_rng(seed)
     scn = random_scenario(seed, n_steps=depth, driver_kind="linear" if kind == "zero" else kind,
                           touching=touching)
@@ -1003,10 +1041,10 @@ def test_backward_engines_match_the_loops_they_replaced(seed, depth, kind, touch
         assert all(_same_bits(a, b) for a, b in zip(sol.z, z, strict=True))
         assert not any(a is b for a in sol.y.at for b in sol.y.after)
     rows = rng.normal(size=(3, tree.n_leaves))
-    masks = [rng.random((3, tree.nodes_at(k))) < 0.6 for k in range(depth)]
-    for m in (None, masks):
-        got = ef_backward_batch(tree, driver, rows, m, step_offset=step_offset)
-        want = reference_ef_backward_batch(tree, driver, rows, m, step_offset)
+    stops = np.concatenate([_random_keys(tree, rng, (2, tree.n_leaves)), _random_stop(tree, rng).keys[None]])
+    for keys in (None, stops):
+        got = ef_backward_batch(tree, driver, rows, keys, step_offset=step_offset)
+        want = reference_ef_backward_batch(tree, driver, rows, keys, step_offset)
         assert all(_same_bits(a, b) for a, b in zip(got, want, strict=True))
 
 
@@ -1251,12 +1289,12 @@ def test_horner_matches_the_term_by_term_sum(terms, seed):
     assert np.all(np.abs(got_slope - slope) <= 8 * ulp * slope_size + underflow)
 
 
-def reference_growth_points(incr, tol):
-    """Growth indicator, step by step: phase increments flag AT(k), step
-    increments flag AFTER(k), and AT(N) is never flagged."""
+def reference_growth_points(incr):
+    """Growth indicator, step by step: positive phase increments flag AT(k),
+    positive step increments flag AFTER(k), and AT(N) is never flagged."""
     tree = incr.tree
-    at = [np.asarray(incr.phase[k] > tol, dtype=float) for k in range(tree.n_steps)]
-    after = [np.asarray(incr.step[k] > tol, dtype=float) for k in range(tree.n_steps)]
+    at = [np.asarray(incr.phase[k] > 0.0, dtype=float) for k in range(tree.n_steps)]
+    after = [np.asarray(incr.step[k] > 0.0, dtype=float) for k in range(tree.n_steps)]
     return OptionalProcess(tree, at + [np.zeros(tree.n_leaves)], after)
 
 
@@ -1272,17 +1310,17 @@ def reference_stopped_mass(incr, stop):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([0.0, 0.25]))
-def test_growth_points_and_stopped_mass_match_the_per_step_loops(seed, depth, tol):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_growth_points_and_stopped_mass_match_the_per_step_loops(seed, depth):
     rng = np.random.default_rng(seed)
     tree = build_tree(depth, 0.5)
     def draw(k):
-        """Signed increments of step k with exact zeros and entries at the tolerance."""
+        """Signed increments of step k with exact zeros of both signs."""
         size = tree.nodes_at(k)
-        return np.where(rng.random(size) < 0.3, rng.choice([0.0, -0.0, tol], size), rng.normal(size=size))
+        return np.where(rng.random(size) < 0.3, rng.choice([0.0, -0.0], size), rng.normal(size=size))
 
     incr = TransitionIncrements(tree, [draw(k) for k in range(depth)], [draw(k) for k in range(depth)])
-    got, want = growth_points(incr, tol), reference_growth_points(incr, tol)
+    got, want = growth_points(incr), reference_growth_points(incr)
     assert len(got.slots) == len(want.slots) == 2 * depth + 1
     assert all(_same_bits(a, b) for a, b in zip(got.slots, want.slots))
     stop = _random_stop(tree, rng)

@@ -344,6 +344,23 @@ def test_cut_step_swaps_barriers_without_moving_the_limit():
     assert rep.n_max >= 3  # enough stages for the cuts to reach the horizon
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(cut_step=0), "cut_step must be >= 1"),
+    (dict(cut_step=-2), "cut_step must be >= 1"),
+    (dict(n_max=0), "truncation levels must be >= 1"),
+    (dict(m_max=0, cut_step=1), "truncation levels must be >= 1"),
+])
+def test_bad_ladder_arguments_are_refused_before_the_reference_solve(monkeypatch, kwargs, message):
+    # cut_step 0 under default levels once divided by zero after the solve
+    sc = random_scenario(3, n_steps=3, driver_kind="linear")
+
+    def solved(*args, **kwargs):
+        raise AssertionError("the reference was solved before the arguments were checked")
+
+    monkeypatch.setattr(reflect, "solve_rbsde", solved)
+    with pytest.raises(ValueError, match=message):
+        truncation_scheme(sc.tree, sc.barriers, sc.driver, **kwargs)
+
 
 def test_default_level_ladder_above_the_budget_is_refused():
     # a depth-12 cubic draw whose default level is 135: 135 * 135 members of
