@@ -284,7 +284,7 @@ def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     for label, proc in (("neg_lower_envelope", neg_lhat), ("upper_envelope", uhat)):
         one = classify_ef(proc, zero, mode="onestep", tol=t["tol_root"])
         entry = {"onestep": one.verdict, "supermartingale": one.is_supermartingale}
-        if tree.n_steps <= 3:
+        if tree.n_steps <= min(3, int(t["enum_bound"])):
             brute = classify_ef(proc, zero, mode="brute", tol=t["tol_root"],
                                 enum_bound=int(t["enum_bound"]))
             entry["brute"] = brute.verdict

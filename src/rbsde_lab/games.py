@@ -19,16 +19,16 @@ Values are computed per theta-atom: the subgame below a node is a fresh
 game on the remaining depth, so conditional values come from reading the
 subgame's barrier slots and offsetting driver time, never from
 re-weighting paths.  One payoff rule (:func:`_pair_sources`) and one
-subgame engine (:func:`_subgame_values`) serve every check here.  A saddle
-report solves its theta-subgame once and runs each game mode's opponent
-sweeps as one stacked engine call.
+subgame engine (:func:`_subgame_values`) serve every check here, through the
+pair matrix of :func:`brute_force_values`.  A saddle report solves its
+theta-subgame once and reads every residual and epsilon-pair value from one
+pair matrix per game mode.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -72,8 +72,9 @@ def _pair_sources(n: int, tau_keys: np.ndarray, sigma_keys: np.ndarray) -> np.nd
     """The payoff rule: per leaf, the entry of ``lower slots ‖ upper slots ‖
     terminal`` (each process's ``2 n + 1`` slots end to end in key order)
     that a pair of broadcast ``tau_keys`` and ``sigma_keys`` rows of a
-    depth-``n`` game reads.  A key's phase picks the slot; the branch only
-    sees steps, so a same-step tie goes to the maximiser."""
+    depth-``n`` game reads; :func:`_pair_patterns` broadcasts every strategy
+    against every other.  A key's phase picks the slot; the branch only sees
+    steps, so a same-step tie goes to the maximiser."""
     sizes = [1 << (q >> 1) for q in range(2 * n + 1)]
     start, span, leaves = np.cumsum([0] + sizes[:-1]), sum(sizes), np.arange(1 << n)
     ts, ss = tau_keys >> 1, sigma_keys >> 1
@@ -88,11 +89,6 @@ def _freeze_keys(n: int, src: np.ndarray) -> np.ndarray:
     which is the step of the entry read."""
     key_of = np.repeat(np.arange(2 * n + 1), [1 << (q >> 1) for q in range(2 * n + 1)])
     return np.concatenate([key_of, key_of, np.full(1 << n, 2 * n)])[src]
-
-
-def _strategy_keys(tree: TwoPhaseTree, phase_resolved: bool) -> np.ndarray:
-    """Order keys of every stopping time of ``tree``, one row per strategy."""
-    return stopping_keys(tree.n_steps, phase_resolved)
 
 
 _STACK_BUDGET = 1 << 18  # elements per backward batch of stacked subgames
@@ -127,7 +123,7 @@ def _pair_patterns(depth: int, phase_resolved: bool) -> tuple[np.ndarray, np.nda
     of a depth-``depth`` game, the map from the row-major pairs to them, and
     the strategy count S.  A row fixes its freeze keys too, so two pairs
     with one row get the same backward row, bit for bit."""
-    keys = _strategy_keys(build_tree(depth, 1.0), phase_resolved)
+    keys = stopping_keys(depth, phase_resolved)
     src = _pair_sources(depth, keys[:, None, :], keys[None, :, :]).reshape(-1, 1 << depth)
     # the distinct rows, found by sorting the rows: np.unique(axis=0) finds
     # the same ones, but sorts them as opaque records, ~30x slower at depth 3
@@ -150,12 +146,6 @@ def _subgame_matrices(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, st
     src, inverse, n_strat = _pair_patterns(tree.n_steps - step, mode == "extended")
     vals = _subgame_values(tree, barriers, driver, step, nodes, src, tol_root, max_iter)
     return vals[:, inverse].reshape(len(nodes), n_strat, n_strat)
-
-
-def _check_theta(tree: TwoPhaseTree, step: int, node: int) -> None:
-    if not (0 <= step < tree.n_steps and 0 <= node < 1 << step):
-        raise ValueError(f"theta (step {step}, node {node}) is not a node of steps "
-                         f"0..{tree.n_steps - 1} (nodes 0..2**step - 1)")
 
 
 def _guard_depth(depth: int, enum_bound: int) -> None:
@@ -201,7 +191,9 @@ def brute_force_values(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *
     """
     if mode not in ("extended", "plain"):
         raise ValueError(f"unknown game mode {mode!r}")
-    _check_theta(tree, theta_step, theta_node)
+    if not (0 <= theta_step < tree.n_steps and 0 <= theta_node < 1 << theta_step):
+        raise ValueError(f"theta (step {theta_step}, node {theta_node}) is not a node of steps "
+                         f"0..{tree.n_steps - 1} (nodes 0..2**step - 1)")
     _guard_depth(tree.n_steps - theta_step, enum_bound)
     return GameValues.of(_subgame_matrices(tree, barriers, driver, theta_step,
                                            range(theta_node, theta_node + 1), mode,
@@ -348,78 +340,64 @@ def _check_epsilon(epsilon: float) -> None:
 class _ThetaGame:
     """The theta-subgame behind a saddle report, solved once: its barriers,
     their terminal-patched versions ``lower`` and ``upper``, the reflected
-    solution, Y at theta, and ``engine``, the subgame engine at theta from
-    source rows to root values.  Every pair of the report is built from
-    this one solve."""
+    solution, Y at theta, and ``extended``, the extended game's pair matrix
+    at theta.  Every pair of the report is built from this one solve."""
 
     barriers: Barriers
     lower: OptionalProcess
     upper: OptionalProcess
     sol: RBSDESolution
     y_theta: float
-    engine: Callable[[np.ndarray], np.ndarray]
+    extended: np.ndarray
 
     @classmethod
     def solve(cls, tree: TwoPhaseTree, barriers: Barriers, driver: Driver, theta_step: int,
               theta_node: int, enum_bound: int, tol_root: float, max_iter: int) -> "_ThetaGame":
-        """Check theta and the enumeration guard, then solve the subgame."""
-        _check_theta(tree, theta_step, theta_node)
-        _guard_depth(tree.n_steps - theta_step, enum_bound)
+        """Build the extended pair matrix, which checks theta and the
+        enumeration guard first, then solve the subgame."""
+        extended = brute_force_values(tree, barriers, driver, theta_step=theta_step, theta_node=theta_node,
+                                      enum_bound=enum_bound, tol_root=tol_root, max_iter=max_iter).matrix
         sub_b = barriers.restrict(theta_step, theta_node)
         sol = solve_rbsde(tree.subtree(theta_step), sub_b, driver, step_offset=theta_step,
                           tol_root=tol_root, max_iter=max_iter)
-        engine = functools.partial(_subgame_values, tree, barriers, driver, theta_step,
-                                   range(theta_node, theta_node + 1), tol_root=tol_root, max_iter=max_iter)
         lower, upper = (p.with_terminal(sub_b.terminal) for p in (sub_b.lower, sub_b.upper))
-        return cls(sub_b, lower, upper, sol, float(sol.y.at[0][0]), engine)
+        return cls(sub_b, lower, upper, sol, float(sol.y.at[0][0]), extended)
 
-    def sweep(self, committed: list[tuple[np.ndarray, bool]], pairs: list[tuple[np.ndarray, np.ndarray]],
-              phase_resolved: bool) -> tuple[list[float], list[float]]:
-        """One engine call for one game mode: per committed ``(keys,
-        maximiser)`` player one row per opponent strategy of the mode, then
-        one row per ``(tau_keys, sigma_keys)`` pair.  Returns how far each
-        player falls short of ``y_theta`` against its worst opponent (below
-        it for the maximiser, above it for the minimiser, clipped at 0) and
-        each pair's value."""
-        n = self.sol.y.tree.n_steps
-        opp = _strategy_keys(self.sol.y.tree, phase_resolved)
-        src = np.concatenate([_pair_sources(n, own[None], opp) if maximiser else _pair_sources(n, opp, own[None])
-                              for own, maximiser in committed]
-                             + [_pair_sources(n, tau[None], sigma[None]) for tau, sigma in pairs])
-        vals = self.engine(src)[0]
-        split = len(committed) * len(opp)
-        shortfalls = [max(0.0, self.y_theta - float(row.min())) if maximiser
-                      else max(0.0, float(row.max()) - self.y_theta)
-                      for row, (_, maximiser) in zip(vals[:split].reshape(len(committed), len(opp)), committed)]
-        return shortfalls, vals[split:].tolist()
+    def index(self, keys: np.ndarray, phase_resolved: bool) -> int:
+        """The pair-matrix index of the strategy whose order keys are ``keys``."""
+        (i,) = np.flatnonzero((stopping_keys(self.sol.y.tree.n_steps, phase_resolved) == keys).all(axis=1))
+        return int(i)
 
-    def extended_stack(self, committed: list[tuple[np.ndarray, bool]],
-                       epsilons: tuple[float, ...]) -> tuple[list[float], list[EpsilonSaddle]]:
-        """The extended-mode engine call: the ``committed`` players'
-        shortfalls, then the epsilon pair of :func:`epsilon_saddle` at each
-        of ``epsilons``, with its value and both residuals."""
+    def shortfall(self, matrix: np.ndarray, keys: np.ndarray, maximiser: bool,
+                  phase_resolved: bool = True) -> float:
+        """How far a player committed to ``keys`` falls short of ``y_theta``
+        against its worst opponent in ``matrix``: below it by the min of the
+        maximiser's row, above it by the max of the minimiser's column,
+        clipped at 0."""
+        i = self.index(keys, phase_resolved)
+        return (max(0.0, self.y_theta - float(matrix[i].min())) if maximiser
+                else max(0.0, float(matrix[:, i].max()) - self.y_theta))
+
+    def epsilon_pair(self, e: float) -> EpsilonSaddle:
+        """The epsilon pair of :func:`epsilon_saddle`, with its value and
+        both residuals read from the extended pair matrix."""
         sol = self.sol
-        stops = []
-        for e in epsilons:
-            tau = first_hitting(OptionalProcess.combine(
-                lambda y, l: (y <= l + e).astype(float), sol.y, self.lower))
-            sigma = first_hitting(OptionalProcess.combine(
-                lambda y, u: (y >= u - e).astype(float), sol.y, self.upper))
-            # the terminal slot satisfies both conditions, so the scans always hit
-            assert tau.hit.all() and sigma.hit.all()
-            stops.append((tau.stop, sigma.stop))
-        players = [(stop.keys, maximiser) for pair in stops for stop, maximiser in zip(pair, (True, False))]
-        shortfalls, values = self.sweep(committed + players, [(t.keys, s.keys) for t, s in stops], True)
-        residuals = shortfalls[len(committed):]
-        saddles = [EpsilonSaddle(
-            epsilon=e, y_theta=self.y_theta, tau=_hit_system(t), sigma=_hit_system(s), pair_value=value,
-            residual_up=residuals[2 * i], residual_down=residuals[2 * i + 1],
+        tau = first_hitting(OptionalProcess.combine(
+            lambda y, l: (y <= l + e).astype(float), sol.y, self.lower))
+        sigma = first_hitting(OptionalProcess.combine(
+            lambda y, u: (y >= u - e).astype(float), sol.y, self.upper))
+        # the terminal slot satisfies both conditions, so the scans always hit
+        assert tau.hit.all() and sigma.hit.all()
+        t, s = tau.stop, sigma.stop
+        return EpsilonSaddle(
+            epsilon=e, y_theta=self.y_theta, tau=_hit_system(t), sigma=_hit_system(s),
+            pair_value=float(self.extended[self.index(t.keys, True), self.index(s.keys, True)]),
+            residual_up=self.shortfall(self.extended, t.keys, True),
+            residual_down=self.shortfall(self.extended, s.keys, False),
             hit_gap_lower=max(0.0, float(np.max(sol.y.at_keys(t.keys) - self.lower.at_keys(t.keys) - e))),
             hit_gap_upper=max(0.0, float(np.max(self.upper.at_keys(s.keys) - e - sol.y.at_keys(s.keys)))),
             reflection_mass_lower=float(np.max(_stopped_mass(sol.r_plus, t))),
             reflection_mass_upper=float(np.max(_stopped_mass(sol.r_minus, s))))
-            for i, (e, (t, s), value) in enumerate(zip(epsilons, stops, values))]
-        return shortfalls[:len(committed)], saddles
 
 
 def epsilon_saddle(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, epsilon: float, *,
@@ -431,11 +409,11 @@ def epsilon_saddle(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, epsil
     of the terminal-patched lower barrier; entry on an interval slot is
     realised as the grid stop with the membership bit cleared.  The
     minimiser is symmetric about the upper barrier.  The pair's value and
-    both residuals come from one stacked engine call.
+    both residuals are entries of the extended pair matrix at theta.
     """
     _check_epsilon(epsilon)
-    game = _ThetaGame.solve(tree, barriers, driver, theta_step, theta_node, enum_bound, tol_root, max_iter)
-    return game.extended_stack([], (epsilon,))[1][0]
+    return _ThetaGame.solve(tree, barriers, driver, theta_step, theta_node, enum_bound,
+                            tol_root, max_iter).epsilon_pair(epsilon)
 
 
 @dataclass
@@ -489,8 +467,8 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
                   max_iter: int = 200) -> SaddleReport:
     """First-contact and first-action stops of the reflected solution,
     verified against every opposing strategy.  The theta-subgame is solved
-    once for every pair, and each game mode's opponent sweeps, with the
-    epsilon pairs' in the extended one, run as one stacked engine call."""
+    once for every pair, and every residual and epsilon-pair value is read
+    from the pair matrix of its game mode."""
     game = _ThetaGame.solve(tree, barriers, driver, theta_step, theta_node, enum_bound, tol_root, max_iter)
     for e in epsilons:
         _check_epsilon(e)
@@ -524,13 +502,17 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
     # the committed star up, star down, bar up and bar down players
     committed = [(tau_star_hit.stop, True), (sigma_star_hit.stop, False),
                  (tau_bar_hit.stop, True), (sigma_bar_hit.stop, False)]
-    ext, eps_reports = game.extended_stack([(stop.keys, m) for stop, m in committed], epsilons)
+    ext = [game.shortfall(game.extended, stop.keys, m) for stop, m in committed]
+    eps_reports = [game.epsilon_pair(e) for e in epsilons]
     lower_flags, upper_flags = semicontinuity(sub_b.lower), semicontinuity(sub_b.upper)
     warnings: list[str] = []
     plain: list[float | None] = [None] * 4
     if lower_flags.right_usc and lower_flags.left_usc and upper_flags.right_lsc and upper_flags.left_lsc:
         # the plain game, with the stops moved to their grid times
-        plain = game.sweep([(2 * stop.steps, m) for stop, m in committed], [], False)[0]
+        matrix = brute_force_values(tree, barriers, driver, mode="plain", theta_step=theta_step,
+                                    theta_node=theta_node, enum_bound=enum_bound, tol_root=tol_root,
+                                    max_iter=max_iter).matrix
+        plain = [game.shortfall(matrix, 2 * stop.steps, m, False) for stop, m in committed]
     else:
         warnings.append("plain saddle residuals skipped: grid-time stops are only "
                         "optimal when the lower barrier is USC and the upper "

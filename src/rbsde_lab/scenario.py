@@ -466,8 +466,10 @@ def random_scenario(seed: int, *, n_steps: int | None = None, dt: float | None =
     False plants at least one strict violation, None leaves the raw noise
     as it falls.  ``touching`` collapses the barrier gap to zero at one
     random point (the strict-separation failure witness for the midpoint
-    construction).  Violation planting may disturb a *different* flag on a
-    neighbouring slot, so callers should not request contradictory combos.
+    construction); at a grid point it may sink the upper barrier below the
+    lower one's interval value, which fails ``value_identity_applicable``.
+    Violation planting may disturb a *different* flag on a neighbouring
+    slot, so callers should not request contradictory combos.
     """
     rng = np.random.default_rng(seed)
     n = int(n_steps) if n_steps is not None else int(rng.integers(1, 4))

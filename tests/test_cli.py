@@ -149,6 +149,17 @@ def test_verify_solves_a_shallow_scenario_once(tmp_path, capsys, monkeypatch):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("depth, bound, thetas", [(2, 1, 2), (3, 1, 4), (3, 2, 6)])
+def test_verify_under_a_low_enumeration_bound_skips_brute_classification(tmp_path, capsys, depth, bound,
+                                                                         thetas):
+    path = _write(tmp_path, random_scenario(7, n_steps=depth, driver_kind="linear").data)
+    rc = main(["verify", path, "--enum-bound", str(bound)])
+    rep = _json_out(capsys)
+    assert rc == 0 and rep["passed"]
+    assert all("brute" not in rep["snell"][label] for label in ("neg_lower_envelope", "upper_envelope"))
+    assert rep["game_oracle"]["thetas"] == thetas
+
+
 def test_csv_format_requires_out_dir(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", _write(tmp_path, TRIVIAL), "--format", "csv"])

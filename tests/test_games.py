@@ -172,7 +172,7 @@ def test_every_brute_force_path_checks_the_budget_before_enumerating(monkeypatch
 
     # each enumeration entry point fails loudly, so a missing guard
     # allocates nothing
-    for module, name in ((games, "_pair_patterns"), (games, "_strategy_keys"),
+    for module, name in ((games, "_pair_patterns"), (games, "stopping_keys"),
                          (expectation, "_stop_order")):
         monkeypatch.setattr(module, name, enumerated)
     sc = random_scenario(3, n_steps=4, driver_kind="linear")
@@ -426,25 +426,26 @@ def test_saddle_identities_on_random_scenarios(seed):
     assert rep.passed(1e-8), (rep.residuals, rep.warnings)
 
 
-def test_a_saddle_report_solves_once_and_stacks_each_mode(monkeypatch):
+def test_a_saddle_report_solves_once_and_reads_one_pair_matrix_per_mode(monkeypatch):
     sc = random_scenario(11, n_steps=3, driver_kind="linear", lower_right_usc=True, lower_left_usc=True,
                          upper_right_lsc=True, upper_left_lsc=True)
     calls = []
 
-    def counted(name):
+    def counted(name, size):
         fn = getattr(games, name)
 
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, size(*args)))
             return fn(*args, **kwargs)
         monkeypatch.setattr(games, name, wrapper)
 
-    for name in ("solve_rbsde", "_subgame_values", "_strategy_keys"):
-        counted(name)
+    counted("solve_rbsde", lambda *args: None)
+    counted("_subgame_values", lambda *args: len(args[5]))  # the source rows
     rep = saddle_points(sc.tree, sc.barriers, sc.driver, epsilons=(0.1, 0.05))
     assert rep.residuals["star_plain_up"] is not None  # both modes ran
-    assert calls.count("solve_rbsde") == 1
-    assert calls.count("_subgame_values") <= 2 and calls.count("_strategy_keys") <= 2
+    # the extended and plain pair patterns of depth 3, each solved once
+    assert calls.count(("solve_rbsde", None)) == 1
+    assert sorted(rows for name, rows in calls if name == "_subgame_values") == [123, 845]
     calls.clear()
     epsilon_saddle(sc.tree, sc.barriers, sc.driver, 0.1)
-    assert calls.count("solve_rbsde") == 1 and calls.count("_subgame_values") == 1
+    assert calls == [("_subgame_values", 845), ("solve_rbsde", None)]

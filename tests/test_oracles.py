@@ -88,7 +88,6 @@ from rbsde_lab.games import (
     _freeze_keys,
     _pair_patterns,
     _stopped_mass,
-    _strategy_keys,
     brute_force_values,
     epsilon_saddle,
     game_equals_rbsde,
@@ -571,7 +570,7 @@ def reference_pair_values(tree, barriers, driver, theta_step, theta_node, tau_ke
 def reference_brute_force_values(tree, barriers, driver, mode, theta_step, theta_node):
     """The per-pair path: the payoff tensor over all S**2 strategy pairs and
     one backward row per pair.  Returns (matrix, upper, lower)."""
-    keys = _strategy_keys(tree.subtree(theta_step), mode == "extended")
+    keys = stopping_keys(tree.n_steps - theta_step, mode == "extended")
     matrix = reference_pair_values(tree, barriers, driver, theta_step, theta_node, keys, keys)
     return matrix, float(matrix.max(axis=0).min()), float(matrix.min(axis=1).max())
 
@@ -610,7 +609,7 @@ def test_brute_force_values_match_the_per_pair_path(seed, depth, theta_step, mod
 def test_pair_patterns_read_the_payoff_and_fix_the_freeze_step(phase_resolved, counts):
     for depth, count in zip((1, 2, 3), counts):
         src, inverse, n_strat = _pair_patterns(depth, phase_resolved)
-        keys = _strategy_keys(build_tree(depth, 1.0), phase_resolved)
+        keys = stopping_keys(depth, phase_resolved)
         assert src.shape == (count, 1 << depth)
         assert n_strat == keys.shape[0] and inverse.shape == (n_strat ** 2,)
         # each row's freeze step, the step of its freeze keys, is min(tau,
@@ -678,7 +677,7 @@ def test_game_check_matches_the_per_node_loop(seed, depth, theta_step, kind, tou
 def reference_shortfall(tree, barriers, driver, theta, y_theta, own, maximiser, phase_resolved):
     """Worst-case shortfall of one committed player over every opponent,
     by the per-pair path."""
-    opp = _strategy_keys(tree.subtree(theta[0]), phase_resolved)
+    opp = stopping_keys(tree.n_steps - theta[0], phase_resolved)
     pair = (own[None], opp) if maximiser else (opp, own[None])
     vals = reference_pair_values(tree, barriers, driver, *theta, *pair)
     return max(0.0, y_theta - float(vals.min())) if maximiser else max(0.0, float(vals.max()) - y_theta)
