@@ -40,16 +40,13 @@ from .games import (
     value_identity_applicable,
 )
 from .lattice import (
-    HittingResult,
     OptionalProcess,
     Phase,
     SemicontinuityFlags,
-    StoppingSystem,
     StoppingTime,
     TwoPhaseTree,
     build_tree,
     enumerate_stopping_times,
-    eval_at_system,
     first_hitting,
     gather_slots,
     semicontinuity,

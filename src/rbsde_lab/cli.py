@@ -36,7 +36,7 @@ from .games import (
     saddle_points,
     value_identity_applicable,
 )
-from .lattice import OptionalProcess, Phase, StoppingSystem, TwoPhaseTree, semicontinuity
+from .lattice import OptionalProcess, Phase, StoppingTime, TwoPhaseTree, semicontinuity
 from .reflect import (
     Barriers,
     LadderBudgetError,
@@ -77,10 +77,11 @@ def _tols(scenario: Scenario, args: argparse.Namespace) -> dict[str, float | int
     return out
 
 
-def _system_dict(system: StoppingSystem) -> dict[str, Any]:
-    return {"step": system.tau.steps.tolist(),
-            "phase": system.tau.phases.tolist(),
-            "member": system.membership.tolist()}
+def _system_dict(stop: StoppingTime) -> dict[str, Any]:
+    """A stop as a stopping system: its grid step, phase AT, and H at AT keys."""
+    return {"step": stop.steps.tolist(),
+            "phase": [0] * len(stop.keys),
+            "member": (stop.phases == 0).tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,8 @@ __all__ = [
     "nonlinear_expectation",
     "classify_ef",
     "ef_backward_batch",
+    "cfl_margin",
+    "implicit_step",
 ]
 
 

@@ -2,11 +2,11 @@
 
 Two strategy classes share one payoff convention.  A *plain* strategy stops
 at grid times only and the payoff reads the barrier at the stop.  An
-*extended* strategy carries a membership bit: on the member atoms the
-barrier is read at the stop, off them it is read as the one-sided right
-limit (the interval slot).  Extended strategies are enumerated directly as
-phase-resolved order keys — stopping "just after" t_k is the same data as
-stopping at the AFTER(k) point — which keeps the census exact: 3, 11, 123
+*extended* strategy is a stopping system (tau, H): on H the barrier is read
+at the stop, off H as the one-sided right limit (the interval slot).  It is
+one phase-resolved :class:`StoppingTime` — stopping "just after" t_k is the
+same data as stopping at the AFTER(k) point — so extended strategies are
+enumerated directly as order keys, which keeps the census exact: 3, 11, 123
 per player at depths 1, 2, 3.
 
 Payoff branches compare real stop times (step indices), never phases: two
@@ -40,10 +40,8 @@ from .expectation import (
     ef_backward_batch,
 )
 from .lattice import (
-    HittingResult,
     OptionalProcess,
     SemicontinuityFlags,
-    StoppingSystem,
     StoppingTime,
     TwoPhaseTree,
     build_tree,
@@ -63,6 +61,7 @@ __all__ = [
     "value_identity_applicable",
     "game_equals_rbsde",
     "epsilon_saddle",
+    "epsilon_ratio_ok",
     "saddle_points",
     "right_jump_counterexample",
 ]
@@ -290,12 +289,6 @@ def game_equals_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
                      identity_applicable=value_identity_applicable(barriers))
 
 
-def _hit_system(stop: StoppingTime) -> StoppingSystem:
-    """Canonical system of a first-hitting point: an AFTER(k) hit becomes
-    the grid stop AT(k) with the membership bit cleared."""
-    return StoppingSystem(StoppingTime(stop.tree, stop.keys & ~1), stop.phases == 0)
-
-
 def _stopped_mass(incr, stop: StoppingTime) -> np.ndarray:
     """Per-leaf reflection mass accumulated by the stop (transitions whose
     right endpoint lies at or before it)."""
@@ -310,6 +303,7 @@ def _stopped_mass(incr, stop: StoppingTime) -> np.ndarray:
 class EpsilonSaddle:
     """An epsilon-optimal pair built from barrier proximity, with evidence.
 
+    ``tau`` and ``sigma`` are the phase-resolved first-entry stops.
     ``residual_up`` is how far the maximiser falls short of the reflected
     value when committed to ``tau`` against its worst opponent over every
     opponent strategy (clipped at zero); ``residual_down`` mirrors it.
@@ -320,8 +314,8 @@ class EpsilonSaddle:
 
     epsilon: float
     y_theta: float
-    tau: StoppingSystem
-    sigma: StoppingSystem
+    tau: StoppingTime
+    sigma: StoppingTime
     pair_value: float
     residual_up: float
     residual_down: float
@@ -382,15 +376,13 @@ class _ThetaGame:
         """The epsilon pair of :func:`epsilon_saddle`, with its value and
         both residuals read from the extended pair matrix."""
         sol = self.sol
-        tau = first_hitting(OptionalProcess.combine(
-            lambda y, l: (y <= l + e).astype(float), sol.y, self.lower))
-        sigma = first_hitting(OptionalProcess.combine(
-            lambda y, u: (y >= u - e).astype(float), sol.y, self.upper))
+        near_lower = OptionalProcess.combine(lambda y, l: (y <= l + e).astype(float), sol.y, self.lower)
+        near_upper = OptionalProcess.combine(lambda y, u: (y >= u - e).astype(float), sol.y, self.upper)
+        t, s = first_hitting(near_lower), first_hitting(near_upper)
         # the terminal slot satisfies both conditions, so the scans always hit
-        assert tau.hit.all() and sigma.hit.all()
-        t, s = tau.stop, sigma.stop
+        assert near_lower.at_keys(t.keys).all() and near_upper.at_keys(s.keys).all()
         return EpsilonSaddle(
-            epsilon=e, y_theta=self.y_theta, tau=_hit_system(t), sigma=_hit_system(s),
+            epsilon=e, y_theta=self.y_theta, tau=t, sigma=s,
             pair_value=float(self.extended[self.index(t.keys, True), self.index(s.keys, True)]),
             residual_up=self.shortfall(self.extended, t.keys, True),
             residual_down=self.shortfall(self.extended, s.keys, False),
@@ -406,10 +398,10 @@ def epsilon_saddle(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, epsil
     """Construct the epsilon-saddle pair at a node and measure its slack.
 
     The maximiser stops on first entry of Y into the epsilon-neighbourhood
-    of the terminal-patched lower barrier; entry on an interval slot is
-    realised as the grid stop with the membership bit cleared.  The
-    minimiser is symmetric about the upper barrier.  The pair's value and
-    both residuals are entries of the extended pair matrix at theta.
+    of the terminal-patched lower barrier; entry on an interval slot is an
+    AFTER key, the grid stop off H.  The minimiser is symmetric about the
+    upper barrier.  The pair's value and both residuals are entries of the
+    extended pair matrix at theta.
     """
     _check_epsilon(epsilon)
     return _ThetaGame.solve(tree, barriers, driver, theta_step, theta_node, enum_bound,
@@ -423,11 +415,12 @@ class SaddleReport:
     Two candidate pairs are reported.  The *contact* pair enters on first
     touch of the (terminal-patched) barrier; the *action* pair enters on
     first growth of the matching reflection measure, attributed to the
-    transition's left endpoint.  On this grid the contact stop never comes
-    later than the action stop, and the barrier is touched exactly where
-    reflection acts; both are checked, not assumed.  ``contacts`` holds the
-    largest gap between Y and the barrier at each stop, keyed
-    ``star_lower``, ``star_upper``, ``bar_lower`` and ``bar_upper``.
+    transition's left endpoint, and ``*_bar_attained`` reads that growth at
+    its stop.  On this grid the contact stop never comes later than the
+    action stop, and the barrier is touched exactly where reflection acts;
+    both are checked, not assumed.  ``contacts`` holds the largest gap
+    between Y and the barrier at each stop, keyed ``star_lower``,
+    ``star_upper``, ``bar_lower`` and ``bar_upper``.
 
     ``residuals`` are exhaustive over the opponent's strategies:
     ``*_up`` is the maximiser's shortfall below the reflected value when
@@ -440,8 +433,8 @@ class SaddleReport:
     """
 
     y_theta: float
-    tau_star: StoppingSystem
-    sigma_star: StoppingSystem
+    tau_star: StoppingTime
+    sigma_star: StoppingTime
     tau_bar: StoppingTime
     sigma_bar: StoppingTime
     tau_bar_attained: np.ndarray
@@ -474,34 +467,31 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
         _check_epsilon(e)
     sol, lxi, uxi, sub_b = game.sol, game.lower, game.upper, game.barriers
 
-    tau_star_hit = first_hitting(OptionalProcess.combine(
-        lambda y, l: (np.abs(y - l) <= tol_root).astype(float), sol.y, lxi))
-    sigma_star_hit = first_hitting(OptionalProcess.combine(
-        lambda y, u: (np.abs(y - u) <= tol_root).astype(float), sol.y, uxi))
-    assert tau_star_hit.hit.all() and sigma_star_hit.hit.all()
-    tau_bar_hit = first_hitting(growth_points(sol.r_plus))
-    sigma_bar_hit = first_hitting(growth_points(sol.r_minus))
+    on_lower = OptionalProcess.combine(lambda y, l: (np.abs(y - l) <= tol_root).astype(float), sol.y, lxi)
+    on_upper = OptionalProcess.combine(lambda y, u: (np.abs(y - u) <= tol_root).astype(float), sol.y, uxi)
+    tau_star, sigma_star = first_hitting(on_lower), first_hitting(on_upper)
+    # the star stops hit on every leaf: the patched barrier's terminal slot is a guaranteed hit
+    assert on_lower.at_keys(tau_star.keys).all() and on_upper.at_keys(sigma_star.keys).all()
+    grow_plus, grow_minus = growth_points(sol.r_plus), growth_points(sol.r_minus)
+    tau_bar, sigma_bar = first_hitting(grow_plus), first_hitting(grow_minus)
+    tau_bar_attained = grow_plus.at_keys(tau_bar.keys) != 0
+    sigma_bar_attained = grow_minus.at_keys(sigma_bar.keys) != 0
 
-    order_tau = bool(np.all(tau_star_hit.stop.keys <= tau_bar_hit.stop.keys))
-    order_sigma = bool(np.all(sigma_star_hit.stop.keys <= sigma_bar_hit.stop.keys))
+    order_tau = bool(np.all(tau_star.keys <= tau_bar.keys))
+    order_sigma = bool(np.all(sigma_star.keys <= sigma_bar.keys))
 
-    def contact_gap(hit: HittingResult, barrier: OptionalProcess, everywhere: bool) -> float:
-        if not (everywhere or hit.hit.any()):
-            return 0.0
-        gaps = np.abs(sol.y.at_keys(hit.stop.keys) - barrier.at_keys(hit.stop.keys))
-        return float(np.max(gaps if everywhere else gaps[hit.hit]))
+    def contact_gap(stop: StoppingTime, barrier: OptionalProcess, hit: np.ndarray | slice) -> float:
+        gaps = np.abs(sol.y.at_keys(stop.keys) - barrier.at_keys(stop.keys))[hit]
+        return float(np.max(gaps, initial=0.0))
 
-    # the star stops satisfy their condition on every leaf (the terminal
-    # slot of the patched barrier is a guaranteed hit); the bar stops touch
-    # only where growth was actually attained
-    contacts = {"star_lower": contact_gap(tau_star_hit, lxi, True),
-                "star_upper": contact_gap(sigma_star_hit, uxi, True),
-                "bar_lower": contact_gap(tau_bar_hit, sub_b.lower, False),
-                "bar_upper": contact_gap(sigma_bar_hit, sub_b.upper, False)}
+    # the bar stops touch the barrier only where growth was actually attained
+    contacts = {"star_lower": contact_gap(tau_star, lxi, slice(None)),
+                "star_upper": contact_gap(sigma_star, uxi, slice(None)),
+                "bar_lower": contact_gap(tau_bar, sub_b.lower, tau_bar_attained),
+                "bar_upper": contact_gap(sigma_bar, sub_b.upper, sigma_bar_attained)}
 
     # the committed star up, star down, bar up and bar down players
-    committed = [(tau_star_hit.stop, True), (sigma_star_hit.stop, False),
-                 (tau_bar_hit.stop, True), (sigma_bar_hit.stop, False)]
+    committed = [(tau_star, True), (sigma_star, False), (tau_bar, True), (sigma_bar, False)]
     ext = [game.shortfall(game.extended, stop.keys, m) for stop, m in committed]
     eps_reports = [game.epsilon_pair(e) for e in epsilons]
     lower_flags, upper_flags = semicontinuity(sub_b.lower), semicontinuity(sub_b.upper)
@@ -521,11 +511,9 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
     residuals = {name.format(mode): r for mode, rs in (("extended", ext), ("plain", plain))
                  for name, r in zip(names, rs)}
 
-    return SaddleReport(y_theta=game.y_theta,
-                        tau_star=_hit_system(tau_star_hit.stop),
-                        sigma_star=_hit_system(sigma_star_hit.stop),
-                        tau_bar=tau_bar_hit.stop, sigma_bar=sigma_bar_hit.stop,
-                        tau_bar_attained=tau_bar_hit.hit, sigma_bar_attained=sigma_bar_hit.hit,
+    return SaddleReport(y_theta=game.y_theta, tau_star=tau_star, sigma_star=sigma_star,
+                        tau_bar=tau_bar, sigma_bar=sigma_bar,
+                        tau_bar_attained=tau_bar_attained, sigma_bar_attained=sigma_bar_attained,
                         order_tau_ok=order_tau, order_sigma_ok=order_sigma,
                         contacts=contacts, residuals=residuals,
                         lower_flags=lower_flags, upper_flags=upper_flags,

@@ -28,11 +28,8 @@ __all__ = [
     "TwoPhaseTree",
     "OptionalProcess",
     "StoppingTime",
-    "StoppingSystem",
-    "HittingResult",
     "SemicontinuityFlags",
     "build_tree",
-    "eval_at_system",
     "gather_slots",
     "first_hitting",
     "is_adapted",
@@ -103,6 +100,11 @@ class TwoPhaseTree:
         self.nodes_at(step)
         if step == self.n_steps and Phase(phase) == Phase.AFTER:
             raise ValueError("the final step has no AFTER phase")
+
+    def check_node(self, step: int, node: int) -> None:
+        """Raise ``ValueError`` unless ``node`` is a node of ``step``."""
+        if not 0 <= node < self.nodes_at(step):
+            raise ValueError(f"node {node} outside [0, {self.nodes_at(step) - 1}] at step {step}")
 
     def leaf_stride(self, step: int) -> int:
         """Number of leaves below each node of ``step``."""
@@ -230,6 +232,7 @@ class OptionalProcess:
 
     def value(self, step: int, phase: Phase, node: int) -> float:
         self.tree.check_point(step, phase)
+        self.tree.check_node(step, node)
         return float(self.slots[2 * step + phase][node])
 
     def at_keys(self, keys: np.ndarray) -> np.ndarray:
@@ -260,6 +263,7 @@ class OptionalProcess:
         """Restriction to the subtree rooted at (step, node): the leaves under a
         node are contiguous, so each slot from step on, one row per step-``step``
         node, holds the subtree's slot in row ``node``."""
+        self.tree.check_node(step, node)
         return OptionalProcess.from_slots(self.tree.subtree(step), [
             a.reshape(self.tree.nodes_at(step), -1)[node].copy() for a in self.slots[2 * step:]])
 
@@ -302,6 +306,11 @@ class StoppingTime:
     The keys must form a stopping time (:func:`is_adapted`): all paths
     through the node where one path stops take the same decision.  AT(N)
     is the latest key, so every path stops by the horizon.
+
+    The keys are also a stopping system (tau, H) of the extended game: AT
+    keys on H, AFTER keys off H, and ``process.at_keys(keys)`` reads ``X_tau
+    1_H + X_{tau+} 1_{H^c}``.  No AFTER(N) exists, so horizon stops lie in
+    H; adaptedness keeps H constant on each stop atom.
     """
 
     __slots__ = ("tree", "keys")
@@ -353,53 +362,6 @@ class StoppingTime:
         return bool(np.all(self.keys <= other.keys))
 
 
-class StoppingSystem:
-    """A stopping time together with an H flag on its stop atoms.
-
-    ``membership[leaf]`` says whether the path lies in H.  The flag must be
-    constant on each stop atom (all paths through the stop node), and paths
-    stopping exactly at the horizon must lie in H.
-    """
-
-    __slots__ = ("tau", "membership")
-
-    def __init__(self, tau: StoppingTime, membership: np.ndarray) -> None:
-        membership = np.asarray(membership, dtype=bool)
-        if membership.shape != (tau.tree.n_leaves,):
-            raise ValueError("membership must have one entry per leaf")
-        n = tau.tree.n_steps
-        if np.any(membership != membership[tau.stop_nodes() << (n - tau.steps)]):
-            raise ValueError("H flag differs within a stop atom")
-        if np.any((tau.steps == n) & ~membership):
-            raise ValueError("paths stopping at the horizon must belong to H")
-        self.tau = tau
-        self.membership = membership.copy()
-
-    @classmethod
-    def everywhere(cls, tau: StoppingTime) -> "StoppingSystem":
-        return cls(tau, np.ones(tau.tree.n_leaves, dtype=bool))
-
-    @property
-    def keys(self) -> np.ndarray:
-        """Per-leaf order key of the point the system reads: the stop on H,
-        the interval slot of the stop step off H (off H the stop is never
-        at the horizon, so that slot exists)."""
-        keys = self.tau.keys
-        return np.where(self.membership, keys, keys | 1)
-
-
-@dataclass(frozen=True)
-class HittingResult:
-    """First point satisfying a condition, with a per-leaf attainment flag.
-
-    ``hit[leaf]`` is False exactly when the scan was capped at the horizon
-    without the condition ever holding.
-    """
-
-    stop: StoppingTime
-    hit: np.ndarray
-
-
 @dataclass(frozen=True)
 class SemicontinuityFlags:
     right_usc: bool
@@ -431,24 +393,12 @@ def gather_slots(slots: Sequence[np.ndarray], keys: np.ndarray) -> np.ndarray:
     return flat[:, idx] if idx.ndim == 1 else np.take_along_axis(flat, idx, axis=1)
 
 
-def eval_at_system(process: OptionalProcess, system: StoppingSystem) -> np.ndarray:
-    """Evaluation ``X_tau 1_H + (right limit X)_tau 1_{H^c}`` per leaf.
-
-    The grid carries a single value on each open interval, so the right
-    limsup and right liminf readings (the upper and lower evaluations)
-    coincide, and both read the interval slot.
-    """
-    if not process.tree.same_grid(system.tau.tree):
-        raise ValueError("process and stopping system live on different grids")
-    return process.at_keys(system.keys)
-
-
-def first_hitting(condition: OptionalProcess, theta: StoppingTime | None = None) -> HittingResult:
+def first_hitting(condition: OptionalProcess, theta: StoppingTime | None = None) -> StoppingTime:
     """First (node, phase) point at or after ``theta`` where the condition
     holds (nonzero), capped at the horizon.
 
-    The companion ``hit`` flag distinguishes an exact hit from a capped
-    scan; callers that need membership sets build them from it.
+    A capped scan stops at AT(N), where the condition reads zero, so
+    ``condition.at_keys(stop.keys) != 0`` says which paths hit.
     """
     tree = condition.tree
     if theta is None:
@@ -463,7 +413,7 @@ def first_hitting(condition: OptionalProcess, theta: StoppingTime | None = None)
         hit |= here
         if hit.all():
             break
-    return HittingResult(stop=StoppingTime(tree, stop_key), hit=hit)
+    return StoppingTime(tree, stop_key)
 
 
 def semicontinuity(process: OptionalProcess) -> SemicontinuityFlags:

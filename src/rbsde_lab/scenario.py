@@ -416,9 +416,19 @@ def _non_finite_at(node: Any, path: str = "") -> tuple[str, str] | None:
 
 
 def _read_json(path: Path) -> Any:
-    """Parse a JSON file, refusing ``NaN`` and ``Infinity`` literals, and
-    numbers that overflow a double, with their pointer."""
-    text = path.read_text()
+    """Parse a UTF-8 JSON file (:func:`_parse_json`); bytes that do not
+    decode and nesting past the recursion limit are ``ScenarioError``s."""
+    try:
+        return _parse_json(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"/: not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise ScenarioError("/: arrays and objects nest too deeply to read") from None
+
+
+def _parse_json(text: str) -> Any:
+    """The document of a JSON text, refusing ``NaN`` and ``Infinity``
+    literals, and numbers that overflow a double, with their pointer."""
     try:
         # no number hooks: a hook call per number would slow large tables
         # by half, and solution tables are mostly integer zeros

@@ -175,6 +175,35 @@ def test_malformed_file_exits_2_with_json_error(tmp_path, capsys):
     assert not rep["passed"] and "not valid JSON" in rep["error"]
 
 
+_UNREADABLE = {
+    # a UTF-16 byte order mark, FF FE, once ended the command with a UnicodeDecodeError
+    "undecodable": (json.dumps(TRIVIAL).encode("utf-16"), "/: not UTF-8 text: "),
+    # parsed, then a RecursionError in the finiteness scan
+    "600-deep": (json.dumps(dict(TRIVIAL, name=0)).replace('"name": 0', '"name": ' + "[" * 600 + "]" * 600).encode(),
+                 "/: arrays and objects nest too deeply to read"),
+    # a RecursionError in the parser itself
+    "200000-deep": (b"[" * 200_000 + b"]" * 200_000, "/: arrays and objects nest too deeply to read"),
+}
+
+
+@pytest.mark.parametrize("content", sorted(_UNREADABLE))
+@pytest.mark.parametrize("role", ["scenario", "solution"])
+def test_an_unreadable_file_exits_2_and_later_scenarios_still_run(tmp_path, capsys, role, content):
+    data, error = _UNREADABLE[content]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    good = _write(tmp_path, dict(TRIVIAL, name="good"), "good.json")
+    if role == "scenario":
+        rc = main(["verify", str(bad), good, "--out", str(tmp_path / "out")])
+        refused, rest = _cli_output(capsys)
+        assert rest == "ok good (verify)\n"
+    else:
+        rc = main(["verify", good, "--solution", str(bad)])
+        refused, error = _json_out(capsys), f"{bad}: {error}"
+    assert rc == 2 and not refused["passed"]
+    assert refused["error"].startswith(error)
+
+
 def test_invalid_scenario_reports_pointer(tmp_path, capsys):
     data = dict(TRIVIAL)
     del data["dt"]

@@ -7,12 +7,15 @@ such as ``np`` in ``np.zeros`` included) or appears in a quoted annotation.
 ``__init__.py`` is exempt from the import check: its imports are the
 package's exports.  A module-level private name (``_x``, not a dunder)
 counts as used when some module of the package loads it, imports it or
-reads it as an attribute; a helper left behind by a refactor fails.
+reads it as an attribute; a helper left behind by a refactor fails.  Every
+module's ``__all__`` names only what it binds, and lists every name the
+package re-exports from it.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -114,3 +117,15 @@ def test_the_orphan_check_sees_loads_imports_attributes_and_annotations():
 
 def test_every_private_name_of_the_package_is_used():
     assert orphaned_private_names({p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+def test_every_all_name_is_bound_and_every_export_is_in_its_modules_all():
+    modules = {p.stem: importlib.import_module(f"rbsde_lab.{p.stem}")
+               for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+    unbound = [f"{name}.{export}" for name, mod in modules.items()
+               for export in mod.__all__ if not hasattr(mod, export)]
+    assert unbound == []
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    unlisted = [f"{node.module}.{alias.name}" for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name not in modules[node.module].__all__]
+    assert unlisted == []

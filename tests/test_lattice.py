@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbsde_lab import (
+    Barriers,
     OptionalProcess,
     Phase,
-    StoppingSystem,
     StoppingTime,
     TransitionIncrements,
     build_tree,
     enumerate_stopping_times,
-    eval_at_system,
     first_hitting,
     semicontinuity,
 )
@@ -132,6 +131,20 @@ def test_restrict_matches_direct_subtree_read():
     np.testing.assert_array_equal(sub.after[1], proc.after[2][2:4])
 
 
+@pytest.mark.parametrize("read", [
+    # once node 1's value, node 1's subtree and a bare IndexError
+    lambda p, node: p.value(1, Phase.AT, node),
+    lambda p, node: p.restrict(1, node),
+    # once "terminal must have one value per leaf"
+    lambda p, node: Barriers(p, p, p.terminal).restrict(1, node),
+], ids=["value", "restrict", "barriers-restrict"])
+@pytest.mark.parametrize("node", [-1, 2])
+def test_a_node_outside_its_step_is_refused(read, node):
+    proc = OptionalProcess.from_constant(build_tree(2, 0.5), 1.0)
+    with pytest.raises(ValueError, match=rf"^node {node} outside \[0, 1\] at step 1$"):
+        read(proc, node)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
 def test_a_process_is_its_key_ordered_slots(n, seed):
@@ -191,30 +204,29 @@ def test_process_rows_serialization_shape():
 
 
 # -- evaluation at stopping systems -----------------------------------------
+# a system (tau, H) is its phase-resolved stop: AT keys on H, AFTER keys off H
 
 def test_eval_constant_process_any_system():
     tree = build_tree(2, 1.0)
     proc = OptionalProcess.from_constant(tree, 3.25)
-    tau = StoppingTime.constant(tree, 1, Phase.AFTER)
-    for member in (np.ones(4, dtype=bool), np.zeros(4, dtype=bool)):
-        rho = StoppingSystem(tau, member)
-        np.testing.assert_array_equal(eval_at_system(proc, rho), np.full(4, 3.25))
+    for phase in Phase:
+        rho = StoppingTime.constant(tree, 1, phase)
+        np.testing.assert_array_equal(proc.at_keys(rho.keys), np.full(4, 3.25))
 
 
 def test_eval_on_and_off_membership_reads():
     tree = build_tree(1, 1.0)
     proc = _process(tree, [[1.0], [9.0, 9.0]], [[2.0]])
-    tau = StoppingTime.constant(tree, 0, Phase.AT)
-    on = StoppingSystem.everywhere(tau)
-    off = StoppingSystem(tau, np.zeros(2, dtype=bool))
-    np.testing.assert_array_equal(eval_at_system(proc, on), [1.0, 1.0])
-    np.testing.assert_array_equal(eval_at_system(proc, off), [2.0, 2.0])
+    on = StoppingTime.constant(tree, 0, Phase.AT)
+    off = StoppingTime.constant(tree, 0, Phase.AFTER)
+    np.testing.assert_array_equal(proc.at_keys(on.keys), [1.0, 1.0])
+    np.testing.assert_array_equal(proc.at_keys(off.keys), [2.0, 2.0])
     # the right limsup and liminf readings coincide on the grid: both are
     # the interval slot
-    np.testing.assert_array_equal(eval_at_system(proc, off), [proc.after[0][0]] * 2)
+    np.testing.assert_array_equal(proc.at_keys(off.keys), [proc.after[0][0]] * 2)
 
 
-def test_eval_full_membership_equals_plain_read():
+def test_eval_equals_the_per_leaf_read():
     tree = build_tree(2, 0.5)
     rng = np.random.default_rng(3)
     proc = OptionalProcess(tree, [rng.normal(size=tree.nodes_at(k)) for k in range(3)],
@@ -222,10 +234,9 @@ def test_eval_full_membership_equals_plain_read():
     steps, phases = enumerate_stopping_times(tree, phase_resolved=True)
     for row in range(steps.shape[0]):
         tau = StoppingTime.from_realized(tree, steps[row], phases[row])
-        rho = StoppingSystem.everywhere(tau)
         direct = np.array([proc.value(int(tau.steps[lf]), Phase(int(tau.phases[lf])),
                                       int(tau.stop_nodes()[lf])) for lf in range(4)])
-        np.testing.assert_array_equal(eval_at_system(proc, rho), direct)
+        np.testing.assert_array_equal(proc.at_keys(tau.keys), direct)
 
 
 # -- first hitting ----------------------------------------------------------
@@ -233,17 +244,17 @@ def test_eval_full_membership_equals_plain_read():
 def test_hitting_everywhere_condition_stops_at_theta():
     tree = build_tree(2, 1.0)
     cond = OptionalProcess.from_constant(tree, 1.0)
-    res = first_hitting(cond)
-    assert res.hit.all()
-    assert np.all(res.stop.keys == 0)
+    stop = first_hitting(cond)
+    assert np.all(cond.at_keys(stop.keys) != 0)
+    assert np.all(stop.keys == 0)
 
 
 def test_hitting_never_capped_at_horizon():
     tree = build_tree(2, 1.0)
     cond = OptionalProcess.from_constant(tree, 0.0)
-    res = first_hitting(cond)
-    assert not res.hit.any()
-    assert np.all(res.stop.steps == 2) and np.all(res.stop.phases == 0)
+    stop = first_hitting(cond)
+    assert not np.any(cond.at_keys(stop.keys) != 0)
+    assert np.all(stop.steps == 2) and np.all(stop.phases == 0)
 
 
 def test_hitting_one_sided_interval_slot():
@@ -252,19 +263,19 @@ def test_hitting_one_sided_interval_slot():
     # (step 0 has a single shared node, so the branch split needs step 1)
     tree = build_tree(2, 1.0)
     cond = _process(tree, [[0.0], [0.0, 0.0], [0.0] * 4], [[0.0], [1.0, 0.0]])
-    res = first_hitting(cond)
-    assert np.all(res.stop.steps[:2] == 1) and np.all(res.stop.phases[:2] == 1)
-    assert res.hit[:2].all()
-    assert np.all(res.stop.steps[2:] == 2) and np.all(res.stop.phases[2:] == 0)
-    assert not res.hit[2:].any()
+    stop = first_hitting(cond)
+    hit = cond.at_keys(stop.keys) != 0
+    assert np.all(stop.steps[:2] == 1) and np.all(stop.phases[:2] == 1)
+    assert hit[:2].all()
+    assert np.all(stop.steps[2:] == 2) and np.all(stop.phases[2:] == 0)
+    assert not hit[2:].any()
 
 
 def test_hitting_respects_theta_floor():
     tree = build_tree(2, 1.0)
     cond = OptionalProcess.from_constant(tree, 1.0)
     theta = StoppingTime.constant(tree, 1, Phase.AFTER)
-    res = first_hitting(cond, theta)
-    assert np.all(res.stop.keys == 3)
+    assert np.all(first_hitting(cond, theta).keys == 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -289,9 +300,7 @@ def test_hitting_monotone_in_condition(bits_a, bits_extra, n):
 
     small = mk(bits_a)
     big = OptionalProcess.combine(lambda a, b: np.maximum(a, b), small, mk(bits_extra))
-    res_small = first_hitting(small)
-    res_big = first_hitting(big)
-    assert np.all(res_big.stop.keys <= res_small.stop.keys)
+    assert np.all(first_hitting(big).keys <= first_hitting(small).keys)
 
 
 # -- semicontinuity flags ----------------------------------------------------
@@ -347,9 +356,9 @@ def test_non_adapted_stop_rejected():
 
 def test_membership_must_cover_horizon_and_atoms():
     tree = build_tree(1, 1.0)
-    tau = StoppingTime.constant(tree, 1, Phase.AT)
-    with pytest.raises(ValueError, match="horizon"):
-        StoppingSystem(tau, np.array([True, False]))
-    early = StoppingTime.constant(tree, 0, Phase.AT)
-    with pytest.raises(ValueError, match="stop atom"):
-        StoppingSystem(early, np.array([True, False]))
+    # off H at the horizon would read AFTER(1), which does not exist
+    with pytest.raises(ValueError, match=r"in \[0, 2N\]"):
+        StoppingTime(tree, np.array([2, 3]))
+    # H split within the stop atom at the root
+    with pytest.raises(ValueError, match="not adapted"):
+        StoppingTime(tree, np.array([0, 1]))

@@ -33,6 +33,9 @@ the key-ordered increment slots, are checked bit for bit against their
 per-step loops over the phase and step increments.  ``polynomial_driver``
 now evaluates by sparse Horner; the term-by-term sum it replaced is kept
 as a reference, within a few ulps of the terms' magnitudes.
+``first_hitting`` returns only its stop; the per-key scan that also
+returned a hit flag is kept as a reference, and the condition read at the
+stop keys must give that flag.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from rbsde_lab import (
     Phase,
     RootSolveError,
     SeparationFailure,
-    StoppingSystem,
     StoppingTime,
     TransitionIncrements,
     Witness,
@@ -66,7 +68,7 @@ from rbsde_lab import (
     clipped_driver,
     constant_driver,
     enumerate_stopping_times,
-    eval_at_system,
+    first_hitting,
     gather_slots,
     growth_points,
     implicit_step,
@@ -380,15 +382,29 @@ def reference_gather_batch(tree, vals, keys):
     return out
 
 
-def reference_eval_at_system(process, system):
+def reference_eval_at_system(process, tau, member):
     """The process at the stop on H and at the interval slot off H, per key."""
-    keys = np.where(system.membership, system.tau.keys, system.tau.keys | 1)
-    nodes = system.tau.stop_nodes()
+    keys = np.where(member, tau.keys, tau.keys | 1)
+    nodes = tau.stop_nodes()
     out = np.empty(process.tree.n_leaves)
     for key in np.flatnonzero(np.bincount(keys)).tolist():
         sel = keys == key
         out[sel] = (process.after if key & 1 else process.at)[key >> 1][nodes[sel]]
     return out
+
+
+def reference_first_hitting(condition, theta):
+    """Per leaf, the first key at or after ``theta`` where the condition is
+    nonzero, capped at AT(N), and whether the condition holds there: the
+    per-key scan whose flag ``first_hitting`` once returned."""
+    tree = condition.tree
+    stop_key = np.full(tree.n_leaves, 2 * tree.n_steps, dtype=np.int64)
+    hit = np.zeros(tree.n_leaves, dtype=bool)
+    for key in range(2 * tree.n_steps + 1):
+        here = ~hit & (theta.keys <= key) & (tree.spread(condition.slots[key], key >> 1) != 0.0)
+        stop_key[here] = key
+        hit |= here
+    return stop_key, hit
 
 
 def reference_pairs(keys_m, idx):
@@ -447,8 +463,22 @@ def test_gathers_match_the_per_key_loops(seed, depth, rows):
     first_leaf = tau.stop_nodes() << (depth - tau.steps)
     for member in (np.ones(tree.n_leaves, dtype=bool),
                    (rng.random(tree.n_leaves) < 0.5)[first_leaf] | (tau.steps == depth)):
-        system = StoppingSystem(tau, member)
-        assert _same_bits(eval_at_system(proc, system), reference_eval_at_system(proc, system))
+        system = StoppingTime(tree, np.where(member, tau.keys, tau.keys | 1))
+        assert _same_bits(proc.at_keys(system.keys), reference_eval_at_system(proc, tau, member))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.floats(0.0, 1.0))
+def test_first_hitting_and_its_hit_read_match_the_per_key_scan(seed, depth, density):
+    rng = np.random.default_rng(seed)
+    tree = build_tree(depth, 0.5)
+    cond = OptionalProcess.from_slots(tree, [(rng.random(tree.nodes_at(q >> 1)) < density).astype(float)
+                                             for q in range(2 * depth + 1)])
+    theta = _random_stop(tree, rng)
+    stop = first_hitting(cond, theta)
+    keys, hit = reference_first_hitting(cond, theta)
+    assert np.array_equal(stop.keys, keys)
+    assert np.array_equal(cond.at_keys(stop.keys) != 0, hit)
 
 
 @settings(max_examples=40, deadline=None)
