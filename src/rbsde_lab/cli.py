@@ -68,8 +68,8 @@ _DYNAMICS_SLACK = 4.0
 
 
 def _tols(scenario: Scenario, args: argparse.Namespace) -> dict[str, float | int]:
-    out: dict[str, float | int] = dict(DEFAULT_TOLERANCES)
-    out.update(scenario.tolerances)
+    """The scenario's tolerances (defaults and file values), overridden by flags."""
+    out = dict(scenario.tolerances)
     for name in DEFAULT_TOLERANCES:
         flag = getattr(args, name, None)
         if flag is not None:
@@ -94,8 +94,7 @@ CsvTables = dict[str, tuple[tuple[str, ...], Iterable[str]]]
 
 def _cmd_solve(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], CsvTables]:
     t = _tols(scn, args)
-    sol = solve_rbsde(scn.tree, scn.barriers, scn.driver,
-                      tol_root=t["tol_root"], max_iter=int(t["max_iter"]))
+    sol = solve_rbsde(scn.tree, scn.barriers, scn.driver, tol_root=t["tol_root"])
     mini = check_minimality(sol, scn.barriers, tol_comp=t["tol_comp"])
     dyn = verify_dynamics(sol, scn.barriers, scn.driver, tol=_DYNAMICS_SLACK * t["tol_root"])
     report = {
@@ -124,10 +123,8 @@ def _cmd_game(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], 
     t = _tols(scn, args)
     values = brute_force_values(scn.tree, scn.barriers, scn.driver, mode=args.mode,
                                 theta_step=args.theta_step, theta_node=args.theta_node,
-                                enum_bound=int(t["enum_bound"]),
-                                tol_root=t["tol_root"], max_iter=int(t["max_iter"]))
-    sol = solve_rbsde(scn.tree, scn.barriers, scn.driver,
-                      tol_root=t["tol_root"], max_iter=int(t["max_iter"]))
+                                enum_bound=t["enum_bound"], tol_root=t["tol_root"])
+    sol = solve_rbsde(scn.tree, scn.barriers, scn.driver, tol_root=t["tol_root"])
     y_theta = sol.y.value(args.theta_step, Phase.AT, args.theta_node)
     gap_to_y = max(abs(values.upper - y_theta), abs(values.lower - y_theta))
     if args.mode == "extended":
@@ -194,8 +191,7 @@ def _cmd_saddle(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     t = _tols(scn, args)
     rep = saddle_points(scn.tree, scn.barriers, scn.driver,
                         theta_step=args.theta_step, theta_node=args.theta_node,
-                        enum_bound=int(t["enum_bound"]), epsilons=tuple(args.epsilon or ()),
-                        tol_root=t["tol_root"], max_iter=int(t["max_iter"]))
+                        enum_bound=t["enum_bound"], epsilons=tuple(args.epsilon or ()), tol_root=t["tol_root"])
     eps_entries, eps_ok = _epsilon_dicts(rep, t["tol_game"])
     contact_tol = _DYNAMICS_SLACK * t["tol_root"]
     contacts_ok = all(c <= contact_tol for c in rep.contacts.values())
@@ -267,11 +263,10 @@ def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     t = _tols(scn, args)
     tree, barriers, driver = scn.tree, scn.barriers, scn.driver
     # on shallow trees the game oracle solves the equation, and every check reads its solution
-    chk = (game_equals_rbsde(tree, barriers, driver, enum_bound=int(t["enum_bound"]),
-                             tol_game=t["tol_game"], tol_root=t["tol_root"], max_iter=int(t["max_iter"]))
-           if tree.n_steps <= max(4, int(t["enum_bound"]) + 1) else None)
-    sol = chk.solution if chk is not None else solve_rbsde(tree, barriers, driver, tol_root=t["tol_root"],
-                                                           max_iter=int(t["max_iter"]))
+    chk = (game_equals_rbsde(tree, barriers, driver, enum_bound=t["enum_bound"],
+                             tol_game=t["tol_game"], tol_root=t["tol_root"])
+           if tree.n_steps <= max(4, t["enum_bound"] + 1) else None)
+    sol = chk.solution if chk is not None else solve_rbsde(tree, barriers, driver, tol_root=t["tol_root"])
     mini = check_minimality(sol, barriers, tol_comp=t["tol_comp"])
     dyn = verify_dynamics(sol, barriers, driver, tol=_DYNAMICS_SLACK * t["tol_root"])
     cont = continuity_analogue(sol, barriers, tol=_DYNAMICS_SLACK * t["tol_root"])
@@ -285,9 +280,8 @@ def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     for label, proc in (("neg_lower_envelope", neg_lhat), ("upper_envelope", uhat)):
         one = classify_ef(proc, zero, mode="onestep", tol=t["tol_root"])
         entry = {"onestep": one.verdict, "supermartingale": one.is_supermartingale}
-        if tree.n_steps <= min(3, int(t["enum_bound"])):
-            brute = classify_ef(proc, zero, mode="brute", tol=t["tol_root"],
-                                enum_bound=int(t["enum_bound"]))
+        if tree.n_steps <= min(3, t["enum_bound"]):
+            brute = classify_ef(proc, zero, mode="brute", tol=t["tol_root"], enum_bound=t["enum_bound"])
             entry["brute"] = brute.verdict
             entry["supermartingale"] = entry["supermartingale"] and brute.is_supermartingale
         snell[label] = entry
@@ -340,8 +334,7 @@ def _cmd_approx(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     t = _tols(scn, args)
     rep = truncation_scheme(scn.tree, scn.barriers, scn.driver,
                             n_max=args.n_max, m_max=args.m_max, cut_step=args.cut_step,
-                            tol_conv=t["tol_conv"], tol_root=t["tol_root"],
-                            max_iter=int(t["max_iter"]))
+                            tol_conv=t["tol_conv"], tol_root=t["tol_root"])
     report = {
         "command": "approx",
         "scenario": scn.name,
@@ -366,8 +359,7 @@ def _cmd_oracle(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     include_plain = args.mode == "plain"
     chk: GameCheck = game_equals_rbsde(scn.tree, scn.barriers, scn.driver,
                                        include_plain=include_plain,
-                                       enum_bound=int(t["enum_bound"]), tol_game=t["tol_game"],
-                                       tol_root=t["tol_root"], max_iter=int(t["max_iter"]))
+                                       enum_bound=t["enum_bound"], tol_game=t["tol_game"], tol_root=t["tol_root"])
     passed = chk.passed_extended
     plain: dict[str, Any] | None = None
     if include_plain:
@@ -420,19 +412,21 @@ def _run_one(path: str, args: argparse.Namespace) -> tuple[dict[str, Any], int]:
                 "error": str(exc), "passed": False}, 2
     try:
         report, tables = _HANDLERS[args.command](scenario, args)
-    except (ScenarioError, OSError, LadderBudgetError, EnumerationBudgetError) as exc:
+        if args.out is not None:
+            out_dir = Path(args.out)
+            write_json_atomic(out_dir / f"{scenario.name}.{args.command}.json", report)
+            if args.format == "csv":
+                for label, (header, rows) in tables.items():
+                    write_csv_atomic(out_dir / f"{scenario.name}.{args.command}.{label}.csv",
+                                     header, rows)
+    # an OSError or UnicodeEncodeError may also come from a report that
+    # cannot be written, such as a file name the file system cannot encode
+    except (ScenarioError, OSError, UnicodeEncodeError, LadderBudgetError, EnumerationBudgetError) as exc:
         return {"command": args.command, "scenario": scenario.name,
                 "error": str(exc), "passed": False}, 2
     except (EnumerationBoundError, RootSolveError, ValueError) as exc:
         return {"command": args.command, "scenario": scenario.name,
                 "error": str(exc), "passed": False}, 1
-    if args.out is not None:
-        out_dir = Path(args.out)
-        write_json_atomic(out_dir / f"{scenario.name}.{args.command}.json", report)
-        if args.format == "csv":
-            for label, (header, rows) in tables.items():
-                write_csv_atomic(out_dir / f"{scenario.name}.{args.command}.{label}.csv",
-                                 header, rows)
     return report, 0 if report["passed"] else 1
 
 
@@ -465,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also emit CSV tables (requires --out)")
     common.add_argument("--enum-bound", dest="enum_bound", type=_count, default=None,
                         help="max subgame depth for strategy enumeration")
-    common.add_argument("--max-iter", dest="max_iter", type=_count, default=None)
     for flag in ("tol-root", "tol-comp", "tol-conv", "tol-game"):
         common.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=_tolerance, default=None)
 

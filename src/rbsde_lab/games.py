@@ -94,7 +94,7 @@ _STACK_BUDGET = 1 << 18  # elements per backward batch of stacked subgames
 
 
 def _subgame_values(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, step: int,
-                    nodes: range, src: np.ndarray, tol_root: float, max_iter: int) -> np.ndarray:
+                    nodes: range, src: np.ndarray, tol_root: float) -> np.ndarray:
     """Root values of the source rows ``src`` in the subgames at the
     step-``step`` ``nodes``, shape (nodes, rows).  The leaves under a node
     are contiguous, so a full barrier slot reshaped to one row per node
@@ -110,8 +110,7 @@ def _subgame_values(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, step
                               + [barriers.terminal.reshape(n_nodes, -1)[part]], axis=1)
         m = flat.shape[0]
         vals = ef_backward_batch(tree.subtree(step), driver, flat[:, src].reshape(m * len(src), -1),
-                                 np.tile(stops, (m, 1)), step_offset=step,
-                                 tol_root=tol_root, max_iter=max_iter)
+                                 np.tile(stops, (m, 1)), step_offset=step, tol_root=tol_root)
         out.append(vals[0][:, 0].reshape(m, len(src)))
     return np.concatenate(out)
 
@@ -139,11 +138,11 @@ def _pair_patterns(depth: int, phase_resolved: bool) -> tuple[np.ndarray, np.nda
 
 
 def _subgame_matrices(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, step: int,
-                      nodes: range, mode: str, tol_root: float, max_iter: int) -> np.ndarray:
+                      nodes: range, mode: str, tol_root: float) -> np.ndarray:
     """Every strategy pair's value in the subgames at ``nodes`` of ``step``,
     shape (nodes, S, S); each distinct payoff pattern is solved once."""
     src, inverse, n_strat = _pair_patterns(tree.n_steps - step, mode == "extended")
-    vals = _subgame_values(tree, barriers, driver, step, nodes, src, tol_root, max_iter)
+    vals = _subgame_values(tree, barriers, driver, step, nodes, src, tol_root)
     return vals[:, inverse].reshape(len(nodes), n_strat, n_strat)
 
 
@@ -179,8 +178,7 @@ class GameValues:
 
 def brute_force_values(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
                        mode: str = "extended", theta_step: int = 0, theta_node: int = 0,
-                       enum_bound: int = 3, tol_root: float = 1e-12,
-                       max_iter: int = 200) -> GameValues:
+                       enum_bound: int = 3, tol_root: float = 1e-12) -> GameValues:
     """Upper (min-max) and lower (max-min) values over every strategy pair.
 
     Every pair enters the matrix, but the backward pass runs once per
@@ -195,8 +193,7 @@ def brute_force_values(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *
                          f"0..{tree.n_steps - 1} (nodes 0..2**step - 1)")
     _guard_depth(tree.n_steps - theta_step, enum_bound)
     return GameValues.of(_subgame_matrices(tree, barriers, driver, theta_step,
-                                           range(theta_node, theta_node + 1), mode,
-                                           tol_root, max_iter)[0])
+                                           range(theta_node, theta_node + 1), mode, tol_root)[0])
 
 
 @dataclass
@@ -240,8 +237,7 @@ def value_identity_applicable(barriers: Barriers) -> bool:
 
 def game_equals_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
                       include_plain: bool = False, enum_bound: int = 3,
-                      tol_game: float = 1e-8, tol_root: float = 1e-12,
-                      max_iter: int = 200) -> GameCheck:
+                      tol_game: float = 1e-8, tol_root: float = 1e-12) -> GameCheck:
     """Verify that both extended game values coincide with Y at every grid
     node whose subgame depth fits under the enumeration bound.
 
@@ -258,7 +254,7 @@ def game_equals_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
     """
     if enum_bound < 1:
         raise ValueError(f"enum_bound must be >= 1, got {enum_bound}")
-    sol = solve_rbsde(tree, barriers, driver, tol_root=tol_root, max_iter=max_iter)
+    sol = solve_rbsde(tree, barriers, driver, tol_root=tol_root)
     checks: list[ThetaCheck] = []
     ext_gap = 0.0
     plain_internal = 0.0 if include_plain else None
@@ -267,8 +263,8 @@ def game_equals_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
         _guard_depth(tree.n_steps - k, enum_bound)
         # every node of the step in one stack per mode
         nodes = range(tree.nodes_at(k))
-        ext_all = _subgame_matrices(tree, barriers, driver, k, nodes, "extended", tol_root, max_iter)
-        plain_all = (_subgame_matrices(tree, barriers, driver, k, nodes, "plain", tol_root, max_iter)
+        ext_all = _subgame_matrices(tree, barriers, driver, k, nodes, "extended", tol_root)
+        plain_all = (_subgame_matrices(tree, barriers, driver, k, nodes, "plain", tol_root)
                      if include_plain else None)
         for node in nodes:
             y = float(sol.y.at[k][node])
@@ -346,14 +342,13 @@ class _ThetaGame:
 
     @classmethod
     def solve(cls, tree: TwoPhaseTree, barriers: Barriers, driver: Driver, theta_step: int,
-              theta_node: int, enum_bound: int, tol_root: float, max_iter: int) -> "_ThetaGame":
+              theta_node: int, enum_bound: int, tol_root: float) -> "_ThetaGame":
         """Build the extended pair matrix, which checks theta and the
         enumeration guard first, then solve the subgame."""
         extended = brute_force_values(tree, barriers, driver, theta_step=theta_step, theta_node=theta_node,
-                                      enum_bound=enum_bound, tol_root=tol_root, max_iter=max_iter).matrix
+                                      enum_bound=enum_bound, tol_root=tol_root).matrix
         sub_b = barriers.restrict(theta_step, theta_node)
-        sol = solve_rbsde(tree.subtree(theta_step), sub_b, driver, step_offset=theta_step,
-                          tol_root=tol_root, max_iter=max_iter)
+        sol = solve_rbsde(tree.subtree(theta_step), sub_b, driver, step_offset=theta_step, tol_root=tol_root)
         lower, upper = (p.with_terminal(sub_b.terminal) for p in (sub_b.lower, sub_b.upper))
         return cls(sub_b, lower, upper, sol, float(sol.y.at[0][0]), extended)
 
@@ -394,7 +389,7 @@ class _ThetaGame:
 
 def epsilon_saddle(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, epsilon: float, *,
                    theta_step: int = 0, theta_node: int = 0, enum_bound: int = 3,
-                   tol_root: float = 1e-12, max_iter: int = 200) -> EpsilonSaddle:
+                   tol_root: float = 1e-12) -> EpsilonSaddle:
     """Construct the epsilon-saddle pair at a node and measure its slack.
 
     The maximiser stops on first entry of Y into the epsilon-neighbourhood
@@ -404,8 +399,7 @@ def epsilon_saddle(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, epsil
     extended pair matrix at theta.
     """
     _check_epsilon(epsilon)
-    return _ThetaGame.solve(tree, barriers, driver, theta_step, theta_node, enum_bound,
-                            tol_root, max_iter).epsilon_pair(epsilon)
+    return _ThetaGame.solve(tree, barriers, driver, theta_step, theta_node, enum_bound, tol_root).epsilon_pair(epsilon)
 
 
 @dataclass
@@ -456,13 +450,12 @@ class SaddleReport:
 
 def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
                   theta_step: int = 0, theta_node: int = 0, enum_bound: int = 3,
-                  epsilons: tuple[float, ...] = (), tol_root: float = 1e-12,
-                  max_iter: int = 200) -> SaddleReport:
+                  epsilons: tuple[float, ...] = (), tol_root: float = 1e-12) -> SaddleReport:
     """First-contact and first-action stops of the reflected solution,
     verified against every opposing strategy.  The theta-subgame is solved
     once for every pair, and every residual and epsilon-pair value is read
     from the pair matrix of its game mode."""
-    game = _ThetaGame.solve(tree, barriers, driver, theta_step, theta_node, enum_bound, tol_root, max_iter)
+    game = _ThetaGame.solve(tree, barriers, driver, theta_step, theta_node, enum_bound, tol_root)
     for e in epsilons:
         _check_epsilon(e)
     sol, lxi, uxi, sub_b = game.sol, game.lower, game.upper, game.barriers
@@ -500,8 +493,7 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
     if lower_flags.right_usc and lower_flags.left_usc and upper_flags.right_lsc and upper_flags.left_lsc:
         # the plain game, with the stops moved to their grid times
         matrix = brute_force_values(tree, barriers, driver, mode="plain", theta_step=theta_step,
-                                    theta_node=theta_node, enum_bound=enum_bound, tol_root=tol_root,
-                                    max_iter=max_iter).matrix
+                                    theta_node=theta_node, enum_bound=enum_bound, tol_root=tol_root).matrix
         plain = [game.shortfall(matrix, 2 * stop.steps, m, False) for stop, m in committed]
     else:
         warnings.append("plain saddle residuals skipped: grid-time stops are only "
@@ -520,20 +512,19 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
                         epsilon_saddles=eps_reports, warnings=warnings)
 
 
-def epsilon_ratio_ok(saddles: list[EpsilonSaddle], *, factor: float = 4.0,
-                     tol: float = 1e-8) -> tuple[bool, list[float]]:
+def epsilon_ratio_ok(saddles: list[EpsilonSaddle], *, tol: float = 1e-8) -> tuple[bool, list[float]]:
     """Check residual(eps)/eps stays bounded across a halving sweep.
 
     The quantity q(eps) = residual(eps)/eps should be bounded by a constant
     independent of eps.  Across one halving we require q not to grow by
-    more than ``factor``, flooring the previous quotient at ``tol`` so that
+    more than 4x, flooring the previous quotient at ``tol`` so that
     residuals at numerical zero don't produce 0/0 verdicts.
     """
     if any(s.epsilon == 0 for s in saddles):
         raise ValueError("residual quotients need every epsilon > 0")
     order = sorted(saddles, key=lambda s: -s.epsilon)
     quotients = [max(s.residual_up, s.residual_down) / s.epsilon for s in order]
-    ok = all(qb <= factor * max(qa, tol) for qa, qb in zip(quotients, quotients[1:]))
+    ok = all(qb <= 4.0 * max(qa, tol) for qa, qb in zip(quotients, quotients[1:]))
     return ok, quotients
 
 

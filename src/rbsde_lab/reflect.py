@@ -107,12 +107,12 @@ class RBSDESolution:
 
 
 def solve_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
-                step_offset: int = 0, tol_root: float = 1e-12, max_iter: int = 200) -> RBSDESolution:
+                step_offset: int = 0, tol_root: float = 1e-12) -> RBSDESolution:
     """Backward clamped solve of the doubly reflected equation."""
     if not tree.same_grid(barriers.tree):
         raise ValueError("barriers live on a different grid")
     steps = _reflected_pass(tree, barriers.terminal, barriers.lower.slots, barriers.upper.slots, driver,
-                            step_offset=step_offset, tol_root=tol_root, max_iter=max_iter)
+                            step_offset=step_offset, tol_root=tol_root)
     # the pass yields from the horizon back; each column is reversed to start at step 0
     z, after, at, rp_step, rm_step, rp_phase, rm_phase = (list(col)[::-1] for col in zip(*steps))
     return RBSDESolution(
@@ -125,7 +125,7 @@ def solve_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
 
 def _reflected_pass(tree: TwoPhaseTree, terminal: np.ndarray, lower: list[np.ndarray],
                     upper: list[np.ndarray], driver: Driver, *, step_offset: int,
-                    tol_root: float, max_iter: int) -> Iterator[tuple[np.ndarray, ...]]:
+                    tol_root: float) -> Iterator[tuple[np.ndarray, ...]]:
     """The backward clamped pass over slot arrays whose leading axes are rows.
 
     ``lower[key]`` and ``upper[key]`` are the barrier slots in order-key
@@ -142,7 +142,7 @@ def _reflected_pass(tree: TwoPhaseTree, terminal: np.ndarray, lower: list[np.nda
     for k in range(tree.n_steps - 1, -1, -1):
         e, z = tree.children(nxt)
         t_k = (step_offset + k) * dt
-        unconstrained = implicit_step(e, z, t_k, driver, dt, tol=tol_root, max_iter=max_iter)
+        unconstrained = implicit_step(e, z, t_k, driver, dt, tol=tol_root)
         after = np.clip(unconstrained, lower[2 * k + 1], upper[2 * k + 1])
         # the increment balances the step at the clamped value, so the
         # driver must be re-read there; off contact both sides stay an
@@ -259,7 +259,7 @@ def snell_envelopes(tree: TwoPhaseTree, barriers: Barriers) -> tuple[OptionalPro
         # value slots from the horizon back: AT(N), AFTER(N-1), AT(N-1), ...
         y = [terminal.copy()]
         for _, after, at, *_ in _reflected_pass(tree, terminal, lower, upper, constant_driver(0.0),
-                                                step_offset=0, tol_root=1e-12, max_iter=200):
+                                                step_offset=0, tol_root=1e-12):
             y += (after, at)
         return OptionalProcess.from_slots(tree, y[::-1])
 
@@ -448,8 +448,7 @@ class TruncationReport:
 def truncation_scheme(tree: TwoPhaseTree, barriers: Barriers, driver: Driver,
                       n_max: int | None = None, m_max: int | None = None,
                       cut_step: int | None = None, *, tol_conv: float = 1e-8,
-                      tol_mono: float = 1e-10, tol_root: float = 1e-12,
-                      max_iter: int = 200) -> TruncationReport:
+                      tol_root: float = 1e-12) -> TruncationReport:
     """Monotone approximation grid: clipped drivers and envelope-swapped
     barriers, climbing to the reflected solution.
 
@@ -463,7 +462,7 @@ def truncation_scheme(tree: TwoPhaseTree, barriers: Barriers, driver: Driver,
     :class:`LadderBudgetError` before the stack is built.  ``cut_step``
     forces artificial barrier cuts: stage ``j`` keeps the true barriers up
     to step ``min(cut_step * j, N)`` and swaps to the one-sided envelopes
-    beyond, exercising the swap path while leaving the limit unchanged.  Non-monotonicity beyond tolerance is a
+    beyond, exercising the swap path while leaving the limit unchanged.  Non-monotonicity beyond 1e-10 is a
     solver bug, so it fails the report rather than raising.
 
     The ``n_max * m_max`` grid members run as one backward pass over a
@@ -474,7 +473,7 @@ def truncation_scheme(tree: TwoPhaseTree, barriers: Barriers, driver: Driver,
         raise ValueError("truncation levels must be >= 1")
     if cut_step is not None and cut_step < 1:
         raise ValueError("cut_step must be >= 1")
-    reference = solve_rbsde(tree, barriers, driver, tol_root=tol_root, max_iter=max_iter)
+    reference = solve_rbsde(tree, barriers, driver, tol_root=tol_root)
     if n_max is None or m_max is None:
         fmax = 0.0
         for k in range(tree.n_steps):
@@ -506,7 +505,7 @@ def truncation_scheme(tree: TwoPhaseTree, barriers: Barriers, driver: Driver,
     # value slots from the horizon back: AT(N), AFTER(N-1), AT(N-1), ...
     y = [np.broadcast_to(barriers.terminal, (n_max * m_max, tree.n_leaves))]
     for _, after, at, *_ in _reflected_pass(tree, y[0], lower, upper, clipped_driver(driver, stage_m, stage_n),
-                                            step_offset=0, tol_root=tol_root, max_iter=max_iter):
+                                            step_offset=0, tol_root=tol_root):
         y += (after, at)
     grid = [slot.reshape(n_max, m_max, -1) for slot in reversed(y)]
 
@@ -521,7 +520,7 @@ def truncation_scheme(tree: TwoPhaseTree, barriers: Barriers, driver: Driver,
     m_gaps = worst(lambda g: np.abs(g[-1] - g[-1, -1])).tolist()
     y_limit = OptionalProcess.from_slots(tree, [g[-1, -1].copy() for g in grid])
     limit_gap = y_limit.sup_abs_diff(reference.y)
-    passed = mono_n <= tol_mono and mono_m <= tol_mono and limit_gap <= tol_conv
+    passed = mono_n <= 1e-10 and mono_m <= 1e-10 and limit_gap <= tol_conv
     return TruncationReport(n_max=n_max, m_max=m_max, cut_step=cut_step,
                             monotone_n_violation=mono_n, monotone_m_violation=mono_m,
                             limit_gap=limit_gap, n_gaps=n_gaps, m_gaps=m_gaps,

@@ -49,6 +49,15 @@ _ESCAPES = {i: f"\\u{i:04x}" for i in range(0x20)}
 _ESCAPES.update({ord('"'): '\\"', ord("\\"): "\\\\", ord("\n"): "\\n", ord("\t"): "\\t"})
 
 
+def _u_escape(c: str) -> str:
+    """``\\uXXXX`` for a non-ASCII character, a surrogate pair past U+FFFF."""
+    i = ord(c)
+    if i < 0x10000:
+        return f"\\u{i:04x}"
+    i -= 0x10000
+    return f"\\u{0xd800 | i >> 10:04x}\\u{0xdc00 | i & 0x3ff:04x}"
+
+
 def _scalar_json(obj: Any) -> str | None:
     """The JSON text of a scalar, or None for a container."""
     if obj is None:
@@ -60,7 +69,10 @@ def _scalar_json(obj: Any) -> str | None:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        return '"' + obj.translate(_ESCAPES) + '"'
+        text = obj.translate(_ESCAPES)
+        if not text.isascii():  # in ASCII, a report's bytes do not depend on the output encoding
+            text = "".join(c if c.isascii() else _u_escape(c) for c in text)
+        return '"' + text + '"'
     return None
 
 
@@ -128,7 +140,7 @@ def _atomic_write(path: Path, write: Callable[[TextIO], None]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:

@@ -53,7 +53,6 @@ DEFAULT_TOLERANCES: dict[str, float | int] = {
     "tol_comp": 1e-10,
     "tol_conv": 1e-8,
     "tol_game": 1e-8,
-    "max_iter": 200,
     "enum_bound": 3,
 }
 
@@ -74,7 +73,7 @@ SCENARIO_SCHEMA: dict[str, Any] = {
         "driver": {"type": "object", "required": ["kind"]},
         "tolerances": {
             "type": "object",
-            "properties": {k: {"type": "integer", "minimum": 1} if k in ("max_iter", "enum_bound")
+            "properties": {k: {"type": "integer", "minimum": 1} if k == "enum_bound"
                            else {"type": "number", "minimum": 0} for k in DEFAULT_TOLERANCES},
             "additionalProperties": False,
         },
@@ -331,6 +330,11 @@ class Scenario:
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     """Materialize a scenario document, validating schema then invariants."""
     _validate(data, SCENARIO_SCHEMA, "")
+    name = data.get("name") or "scenario"
+    # the name becomes the report's file name under --out
+    if name in (".", "..") or any(c in "/\\" or c < " " or "\x7f" <= c <= "\x9f" for c in name):
+        raise ScenarioError(f"/name: {name!r} is not a plain file name (no '/', '\\' or control "
+                            "characters, and not '.' or '..')")
     tree = build_tree(int(data["steps"]), float(data["dt"]))
     lower = _barrier_process(tree, data["lower"], "/lower")
     upper = _barrier_process(tree, data["upper"], "/upper")
@@ -348,9 +352,7 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
         raise ScenarioError(f"/driver: {exc}") from None
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(data.get("tolerances", {}))
-    tolerances["max_iter"] = int(tolerances["max_iter"])
     tolerances["enum_bound"] = int(tolerances["enum_bound"])
-    name = data.get("name") or "scenario"
     return Scenario(name=name, tree=tree, barriers=barriers, driver=driver,
                     tolerances=tolerances, seed=data.get("seed"))
 

@@ -105,7 +105,7 @@ def test_c04_epsilon_saddle_residual_scales_with_epsilon():
             assert np.isfinite(sad.residual_up) and np.isfinite(sad.residual_down)
             assert sad.residual_up <= sad.epsilon + 1e-10
             assert sad.residual_down <= sad.epsilon + 1e-10
-        ratio_ok, quotients = epsilon_ratio_ok(rep.epsilon_saddles, factor=4.0)
+        ratio_ok, quotients = epsilon_ratio_ok(rep.epsilon_saddles)
         assert ratio_ok, quotients
         worst_quotient = max(worst_quotient, *quotients)
     _line(4, "epsilon-saddle residual/epsilon bounded across halving", True,

@@ -204,6 +204,63 @@ def test_an_unreadable_file_exits_2_and_later_scenarios_still_run(tmp_path, caps
     assert refused["error"].startswith(error)
 
 
+def _reports(out):
+    """The JSON reports a multi-file run printed, one after another."""
+    return json.loads("[" + out.strip().replace("\n}\n{", "\n},\n{") + "]")
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/dir/x", "a\\b", "nul\x00x", "tab\tx", "del\x7fx",
+                                  "c1\x85x", ".", ".."])
+def test_a_name_that_is_no_plain_file_name_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, name):
+    # the name picks the report's file: "../escaped" once wrote outside
+    # --out, and "sub/dir/x" made directories under it
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    rc = main(["verify", _write(tmp_path, dict(TRIVIAL, name=name)), "--out", "out"])
+    rep = _json_out(capsys)
+    assert rc == 2 and not rep["passed"] and rep["error"].startswith(f"/name: {name!r} is not a plain file name")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["case.json", "work"]
+
+
+@pytest.mark.parametrize("blocked", ["report", "table"])
+def test_a_report_that_cannot_be_written_exits_2_and_later_scenarios_still_run(tmp_path, capsys, blocked):
+    # --out naming a file once ended the run in a FileExistsError traceback
+    out = tmp_path / "out"
+    if blocked == "report":
+        out.write_text("")
+    else:  # a directory where the CSV table goes
+        for name in ("a", "b"):
+            (out / f"{name}.solve.solution.csv").mkdir(parents=True)
+    paths = [_write(tmp_path, dict(TRIVIAL, name=name), f"{name}.json") for name in ("a", "b")]
+    rc = main(["solve", *paths, "--out", str(out), "--format", "csv"])
+    reports = _reports(capsys.readouterr().out)
+    assert rc == 2 and [r["scenario"] for r in reports] == ["a", "b"]
+    assert all(not r["passed"] and str(out) in r["error"] for r in reports)
+    assert out.is_file() if blocked == "report" else sorted(p.name for p in out.iterdir()) == [
+        "a.solve.json", "a.solve.solution.csv", "b.solve.json", "b.solve.solution.csv"]
+
+
+def test_reports_are_ascii_whatever_the_locale(tmp_path):
+    # under the C locale, without UTF-8 mode, stdout and file names are
+    # ASCII: a scenario named "café" once died mid-report with a
+    # UnicodeEncodeError, and its report file could not be created
+    path = _write(tmp_path, dict(random_scenario(3, n_steps=2, driver_kind="linear").data, name="café"))
+    env = dict(_child_env(), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env.pop("PYTHONIOENCODING", None)
+    cli = [sys.executable, "-m", "rbsde_lab.cli", "verify", path]
+    done = subprocess.run(cli, env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == b"", done.stderr[-2000:]
+    assert done.stdout.isascii() and b'"scenario": "caf\\u00e9"' in done.stdout
+    assert json.loads(done.stdout)["scenario"] == "café"
+    # the file system cannot encode the report's file name: an error report
+    done = subprocess.run(cli + ["--out", str(tmp_path / "out")], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 2 and done.stderr == b"", done.stderr[-2000:]
+    rep = json.loads(done.stdout.decode("ascii"))
+    assert rep["scenario"] == "café" and not rep["passed"] and "can't encode" in rep["error"]
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_invalid_scenario_reports_pointer(tmp_path, capsys):
     data = dict(TRIVIAL)
     del data["dt"]
@@ -409,7 +466,7 @@ def test_approx_with_explicit_cut_step(tmp_path, capsys):
     assert rep["n_gaps"][-1] <= 1e-8
 
 
-@pytest.mark.parametrize("flag", ["--n-max", "--m-max", "--cut-step", "--max-iter", "--enum-bound"])
+@pytest.mark.parametrize("flag", ["--n-max", "--m-max", "--cut-step", "--enum-bound"])
 @pytest.mark.parametrize("value", ["0", "-2", "1.5"])
 def test_count_flags_below_one_are_refused_before_any_file_is_read(tmp_path, capsys, flag, value):
     # the scenario path does not exist: a refusal after loading would
@@ -421,6 +478,16 @@ def test_count_flags_below_one_are_refused_before_any_file_is_read(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}: expected an integer >= 1, got '{value}'" in captured.err
+
+
+def test_the_root_solver_round_cap_is_no_flag(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", missing, "--max-iter", "5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --max-iter 5" in captured.err
 
 
 def test_count_flags_of_one_run_the_ladder(tmp_path, capsys):
@@ -598,8 +665,8 @@ def test_tolerance_flags_out_of_range_are_refused_before_any_file_is_read(tmp_pa
     assert f"argument {flag}: expected a finite number >= 0, got '{value}'" in captured.err
 
 
-@pytest.mark.parametrize("name, value", [("enum_bound", -2), ("enum_bound", 0), ("max_iter", 0),
-                                         ("max_iter", 2.7), ("tol_root", -1e-9)])
+@pytest.mark.parametrize("name, value", [("enum_bound", -2), ("enum_bound", 0), ("enum_bound", 2.7),
+                                         ("tol_root", -1e-9)])
 @pytest.mark.parametrize("command", ["verify", "oracle"])
 def test_scenario_tolerances_out_of_range_exit_2_with_a_pointer(tmp_path, capsys, name, value, command):
     # at depth 4 an enumeration bound below one once checked no node and passed
@@ -607,5 +674,14 @@ def test_scenario_tolerances_out_of_range_exit_2_with_a_pointer(tmp_path, capsys
     rc = main([command, _write(tmp_path, data)])
     rep = _json_out(capsys)
     rule = ("is not of type 'integer'" if value == 2.7
-            else f"is less than the minimum of {1 if name in ('enum_bound', 'max_iter') else 0}")
+            else f"is less than the minimum of {1 if name == 'enum_bound' else 0}")
     assert rc == 2 and not rep["passed"] and rep["error"] == f"/tolerances/{name}: {value} {rule}"
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_a_root_solver_round_cap_in_a_scenario_exits_2(tmp_path, capsys, command):
+    data = dict(random_scenario(3, n_steps=2, driver_kind="linear").data, tolerances={"max_iter": 200})
+    rc = main([command, _write(tmp_path, data)])
+    rep = _json_out(capsys)
+    assert rc == 2 and not rep["passed"]
+    assert rep["error"] == "/tolerances: Additional properties are not allowed ('max_iter' was unexpected)"

@@ -128,7 +128,7 @@ def test_structured_steps_match_bisection(drv_dt, seed, masked):
         # at this scale the closed form, band included, needs no Newton fallback
         closed = _odd_cubic_step(e, z, cubic, drv.clip, dt)
         assert not _residual_rows(closed, e, z, 0.0, drv.fn, dt, 1e-12)[1].any()
-        newton = _newton_step(e, z, drv.terms, drv.clip, dt, 200)
+        newton = _newton_step(e, z, drv.terms, drv.clip, dt)
         newton = newton if active is None else np.where(active, newton, e)
         assert np.all(np.abs(fast - newton) <= 1e-13 * np.maximum(1.0, np.abs(newton)))
 
@@ -152,7 +152,7 @@ def test_odd_cubic_step_fails_no_row_that_newton_solves():
             bare_misses += _residual_rows(bare, e, z, 0.0, drv.fn, dt, 1e-12)[1].sum()
             fallbacks += _residual_rows(_odd_cubic_step(e, z, (a3, a1, []), None, dt),
                                         e, z, 0.0, drv.fn, dt, 1e-12)[1].sum()
-            newton_ok = ~_residual_rows(_newton_step(e, z, drv.terms, None, dt, 200),
+            newton_ok = ~_residual_rows(_newton_step(e, z, drv.terms, None, dt),
                                         e, z, 0.0, drv.fn, dt, 1e-12)[1][:, 0]
             alone = [_solved_or_none(e[r], z[r], drv, dt) for r in range(4)]
             assert all(row is not None for row, ok in zip(alone, newton_ok) if ok)

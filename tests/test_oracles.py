@@ -579,14 +579,13 @@ def reference_payoff_tensor(sub_barriers, tau_keys, sigma_keys):
     return j, np.minimum(ts, ss)
 
 
-def reference_root_values(subtree, driver, j, min_steps, step_offset, tol_root, max_iter):
+def reference_root_values(subtree, driver, j, min_steps, step_offset, tol_root):
     """Game expectation at the subgame root for every strategy pair: one
     backward row per pair of the tensor."""
     s_tau, s_sigma, p = j.shape
     term = j.reshape(s_tau * s_sigma, p)
     flat = np.broadcast_to(min_steps, j.shape).reshape(s_tau * s_sigma, p)
-    vals = ef_backward_batch(subtree, driver, term, 2 * flat, step_offset=step_offset,
-                             tol_root=tol_root, max_iter=max_iter)
+    vals = ef_backward_batch(subtree, driver, term, 2 * flat, step_offset=step_offset, tol_root=tol_root)
     return vals[0][:, 0].reshape(s_tau, s_sigma)
 
 
@@ -594,7 +593,7 @@ def reference_pair_values(tree, barriers, driver, theta_step, theta_node, tau_ke
     """Root values of every (tau, sigma) pair in the restricted subgame."""
     subtree = tree.subtree(theta_step)
     j, ms = reference_payoff_tensor(barriers.restrict(theta_step, theta_node), tau_keys, sigma_keys)
-    return reference_root_values(subtree, driver, j, ms, theta_step, 1e-12, 200)
+    return reference_root_values(subtree, driver, j, ms, theta_step, 1e-12)
 
 
 def reference_brute_force_values(tree, barriers, driver, mode, theta_step, theta_node):
@@ -779,6 +778,10 @@ def reference_canonical_json(obj, _indent=""):
                 out.write("\\t")
             elif ord(ch) < 0x20:
                 out.write(f"\\u{ord(ch):04x}")
+            elif ord(ch) >= 0x80:  # one escape per UTF-16 code unit
+                units = ch.encode("utf-16-be", "surrogatepass")
+                for i in range(0, len(units), 2):
+                    out.write(f"\\u{int.from_bytes(units[i:i + 2], 'big'):04x}")
             else:
                 out.write(ch)
         out.write('"')
@@ -896,12 +899,14 @@ def _same_dump(dump, reference):
 
 
 def test_strings_escape_like_the_per_character_emitter():
-    # every control character, the two JSON metacharacters, DEL and
-    # characters past ASCII (DEL and those pass through unescaped)
-    specials = "".join(map(chr, range(0x20))) + '"\\\x7f' + "\u00e9\u2603\U0001f600"
+    # every control character, the two JSON metacharacters, DEL (which
+    # passes through unescaped) and characters past ASCII: a C1 control,
+    # the BMP, past U+FFFF and a lone surrogate, all escaped
+    specials = "".join(map(chr, range(0x20))) + '"\\\x7f' + "\x80\u00e9\u2603\U0001f600\ud800"
     for text in (specials, *specials, "plain", ""):
         assert canonical_json(text) == reference_canonical_json(text)
         assert canonical_json({text: [text, 1]}) == reference_canonical_json({text: [text, 1]})
+    assert canonical_json(specials).isascii()
     assert json.loads(canonical_json(specials)) == specials
 
 
