@@ -26,19 +26,6 @@ from .expectation import (
     solve_bsde,
     truncated_driver,
 )
-from .games import (
-    EpsilonSaddle,
-    GameCheck,
-    GameValues,
-    SaddleReport,
-    brute_force_values,
-    epsilon_ratio_ok,
-    epsilon_saddle,
-    game_equals_rbsde,
-    right_jump_counterexample,
-    saddle_points,
-    value_identity_applicable,
-)
 from .lattice import (
     OptionalProcess,
     Phase,
@@ -81,3 +68,28 @@ from .scenario import (
 )
 
 __version__ = "0.1.0"
+
+# the game oracle's exports are imported on first access, so that the
+# command line loads ``games`` only where a game is solved
+_GAMES_EXPORTS = frozenset({
+    "EpsilonSaddle",
+    "GameCheck",
+    "GameValues",
+    "SaddleReport",
+    "brute_force_values",
+    "epsilon_ratio_ok",
+    "epsilon_saddle",
+    "game_equals_rbsde",
+    "right_jump_counterexample",
+    "saddle_points",
+    "value_identity_applicable",
+})
+
+
+def __getattr__(name: str):
+    if name != "games" and name not in _GAMES_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    games = import_module(".games", __name__)
+    return games if name == "games" else getattr(games, name)

@@ -15,10 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .expectation import (
     EnumerationBoundError,
@@ -26,15 +27,6 @@ from .expectation import (
     RootSolveError,
     classify_ef,
     constant_driver,
-)
-from .games import (
-    GameCheck,
-    SaddleReport,
-    brute_force_values,
-    epsilon_ratio_ok,
-    game_equals_rbsde,
-    saddle_points,
-    value_identity_applicable,
 )
 from .lattice import OptionalProcess, Phase, StoppingTime, TwoPhaseTree, semicontinuity
 from .reflect import (
@@ -51,6 +43,7 @@ from .reflect import (
 )
 from .report import (
     SOLUTION_ROW_HEADER,
+    ascii_text,
     solution_from_dict,
     solution_rows,
     solution_to_dict,
@@ -60,7 +53,12 @@ from .report import (
 )
 from .scenario import DEFAULT_TOLERANCES, Scenario, ScenarioError, _read_json, load_scenario
 
-__all__ = ["main"]
+# the game oracle is imported by the commands that solve a game, so that
+# solve, approx and deep verify calls never load it
+if TYPE_CHECKING:
+    from .games import SaddleReport
+
+__all__ = ["main", "run"]
 
 # residuals of bracketed root solves sit within a small multiple of the
 # bracket width, so dynamics checks run at a few times tol_root
@@ -119,6 +117,8 @@ def _check_theta(scn: Scenario, args: argparse.Namespace) -> None:
 
 
 def _cmd_game(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], CsvTables]:
+    from .games import brute_force_values, value_identity_applicable
+
     _check_theta(scn, args)
     t = _tols(scn, args)
     values = brute_force_values(scn.tree, scn.barriers, scn.driver, mode=args.mode,
@@ -159,6 +159,8 @@ def _cmd_game(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], 
 
 
 def _epsilon_dicts(rep: SaddleReport, tol_game: float) -> tuple[list[dict[str, Any]], bool]:
+    from .games import epsilon_ratio_ok
+
     entries = []
     structural_ok = True
     for es in rep.epsilon_saddles:
@@ -187,6 +189,8 @@ def _epsilon_dicts(rep: SaddleReport, tol_game: float) -> tuple[list[dict[str, A
 
 
 def _cmd_saddle(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], CsvTables]:
+    from .games import saddle_points
+
     _check_theta(scn, args)
     t = _tols(scn, args)
     rep = saddle_points(scn.tree, scn.barriers, scn.driver,
@@ -263,9 +267,12 @@ def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     t = _tols(scn, args)
     tree, barriers, driver = scn.tree, scn.barriers, scn.driver
     # on shallow trees the game oracle solves the equation, and every check reads its solution
-    chk = (game_equals_rbsde(tree, barriers, driver, enum_bound=t["enum_bound"],
-                             tol_game=t["tol_game"], tol_root=t["tol_root"])
-           if tree.n_steps <= max(4, t["enum_bound"] + 1) else None)
+    chk = None
+    if tree.n_steps <= max(4, t["enum_bound"] + 1):
+        from .games import game_equals_rbsde
+
+        chk = game_equals_rbsde(tree, barriers, driver, enum_bound=t["enum_bound"],
+                                tol_game=t["tol_game"], tol_root=t["tol_root"])
     sol = chk.solution if chk is not None else solve_rbsde(tree, barriers, driver, tol_root=t["tol_root"])
     mini = check_minimality(sol, barriers, tol_comp=t["tol_comp"])
     dyn = verify_dynamics(sol, barriers, driver, tol=_DYNAMICS_SLACK * t["tol_root"])
@@ -355,11 +362,13 @@ def _cmd_approx(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
 
 
 def _cmd_oracle(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], CsvTables]:
+    from .games import game_equals_rbsde
+
     t = _tols(scn, args)
     include_plain = args.mode == "plain"
-    chk: GameCheck = game_equals_rbsde(scn.tree, scn.barriers, scn.driver,
-                                       include_plain=include_plain,
-                                       enum_bound=t["enum_bound"], tol_game=t["tol_game"], tol_root=t["tol_root"])
+    chk = game_equals_rbsde(scn.tree, scn.barriers, scn.driver,
+                            include_plain=include_plain,
+                            enum_bound=t["enum_bound"], tol_game=t["tol_game"], tol_root=t["tol_root"])
     passed = chk.passed_extended
     plain: dict[str, Any] | None = None
     if include_plain:
@@ -500,9 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command line on ``argv`` and return its exit code; an
+    argument argparse refuses raises ``SystemExit`` instead."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.format == "csv" and args.out is None:
-        build_parser().error("--format csv requires --out")
+        parser.error("--format csv requires --out")
 
     code = 0
     for path in args.scenarios:
@@ -512,9 +524,23 @@ def main(argv: list[str] | None = None) -> int:
             write_json(sys.stdout, report)
         else:
             status = "ok" if rc == 0 else "FAIL"
-            print(f"{status} {report['scenario']} ({report['command']})")
+            print(f"{status} {ascii_text(report['scenario'])} ({report['command']})")
     return code
 
 
+def run() -> None:
+    """The ``rbsde-lab`` script and ``python -m rbsde_lab.cli``: :func:`main`,
+    then the process ends as soon as its output is flushed, with no
+    interpreter teardown.  A flush that fails falls back to ``sys.exit``, so
+    a closed pipe ends the process as a normal exit does."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -22,6 +22,7 @@ from .lattice import OptionalProcess, build_tree
 from .reflect import RBSDESolution
 
 __all__ = [
+    "ascii_text",
     "canonical_json",
     "write_json",
     "write_json_atomic",
@@ -58,6 +59,16 @@ def _u_escape(c: str) -> str:
     return f"\\u{0xd800 | i >> 10:04x}\\u{0xdc00 | i & 0x3ff:04x}"
 
 
+def ascii_text(text: str) -> str:
+    """``text`` as the inside of a JSON string, in ASCII: the quote, the
+    backslash and control characters escaped, and every non-ASCII
+    character written as ``\\uXXXX``."""
+    text = text.translate(_ESCAPES)
+    if not text.isascii():  # in ASCII, a report's bytes do not depend on the output encoding
+        text = "".join(c if c.isascii() else _u_escape(c) for c in text)
+    return text
+
+
 def _scalar_json(obj: Any) -> str | None:
     """The JSON text of a scalar, or None for a container."""
     if obj is None:
@@ -69,10 +80,7 @@ def _scalar_json(obj: Any) -> str | None:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        text = obj.translate(_ESCAPES)
-        if not text.isascii():  # in ASCII, a report's bytes do not depend on the output encoding
-            text = "".join(c if c.isascii() else _u_escape(c) for c in text)
-        return '"' + text + '"'
+        return '"' + ascii_text(obj) + '"'
     return None
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -259,6 +260,87 @@ def test_reports_are_ascii_whatever_the_locale(tmp_path):
     rep = json.loads(done.stdout.decode("ascii"))
     assert rep["scenario"] == "café" and not rep["passed"] and "can't encode" in rep["error"]
     assert not any((tmp_path / "out").iterdir())
+
+
+def test_status_lines_are_ascii_and_later_scenarios_still_run(tmp_path):
+    # a status line once printed the raw name: on an ASCII stdout over a
+    # UTF-8 file system, "café" wrote its report, then died in print with
+    # exit 1, and "b" never ran
+    cafe = _write(tmp_path, dict(random_scenario(3, n_steps=2, driver_kind="linear").data, name="café"), "c.json")
+    b = _write(tmp_path, dict(random_scenario(4, n_steps=2, driver_kind="linear").data, name="b"), "b.json")
+    out = tmp_path / "out"
+    env = dict(_child_env(), PYTHONIOENCODING="ascii", PYTHONUTF8="1")
+    done = subprocess.run([sys.executable, "-m", "rbsde_lab.cli", "verify", cafe, b, "--out", str(out)],
+                          env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == b"", done.stderr[-2000:]
+    assert done.stdout == b"ok caf\\u00e9 (verify)\nok b (verify)\n"
+    assert sorted(p.name for p in out.iterdir()) == ["b.verify.json", "café.verify.json"]
+
+
+def test_a_process_writes_the_bytes_main_writes(tmp_path, capsys):
+    # the process ends without interpreter teardown once its output is
+    # flushed: a report of many pipe buffers still arrives whole, its tail
+    # from stdout's buffer
+    path = _write(tmp_path, random_scenario(6, n_steps=14, driver_kind="linear").data)
+    assert main(["solve", path]) == 0
+    expected = capsys.readouterr().out.encode("ascii")
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, "-m", "rbsde_lab.cli", "solve", path], env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == b"", done.stderr[-2000:]
+    assert len(expected) > 2**21 and done.stdout == expected
+
+
+@pytest.mark.parametrize("case, code", [("passed", 0), ("check failed", 1), ("unloadable", 2),
+                                        ("flag refused", 2)])
+def test_a_process_exits_with_the_code_main_returns(tmp_path, capsys, case, code):
+    path = _write(tmp_path, random_scenario(3, n_steps=4, driver_kind="linear").data)
+    argv = {"passed": ["approx", path],
+            "check failed": ["approx", path, "--n-max", "1", "--m-max", "1"],
+            "unloadable": ["verify", _write(tmp_path, {"version": "v1"}, "bad.json")],
+            "flag refused": ["verify", path, "--max-iter", "5"]}[case]
+    done = subprocess.run([sys.executable, "-m", "rbsde_lab.cli", *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code
+    if case == "flag refused":
+        # argparse exits inside main, before the process can be ended
+        assert done.stdout == "" and "unrecognized arguments: --max-iter 5" in done.stderr
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert done.stderr == "" and json.loads(done.stdout)["passed"] is (code == 0)
+        assert main(argv) == code
+
+
+class _Ended(Exception):
+    pass
+
+
+@pytest.mark.parametrize("flush_fails", [False, True])
+def test_run_ends_the_process_after_a_flush_or_exits_when_a_flush_fails(monkeypatch, flush_fails):
+    from rbsde_lab import cli
+
+    flushed = []
+
+    class Stream(io.StringIO):
+        def flush(self):
+            flushed.append(self)
+            if flush_fails:
+                raise BrokenPipeError(32, "Broken pipe")
+
+    def end(code):
+        raise _Ended(code)
+
+    monkeypatch.setattr(cli, "main", lambda: 1)
+    monkeypatch.setattr(cli.os, "_exit", end)
+    monkeypatch.setattr(sys, "stdout", Stream())
+    monkeypatch.setattr(sys, "stderr", Stream())
+    with pytest.raises(SystemExit if flush_fails else _Ended) as exc:
+        cli.run()
+    assert exc.value.args == (1,)
+    assert flushed == ([sys.stdout] if flush_fails else [sys.stdout, sys.stderr])
 
 
 def test_invalid_scenario_reports_pointer(tmp_path, capsys):
@@ -590,6 +672,26 @@ def test_cli_import_loads_neither_jsonschema_nor_numpy_random():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_games_is_imported_only_where_a_game_is_solved(tmp_path):
+    # solve, approx and a verify too deep for the game oracle leave the
+    # games module unloaded; a shallow verify loads it and writes its
+    # golden bytes
+    deep = _write(tmp_path, random_scenario(3, n_steps=5, driver_kind="linear").data, "deep.json")
+    shallow = _write(tmp_path, SHALLOW_GOLDEN, "shallow.json")
+    out = str(tmp_path / "out")
+    runs = [[command, deep, "--out", out] for command in ("solve", "approx", "verify")]
+    runs.append(["verify", shallow, "--out", out])
+    code = ("import json, sys; from rbsde_lab import cli; "
+            "print(json.dumps(['rbsde_lab.games' in sys.modules] + "
+            "[[cli.main(argv), 'rbsde_lab.games' in sys.modules] for argv in json.loads(sys.argv[1])]))")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout.splitlines()[-1]) == [False, [0, False], [0, False], [0, False], [0, True]]
+    digest = hashlib.sha256((tmp_path / "out" / "shallow.verify.json").read_bytes()).hexdigest()
+    assert digest == SHALLOW_GOLDEN_SHA256["shallow.verify.json"]
 
 
 def _cli_output(capsys):

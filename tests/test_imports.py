@@ -9,13 +9,17 @@ package's exports.  A module-level private name (``_x``, not a dunder)
 counts as used when some module of the package loads it, imports it or
 reads it as an attribute; a helper left behind by a refactor fails.  Every
 module's ``__all__`` names only what it binds, and lists every name the
-package re-exports from it.
+package re-exports from it, the game oracle's lazily resolved names included;
+a fresh interpreter imports every export from the package.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,7 +129,29 @@ def test_every_all_name_is_bound_and_every_export_is_in_its_modules_all():
     unbound = [f"{name}.{export}" for name, mod in modules.items()
                for export in mod.__all__ if not hasattr(mod, export)]
     assert unbound == []
-    init = ast.parse((PACKAGE / "__init__.py").read_text())
-    unlisted = [f"{node.module}.{alias.name}" for node in init.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names if alias.name not in modules[node.module].__all__]
+    unlisted = [f"{module}.{name}" for module, name in _package_exports()
+                if name not in modules[module].__all__]
     assert unlisted == []
+
+
+def _package_exports() -> list[tuple[str, str]]:
+    """(module, name) of every name the package exports: the names
+    ``__init__.py`` imports, and the game oracle's names it resolves on
+    first access."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    eager = [(node.module, alias.name) for node in init.body if isinstance(node, ast.ImportFrom)
+             for alias in node.names]
+    return eager + [("games", name) for name in sorted(importlib.import_module("rbsde_lab")._GAMES_EXPORTS)]
+
+
+def test_every_export_imports_from_a_fresh_package_that_loads_games_on_demand():
+    names = [name for _, name in _package_exports()]
+    code = ("import sys; import rbsde_lab; print('rbsde_lab.games' in sys.modules); "
+            f"from rbsde_lab import {', '.join(names)}; "
+            "from rbsde_lab import games; "
+            "print(all(getattr(rbsde_lab, n) is getattr(games, n) for n in rbsde_lab._GAMES_EXPORTS))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(PACKAGE.parent),
+                                                                    os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["False", "True"]
