@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable
@@ -508,17 +509,115 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Run the command line on ``argv`` and return its exit code; an
-    argument argparse refuses raises ``SystemExit`` instead."""
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """The parsed command line; argparse exits on one it refuses."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.format == "csv" and args.out is None:
         parser.error("--format csv requires --out")
+    return args
 
+
+# one scenario's outcome: its index on the command line, its exit code,
+# and its report (with --out and an exit code below 2, only the
+# "scenario" and "command" its status line reads)
+Outcome = tuple[int, int, dict[str, Any]]
+
+
+def _outcome(args: argparse.Namespace, i: int) -> Outcome:
+    report, rc = _run_one(args.scenarios[i], args)
+    if args.out is not None and rc < 2:
+        report = {"command": report["command"], "scenario": report["scenario"]}
+    return i, rc, report
+
+
+def _fork_worker(args: argparse.Namespace, indices: range) -> tuple[int, int]:
+    """Fork a process that runs the scenarios at ``indices`` and sends their
+    outcomes down a pipe as one JSON list when it ends; returns its pid and
+    the pipe's read end.  The worker stops early when its parent is gone,
+    and ends with ``os._exit`` whatever happens."""
+    parent = os.getpid()
+    read_end, write_end = os.pipe()
+    sys.stdout.flush()  # else the worker inherits, and may repeat, buffered output
+    sys.stderr.flush()
+    with warnings.catch_warnings():
+        # from Python 3.12 a fork warns while another thread runs; the other
+        # thread here is OpenBLAS's, which it shuts down across a fork
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    os.close(read_end)
+    sent: list[Outcome] = []
+    code = 1
+    try:
+        for i in indices:
+            if os.getppid() != parent:
+                break
+            sent.append(_outcome(args, i))
+        code = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        try:
+            with open(write_end, "w", encoding="ascii") as pipe:
+                pipe.write(json.dumps(sent))
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _collect(args: argparse.Namespace, indices: range, pid: int, read_end: int) -> list[Outcome]:
+    """The outcomes the worker ``pid`` sent for the scenarios at ``indices``;
+    those it did not report are named on stderr."""
+    with open(read_end, "rb") as pipe:
+        data = pipe.read()
+    os.waitpid(pid, 0)
+    try:
+        sent = [(i, rc, report) for i, rc, report in json.loads(data)]
+    except ValueError:  # the worker died while it wrote
+        sent = []
+    missing = sorted(set(indices) - {i for i, _, _ in sent})
+    if missing:
+        print("rbsde-lab: a worker ended without reporting "
+              + ", ".join(args.scenarios[i] for i in missing), file=sys.stderr)
+    return sent
+
+
+def _rerun_shared_names(args: argparse.Namespace, outcomes: list[Outcome], workers: int) -> None:
+    """Make each report file the one a serial run leaves.  A name declared
+    by scenarios in several processes holds whichever report was written
+    last in time; its scenarios after the first run again here, in order,
+    so each file's last writer is the last on the command line to write it."""
+    by_name: dict[str, list[int]] = {}
+    for i, _, report in outcomes:
+        by_name.setdefault(report["scenario"], []).append(i)
+    for same in by_name.values():
+        if len({i % workers for i in same}) > 1:
+            for i in same[1:]:
+                _run_one(args.scenarios[i], args)
+
+
+def _execute(args: argparse.Namespace, workers: int) -> int:
+    """Run every scenario of ``args`` over ``workers`` processes: this
+    one and ``workers - 1`` forked ones, each taking every ``workers``-th
+    scenario.  Reports, status lines and the exit code are those of a
+    serial run, which is the one-worker case."""
+    n = len(args.scenarios)
+    slices = [range(w, n, workers) for w in range(workers)]
+    forked = [(indices, *_fork_worker(args, indices)) for indices in slices[1:]]
+    outcomes: Iterable[Outcome] = (_outcome(args, i) for i in slices[0])
     code = 0
-    for path in args.scenarios:
-        report, rc = _run_one(path, args)
+    if forked:
+        try:
+            own = list(outcomes)
+        finally:  # every worker is reaped, also when this process's slice raised
+            sent = [o for worker in forked for o in _collect(args, *worker)]
+        outcomes = sorted(own + sent, key=lambda o: o[0])
+        code = int(len(outcomes) < n)  # a scenario no worker reported fails the call
+        _rerun_shared_names(args, outcomes, workers)
+    for _, rc, report in outcomes:
         code = max(code, rc)
         if args.out is None or rc == 2:
             write_json(sys.stdout, report)
@@ -528,12 +627,28 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def _usable_cpus(args: argparse.Namespace) -> int:
+    """Processes a call spreads its scenarios over: one per CPU it may use,
+    up to one per scenario, when its reports go to files; else one."""
+    if args.out is None or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), len(args.scenarios))
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the command line on ``argv`` in this process and return its exit
+    code; an argument argparse refuses raises ``SystemExit`` instead."""
+    return _execute(_parse(argv), 1)
+
+
 def run() -> None:
-    """The ``rbsde-lab`` script and ``python -m rbsde_lab.cli``: :func:`main`,
-    then the process ends as soon as its output is flushed, with no
+    """The ``rbsde-lab`` script and ``python -m rbsde_lab.cli``: the command
+    line, its scenarios spread over the usable CPUs when its reports go to
+    files; then the process ends as soon as its output is flushed, with no
     interpreter teardown.  A flush that fails falls back to ``sys.exit``, so
     a closed pipe ends the process as a normal exit does."""
-    code = main()
+    args = _parse(None)
+    code = _execute(args, _usable_cpus(args))
     try:
         sys.stdout.flush()
         sys.stderr.flush()

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -27,6 +28,9 @@ TRIVIAL = {
     "terminal": {"kind": "constant", "value": 0.0},
     "driver": {"kind": "constant", "value": 0.0},
 }
+
+# dt * mu = 1.5: the implicit step has no unique root, and the call exits 1
+ILL_POSED = dict(TRIVIAL, dt=1.0, driver={"kind": "linear", "y_coef": 1.5})
 
 
 def _write(tmp_path, data, name="case.json"):
@@ -333,7 +337,8 @@ def test_run_ends_the_process_after_a_flush_or_exits_when_a_flush_fails(monkeypa
     def end(code):
         raise _Ended(code)
 
-    monkeypatch.setattr(cli, "main", lambda: 1)
+    monkeypatch.setattr(sys, "argv", ["rbsde-lab", "verify", "case.json"])
+    monkeypatch.setattr(cli, "_execute", lambda args, workers: 1)
     monkeypatch.setattr(cli.os, "_exit", end)
     monkeypatch.setattr(sys, "stdout", Stream())
     monkeypatch.setattr(sys, "stderr", Stream())
@@ -342,6 +347,122 @@ def test_run_ends_the_process_after_a_flush_or_exits_when_a_flush_fails(monkeypa
     assert exc.value.args == (1,)
     assert flushed == ([sys.stdout] if flush_fails else [sys.stdout, sys.stderr])
 
+
+
+def _files(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def _fanned_and_serial(capsys, argv, workers, prepare):
+    """(exit code, stdout, files under --out) of the call on ``workers``
+    processes and of serial ``main``; ``prepare`` resets --out before each."""
+    from rbsde_lab import cli
+
+    out = Path(argv[argv.index("--out") + 1])
+    runs = []
+    for call in (lambda: cli._execute(cli._parse(argv), workers), lambda: main(argv)):
+        prepare()
+        code = call()
+        runs.append((code, capsys.readouterr().out, _files(out) if out.is_dir() else out.read_bytes()))
+    return runs
+
+
+@pytest.mark.parametrize("blocked_out", [False, True])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_call_on_several_workers_matches_a_serial_run(tmp_path, capsys, workers, blocked_out):
+    # each outcome a call reports: passing draws, a scenario that exits 1,
+    # an unloadable file and a non-ASCII name; with blocked_out, --out is a
+    # file and every scenario reports an error
+    paths = [_write(tmp_path, random_scenario(seed, n_steps=depth, driver_kind="linear").data, f"{seed}.json")
+             for seed, depth in ((1, 4), (2, 1), (3, 6), (4, 2), (5, 3))]
+    paths[1:1] = [_write(tmp_path, dict(ILL_POSED, name="ill-posed"), "ill-posed.json"),
+                  _write(tmp_path, {"version": "v1"}, "bad.json"),
+                  _write(tmp_path, dict(TRIVIAL, name="café"), "cafe.json")]
+    out = tmp_path / "out"
+
+    def prepare():
+        shutil.rmtree(out, ignore_errors=True)
+        if blocked_out:
+            out.write_text("")
+
+    fanned, serial = _fanned_and_serial(capsys, ["solve", *paths, "--out", str(out), "--format", "csv"],
+                                        workers, prepare)
+    assert fanned == serial
+    code, stdout, files = serial
+    # the ill-posed scenario fails before it writes; with blocked_out, every
+    # other one reports an error, else only the unloadable file
+    assert code == 2 and stdout.isascii() and "FAIL ill-posed (solve)\n" in stdout
+    assert stdout.count('"error": ') == (7 if blocked_out else 1)
+    if not blocked_out:
+        assert "ok caf\\u00e9 (solve)\n" in stdout
+        names = ["café", *(f"random-{seed}" for seed in range(1, 6))]
+        assert sorted(files) == sorted(f"{name}.solve.{kind}" for name in names for kind in ("json", "solution.csv"))
+
+
+def test_a_name_declared_twice_keeps_the_later_report_on_disk(tmp_path, capsys):
+    # on two workers, scenarios 0 and 2 run in this process and 1 in the
+    # forked one; 0 is the slowest, so its report is the last one written.
+    # The serial run leaves 1's report: 2 fails before it writes
+    data = [random_scenario(1, n_steps=12, driver_kind="linear").data,
+            random_scenario(2, n_steps=1, driver_kind="linear").data, ILL_POSED]
+    paths = [_write(tmp_path, dict(d, name="dup"), f"{i}.json") for i, d in enumerate(data)]
+    out = tmp_path / "out"
+    fanned, serial = _fanned_and_serial(capsys, ["solve", *paths, "--out", str(out), "--format", "csv"], 2,
+                                        lambda: shutil.rmtree(out, ignore_errors=True))
+    assert fanned == serial
+    assert serial[:2] == (1, "ok dup (solve)\nok dup (solve)\nFAIL dup (solve)\n")
+    assert json.loads(serial[2]["dup.solve.json"])["solution"]["steps"] == 1
+
+
+def _worker_script(body: str, workers: int) -> str:
+    """A process that patches ``cli._run_one`` with ``body``'s ``patched``,
+    then runs its arguments after the first on ``workers`` processes."""
+    return ("import os, sys, time\nfrom rbsde_lab import cli\nparent, run_one = os.getpid(), cli._run_one\n"
+            + body + f"cli._run_one = patched\nsys.exit(cli._execute(cli._parse(sys.argv[2:]), {workers}))\n")
+
+
+@pytest.mark.parametrize("end", ["raises", "dies"])
+def test_a_worker_that_fails_ends_the_call_non_zero_naming_what_it_did_not_report(tmp_path, end):
+    # the second forked worker takes scenarios 2 and 5, and fails at 5:
+    # one that raises still reports 2; one that is killed reports nothing
+    paths = [_write(tmp_path, dict(TRIVIAL, name=f"s{i}"), f"s{i}.json") for i in range(6)]
+    body = ("def patched(path, args):\n"
+            "    if path == sys.argv[1]:\n"
+            "        os.kill(os.getpid(), 9) if '{end}' == 'dies' else 1 / 0\n"
+            "    return run_one(path, args)\n").format(end=end)
+    done = subprocess.run([sys.executable, "-c", _worker_script(body, 3), paths[5], "solve", *paths,
+                           "--out", str(tmp_path / "out")],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    missing = [5] if end == "raises" else [2, 5]
+    assert done.returncode == 1
+    assert done.stdout == "".join(f"ok s{i} (solve)\n" for i in range(6) if i not in missing)
+    assert f"rbsde-lab: a worker ended without reporting {', '.join(paths[i] for i in missing)}\n" in done.stderr
+    assert ("ZeroDivisionError" in done.stderr) is (end == "raises")
+
+
+def test_a_worker_stops_before_its_next_scenario_once_its_parent_is_gone(tmp_path):
+    # the forked worker starts scenario 1, the parent ends, and the worker
+    # finishes 1 but starts no other; capture_output waits for the
+    # worker too, since it holds the same pipes
+    paths = [_write(tmp_path, dict(TRIVIAL, name=f"s{i}"), f"s{i}.json") for i in range(9)]
+    started, ran = tmp_path / "started", tmp_path / "ran"
+    body = ("def patched(path, args):\n"
+            "    deadline = time.monotonic() + 60\n"
+            "    if os.getpid() == parent:\n"
+            "        while not os.path.exists(sys.argv[1] + '/started') and time.monotonic() < deadline:\n"
+            "            time.sleep(0.01)\n"
+            "        os._exit(3)\n"
+            "    open(sys.argv[1] + '/started', 'a').close()\n"
+            "    while os.getppid() == parent and time.monotonic() < deadline:\n"
+            "        time.sleep(0.01)\n"
+            "    with open(sys.argv[1] + '/ran', 'a') as log:\n"
+            "        log.write(path + '\\n')\n"
+            "    return run_one(path, args)\n")
+    done = subprocess.run([sys.executable, "-c", _worker_script(body, 2), str(tmp_path), "solve", *paths,
+                           "--out", str(tmp_path / "out")],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3 and done.stdout == ""
+    assert started.exists() and ran.read_text() == paths[1] + "\n"
 
 def test_invalid_scenario_reports_pointer(tmp_path, capsys):
     data = dict(TRIVIAL)
@@ -352,9 +473,7 @@ def test_invalid_scenario_reports_pointer(tmp_path, capsys):
 
 
 def test_ill_posed_step_is_refused_by_solve_and_verify(tmp_path, capsys):
-    # dt * mu = 1.5: the implicit step has no unique root
-    data = dict(TRIVIAL, dt=1.0, driver={"kind": "linear", "y_coef": 1.5})
-    path = _write(tmp_path, data)
+    path = _write(tmp_path, ILL_POSED)
     errors = []
     for command in ("solve", "verify"):
         rc = main([command, path])

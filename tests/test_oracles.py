@@ -81,6 +81,7 @@ from rbsde_lab import (
     solve_rbsde,
     truncated_driver,
     truncation_scheme,
+    verify_dynamics,
 )
 from rbsde_lab import reflect
 from rbsde_lab import report as report_module
@@ -673,6 +674,16 @@ def reference_game_check(tree, barriers, driver, include_plain, enum_bound):
 # time offset shows; it declares no structure, so its steps bisect
 _TIMED = Driver(fn=lambda t, y, z: t - 0.5 * y + 0.25 * z, lambda_z=0.25, mu=-0.5, tag="timed")
 _GAME_DRIVERS = _DRIVER_KINDS[1:] + ["timed"]
+
+
+@pytest.mark.parametrize("seed, depth", list(enumerate(range(6, 15))) + [(9, 14)])
+def test_dynamics_catch_a_driver_read_one_step_late_on_deep_trees(seed, depth):
+    """The dynamics check reads the driver at each step's own time: a solve
+    that feeds it t + dt fails it at depths the game oracle cannot reach."""
+    scn = random_scenario(900 + seed, n_steps=depth, driver_kind="linear")
+    for offset, passed in ((0, True), (1, False)):
+        sol = solve_rbsde(scn.tree, scn.barriers, _TIMED, step_offset=offset)
+        assert verify_dynamics(sol, scn.barriers, _TIMED, tol=4e-12).passed is passed
 
 
 def _game_draw(seed, depth, theta_step, kind, touching, regular=False):
