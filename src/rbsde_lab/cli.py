@@ -19,8 +19,11 @@ import os
 import sys
 import warnings
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable
+
+import numpy as np
 
 from .expectation import (
     EnumerationBoundError,
@@ -45,12 +48,16 @@ from .reflect import (
 from .report import (
     SOLUTION_ROW_HEADER,
     ascii_text,
+    commit_temp,
+    discard_temp,
     solution_from_dict,
     solution_rows,
     solution_to_dict,
+    write_csv,
     write_csv_atomic,
     write_json,
     write_json_atomic,
+    write_temp,
 )
 from .scenario import DEFAULT_TOLERANCES, Scenario, ScenarioError, _read_json, load_scenario
 
@@ -89,6 +96,8 @@ def _system_dict(stop: StoppingTime) -> dict[str, Any]:
 # label -> (header, rendered CSV lines, possibly produced as they are
 # written); floats print at 17 significant digits
 CsvTables = dict[str, tuple[tuple[str, ...], Iterable[str]]]
+# the same, by the path of each table's file
+TableFiles = dict[Path, tuple[tuple[str, ...], Iterable[str]]]
 
 
 def _cmd_solve(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], CsvTables]:
@@ -221,9 +230,9 @@ def _cmd_saddle(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     return report, {}
 
 
-def _load_solution(path: str, tree: TwoPhaseTree):
-    """Read a dumped solution, unwrapping a full solve report if handed one;
-    a solution on another grid than ``tree`` is refused before it is built."""
+def _solution_document(path: str) -> Any:
+    """The document of a dumped solution, unwrapped from a full solve report
+    if handed one."""
     try:
         data = _read_json(Path(path))
     except json.JSONDecodeError as exc:
@@ -232,6 +241,15 @@ def _load_solution(path: str, tree: TwoPhaseTree):
         raise ScenarioError(f"{path}: {exc}") from None
     if isinstance(data, dict) and "steps" not in data and isinstance(data.get("solution"), dict):
         data = data["solution"]
+    return data
+
+
+def _load_solution(path: str, tree: TwoPhaseTree, reader: _SolutionReader | None = None):
+    """Read a dumped solution, or take the document ``reader`` read; a
+    solution on another grid than ``tree`` is refused before it is built."""
+    data = reader.document() if reader is not None else None
+    if data is None:
+        data = _solution_document(path)
     try:
         grid = (int(data["steps"]), float(data["dt"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -264,7 +282,8 @@ def _witness_dict(tree: TwoPhaseTree, barriers: Barriers) -> dict[str, Any]:
     return witness
 
 
-def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], CsvTables]:
+def _cmd_verify(scn: Scenario, args: argparse.Namespace,
+                reader: _SolutionReader | None = None) -> tuple[dict[str, Any], CsvTables]:
     t = _tols(scn, args)
     tree, barriers, driver = scn.tree, scn.barriers, scn.driver
     # on shallow trees the game oracle solves the equation, and every check reads its solution
@@ -311,7 +330,7 @@ def _cmd_verify(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     round_trip: dict[str, Any] | None = None
     rt_ok = True
     if args.solution is not None:
-        reloaded = _load_solution(args.solution, tree)
+        reloaded = _load_solution(args.solution, tree, reader)
         r_mini = check_minimality(reloaded, barriers, tol_comp=t["tol_comp"])
         r_dyn = verify_dynamics(reloaded, barriers, driver, tol=_DYNAMICS_SLACK * t["tol_root"])
         drift = reloaded.y.sup_abs_diff(sol.y)
@@ -411,33 +430,229 @@ _HANDLERS: dict[str, Callable[[Scenario, argparse.Namespace], tuple[dict[str, An
 
 
 # ---------------------------------------------------------------------------
+# forked helpers: a call's scenario workers, and the table writer and
+# solution reader that overlap one scenario's file I/O with its other work
+
+def _fork_worker(task: Callable[[BinaryIO], None]) -> tuple[int, int]:
+    """Fork a process that runs ``task`` on the write end of a pipe, then
+    ends with ``os._exit``: 0 once ``task`` returns, 1 after printing what
+    it raised.  Returns its pid and the pipe's read end, for
+    :func:`_collect`; a pipe or fork that fails raises ``OSError``."""
+    read_end, write_end = os.pipe()
+    try:
+        sys.stdout.flush()  # else the child inherits, and may repeat, buffered output
+        sys.stderr.flush()
+        with warnings.catch_warnings():
+            # from Python 3.12 a fork warns while another thread runs; the other
+            # thread here is OpenBLAS's, which it shuts down across a fork
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    os.close(read_end)
+    code = 1
+    try:
+        with open(write_end, "wb") as pipe:
+            task(pipe)
+        code = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())
+    finally:
+        try:
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _collect(pid: int, read_end: int) -> tuple[bytearray, bool]:
+    """Everything the child ``pid`` sent down its pipe, and whether it
+    ended with exit code 0, once it is reaped."""
+    data = bytearray()
+    with open(read_end, "rb", buffering=0) as pipe:
+        while chunk := pipe.read(1 << 20):
+            data += chunk
+    _, status = os.waitpid(pid, 0)
+    return data, status == 0
+
+
+def _table_task(tables: TableFiles) -> Callable[[BinaryIO], None]:
+    """The task of a table writer: render each table into a temporary file
+    beside its path, and send the files' names as one JSON list.  When a
+    table cannot be written it removes the files it made and sends
+    nothing, and the tables are written again where the serial run writes
+    them, raising that run's error."""
+    def task(pipe: BinaryIO) -> None:
+        temps: list[str] = []
+        try:
+            for path, (header, rows) in tables.items():
+                temps.append(write_temp(path, lambda fh: write_csv(fh, header, rows)))
+        except Exception:
+            for tmp in temps:
+                discard_temp(tmp)
+            return
+        pipe.write(json.dumps(temps).encode("ascii"))
+    return task
+
+
+def _filled(writer: tuple[int, int] | None) -> list[str] | None:
+    """The temporary files a table writer filled, in table order; None
+    without a writer, or when it sent none."""
+    if writer is None:
+        return None
+    data, ok = _collect(*writer)
+    return json.loads(data) if ok and data else None
+
+
+def _write_reports(path: Path, report: dict[str, Any], tables: TableFiles, overlap: bool) -> None:
+    """Write the JSON report to ``path``, then each CSV table, leaving the
+    files and raising the error of a serial run.  With ``overlap`` a forked
+    writer renders the tables while this process writes the report; each
+    is renamed into place once the report is, or removed if it is not."""
+    writer = None
+    if overlap and tables:
+        try:
+            writer = _fork_worker(_table_task(tables))
+        except OSError:  # no fork: the tables are written here
+            pass
+    try:
+        write_json_atomic(path, report)
+    except BaseException:
+        for tmp in _filled(writer) or ():
+            discard_temp(tmp)
+        raise
+    temps = _filled(writer)
+    if temps is None:
+        for table, (header, rows) in tables.items():
+            write_csv_atomic(table, header, rows)
+        return
+    for k, table in enumerate(tables):
+        try:
+            commit_temp(temps[k], table)
+        except OSError:
+            for tmp in temps[k + 1:]:
+                discard_temp(tmp)
+            raise
+
+
+# the rows of a solution document, in the order a solution reader sends them
+_SOLUTION_ROWS = (("y", "at"), ("y", "after"), ("z",), ("r_plus", "phase"), ("r_plus", "step"),
+                  ("r_minus", "phase"), ("r_minus", "step"))
+
+
+def _solution_task(path: str) -> Callable[[BinaryIO], None]:
+    """The task of a solution reader: read and unwrap the solution file,
+    then send its ``steps``, its ``dt`` and the rows of ``_SOLUTION_ROWS``
+    as float64 arrays.  It sends 8 bytes giving the length of a JSON header
+    of ``steps``, ``dt`` and the rows' shapes, the header, padded to a
+    multiple of 8 bytes, and then the rows' bytes in order.  When any part
+    does not read it sends nothing, and the file is read again where a
+    serial run reads it, raising that run's error."""
+    def task(pipe: BinaryIO) -> None:
+        try:
+            data = _solution_document(path)
+            blocks = []
+            for keys in _SOLUTION_ROWS:
+                rows = data
+                for key in keys:
+                    rows = rows[key]
+                if not isinstance(rows, list):
+                    raise TypeError(f"{keys} is not a list")
+                blocks.append([np.asarray(row, dtype=float) for row in rows])
+            head = json.dumps({"steps": data["steps"], "dt": data["dt"],
+                               "shapes": [[row.shape for row in rows] for rows in blocks]}).encode("ascii")
+        except Exception:
+            return
+        head += b" " * (-len(head) % 8)  # the rows start 8-byte aligned
+        pipe.write(len(head).to_bytes(8, "little") + head)
+        for rows in blocks:
+            for row in rows:
+                pipe.write(row.tobytes())
+    return task
+
+
+class _SolutionReader:
+    """A forked process that reads the solution file at ``path`` while this
+    one loads the scenario and runs its checks (see :func:`_solution_task`)."""
+
+    def __init__(self, path: str) -> None:
+        self.child: tuple[int, int] | None = _fork_worker(_solution_task(path))
+
+    def document(self) -> dict[str, Any] | None:
+        """The document the reader sent, its rows float64 arrays over the
+        received bytes; None when it sent none."""
+        data, ok = _collect(*self.child)
+        self.child = None
+        if not (ok and data):
+            return None
+        end = 8 + int.from_bytes(data[:8], "little")
+        head = json.loads(data[8:end])
+        doc: dict[str, Any] = {"steps": head["steps"], "dt": head["dt"]}
+        for keys, shapes in zip(_SOLUTION_ROWS, head["shapes"]):
+            rows = []
+            for shape in shapes:
+                rows.append(np.ndarray(shape, dtype=float, buffer=data, offset=end))
+                end += rows[-1].nbytes
+            block = doc
+            for key in keys[:-1]:
+                block = block.setdefault(key, {})
+            block[keys[-1]] = rows
+        return doc
+
+    def close(self) -> None:
+        """End and reap the reader if its document was never taken."""
+        if self.child is not None:
+            from signal import SIGKILL
+
+            os.kill(self.child[0], SIGKILL)
+            _collect(*self.child)
+            self.child = None
+
+
+# ---------------------------------------------------------------------------
 # orchestration
 
 def _run_one(path: str, args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     name = Path(path).stem
+    reader = None
+    if args.spare_cpu and args.command == "verify" and args.solution is not None:
+        try:
+            reader = _SolutionReader(args.solution)
+        except OSError:  # no fork: the solution is read where it is checked
+            pass
+    handler = _HANDLERS[args.command] if reader is None else partial(_cmd_verify, reader=reader)
     try:
-        scenario = load_scenario(path)
-    except (ScenarioError, OSError) as exc:
-        return {"command": args.command, "scenario": name,
-                "error": str(exc), "passed": False}, 2
-    try:
-        report, tables = _HANDLERS[args.command](scenario, args)
-        if args.out is not None:
-            out_dir = Path(args.out)
-            write_json_atomic(out_dir / f"{scenario.name}.{args.command}.json", report)
-            if args.format == "csv":
-                for label, (header, rows) in tables.items():
-                    write_csv_atomic(out_dir / f"{scenario.name}.{args.command}.{label}.csv",
-                                     header, rows)
-    # an OSError or UnicodeEncodeError may also come from a report that
-    # cannot be written, such as a file name the file system cannot encode
-    except (ScenarioError, OSError, UnicodeEncodeError, LadderBudgetError, EnumerationBudgetError) as exc:
-        return {"command": args.command, "scenario": scenario.name,
-                "error": str(exc), "passed": False}, 2
-    except (EnumerationBoundError, RootSolveError, ValueError) as exc:
-        return {"command": args.command, "scenario": scenario.name,
-                "error": str(exc), "passed": False}, 1
-    return report, 0 if report["passed"] else 1
+        try:
+            scenario = load_scenario(path)
+        except (ScenarioError, OSError) as exc:
+            return {"command": args.command, "scenario": name,
+                    "error": str(exc), "passed": False}, 2
+        try:
+            report, tables = handler(scenario, args)
+            if args.out is not None:
+                out_dir = Path(args.out)
+                stem = f"{scenario.name}.{args.command}"
+                csv = ({out_dir / f"{stem}.{label}.csv": table for label, table in tables.items()}
+                       if args.format == "csv" else {})
+                # only a solve table grows with the tree, enough to pay for a fork
+                _write_reports(out_dir / f"{stem}.json", report, csv,
+                               overlap=args.spare_cpu and args.command == "solve")
+        # an OSError or UnicodeEncodeError may also come from a report that
+        # cannot be written, such as a file name the file system cannot encode
+        except (ScenarioError, OSError, UnicodeEncodeError, LadderBudgetError, EnumerationBudgetError) as exc:
+            return {"command": args.command, "scenario": scenario.name,
+                    "error": str(exc), "passed": False}, 2
+        except (EnumerationBoundError, RootSolveError, ValueError) as exc:
+            return {"command": args.command, "scenario": scenario.name,
+                    "error": str(exc), "passed": False}, 1
+        return report, 0 if report["passed"] else 1
+    finally:
+        if reader is not None:
+            reader.close()
 
 
 def _flag(convert: Callable[[str], Any], ok: Callable[[Any], bool], what: str) -> Callable[[str], Any]:
@@ -515,6 +730,7 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.format == "csv" and args.out is None:
         parser.error("--format csv requires --out")
+    args.spare_cpu = False  # no forked helper unless run() finds a CPU for it
     return args
 
 
@@ -531,49 +747,28 @@ def _outcome(args: argparse.Namespace, i: int) -> Outcome:
     return i, rc, report
 
 
-def _fork_worker(args: argparse.Namespace, indices: range) -> tuple[int, int]:
-    """Fork a process that runs the scenarios at ``indices`` and sends their
-    outcomes down a pipe as one JSON list when it ends; returns its pid and
-    the pipe's read end.  The worker stops early when its parent is gone,
-    and ends with ``os._exit`` whatever happens."""
+def _scenario_task(args: argparse.Namespace, indices: list[int]) -> Callable[[BinaryIO], None]:
+    """The task of a scenario worker: run the scenarios at ``indices`` and
+    send their outcomes as one JSON list when it ends, also when one of
+    them raised.  The worker stops early when its parent is gone."""
     parent = os.getpid()
-    read_end, write_end = os.pipe()
-    sys.stdout.flush()  # else the worker inherits, and may repeat, buffered output
-    sys.stderr.flush()
-    with warnings.catch_warnings():
-        # from Python 3.12 a fork warns while another thread runs; the other
-        # thread here is OpenBLAS's, which it shuts down across a fork
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    os.close(read_end)
-    sent: list[Outcome] = []
-    code = 1
-    try:
-        for i in indices:
-            if os.getppid() != parent:
-                break
-            sent.append(_outcome(args, i))
-        code = 0
-    except BaseException:
-        sys.excepthook(*sys.exc_info())
-    finally:
+
+    def task(pipe: BinaryIO) -> None:
+        sent: list[Outcome] = []
         try:
-            with open(write_end, "w", encoding="ascii") as pipe:
-                pipe.write(json.dumps(sent))
-            sys.stderr.flush()
+            for i in indices:
+                if os.getppid() != parent:
+                    break
+                sent.append(_outcome(args, i))
         finally:
-            os._exit(code)
+            pipe.write(json.dumps(sent).encode("ascii"))
+    return task
 
 
-def _collect(args: argparse.Namespace, indices: range, pid: int, read_end: int) -> list[Outcome]:
-    """The outcomes the worker ``pid`` sent for the scenarios at ``indices``;
-    those it did not report are named on stderr."""
-    with open(read_end, "rb") as pipe:
-        data = pipe.read()
-    os.waitpid(pid, 0)
+def _outcomes(args: argparse.Namespace, indices: list[int], worker: tuple[int, int]) -> list[Outcome]:
+    """The outcomes ``worker`` sent for the scenarios at ``indices``; those
+    it did not report are named on stderr."""
+    data, _ = _collect(*worker)
     try:
         sent = [(i, rc, report) for i, rc, report in json.loads(data)]
     except ValueError:  # the worker died while it wrote
@@ -585,38 +780,61 @@ def _collect(args: argparse.Namespace, indices: range, pid: int, read_end: int) 
     return sent
 
 
-def _rerun_shared_names(args: argparse.Namespace, outcomes: list[Outcome], workers: int) -> None:
+def _slices(paths: list[str], workers: int) -> list[list[int]]:
+    """The indices of the scenarios each of ``workers`` processes runs, in
+    command-line order.  Largest input file first, each scenario goes to
+    the process with the fewest bytes so far, then the fewest scenarios;
+    a file that cannot be read counts as empty."""
+    if workers == 1:
+        return [list(range(len(paths)))]
+    sizes = []
+    for path in paths:
+        try:
+            sizes.append(os.stat(path).st_size)
+        except OSError:
+            sizes.append(0)
+    loads = [0] * workers
+    slices: list[list[int]] = [[] for _ in range(workers)]
+    for i in sorted(range(len(paths)), key=lambda i: -sizes[i]):
+        w = min(range(workers), key=lambda w: (loads[w], len(slices[w])))
+        loads[w] += sizes[i]
+        slices[w].append(i)
+    return [sorted(indices) for indices in slices]
+
+
+def _rerun_shared_names(args: argparse.Namespace, outcomes: list[Outcome], slices: list[list[int]]) -> None:
     """Make each report file the one a serial run leaves.  A name declared
     by scenarios in several processes holds whichever report was written
     last in time; its scenarios after the first run again here, in order,
     so each file's last writer is the last on the command line to write it."""
+    process = {i: w for w, indices in enumerate(slices) for i in indices}
     by_name: dict[str, list[int]] = {}
     for i, _, report in outcomes:
         by_name.setdefault(report["scenario"], []).append(i)
     for same in by_name.values():
-        if len({i % workers for i in same}) > 1:
+        if len({process[i] for i in same}) > 1:
             for i in same[1:]:
                 _run_one(args.scenarios[i], args)
 
 
 def _execute(args: argparse.Namespace, workers: int) -> int:
     """Run every scenario of ``args`` over ``workers`` processes: this
-    one and ``workers - 1`` forked ones, each taking every ``workers``-th
-    scenario.  Reports, status lines and the exit code are those of a
-    serial run, which is the one-worker case."""
+    one and ``workers - 1`` forked ones, each taking a slice of
+    :func:`_slices`.  Reports, status lines and the exit code are those of
+    a serial run, which is the one-worker case."""
     n = len(args.scenarios)
-    slices = [range(w, n, workers) for w in range(workers)]
-    forked = [(indices, *_fork_worker(args, indices)) for indices in slices[1:]]
+    slices = _slices(args.scenarios, workers)
+    forked = [(indices, _fork_worker(_scenario_task(args, indices))) for indices in slices[1:]]
     outcomes: Iterable[Outcome] = (_outcome(args, i) for i in slices[0])
     code = 0
     if forked:
         try:
             own = list(outcomes)
         finally:  # every worker is reaped, also when this process's slice raised
-            sent = [o for worker in forked for o in _collect(args, *worker)]
+            sent = [o for indices, worker in forked for o in _outcomes(args, indices, worker)]
         outcomes = sorted(own + sent, key=lambda o: o[0])
         code = int(len(outcomes) < n)  # a scenario no worker reported fails the call
-        _rerun_shared_names(args, outcomes, workers)
+        _rerun_shared_names(args, outcomes, slices)
     for _, rc, report in outcomes:
         code = max(code, rc)
         if args.out is None or rc == 2:
@@ -627,12 +845,14 @@ def _execute(args: argparse.Namespace, workers: int) -> int:
     return code
 
 
-def _usable_cpus(args: argparse.Namespace) -> int:
-    """Processes a call spreads its scenarios over: one per CPU it may use,
-    up to one per scenario, when its reports go to files; else one."""
-    if args.out is None or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), len(args.scenarios))
+def _processes(args: argparse.Namespace) -> tuple[int, bool]:
+    """The processes a call spreads its scenarios over, and whether a CPU
+    is left for a helper.  A call whose reports go to files takes one
+    process per CPU it may use (its affinity mask, as taskset sets it), up
+    to one per scenario; any other takes one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = 1 if args.out is None else min(cpus, len(args.scenarios))
+    return workers, cpus > workers
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -644,11 +864,14 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """The ``rbsde-lab`` script and ``python -m rbsde_lab.cli``: the command
     line, its scenarios spread over the usable CPUs when its reports go to
-    files; then the process ends as soon as its output is flushed, with no
+    files, and with a CPU to spare, one scenario's CSV tables written or its
+    solution file read by a forked helper (:func:`_write_reports`,
+    :class:`_SolutionReader`); then the process ends as soon as its output is flushed, with no
     interpreter teardown.  A flush that fails falls back to ``sys.exit``, so
     a closed pipe ends the process as a normal exit does."""
     args = _parse(None)
-    code = _execute(args, _usable_cpus(args))
+    workers, args.spare_cpu = _processes(args)
+    code = _execute(args, workers)
     try:
         sys.stdout.flush()
         sys.stderr.flush()

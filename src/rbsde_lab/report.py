@@ -26,7 +26,11 @@ __all__ = [
     "canonical_json",
     "write_json",
     "write_json_atomic",
+    "write_csv",
     "write_csv_atomic",
+    "write_temp",
+    "commit_temp",
+    "discard_temp",
     "solution_to_dict",
     "solution_from_dict",
     "solution_rows",
@@ -143,31 +147,57 @@ def write_json(fh: TextIO, obj: Any) -> None:
     fh.write("\n")
 
 
-def _atomic_write(path: Path, write: Callable[[TextIO], None]) -> None:
-    """Run ``write`` on a temporary file beside ``path``, then rename it into place."""
+def write_temp(path: Path, write: Callable[[TextIO], None]) -> str:
+    """Run ``write`` on a new temporary file beside ``path`` and return the
+    file's name, for :func:`commit_temp`; a ``write`` that raises removes it."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             write(fh)
-        os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        discard_temp(tmp)
         raise
+    return tmp
+
+
+def commit_temp(tmp: str, path: Path) -> None:
+    """Rename the temporary file ``tmp`` into place at ``path``.  A rename
+    that fails removes ``tmp`` and raises an error naming ``path`` alone,
+    so that its text does not hold ``tmp``'s random name."""
+    try:
+        os.replace(tmp, path)
+    except OSError as exc:
+        discard_temp(tmp)
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+
+
+def discard_temp(tmp: str) -> None:
+    """Remove the temporary file ``tmp`` if it is still there."""
+    try:
+        os.unlink(tmp)
+    except OSError:
+        pass
+
+
+def _atomic_write(path: Path, write: Callable[[TextIO], None]) -> None:
+    """Run ``write`` on a temporary file beside ``path``, then rename it into place."""
+    commit_temp(write_temp(path, write), path)
 
 
 def write_json_atomic(path: str | Path, obj: Any) -> None:
     _atomic_write(Path(path), lambda fh: write_json(fh, obj))
 
 
-def write_csv_atomic(path: str | Path, header: Sequence[str], rows: Iterable[str]) -> None:
+def write_csv(fh: TextIO, header: Sequence[str], rows: Iterable[str]) -> None:
     """Write ``header`` as the first line, then ``rows``: rendered CSV lines,
     each chunk one or more whole lines ending in a newline, written as they
     come."""
-    _atomic_write(Path(path), lambda fh: fh.writelines(chain((",".join(header) + "\n",), rows)))
+    fh.writelines(chain((",".join(header) + "\n",), rows))
+
+
+def write_csv_atomic(path: str | Path, header: Sequence[str], rows: Iterable[str]) -> None:
+    _atomic_write(Path(path), lambda fh: write_csv(fh, header, rows))
 
 
 def solution_to_dict(solution: RBSDESolution) -> dict[str, Any]:

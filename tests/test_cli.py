@@ -239,11 +239,18 @@ def test_a_report_that_cannot_be_written_exits_2_and_later_scenarios_still_run(t
             (out / f"{name}.solve.solution.csv").mkdir(parents=True)
     paths = [_write(tmp_path, dict(TRIVIAL, name=name), f"{name}.json") for name in ("a", "b")]
     rc = main(["solve", *paths, "--out", str(out), "--format", "csv"])
-    reports = _reports(capsys.readouterr().out)
+    stdout = capsys.readouterr().out
+    reports = _reports(stdout)
     assert rc == 2 and [r["scenario"] for r in reports] == ["a", "b"]
     assert all(not r["passed"] and str(out) in r["error"] for r in reports)
     assert out.is_file() if blocked == "report" else sorted(p.name for p in out.iterdir()) == [
         "a.solve.json", "a.solve.solution.csv", "b.solve.json", "b.solve.solution.csv"]
+    if blocked == "table":
+        # the error names the table alone, not the temporary file beside it
+        assert reports[0]["error"] == f"[Errno 21] Is a directory: '{out / 'a.solve.solution.csv'}'"
+    # so the same call prints the same bytes again
+    assert main(["solve", *paths, "--out", str(out), "--format", "csv"]) == 2
+    assert capsys.readouterr().out == stdout
 
 
 def test_reports_are_ascii_whatever_the_locale(tmp_path):
@@ -400,9 +407,10 @@ def test_a_call_on_several_workers_matches_a_serial_run(tmp_path, capsys, worker
 
 
 def test_a_name_declared_twice_keeps_the_later_report_on_disk(tmp_path, capsys):
-    # on two workers, scenarios 0 and 2 run in this process and 1 in the
-    # forked one; 0 is the slowest, so its report is the last one written.
-    # The serial run leaves 1's report: 2 fails before it writes
+    # on two workers, scenario 0, the largest file, runs in this process,
+    # and 1 and 2 in the forked one; 0 is the slowest, so its report is the
+    # last one written.  The serial run leaves 1's report: 2 fails before
+    # it writes
     data = [random_scenario(1, n_steps=12, driver_kind="linear").data,
             random_scenario(2, n_steps=1, driver_kind="linear").data, ILL_POSED]
     paths = [_write(tmp_path, dict(d, name="dup"), f"{i}.json") for i, d in enumerate(data)]
@@ -412,6 +420,23 @@ def test_a_name_declared_twice_keeps_the_later_report_on_disk(tmp_path, capsys):
     assert fanned == serial
     assert serial[:2] == (1, "ok dup (solve)\nok dup (solve)\nFAIL dup (solve)\n")
     assert json.loads(serial[2]["dup.solve.json"])["solution"]["steps"] == 1
+
+
+def test_scenarios_go_to_processes_largest_input_first(tmp_path):
+    from rbsde_lab import cli
+
+    paths = []
+    for i, size in enumerate([10, 50, 20, 30, 40]):
+        paths.append(str(tmp_path / f"{i}.json"))
+        Path(paths[-1]).write_bytes(b" " * size)
+    # 50 and 40 open the two processes, 30 joins 40, 20 joins 50, and 10
+    # goes to the first of two processes of 70 bytes and two scenarios
+    assert cli._slices(paths, 2) == [[0, 1, 2], [3, 4]]
+    # files of one size, or that cannot be read, are dealt out in turn
+    missing = [str(tmp_path / f"absent-{i}") for i in range(5)]
+    assert cli._slices(missing, 2) == [[0, 2, 4], [1, 3]]
+    assert cli._slices(missing, 3) == [[0, 3], [1, 4], [2]]
+    assert cli._slices(missing, 1) == [[0, 1, 2, 3, 4]]
 
 
 def _worker_script(body: str, workers: int) -> str:
@@ -463,6 +488,131 @@ def test_a_worker_stops_before_its_next_scenario_once_its_parent_is_gone(tmp_pat
                           env=_child_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 3 and done.stdout == ""
     assert started.exists() and ran.read_text() == paths[1] + "\n"
+
+
+def _tree(out: Path) -> dict[str, bytes | None]:
+    """The files under ``out``, a directory's entry None."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in out.iterdir()} if out.exists() else {}
+
+
+def _one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def _ways(capsys, argv, prepare):
+    """(exit code, stdout, files under --out) of the call as a process on
+    every CPU it may use, as a process pinned to one CPU, through ``main``,
+    and in this process with its forked helpers on whatever the CPU count;
+    ``prepare`` resets --out before each."""
+    from rbsde_lab import cli
+
+    out = Path(argv[argv.index("--out") + 1])
+    runs = []
+    for pin in (None, _one_cpu):
+        prepare()
+        done = subprocess.run([sys.executable, "-m", "rbsde_lab.cli", *argv], env=_child_env(),
+                              capture_output=True, text=True, timeout=120, preexec_fn=pin)
+        assert done.stderr == "", done.stderr[-2000:]
+        runs.append((done.returncode, done.stdout, _tree(out)))
+    prepare()
+    runs.append((main(argv), capsys.readouterr().out, _tree(out)))
+    prepare()
+    args = cli._parse(argv)
+    args.spare_cpu = True
+    runs.append((cli._execute(args, 1), capsys.readouterr().out, _tree(out)))
+    return runs
+
+
+def _round_trip_case(tmp_path, capsys, case):
+    """The argv of a depth-10 solve --format csv or verify --solution call
+    of ``case``, the function that resets its --out, and the solution path."""
+    scn = _write(tmp_path, random_scenario(8, n_steps=10, driver_kind="linear", name="deep").data, "deep.json")
+    assert main(["solve", scn, "--out", str(tmp_path / "solved")]) == 0
+    capsys.readouterr()
+    solved = tmp_path / "solved" / "deep.solve.json"
+    out, sol = tmp_path / "out", tmp_path / "solution.json"
+    text = solved.read_text()
+    if case == "not JSON":
+        sol.write_text(text[:-100])
+    elif case == "another grid":
+        report = json.loads(text)
+        report["solution"]["dt"] *= 2
+        sol.write_text(json.dumps(report))
+    elif case == "overflow":
+        report = json.loads(text)
+        report["solution"]["y"]["at"][0][0] = "EDITED"
+        sol.write_text(json.dumps(report).replace('"EDITED"', "1e400"))
+    elif case in ("verified", "scenario unloadable"):
+        sol = solved
+    if case == "scenario unloadable":
+        scn = _write(tmp_path, {"version": "v1"}, "bad.json")
+
+    def prepare():
+        shutil.rmtree(out, ignore_errors=True)
+        if case == "table blocked":
+            (out / "deep.solve.solution.csv").mkdir(parents=True)
+
+    if case in ("solved", "table blocked"):
+        return ["solve", scn, "--out", str(out), "--format", "csv"], prepare, sol
+    return ["verify", scn, "--solution", str(sol), "--out", str(out)], prepare, sol
+
+
+@pytest.mark.parametrize("case", ["solved", "verified", "not JSON", "another grid", "missing", "overflow",
+                                  "table blocked", "scenario unloadable"])
+def test_a_round_trip_call_with_a_spare_cpu_matches_a_serial_run(tmp_path, capsys, case):
+    # with a CPU to spare, solve --format csv writes its table in a forked
+    # writer and verify --solution reads its solution in a forked reader;
+    # every file, status line, error and exit code is the serial run's
+    argv, prepare, sol = _round_trip_case(tmp_path, capsys, case)
+    runs = _ways(capsys, argv, prepare)
+    assert runs[1:] == runs[:-1]
+    code, stdout, files = runs[0]
+    if case in ("solved", "verified"):
+        assert code == 0 and stdout == f"ok deep ({argv[0]})\n"
+        assert sorted(files) == (["deep.solve.json", "deep.solve.solution.csv"] if case == "solved"
+                                 else ["deep.verify.json"])
+        return
+    error = json.loads(stdout)["error"]
+    assert code == 2
+    if case == "table blocked":
+        # the report is written, the table is not
+        assert sorted(files) == ["deep.solve.json", "deep.solve.solution.csv"]
+        assert files["deep.solve.solution.csv"] is None
+        assert error == f"[Errno 21] Is a directory: '{tmp_path / 'out' / 'deep.solve.solution.csv'}'"
+        return
+    assert files == {}
+    assert error.startswith({"not JSON": f"{sol} is not valid JSON: ",
+                             "another grid": f"{sol}: solution grid (steps 10, dt ",
+                             "missing": f"[Errno 2] No such file or directory: '{sol}'",
+                             "overflow": f"{sol}: /solution/y/at/0/0: 1e400 is not a finite number",
+                             "scenario unloadable": "/: 'steps' is a required property"}[case]), error
+
+
+@pytest.mark.parametrize("failure", ["no fork", "helper dies"])
+@pytest.mark.parametrize("case", ["solved", "verified"])
+def test_a_helper_that_fails_leaves_the_work_to_the_call(tmp_path, capsys, monkeypatch, case, failure):
+    from rbsde_lab import cli
+
+    argv, prepare, _ = _round_trip_case(tmp_path, capsys, case)
+    prepare()
+    assert main(argv) == 0
+    serial = capsys.readouterr().out, _tree(tmp_path / "out")
+    if failure == "no fork":
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(cli.os, "fork", fork)
+    else:
+        def dies(*_args):
+            return lambda pipe: os.kill(os.getpid(), 9)
+        monkeypatch.setattr(cli, "_table_task", dies)
+        monkeypatch.setattr(cli, "_solution_task", dies)
+    prepare()
+    args = cli._parse(argv)
+    args.spare_cpu = True
+    assert cli._execute(args, 1) == 0
+    # the same files, so no temporary file is left
+    assert (capsys.readouterr().out, _tree(tmp_path / "out")) == serial
+
 
 def test_invalid_scenario_reports_pointer(tmp_path, capsys):
     data = dict(TRIVIAL)
