@@ -16,12 +16,13 @@ import argparse
 import json
 import math
 import os
+import pickle
 import sys
 import warnings
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
@@ -244,10 +245,11 @@ def _solution_document(path: str) -> Any:
     return data
 
 
-def _load_solution(path: str, tree: TwoPhaseTree, reader: _SolutionReader | None = None):
-    """Read a dumped solution, or take the document ``reader`` read; a
-    solution on another grid than ``tree`` is refused before it is built."""
-    data = reader.document() if reader is not None else None
+def _load_solution(path: str, tree: TwoPhaseTree, reader: Callable[[], Any] | None = None):
+    """Read a dumped solution, or take the document a forked ``reader`` of
+    :func:`_solution_arrays` read; a solution on another grid than ``tree``
+    is refused before it is built."""
+    data = reader() if reader is not None else None
     if data is None:
         data = _solution_document(path)
     try:
@@ -283,7 +285,7 @@ def _witness_dict(tree: TwoPhaseTree, barriers: Barriers) -> dict[str, Any]:
 
 
 def _cmd_verify(scn: Scenario, args: argparse.Namespace,
-                reader: _SolutionReader | None = None) -> tuple[dict[str, Any], CsvTables]:
+                reader: Callable[[], Any] | None = None) -> tuple[dict[str, Any], CsvTables]:
     t = _tols(scn, args)
     tree, barriers, driver = scn.tree, scn.barriers, scn.driver
     # on shallow trees the game oracle solves the equation, and every check reads its solution
@@ -433,12 +435,17 @@ _HANDLERS: dict[str, Callable[[Scenario, argparse.Namespace], tuple[dict[str, An
 # forked helpers: a call's scenario workers, and the table writer and
 # solution reader that overlap one scenario's file I/O with its other work
 
-def _fork_worker(task: Callable[[BinaryIO], None]) -> tuple[int, int]:
-    """Fork a process that runs ``task`` on the write end of a pipe, then
-    ends with ``os._exit``: 0 once ``task`` returns, 1 after printing what
-    it raised.  Returns its pid and the pipe's read end, for
-    :func:`_collect`; a pipe or fork that fails raises ``OSError``."""
-    read_end, write_end = os.pipe()
+def _fork(task: Callable[[], Any]) -> Callable[..., Any] | None:
+    """Run ``task`` in a forked process, which pickles what it returns down
+    a pipe, or prints what it raised, and ends with ``os._exit``.  Returns
+    None when no pipe or fork could be had, else a function that reaps the
+    process, first killing it when called with ``kill=True``, and returns
+    what ``task`` returned: None when that did not arrive whole, or on a
+    later call.  Only this process unpickles what its child wrote."""
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
     try:
         sys.stdout.flush()  # else the child inherits, and may repeat, buffered output
         sys.stderr.flush()
@@ -447,65 +454,61 @@ def _fork_worker(task: Callable[[BinaryIO], None]) -> tuple[int, int]:
             # thread here is OpenBLAS's, which it shuts down across a fork
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
-    except BaseException:
+    except OSError:
         os.close(read_end)
         os.close(write_end)
-        raise
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    os.close(read_end)
-    code = 1
-    try:
-        with open(write_end, "wb") as pipe:
-            task(pipe)
-        code = 0
-    except BaseException:
-        sys.excepthook(*sys.exc_info())
-    finally:
-        try:
-            sys.stderr.flush()
-        finally:
-            os._exit(code)
-
-
-def _collect(pid: int, read_end: int) -> tuple[bytearray, bool]:
-    """Everything the child ``pid`` sent down its pipe, and whether it
-    ended with exit code 0, once it is reaped."""
-    data = bytearray()
-    with open(read_end, "rb", buffering=0) as pipe:
-        while chunk := pipe.read(1 << 20):
-            data += chunk
-    _, status = os.waitpid(pid, 0)
-    return data, status == 0
-
-
-def _table_task(tables: TableFiles) -> Callable[[BinaryIO], None]:
-    """The task of a table writer: render each table into a temporary file
-    beside its path, and send the files' names as one JSON list.  When a
-    table cannot be written it removes the files it made and sends
-    nothing, and the tables are written again where the serial run writes
-    them, raising that run's error."""
-    def task(pipe: BinaryIO) -> None:
-        temps: list[str] = []
-        try:
-            for path, (header, rows) in tables.items():
-                temps.append(write_temp(path, lambda fh: write_csv(fh, header, rows)))
-        except Exception:
-            for tmp in temps:
-                discard_temp(tmp)
-            return
-        pipe.write(json.dumps(temps).encode("ascii"))
-    return task
-
-
-def _filled(writer: tuple[int, int] | None) -> list[str] | None:
-    """The temporary files a table writer filled, in table order; None
-    without a writer, or when it sent none."""
-    if writer is None:
         return None
-    data, ok = _collect(*writer)
-    return json.loads(data) if ok and data else None
+    if not pid:
+        os.close(read_end)
+        code = 1
+        try:
+            with open(write_end, "wb") as pipe:
+                # protocol 5 writes an array's buffer as it is, with no copy
+                pickle.dump(task(), pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        except BaseException:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            try:
+                sys.stderr.flush()
+            finally:
+                os._exit(code)
+    os.close(write_end)
+
+    def result(kill: bool = False) -> Any:
+        nonlocal pid
+        child, pid, value = pid, 0, None
+        if not child:
+            return None
+        with open(read_end, "rb") as pipe:
+            if kill:
+                from signal import SIGKILL
+
+                os.kill(child, SIGKILL)
+            else:
+                try:
+                    value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # the process died while it wrote
+                    pass
+        return value if os.waitpid(child, 0)[1] == 0 else None
+    return result
+
+
+def _table_temps(tables: TableFiles) -> list[str] | None:
+    """The task of a table writer: render each table into a temporary file
+    beside its path and return the files' names.  When a table cannot be
+    written it removes the files it made and returns None, and the tables
+    are written again where the serial run writes them, raising that
+    run's error."""
+    temps: list[str] = []
+    try:
+        for path, (header, rows) in tables.items():
+            temps.append(write_temp(path, partial(write_csv, header=header, rows=rows)))
+    except Exception:
+        for tmp in temps:
+            discard_temp(tmp)
+        return None
+    return temps
 
 
 def _write_reports(path: Path, report: dict[str, Any], tables: TableFiles, overlap: bool) -> None:
@@ -513,20 +516,15 @@ def _write_reports(path: Path, report: dict[str, Any], tables: TableFiles, overl
     files and raising the error of a serial run.  With ``overlap`` a forked
     writer renders the tables while this process writes the report; each
     is renamed into place once the report is, or removed if it is not."""
-    writer = None
-    if overlap and tables:
-        try:
-            writer = _fork_worker(_table_task(tables))
-        except OSError:  # no fork: the tables are written here
-            pass
+    writer = _fork(partial(_table_temps, tables)) if overlap and tables else None
     try:
         write_json_atomic(path, report)
     except BaseException:
-        for tmp in _filled(writer) or ():
+        for tmp in (writer and writer()) or ():
             discard_temp(tmp)
         raise
-    temps = _filled(writer)
-    if temps is None:
+    temps = writer and writer()
+    if temps is None:  # no writer, or it wrote nothing: the tables are written here
         for table, (header, rows) in tables.items():
             write_csv_atomic(table, header, rows)
         return
@@ -539,78 +537,19 @@ def _write_reports(path: Path, report: dict[str, Any], tables: TableFiles, overl
             raise
 
 
-# the rows of a solution document, in the order a solution reader sends them
-_SOLUTION_ROWS = (("y", "at"), ("y", "after"), ("z",), ("r_plus", "phase"), ("r_plus", "step"),
-                  ("r_minus", "phase"), ("r_minus", "step"))
-
-
-def _solution_task(path: str) -> Callable[[BinaryIO], None]:
-    """The task of a solution reader: read and unwrap the solution file,
-    then send its ``steps``, its ``dt`` and the rows of ``_SOLUTION_ROWS``
-    as float64 arrays.  It sends 8 bytes giving the length of a JSON header
-    of ``steps``, ``dt`` and the rows' shapes, the header, padded to a
-    multiple of 8 bytes, and then the rows' bytes in order.  When any part
-    does not read it sends nothing, and the file is read again where a
-    serial run reads it, raising that run's error."""
-    def task(pipe: BinaryIO) -> None:
-        try:
-            data = _solution_document(path)
-            blocks = []
-            for keys in _SOLUTION_ROWS:
-                rows = data
-                for key in keys:
-                    rows = rows[key]
-                if not isinstance(rows, list):
-                    raise TypeError(f"{keys} is not a list")
-                blocks.append([np.asarray(row, dtype=float) for row in rows])
-            head = json.dumps({"steps": data["steps"], "dt": data["dt"],
-                               "shapes": [[row.shape for row in rows] for rows in blocks]}).encode("ascii")
-        except Exception:
-            return
-        head += b" " * (-len(head) % 8)  # the rows start 8-byte aligned
-        pipe.write(len(head).to_bytes(8, "little") + head)
-        for rows in blocks:
-            for row in rows:
-                pipe.write(row.tobytes())
-    return task
-
-
-class _SolutionReader:
-    """A forked process that reads the solution file at ``path`` while this
-    one loads the scenario and runs its checks (see :func:`_solution_task`)."""
-
-    def __init__(self, path: str) -> None:
-        self.child: tuple[int, int] | None = _fork_worker(_solution_task(path))
-
-    def document(self) -> dict[str, Any] | None:
-        """The document the reader sent, its rows float64 arrays over the
-        received bytes; None when it sent none."""
-        data, ok = _collect(*self.child)
-        self.child = None
-        if not (ok and data):
-            return None
-        end = 8 + int.from_bytes(data[:8], "little")
-        head = json.loads(data[8:end])
-        doc: dict[str, Any] = {"steps": head["steps"], "dt": head["dt"]}
-        for keys, shapes in zip(_SOLUTION_ROWS, head["shapes"]):
-            rows = []
-            for shape in shapes:
-                rows.append(np.ndarray(shape, dtype=float, buffer=data, offset=end))
-                end += rows[-1].nbytes
-            block = doc
-            for key in keys[:-1]:
-                block = block.setdefault(key, {})
-            block[keys[-1]] = rows
-        return doc
-
-    def close(self) -> None:
-        """End and reap the reader if its document was never taken."""
-        if self.child is not None:
-            from signal import SIGKILL
-
-            os.kill(self.child[0], SIGKILL)
-            _collect(*self.child)
-            self.child = None
+def _solution_arrays(path: str) -> Any:
+    """The task of a solution reader: :func:`_solution_document` of
+    ``path`` with its row lists made float64 arrays.  When any part does
+    not read it returns None, and the file is read again where a serial
+    run reads it, raising that run's error."""
+    try:
+        data = _solution_document(path)
+        for block, key in ((data["y"], "at"), (data["y"], "after"), (data, "z"), (data["r_plus"], "phase"),
+                           (data["r_plus"], "step"), (data["r_minus"], "phase"), (data["r_minus"], "step")):
+            block[key] = [np.asarray(row, dtype=float) for row in block[key]]
+    except Exception:
+        return None
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -618,12 +557,9 @@ class _SolutionReader:
 
 def _run_one(path: str, args: argparse.Namespace) -> tuple[dict[str, Any], int]:
     name = Path(path).stem
-    reader = None
+    reader = None  # without a fork, the solution is read where it is checked
     if args.spare_cpu and args.command == "verify" and args.solution is not None:
-        try:
-            reader = _SolutionReader(args.solution)
-        except OSError:  # no fork: the solution is read where it is checked
-            pass
+        reader = _fork(partial(_solution_arrays, args.solution))
     handler = _HANDLERS[args.command] if reader is None else partial(_cmd_verify, reader=reader)
     try:
         try:
@@ -651,8 +587,8 @@ def _run_one(path: str, args: argparse.Namespace) -> tuple[dict[str, Any], int]:
                     "error": str(exc), "passed": False}, 1
         return report, 0 if report["passed"] else 1
     finally:
-        if reader is not None:
-            reader.close()
+        if reader is not None:  # end and reap a reader whose document was never taken
+            reader(kill=True)
 
 
 def _flag(convert: Callable[[str], Any], ok: Callable[[Any], bool], what: str) -> Callable[[str], Any]:
@@ -747,37 +683,31 @@ def _outcome(args: argparse.Namespace, i: int) -> Outcome:
     return i, rc, report
 
 
-def _scenario_task(args: argparse.Namespace, indices: list[int]) -> Callable[[BinaryIO], None]:
-    """The task of a scenario worker: run the scenarios at ``indices`` and
-    send their outcomes as one JSON list when it ends, also when one of
-    them raised.  The worker stops early when its parent is gone."""
-    parent = os.getpid()
-
-    def task(pipe: BinaryIO) -> None:
-        sent: list[Outcome] = []
-        try:
-            for i in indices:
-                if os.getppid() != parent:
-                    break
-                sent.append(_outcome(args, i))
-        finally:
-            pipe.write(json.dumps(sent).encode("ascii"))
-    return task
-
-
-def _outcomes(args: argparse.Namespace, indices: list[int], worker: tuple[int, int]) -> list[Outcome]:
-    """The outcomes ``worker`` sent for the scenarios at ``indices``; those
-    it did not report are named on stderr."""
-    data, _ = _collect(*worker)
+def _scenario_outcomes(args: argparse.Namespace, indices: list[int], parent: int) -> list[Outcome]:
+    """The task of a scenario worker: the outcomes of the scenarios at
+    ``indices``, or of those it finished when one of them raised, whose
+    error it prints.  The worker stops early once the process ``parent``
+    that forked it is gone."""
+    done: list[Outcome] = []
     try:
-        sent = [(i, rc, report) for i, rc, report in json.loads(data)]
-    except ValueError:  # the worker died while it wrote
-        sent = []
-    missing = sorted(set(indices) - {i for i, _, _ in sent})
+        for i in indices:
+            if os.getppid() != parent:
+                break
+            done.append(_outcome(args, i))
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+    return done
+
+
+def _outcomes(args: argparse.Namespace, indices: list[int], worker: Callable[[], Any]) -> list[Outcome]:
+    """The outcomes ``worker`` returned for the scenarios at ``indices``;
+    those it did not report are named on stderr."""
+    done = worker() or []
+    missing = sorted(set(indices) - {i for i, _, _ in done})
     if missing:
         print("rbsde-lab: a worker ended without reporting "
               + ", ".join(args.scenarios[i] for i in missing), file=sys.stderr)
-    return sent
+    return done
 
 
 def _slices(paths: list[str], workers: int) -> list[list[int]]:
@@ -822,19 +752,25 @@ def _execute(args: argparse.Namespace, workers: int) -> int:
     one and ``workers - 1`` forked ones, each taking a slice of
     :func:`_slices`.  Reports, status lines and the exit code are those of
     a serial run, which is the one-worker case."""
-    n = len(args.scenarios)
+    n, parent = len(args.scenarios), os.getpid()
     slices = _slices(args.scenarios, workers)
-    forked = [(indices, _fork_worker(_scenario_task(args, indices))) for indices in slices[1:]]
-    outcomes: Iterable[Outcome] = (_outcome(args, i) for i in slices[0])
+    own, forked = slices[0], []
+    for indices in slices[1:]:
+        worker = _fork(partial(_scenario_outcomes, args, indices, parent))
+        if worker is None:  # no fork: this process runs the slice too
+            own = sorted(own + indices)
+        else:
+            forked.append((indices, worker))
+    outcomes: Iterable[Outcome] = (_outcome(args, i) for i in own)
     code = 0
     if forked:
         try:
-            own = list(outcomes)
+            mine = list(outcomes)
         finally:  # every worker is reaped, also when this process's slice raised
             sent = [o for indices, worker in forked for o in _outcomes(args, indices, worker)]
-        outcomes = sorted(own + sent, key=lambda o: o[0])
+        outcomes = sorted(mine + sent, key=lambda o: o[0])
         code = int(len(outcomes) < n)  # a scenario no worker reported fails the call
-        _rerun_shared_names(args, outcomes, slices)
+        _rerun_shared_names(args, outcomes, [own] + [indices for indices, _ in forked])
     for _, rc, report in outcomes:
         code = max(code, rc)
         if args.out is None or rc == 2:
@@ -865,10 +801,12 @@ def run() -> None:
     """The ``rbsde-lab`` script and ``python -m rbsde_lab.cli``: the command
     line, its scenarios spread over the usable CPUs when its reports go to
     files, and with a CPU to spare, one scenario's CSV tables written or its
-    solution file read by a forked helper (:func:`_write_reports`,
-    :class:`_SolutionReader`); then the process ends as soon as its output is flushed, with no
-    interpreter teardown.  A flush that fails falls back to ``sys.exit``, so
-    a closed pipe ends the process as a normal exit does."""
+    solution file read by a forked helper (:func:`_table_temps`,
+    :func:`_solution_arrays`).  A worker or helper that cannot be forked
+    leaves its work to this process.  The process ends as soon as its
+    output is flushed, with no interpreter teardown.  A flush that fails
+    falls back to ``sys.exit``, so a closed pipe ends the process as a
+    normal exit does."""
     args = _parse(None)
     workers, args.spare_cpu = _processes(args)
     code = _execute(args, workers)

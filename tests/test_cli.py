@@ -12,6 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rbsde_lab
@@ -422,6 +423,39 @@ def test_a_name_declared_twice_keeps_the_later_report_on_disk(tmp_path, capsys):
     assert json.loads(serial[2]["dup.solve.json"])["solution"]["steps"] == 1
 
 
+def test_a_worker_that_cannot_be_forked_leaves_its_scenarios_to_the_call(tmp_path, capsys, monkeypatch):
+    # on three processes the largest file runs here, the next largest in a
+    # forked worker, and the unloadable file and the three smallest in a
+    # second worker whose fork fails, so this process runs them too.  The
+    # depth-6 draw declares the name of the depth-5 one, which the first
+    # worker runs
+    from rbsde_lab import cli
+
+    paths = [_write(tmp_path, random_scenario(seed, n_steps=depth, driver_kind="linear").data, f"{seed}.json")
+             for seed, depth in ((1, 5), (3, 3), (4, 2), (5, 1))]
+    paths[1:1] = [_write(tmp_path, {"version": "v1"}, "bad.json"),
+                  _write(tmp_path, dict(random_scenario(2, n_steps=6, driver_kind="linear").data, name="random-1"),
+                         "2.json")]
+    assert cli._slices(paths, 3) == [[2], [0], [1, 3, 4, 5]]
+    fork, pids = os.fork, []
+
+    def fork_once():
+        if pids:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        pids.append(fork())
+        return pids[-1]
+
+    monkeypatch.setattr(cli.os, "fork", fork_once)
+    out = tmp_path / "out"
+    fanned, serial = _fanned_and_serial(capsys, ["solve", *paths, "--out", str(out), "--format", "csv"], 3,
+                                        lambda: shutil.rmtree(out, ignore_errors=True))
+    assert fanned == serial
+    assert serial[0] == 2 and serial[1].count('"error": ') == 1 and len(pids) == 1
+    assert json.loads(serial[2]["random-1.solve.json"])["solution"]["steps"] == 6
+    with pytest.raises(ChildProcessError):  # the worker was reaped
+        os.waitpid(pids[0], os.WNOHANG)
+
+
 def test_scenarios_go_to_processes_largest_input_first(tmp_path):
     from rbsde_lab import cli
 
@@ -588,6 +622,30 @@ def test_a_round_trip_call_with_a_spare_cpu_matches_a_serial_run(tmp_path, capsy
                              "scenario unloadable": "/: 'steps' is a required property"}[case]), error
 
 
+@pytest.mark.parametrize("case", ["verified", "bare", "not JSON", "missing", "overflow"])
+def test_the_solution_reader_reads_the_document_a_serial_call_reads(tmp_path, capsys, case):
+    # run in this process: the reader's document builds the solution the
+    # serial read builds, slot for slot; a file that does not read gives None
+    from rbsde_lab import cli
+    from rbsde_lab.report import solution_from_dict
+
+    _, _, sol = _round_trip_case(tmp_path, capsys, "verified" if case == "bare" else case)
+    if case == "bare":
+        sol.with_name("bare.json").write_text(json.dumps(json.loads(sol.read_text())["solution"]))
+        sol = sol.with_name("bare.json")
+    doc = cli._solution_arrays(str(sol))
+    if case not in ("verified", "bare"):
+        assert doc is None
+        return
+    read, serial = (solution_from_dict(d) for d in (doc, cli._solution_document(str(sol))))
+    assert read.y.tree.n_steps == serial.y.tree.n_steps == 10 and read.y.tree.dt == serial.y.tree.dt
+    pairs = list(zip(read.y.slots + read.z + read.r_plus.slots + read.r_minus.slots,
+                     serial.y.slots + serial.z + serial.r_plus.slots + serial.r_minus.slots, strict=True))
+    assert len(pairs) == 21 + 10 + 20 + 20
+    for a, b in pairs:
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("failure", ["no fork", "helper dies"])
 @pytest.mark.parametrize("case", ["solved", "verified"])
 def test_a_helper_that_fails_leaves_the_work_to_the_call(tmp_path, capsys, monkeypatch, case, failure):
@@ -603,9 +661,9 @@ def test_a_helper_that_fails_leaves_the_work_to_the_call(tmp_path, capsys, monke
         monkeypatch.setattr(cli.os, "fork", fork)
     else:
         def dies(*_args):
-            return lambda pipe: os.kill(os.getpid(), 9)
-        monkeypatch.setattr(cli, "_table_task", dies)
-        monkeypatch.setattr(cli, "_solution_task", dies)
+            os.kill(os.getpid(), 9)
+        monkeypatch.setattr(cli, "_table_temps", dies)
+        monkeypatch.setattr(cli, "_solution_arrays", dies)
     prepare()
     args = cli._parse(argv)
     args.spare_cpu = True

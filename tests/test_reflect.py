@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,62 @@ def test_minimality_flags_handmade_violation():
     assert not rep.passed
     # dR+ = 0.4 while Y - L = 0.3 on the interval slot
     assert any(abs(v["value"] - 0.12) < 1e-12 for v in rep.violations)
+
+
+def _with_slot(sol, side, q, node, value):
+    """``sol`` with the ``side`` measure's slot ``q`` set to ``value`` at ``node``."""
+    slots = [a.copy() for a in getattr(sol, side).slots]
+    slots[q][node] = value
+    return replace(sol, **{side: TransitionIncrements.from_slots(sol.y.tree, slots)})
+
+
+# each product's measure, the parity of the slots it reads (phase
+# increments pair with AT values, step increments with AFTER values) and
+# the gap it multiplies
+_PRODUCTS = {
+    "step_lower": ("r_plus", 1, lambda y, low, up: y - low),
+    "step_upper": ("r_minus", 1, lambda y, low, up: up - y),
+    "phase_lower": ("r_plus", 0, lambda y, low, up: y - low),
+    "phase_upper": ("r_minus", 0, lambda y, low, up: up - y),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PRODUCTS))
+def test_a_product_broken_alone_fails_minimality_naming_its_kind(kind):
+    # the measure grows at the first slot where its gap is positive and the
+    # other measure is 0, so the overlap and sign tests still hold
+    sc = random_scenario(3, n_steps=6)
+    sol = solve_rbsde(sc.tree, sc.barriers, sc.driver)
+    assert check_minimality(sol, sc.barriers).passed
+    side, parity, gap = _PRODUCTS[kind]
+    other = sol.r_plus if side == "r_minus" else sol.r_minus
+    low, up = sc.barriers.lower.slots, sc.barriers.upper.slots
+    q, node = next((q, int(j)) for q in range(parity, 2 * sc.tree.n_steps, 2)
+                   for j in np.flatnonzero((gap(sol.y.slots[q], low[q], up[q]) > 0.0) & (other.slots[q] == 0.0)))
+    rep = check_minimality(_with_slot(sol, side, q, node, getattr(sol, side).slots[q][node] + 1e-3), sc.barriers)
+    assert not rep.passed and rep.max_product > 1e-10
+    assert rep.max_overlap == 0.0 and rep.nonnegative
+    assert {v["kind"] for v in rep.violations} == {kind}
+
+
+@pytest.mark.parametrize("condition", ["overlap", "sign"])
+def test_an_increment_where_the_barriers_touch_fails_minimality_on_its_own_field(condition):
+    # where L = Y = U both gaps are 0, so no product sees an edit there.
+    # The solver pushes down with dR- alone at such a slot; a positive dR+
+    # breaks the overlap test only, a negative one the sign test only
+    sc = random_scenario(3, touching=True)
+    sol = solve_rbsde(sc.tree, sc.barriers, sc.driver)
+    assert check_minimality(sol, sc.barriers).passed
+    low, up = sc.barriers.lower.slots, sc.barriers.upper.slots
+    q, node = next((q, int(j)) for q in range(2 * sc.tree.n_steps) for j in np.flatnonzero(low[q] == up[q]))
+    assert sol.y.slots[q][node] == low[q][node] and sol.r_plus.slots[q][node] == 0.0 < sol.r_minus.slots[q][node]
+    rep = check_minimality(_with_slot(sol, "r_plus", q, node, 1e-3 if condition == "overlap" else -1e-3),
+                           sc.barriers)
+    assert not rep.passed and rep.max_product <= 1e-10 and rep.violations == []
+    if condition == "overlap":
+        assert rep.max_overlap == 1e-3 and rep.nonnegative
+    else:
+        assert rep.max_overlap == 0.0 and not rep.nonnegative
 
 
 def test_unreflected_solution_passes_inside_wide_barriers():
