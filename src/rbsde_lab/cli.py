@@ -24,8 +24,6 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-import numpy as np
-
 from .expectation import (
     EnumerationBoundError,
     EnumerationBudgetError,
@@ -37,6 +35,7 @@ from .lattice import OptionalProcess, Phase, StoppingTime, TwoPhaseTree, semicon
 from .reflect import (
     Barriers,
     LadderBudgetError,
+    RBSDESolution,
     SeparationFailure,
     check_minimality,
     continuity_analogue,
@@ -60,7 +59,8 @@ from .report import (
     write_json_atomic,
     write_temp,
 )
-from .scenario import DEFAULT_TOLERANCES, Scenario, ScenarioError, _read_json, load_scenario
+from .scenario import (DEFAULT_TOLERANCES, SOLUTION_SCHEMA, Scenario, ScenarioError, _is_number, _read_json,
+                       _validate, load_scenario)
 
 # the game oracle is imported by the commands that solve a game, so that
 # solve, approx and deep verify calls never load it
@@ -107,8 +107,6 @@ def _cmd_solve(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any],
     mini = check_minimality(sol, scn.barriers, tol_comp=t["tol_comp"])
     dyn = verify_dynamics(sol, scn.barriers, scn.driver, tol=_DYNAMICS_SLACK * t["tol_root"])
     report = {
-        "command": "solve",
-        "scenario": scn.name,
         "y0": float(sol.y.at[0][0]),
         "solution": solution_to_dict(sol),
         "minimality": asdict(mini),
@@ -146,8 +144,6 @@ def _cmd_game(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], 
         # internal gap is asserted here
         passed = abs(values.gap) <= t["tol_game"]
     report = {
-        "command": "game",
-        "scenario": scn.name,
         "mode": args.mode,
         "theta": {"step": args.theta_step, "node": args.theta_node},
         "upper": values.upper,
@@ -212,8 +208,6 @@ def _cmd_saddle(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     contacts_ok = all(c <= contact_tol for c in rep.contacts.values())
     passed = rep.passed(t["tol_game"]) and contacts_ok and eps_ok
     report = {
-        "command": "saddle",
-        "scenario": scn.name,
         "theta": {"step": args.theta_step, "node": args.theta_node},
         "y_theta": rep.y_theta,
         "tau_star": _system_dict(rep.tau_star),
@@ -231,38 +225,29 @@ def _cmd_saddle(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     return report, {}
 
 
-def _solution_document(path: str) -> Any:
-    """The document of a dumped solution, unwrapped from a full solve report
-    if handed one."""
+def _read_solution(path: str, tree: TwoPhaseTree | None = None) -> RBSDESolution:
+    """The solution dumped at ``path``, alone or as a solve report's
+    ``solution``, checked against :data:`SOLUTION_SCHEMA`.  A solution whose
+    grid is not ``tree``'s is refused before its rows are read."""
     try:
         data = _read_json(Path(path))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
+    base = ""
     if isinstance(data, dict) and "steps" not in data and isinstance(data.get("solution"), dict):
-        data = data["solution"]
-    return data
-
-
-def _load_solution(path: str, tree: TwoPhaseTree, reader: Callable[[], Any] | None = None):
-    """Read a dumped solution, or take the document a forked ``reader`` of
-    :func:`_solution_arrays` read; a solution on another grid than ``tree``
-    is refused before it is built."""
-    data = reader() if reader is not None else None
-    if data is None:
-        data = _solution_document(path)
+        data, base = data["solution"], "/solution"
+    if tree is not None and isinstance(data, dict) and all(_is_number(data.get(k)) for k in ("steps", "dt")):
+        steps, dt = data["steps"], float(data["dt"])
+        if (steps, dt) != (tree.n_steps, tree.dt):
+            raise ScenarioError(f"{path}: solution grid (steps {steps}, dt {dt!r}) does not match "
+                                f"the scenario's (steps {tree.n_steps}, dt {tree.dt!r})")
     try:
-        grid = (int(data["steps"]), float(data["dt"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path} is not a solution document: {exc}") from exc
-    if grid != (tree.n_steps, tree.dt):
-        raise ScenarioError(f"{path}: solution grid (steps {grid[0]}, dt {grid[1]!r}) does not match "
-                            f"the scenario's (steps {tree.n_steps}, dt {tree.dt!r})")
-    try:
+        _validate(data, SOLUTION_SCHEMA, base)
         return solution_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"{path} is not a solution document: {exc}") from exc
+    except ValueError as exc:  # the schema's refusal, or a row count or length the grid fixes
+        raise ScenarioError(f"{path} is not a solution document: {exc}") from None
 
 
 def _witness_dict(tree: TwoPhaseTree, barriers: Barriers) -> dict[str, Any]:
@@ -329,20 +314,7 @@ def _cmd_verify(scn: Scenario, args: argparse.Namespace,
     else:
         oracle["note"] = "tree too deep for exhaustive enumeration at this bound"
 
-    round_trip: dict[str, Any] | None = None
-    rt_ok = True
-    if args.solution is not None:
-        reloaded = _load_solution(args.solution, tree, reader)
-        r_mini = check_minimality(reloaded, barriers, tol_comp=t["tol_comp"])
-        r_dyn = verify_dynamics(reloaded, barriers, driver, tol=_DYNAMICS_SLACK * t["tol_root"])
-        drift = reloaded.y.sup_abs_diff(sol.y)
-        rt_ok = r_mini.passed and r_dyn.passed and drift == 0.0
-        round_trip = {"minimality": asdict(r_mini), "dynamics": asdict(r_dyn),
-                      "value_drift": drift, "passed": rt_ok}
-
     report = {
-        "command": "verify",
-        "scenario": scn.name,
         "y0": float(sol.y.at[0][0]),
         # the check blocks are the checks' reports, field for field
         "minimality": asdict(mini),
@@ -352,10 +324,21 @@ def _cmd_verify(scn: Scenario, args: argparse.Namespace,
         "witness": witness,
         "game_oracle": oracle,
         "passed": (mini.passed and dyn.passed and cont.passed and snell_ok
-                   and witness["consistent"] and oracle_ok and rt_ok),
+                   and witness["consistent"] and oracle_ok),
     }
-    if round_trip is not None:
-        report["round_trip"] = round_trip
+    if args.solution is not None:
+        # a forked reader's solution is taken when it unpickled onto this
+        # scenario's tree, the one tree of its grid; else the file is read here
+        reloaded = reader() if reader is not None else None
+        if reloaded is None or reloaded.y.tree is not tree:
+            reloaded = _read_solution(args.solution, tree)
+        r_mini = check_minimality(reloaded, barriers, tol_comp=t["tol_comp"])
+        r_dyn = verify_dynamics(reloaded, barriers, driver, tol=_DYNAMICS_SLACK * t["tol_root"])
+        drift = reloaded.y.sup_abs_diff(sol.y)
+        rt_ok = r_mini.passed and r_dyn.passed and drift == 0.0
+        report["round_trip"] = {"minimality": asdict(r_mini), "dynamics": asdict(r_dyn),
+                                "value_drift": drift, "passed": rt_ok}
+        report["passed"] = report["passed"] and rt_ok
     return report, {}
 
 
@@ -365,8 +348,6 @@ def _cmd_approx(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
                             n_max=args.n_max, m_max=args.m_max, cut_step=args.cut_step,
                             tol_conv=t["tol_conv"], tol_root=t["tol_root"])
     report = {
-        "command": "approx",
-        "scenario": scn.name,
         "n_max": rep.n_max,
         "m_max": rep.m_max,
         "cut_step": rep.cut_step,
@@ -391,33 +372,26 @@ def _cmd_oracle(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     chk = game_equals_rbsde(scn.tree, scn.barriers, scn.driver,
                             include_plain=include_plain,
                             enum_bound=t["enum_bound"], tol_game=t["tol_game"], tol_root=t["tol_root"])
-    passed = chk.passed_extended
-    plain: dict[str, Any] | None = None
-    if include_plain:
-        low_flags = semicontinuity(scn.barriers.lower)
-        up_flags = semicontinuity(scn.barriers.upper)
-        applicable = low_flags.right_usc and up_flags.right_lsc
-        plain = {"internal_gap": chk.max_plain_internal_gap,
-                 "gap_to_y": chk.max_plain_to_y_gap,
-                 "lower_right_usc": low_flags.right_usc,
-                 "upper_right_lsc": up_flags.right_lsc,
-                 "gap_to_y_asserted": applicable}
-        passed = passed and (chk.max_plain_internal_gap or 0.0) <= t["tol_game"]
-        if applicable:
-            passed = passed and (chk.max_plain_to_y_gap or 0.0) <= t["tol_game"]
     report = {
-        "command": "oracle",
-        "scenario": scn.name,
         "mode": args.mode,
         "identity_applicable": chk.identity_applicable,
         "max_extended_gap": chk.max_extended_gap,
         "thetas": [{"step": c.step, "node": c.node, "y": c.y,
                     "upper": c.extended_upper, "lower": c.extended_lower}
                    for c in chk.checks],
-        "passed": passed,
+        "passed": chk.passed_extended,
     }
-    if plain is not None:
-        report["plain"] = plain
+    if include_plain:
+        low_flags = semicontinuity(scn.barriers.lower)
+        up_flags = semicontinuity(scn.barriers.upper)
+        applicable = low_flags.right_usc and up_flags.right_lsc
+        report["plain"] = {"internal_gap": chk.max_plain_internal_gap,
+                           "gap_to_y": chk.max_plain_to_y_gap,
+                           "lower_right_usc": low_flags.right_usc,
+                           "upper_right_lsc": up_flags.right_lsc,
+                           "gap_to_y_asserted": applicable}
+        report["passed"] = (report["passed"] and (chk.max_plain_internal_gap or 0.0) <= t["tol_game"]
+                            and (not applicable or (chk.max_plain_to_y_gap or 0.0) <= t["tol_game"]))
     return report, {}
 
 
@@ -537,58 +511,54 @@ def _write_reports(path: Path, report: dict[str, Any], tables: TableFiles, overl
             raise
 
 
-def _solution_arrays(path: str) -> Any:
-    """The task of a solution reader: :func:`_solution_document` of
-    ``path`` with its row lists made float64 arrays.  When any part does
-    not read it returns None, and the file is read again where a serial
-    run reads it, raising that run's error."""
+def _solution_or_none(path: str) -> RBSDESolution | None:
+    """The task of a solution reader: :func:`_read_solution` of ``path``.
+    When that raises it returns None, and the file is read again where a
+    serial run reads it, raising that run's error."""
     try:
-        data = _solution_document(path)
-        for block, key in ((data["y"], "at"), (data["y"], "after"), (data, "z"), (data["r_plus"], "phase"),
-                           (data["r_plus"], "step"), (data["r_minus"], "phase"), (data["r_minus"], "step")):
-            block[key] = [np.asarray(row, dtype=float) for row in block[key]]
+        return _read_solution(path)
     except Exception:
         return None
-    return data
 
 
 # ---------------------------------------------------------------------------
 # orchestration
 
+# errors that refuse an input, a flag's value or a budget (exit 2); an
+# OSError or UnicodeEncodeError may also come from a report that cannot be
+# written, such as a file name the file system cannot encode
+_REFUSED = (ScenarioError, OSError, UnicodeEncodeError, LadderBudgetError, EnumerationBudgetError)
+# errors of a guarded computation that refused to run (exit 1)
+_FAILED = (EnumerationBoundError, RootSolveError, ValueError)
+
+
 def _run_one(path: str, args: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    name = Path(path).stem
+    """One scenario's report, headed by its command and scenario name, and
+    its exit code."""
+    envelope = {"command": args.command, "scenario": Path(path).stem}
     reader = None  # without a fork, the solution is read where it is checked
     if args.spare_cpu and args.command == "verify" and args.solution is not None:
-        reader = _fork(partial(_solution_arrays, args.solution))
+        reader = _fork(partial(_solution_or_none, args.solution))
     handler = _HANDLERS[args.command] if reader is None else partial(_cmd_verify, reader=reader)
     try:
-        try:
-            scenario = load_scenario(path)
-        except (ScenarioError, OSError) as exc:
-            return {"command": args.command, "scenario": name,
-                    "error": str(exc), "passed": False}, 2
-        try:
-            report, tables = handler(scenario, args)
-            if args.out is not None:
-                out_dir = Path(args.out)
-                stem = f"{scenario.name}.{args.command}"
-                csv = ({out_dir / f"{stem}.{label}.csv": table for label, table in tables.items()}
-                       if args.format == "csv" else {})
-                # only a solve table grows with the tree, enough to pay for a fork
-                _write_reports(out_dir / f"{stem}.json", report, csv,
-                               overlap=args.spare_cpu and args.command == "solve")
-        # an OSError or UnicodeEncodeError may also come from a report that
-        # cannot be written, such as a file name the file system cannot encode
-        except (ScenarioError, OSError, UnicodeEncodeError, LadderBudgetError, EnumerationBudgetError) as exc:
-            return {"command": args.command, "scenario": scenario.name,
-                    "error": str(exc), "passed": False}, 2
-        except (EnumerationBoundError, RootSolveError, ValueError) as exc:
-            return {"command": args.command, "scenario": scenario.name,
-                    "error": str(exc), "passed": False}, 1
-        return report, 0 if report["passed"] else 1
+        scenario = load_scenario(path)
+        envelope["scenario"] = scenario.name
+        report, tables = handler(scenario, args)
+        report.update(envelope)
+        if args.out is not None:
+            out_dir = Path(args.out)
+            stem = f"{scenario.name}.{args.command}"
+            csv = ({out_dir / f"{stem}.{label}.csv": table for label, table in tables.items()}
+                   if args.format == "csv" else {})
+            # only a solve table grows with the tree, enough to pay for a fork
+            _write_reports(out_dir / f"{stem}.json", report, csv,
+                           overlap=args.spare_cpu and args.command == "solve")
+    except _REFUSED + _FAILED as exc:
+        return {**envelope, "error": str(exc), "passed": False}, 2 if isinstance(exc, _REFUSED) else 1
     finally:
-        if reader is not None:  # end and reap a reader whose document was never taken
+        if reader is not None:  # end and reap a reader whose solution was never taken
             reader(kill=True)
+    return report, 0 if report["passed"] else 1
 
 
 def _flag(convert: Callable[[str], Any], ok: Callable[[Any], bool], what: str) -> Callable[[str], Any]:
@@ -802,7 +772,7 @@ def run() -> None:
     line, its scenarios spread over the usable CPUs when its reports go to
     files, and with a CPU to spare, one scenario's CSV tables written or its
     solution file read by a forked helper (:func:`_table_temps`,
-    :func:`_solution_arrays`).  A worker or helper that cannot be forked
+    :func:`_solution_or_none`).  A worker or helper that cannot be forked
     leaves its work to this process.  The process ends as soon as its
     output is flushed, with no interpreter teardown.  A flush that fails
     falls back to ``sys.exit``, so a closed pipe ends the process as a

@@ -134,6 +134,10 @@ class TwoPhaseTree:
             sub = self._subtrees[step] = build_tree(self.n_steps - step, self.dt)
         return sub
 
+    def __reduce__(self) -> tuple[Callable[[int, float], "TwoPhaseTree"], tuple[int, float]]:
+        # a tree pickles as its grid: the process that unpickles it shares its own tree of that grid
+        return build_tree, (self.n_steps, self.dt)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TwoPhaseTree(n_steps={self.n_steps}, dt={self.dt})"
 

@@ -43,6 +43,7 @@ __all__ = [
     "ScenarioError",
     "DEFAULT_TOLERANCES",
     "SCENARIO_SCHEMA",
+    "SOLUTION_SCHEMA",
     "load_scenario",
     "scenario_from_dict",
     "random_scenario",
@@ -57,6 +58,8 @@ DEFAULT_TOLERANCES: dict[str, float | int] = {
 }
 
 _NUM = {"type": "number"}
+# a table: rows of node values
+_ROWS = {"type": "array", "items": {"type": "array", "items": _NUM}}
 
 SCENARIO_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -81,6 +84,23 @@ SCENARIO_SCHEMA: dict[str, Any] = {
     },
 }
 
+_INCREMENTS = {"type": "object", "required": ["phase", "step"], "properties": {"phase": _ROWS, "step": _ROWS}}
+
+# a dumped solution (report.solution_to_dict) on a scenario's grid; the row
+# counts and lengths that the grid fixes are checked as it is built
+SOLUTION_SCHEMA: dict[str, Any] = {
+    "type": "object",
+    "required": ["steps", "dt", "y", "z", "r_plus", "r_minus"],
+    "properties": {
+        "steps": SCENARIO_SCHEMA["properties"]["steps"],
+        "dt": SCENARIO_SCHEMA["properties"]["dt"],
+        "y": {"type": "object", "required": ["at", "after"], "properties": {"at": _ROWS, "after": _ROWS}},
+        "z": _ROWS,
+        "r_plus": _INCREMENTS,
+        "r_minus": _INCREMENTS,
+    },
+}
+
 _BARRIER_SCHEMAS: dict[str, dict[str, Any]] = {
     "constant": {"type": "object", "required": ["kind", "value"],
                  "properties": {"kind": {}, "value": _NUM}, "additionalProperties": False},
@@ -88,9 +108,7 @@ _BARRIER_SCHEMAS: dict[str, dict[str, Any]] = {
                "properties": {"kind": {}, "intercept": _NUM, "slope": _NUM, "time_coef": _NUM},
                "additionalProperties": False},
     "table": {"type": "object", "required": ["kind", "at", "after"],
-              "properties": {"kind": {},
-                             "at": {"type": "array", "items": {"type": "array", "items": _NUM}},
-                             "after": {"type": "array", "items": {"type": "array", "items": _NUM}}},
+              "properties": {"kind": {}, "at": _ROWS, "after": _ROWS},
               "additionalProperties": False},
 }
 
@@ -219,8 +237,8 @@ def _schema_errors(value: Any, schema: dict[str, Any], path: tuple, out: list) -
                 _schema_errors(item, sub, path + (i,), out)
         elif word == "items" and isinstance(value, list):
             start = len(schema.get("prefixItems", ()))
-            # a table row of plain numbers meets _NUM with no call per item
-            if arg is _NUM and set(map(type, value[start:])) <= {float, int}:
+            # a table row of plain numbers meets _NUM with no call per item and no copy
+            if arg is _NUM and not start and set(map(type, value)) <= {float, int}:
                 continue
             for i in range(start, len(value)):
                 _schema_errors(value[i], arg, path + (i,), out)

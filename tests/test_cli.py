@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import rbsde_lab
-from rbsde_lab import random_scenario, scenario_from_dict, solve_rbsde
+from rbsde_lab import load_scenario, random_scenario, scenario_from_dict, solve_rbsde
 from rbsde_lab.cli import main
 from rbsde_lab.report import SOLUTION_ROW_HEADER
 
@@ -624,20 +625,22 @@ def test_a_round_trip_call_with_a_spare_cpu_matches_a_serial_run(tmp_path, capsy
 
 @pytest.mark.parametrize("case", ["verified", "bare", "not JSON", "missing", "overflow"])
 def test_the_solution_reader_reads_the_document_a_serial_call_reads(tmp_path, capsys, case):
-    # run in this process: the reader's document builds the solution the
-    # serial read builds, slot for slot; a file that does not read gives None
+    # run in this process: the reader's solution, sent through a pickle, is
+    # the solution the serial read builds, slot for slot, on the scenario's
+    # own tree; a file that does not read gives None
     from rbsde_lab import cli
-    from rbsde_lab.report import solution_from_dict
 
-    _, _, sol = _round_trip_case(tmp_path, capsys, "verified" if case == "bare" else case)
+    argv, _, sol = _round_trip_case(tmp_path, capsys, "verified" if case == "bare" else case)
     if case == "bare":
         sol.with_name("bare.json").write_text(json.dumps(json.loads(sol.read_text())["solution"]))
         sol = sol.with_name("bare.json")
-    doc = cli._solution_arrays(str(sol))
+    read = cli._solution_or_none(str(sol))
     if case not in ("verified", "bare"):
-        assert doc is None
+        assert read is None
         return
-    read, serial = (solution_from_dict(d) for d in (doc, cli._solution_document(str(sol))))
+    tree = load_scenario(argv[1]).tree
+    read, serial = pickle.loads(pickle.dumps(read, pickle.HIGHEST_PROTOCOL)), cli._read_solution(str(sol), tree)
+    assert read.y.tree is serial.y.tree is tree
     assert read.y.tree.n_steps == serial.y.tree.n_steps == 10 and read.y.tree.dt == serial.y.tree.dt
     pairs = list(zip(read.y.slots + read.z + read.r_plus.slots + read.r_minus.slots,
                      serial.y.slots + serial.z + serial.r_plus.slots + serial.r_minus.slots, strict=True))
@@ -663,7 +666,7 @@ def test_a_helper_that_fails_leaves_the_work_to_the_call(tmp_path, capsys, monke
         def dies(*_args):
             os.kill(os.getpid(), 9)
         monkeypatch.setattr(cli, "_table_temps", dies)
-        monkeypatch.setattr(cli, "_solution_arrays", dies)
+        monkeypatch.setattr(cli, "_solution_or_none", dies)
     prepare()
     args = cli._parse(argv)
     args.spare_cpu = True
@@ -855,6 +858,65 @@ def test_a_solution_with_malformed_z_exits_2_and_later_scenarios_still_run(tmp_p
                                          "does not match the scenario's (steps 2, dt 0.5)")
 
 
+def _edited_solution(solution, case):
+    """The document of a file a solve report of ``solution`` is edited into."""
+    report = {"solution": solution}
+    if case == "null":
+        solution["y"]["at"][1][0] = None
+    elif case == "true":
+        solution["z"][0][0] = True
+    elif case == "string":
+        solution["r_plus"]["step"][1][1] = "0.5"
+    elif case.startswith("steps"):
+        solution["steps"] = {"steps string": "3", "steps fraction": 3.9}[case]
+    else:
+        return [report]
+    return report
+
+
+@pytest.mark.parametrize("case, error", [
+    # a row entry that is no JSON number was once read as a number, or as a
+    # NaN that the round trip reported as a value drift of "nan"
+    ("null", "/solution/y/at/1/0: None is not of type 'number'"),
+    ("true", "/solution/z/0/0: True is not of type 'number'"),
+    ("string", "/solution/r_plus/step/1/1: '0.5' is not of type 'number'"),
+    # steps that are no integer were once cut to one
+    ("steps string", "/solution/steps: '3' is not of type 'integer'"),
+    ("steps fraction", None),
+    ("list", "/: "),
+], ids=["null", "true", "string", "steps-string", "steps-fraction", "list"])
+def test_a_solution_that_is_not_a_solution_document_exits_2_in_every_process_layout(
+        tmp_path, capsys, monkeypatch, case, error):
+    from rbsde_lab import cli
+
+    scn = random_scenario(5, n_steps=3, driver_kind="linear", name="three")
+    path = _write(tmp_path, scn.data)
+    assert main(["solve", path, "--out", str(tmp_path / "solved")]) == 0
+    capsys.readouterr()
+    solution = json.loads((tmp_path / "solved" / "three.solve.json").read_text())["solution"]
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(_edited_solution(solution, case)))
+    argv = ["verify", path, "--solution", str(edited), "--out", str(tmp_path / "out")]
+    runs = [(main(argv), capsys.readouterr().out, _tree(tmp_path / "out"))]
+    for fork in (os.fork, None):
+        if fork is None:  # a helper that cannot be forked leaves the read to the call
+            def fork():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(cli.os, "fork", fork)
+        args = cli._parse(argv)
+        args.spare_cpu = True
+        runs.append((cli._execute(args, 1), capsys.readouterr().out, _tree(tmp_path / "out")))
+    assert runs[1:] == runs[:-1]
+    code, stdout, files = runs[0]
+    refused = json.loads(stdout)
+    assert code == 2 and files == {} and refused["passed"] is False
+    if error is None:  # steps 3.9 is on another grid than the scenario's 3
+        assert refused["error"] == (f"{edited}: solution grid (steps 3.9, dt {scn.data['dt']!r}) "
+                                    f"does not match the scenario's (steps 3, dt {scn.data['dt']!r})")
+    else:
+        assert refused["error"].startswith(f"{edited} is not a solution document: {error}"), refused["error"]
+
+
 def test_saddle_with_epsilon_sweep(tmp_path, capsys):
     path = _write(tmp_path, random_scenario(31, n_steps=2).data)
     rc = main(["saddle", path, "--epsilon", "0.1", "0.05"])
@@ -945,6 +1007,8 @@ GOLDEN_SHA256 = {
     "golden.solve.json": "04bf4f2ac00fb5cc73718241023a2986192591addf4ab390b7aec4d4460132cd",
     "golden.solve.solution.csv": "847d29654ec8d086cd95c861912cd8d4c1fc23d929568bea2174fbbc6676d57e",
     "golden.verify.json": "bc98dffc8a40efd00e280c0a9891218cc2eae0a657530a23826193cfb4818ac8",
+    "golden.approx.json": "f2cd7d095bbc4caf9e9f845f227ef8c7abf6f0275d6e8fbeeb42a3ece8c48aad",
+    "golden.approx.convergence.csv": "2e2c8ec2ea566da9c2aa2d5715b335c14c8c9fc1cd6da6fb11f605843257f085",
 }
 
 
@@ -953,6 +1017,7 @@ def test_golden_report_digests(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["solve", path, "--out", str(out), "--format", "csv"]) == 0
     assert main(["verify", path, "--solution", str(out / "golden.solve.json"), "--out", str(out)]) == 0
+    assert main(["approx", path, "--cut-step", "3", "--out", str(out), "--format", "csv"]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
 

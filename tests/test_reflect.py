@@ -265,6 +265,49 @@ def test_an_increment_where_the_barriers_touch_fails_minimality_on_its_own_field
         assert rep.max_overlap == 0.0 and not rep.nonnegative
 
 
+_DYNAMICS_FIELDS = {"step": "max_step_residual", "phase": "max_phase_residual",
+                    "representation": "max_representation_gap", "breach": "barrier_breach",
+                    "terminal": "terminal_gap"}
+
+
+def _broken_for(condition, sol, barriers):
+    """``sol`` and ``barriers`` with 1e-3 added where only ``condition`` of
+    ``verify_dynamics`` reads it."""
+    tree, low, up = sol.y.tree, barriers.lower.slots, barriers.upper.slots
+    if condition in ("step", "phase"):
+        # a positive dR+ sits where Y = L and dR- = 0, so minimality holds
+        q, node = next((q, int(j)) for q in range(condition == "step", 2 * tree.n_steps, 2)
+                       for j in np.flatnonzero(sol.r_plus.slots[q] > 0.0))
+        return _with_slot(sol, "r_plus", q, node, sol.r_plus.slots[q][node] + 1e-3), barriers
+    if condition == "representation":  # a constant driver does not read z
+        z = [a.copy() for a in sol.z]
+        z[0][0] += 1e-3
+        return replace(sol, z=z), barriers
+    if condition == "breach":
+        # L rises above Y on an interval slot where dR+ = 0, so no product sees it
+        q, node = next((q, int(j)) for q in range(1, 2 * tree.n_steps, 2)
+                       for j in np.flatnonzero((sol.r_plus.slots[q] == 0.0) & (up[q] >= sol.y.slots[q] + 1e-3)))
+        lifted = [a.copy() for a in low]
+        lifted[q][node] = sol.y.slots[q][node] + 1e-3
+        return sol, Barriers(OptionalProcess.from_slots(tree, lifted), barriers.upper, barriers.terminal)
+    terminal = barriers.terminal.copy()
+    leaf = int(np.flatnonzero(terminal + 1e-3 <= up[-1])[0])
+    terminal[leaf] += 1e-3
+    return sol, Barriers(barriers.lower, barriers.upper, terminal)
+
+
+@pytest.mark.parametrize("condition", sorted(_DYNAMICS_FIELDS))
+def test_a_dynamics_condition_broken_alone_fails_on_its_own_field(condition):
+    sc = random_scenario(3, n_steps=6, driver_kind="constant")
+    sol = solve_rbsde(sc.tree, sc.barriers, sc.driver)
+    assert verify_dynamics(sol, sc.barriers, sc.driver, tol=4e-12).passed
+    bad, barriers = _broken_for(condition, sol, sc.barriers)
+    rep = verify_dynamics(bad, barriers, sc.driver, tol=4e-12)
+    assert not rep.passed and getattr(rep, _DYNAMICS_FIELDS[condition]) > 4e-12
+    assert all(getattr(rep, field) <= 4e-12 for name, field in _DYNAMICS_FIELDS.items() if name != condition)
+    assert check_minimality(bad, barriers).passed
+
+
 def test_unreflected_solution_passes_inside_wide_barriers():
     tree = build_tree(2, 0.5)
     rng = np.random.default_rng(4)
