@@ -33,7 +33,6 @@ from .expectation import (
 )
 from .lattice import OptionalProcess, Phase, StoppingTime, TwoPhaseTree, semicontinuity
 from .reflect import (
-    Barriers,
     LadderBudgetError,
     RBSDESolution,
     SeparationFailure,
@@ -104,15 +103,8 @@ TableFiles = dict[Path, tuple[tuple[str, ...], Iterable[str]]]
 def _cmd_solve(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], CsvTables]:
     t = _tols(scn, args)
     sol = solve_rbsde(scn.tree, scn.barriers, scn.driver, tol_root=t["tol_root"])
-    mini = check_minimality(sol, scn.barriers, tol_comp=t["tol_comp"])
-    dyn = verify_dynamics(sol, scn.barriers, scn.driver, tol=_DYNAMICS_SLACK * t["tol_root"])
-    report = {
-        "y0": float(sol.y.at[0][0]),
-        "solution": solution_to_dict(sol),
-        "minimality": asdict(mini),
-        "dynamics": asdict(dyn),
-        "passed": mini.passed and dyn.passed,
-    }
+    report = {**_run_checks(_SOLUTION_CHECKS, scn, t, sol),
+              "y0": float(sol.y.at[0][0]), "solution": solution_to_dict(sol)}
     return report, {"solution": (SOLUTION_ROW_HEADER, solution_rows(sol))}
 
 
@@ -250,10 +242,40 @@ def _read_solution(path: str, tree: TwoPhaseTree | None = None) -> RBSDESolution
         raise ScenarioError(f"{path} is not a solution document: {exc}") from None
 
 
-def _witness_dict(tree: TwoPhaseTree, barriers: Barriers) -> dict[str, Any]:
-    """The witness block of a verify report.  The witness's cut key matrix
-    and midpoint process are freed on return, before a solution file is read."""
-    wit = mokobodzki_witness(tree, barriers)
+# ---------------------------------------------------------------------------
+# the checks of solve and verify: each takes the scenario, its tolerances, the
+# solution and the game oracle's result (None past the enumeration bound), and
+# calls its checker through this module's globals, as a tracer may rebind them
+
+Block = tuple[dict[str, Any], bool]  # a check's report block and its pass flag
+
+
+def _block(rep: Any) -> Block:
+    return asdict(rep), rep.passed
+
+
+def _snell(scn: Scenario, t: dict[str, Any], *_: Any) -> Block:
+    tree, barriers = scn.tree, scn.barriers
+    lhat, uhat = snell_envelopes(tree, barriers)
+    snell_order = max(lhat.max_exceedance(barriers.lower), barriers.upper.max_exceedance(uhat))
+    zero = constant_driver(0.0)
+    snell: dict[str, Any] = {"ordering_violation": max(snell_order, 0.0), "ordering_ok": snell_order <= 0.0}
+    for label, proc in (("neg_lower_envelope", OptionalProcess.combine(lambda v: -v, lhat)),
+                        ("upper_envelope", uhat)):
+        one = classify_ef(proc, zero, mode="onestep", tol=t["tol_root"])
+        entry = {"onestep": one.verdict, "supermartingale": one.is_supermartingale}
+        if tree.n_steps <= min(3, t["enum_bound"]):
+            brute = classify_ef(proc, zero, mode="brute", tol=t["tol_root"], enum_bound=t["enum_bound"])
+            entry["brute"] = brute.verdict
+            entry["supermartingale"] = entry["supermartingale"] and brute.is_supermartingale
+        snell[label] = entry
+    return snell, (snell["ordering_ok"] and snell["neg_lower_envelope"]["supermartingale"]
+                   and snell["upper_envelope"]["supermartingale"])
+
+
+def _witness(scn: Scenario, *_: Any) -> Block:
+    barriers = scn.barriers
+    wit = mokobodzki_witness(scn.tree, barriers)
     if isinstance(wit, SeparationFailure):
         lv = barriers.lower.value(wit.step, wit.phase, wit.node)
         uv = barriers.upper.value(wit.step, wit.phase, wit.node)
@@ -266,79 +288,64 @@ def _witness_dict(tree: TwoPhaseTree, barriers: Barriers) -> dict[str, Any]:
         witness = {"separated": True, "cut_count": len(wit.cut_keys),
                    "sandwich_ok": sandwich, "consistent": sandwich}
     witness["consistent"] = bool(witness["consistent"])
-    return witness
+    return witness, witness["consistent"]
+
+
+def _game_oracle(_scn: Scenario, _t: dict[str, Any], _sol: RBSDESolution, chk: Any) -> Block:
+    if chk is None:
+        return {"checked": False, "note": "tree too deep for exhaustive enumeration at this bound"}, True
+    return ({"checked": True, "max_extended_gap": chk.max_extended_gap,
+             "identity_applicable": chk.identity_applicable, "passed": chk.passed_extended,
+             "thetas": len(chk.checks)}, chk.passed_extended)
+
+
+# name -> check, in the order verify runs them; each name is a report block
+_CHECKS: dict[str, Callable[[Scenario, dict[str, Any], RBSDESolution, Any], Block]] = {
+    "minimality": lambda scn, t, sol, _: _block(check_minimality(sol, scn.barriers, tol_comp=t["tol_comp"])),
+    "dynamics": lambda scn, t, sol, _: _block(
+        verify_dynamics(sol, scn.barriers, scn.driver, tol=_DYNAMICS_SLACK * t["tol_root"])),
+    "continuity": lambda scn, t, sol, _: _block(
+        continuity_analogue(sol, scn.barriers, tol=_DYNAMICS_SLACK * t["tol_root"])),
+    "snell": _snell,
+    "witness": _witness,
+    "game_oracle": _game_oracle,
+}
+# the checks that read only a solution and its scenario, run by solve and verify --solution
+_SOLUTION_CHECKS = ("minimality", "dynamics")
+
+
+def _run_checks(names: Iterable[str], scn: Scenario, t: dict[str, Any], sol: RBSDESolution,
+                chk: Any = None) -> dict[str, Any]:
+    """The blocks of the checks ``names`` on ``sol``, run in order, and ``passed``, their flags' conjunction."""
+    report: dict[str, Any] = {"passed": True}
+    for name in names:
+        report[name], ok = _CHECKS[name](scn, t, sol, chk)
+        report["passed"] = report["passed"] and ok
+    return report
 
 
 def _cmd_verify(scn: Scenario, args: argparse.Namespace,
                 reader: Callable[[], Any] | None = None) -> tuple[dict[str, Any], CsvTables]:
     t = _tols(scn, args)
-    tree, barriers, driver = scn.tree, scn.barriers, scn.driver
     # on shallow trees the game oracle solves the equation, and every check reads its solution
     chk = None
-    if tree.n_steps <= max(4, t["enum_bound"] + 1):
+    if scn.tree.n_steps <= max(4, t["enum_bound"] + 1):
         from .games import game_equals_rbsde
 
-        chk = game_equals_rbsde(tree, barriers, driver, enum_bound=t["enum_bound"],
+        chk = game_equals_rbsde(scn.tree, scn.barriers, scn.driver, enum_bound=t["enum_bound"],
                                 tol_game=t["tol_game"], tol_root=t["tol_root"])
-    sol = chk.solution if chk is not None else solve_rbsde(tree, barriers, driver, tol_root=t["tol_root"])
-    mini = check_minimality(sol, barriers, tol_comp=t["tol_comp"])
-    dyn = verify_dynamics(sol, barriers, driver, tol=_DYNAMICS_SLACK * t["tol_root"])
-    cont = continuity_analogue(sol, barriers, tol=_DYNAMICS_SLACK * t["tol_root"])
-
-    lhat, uhat = snell_envelopes(tree, barriers)
-    snell_order = max(lhat.max_exceedance(barriers.lower), barriers.upper.max_exceedance(uhat))
-    zero = constant_driver(0.0)
-    neg_lhat = OptionalProcess.combine(lambda v: -v, lhat)
-    snell: dict[str, Any] = {"ordering_violation": max(snell_order, 0.0),
-                             "ordering_ok": snell_order <= 0.0}
-    for label, proc in (("neg_lower_envelope", neg_lhat), ("upper_envelope", uhat)):
-        one = classify_ef(proc, zero, mode="onestep", tol=t["tol_root"])
-        entry = {"onestep": one.verdict, "supermartingale": one.is_supermartingale}
-        if tree.n_steps <= min(3, t["enum_bound"]):
-            brute = classify_ef(proc, zero, mode="brute", tol=t["tol_root"], enum_bound=t["enum_bound"])
-            entry["brute"] = brute.verdict
-            entry["supermartingale"] = entry["supermartingale"] and brute.is_supermartingale
-        snell[label] = entry
-    snell_ok = (snell["ordering_ok"] and snell["neg_lower_envelope"]["supermartingale"]
-                and snell["upper_envelope"]["supermartingale"])
-
-    witness = _witness_dict(tree, barriers)
-
-    oracle: dict[str, Any] = {"checked": False}
-    oracle_ok = True
-    if chk is not None:
-        oracle = {"checked": True, "max_extended_gap": chk.max_extended_gap,
-                  "identity_applicable": chk.identity_applicable,
-                  "passed": chk.passed_extended, "thetas": len(chk.checks)}
-        oracle_ok = chk.passed_extended
-    else:
-        oracle["note"] = "tree too deep for exhaustive enumeration at this bound"
-
-    report = {
-        "y0": float(sol.y.at[0][0]),
-        # the check blocks are the checks' reports, field for field
-        "minimality": asdict(mini),
-        "dynamics": asdict(dyn),
-        "continuity": asdict(cont),
-        "snell": snell,
-        "witness": witness,
-        "game_oracle": oracle,
-        "passed": (mini.passed and dyn.passed and cont.passed and snell_ok
-                   and witness["consistent"] and oracle_ok),
-    }
+    sol = chk.solution if chk is not None else solve_rbsde(scn.tree, scn.barriers, scn.driver, tol_root=t["tol_root"])
+    report = {**_run_checks(_CHECKS, scn, t, sol, chk), "y0": float(sol.y.at[0][0])}
     if args.solution is not None:
-        # a forked reader's solution is taken when it unpickled onto this
-        # scenario's tree, the one tree of its grid; else the file is read here
+        # after every other check, once the witness's cut key matrix is freed: a forked reader's solution
+        # is taken when it unpickled onto this scenario's tree, the one tree of its grid, else read here
         reloaded = reader() if reader is not None else None
-        if reloaded is None or reloaded.y.tree is not tree:
-            reloaded = _read_solution(args.solution, tree)
-        r_mini = check_minimality(reloaded, barriers, tol_comp=t["tol_comp"])
-        r_dyn = verify_dynamics(reloaded, barriers, driver, tol=_DYNAMICS_SLACK * t["tol_root"])
-        drift = reloaded.y.sup_abs_diff(sol.y)
-        rt_ok = r_mini.passed and r_dyn.passed and drift == 0.0
-        report["round_trip"] = {"minimality": asdict(r_mini), "dynamics": asdict(r_dyn),
-                                "value_drift": drift, "passed": rt_ok}
-        report["passed"] = report["passed"] and rt_ok
+        if reloaded is None or reloaded.y.tree is not scn.tree:
+            reloaded = _read_solution(args.solution, scn.tree)
+        trip = report["round_trip"] = _run_checks(_SOLUTION_CHECKS, scn, t, reloaded)
+        trip["value_drift"] = reloaded.y.sup_abs_diff(sol.y)
+        trip["passed"] = trip["passed"] and trip["value_drift"] == 0.0
+        report["passed"] = report["passed"] and trip["passed"]
     return report, {}
 
 

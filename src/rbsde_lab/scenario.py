@@ -24,7 +24,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -187,6 +187,52 @@ def _pointer(base: str, path: Any) -> str:
     return base + ("/" + "/".join(parts) if parts else "")
 
 
+# a refusal quotes at most this many characters of the refused value
+_QUOTE_MAX = 80
+
+
+def _capped(pieces: Iterable[str]) -> str:
+    """The text of ``pieces``, or when it is longer than :data:`_QUOTE_MAX`
+    its head and ``...`` in that many characters.  The pieces past the cap
+    are never made, so quoting a big refused table costs its first items."""
+    text = ""
+    for piece in pieces:
+        text += piece
+        if len(text) > _QUOTE_MAX:
+            return text[:_QUOTE_MAX - 3] + "..."
+    return text
+
+
+def _repr_pieces(value: Any) -> Iterator[str]:
+    """``repr(value)`` in pieces for :func:`_capped`: a list or dict item by
+    item, and a string past the cap by its head, quoted as the whole is."""
+    if isinstance(value, list):
+        yield "["
+        for i, item in enumerate(value):
+            yield ", " if i else ""
+            yield from _repr_pieces(item)
+        yield "]"
+    elif isinstance(value, dict):
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield ", " if i else ""
+            yield from _repr_pieces(key)
+            yield ": "
+            yield from _repr_pieces(item)
+        yield "}"
+    elif isinstance(value, str) and len(value) > _QUOTE_MAX:
+        # repr picks its quotes by the whole string; one more character
+        # past the cap makes the head's repr pick the same
+        yield repr(value[:_QUOTE_MAX] + ("'" if "'" in value and '"' not in value else '"'))
+    else:
+        yield repr(value)
+
+
+def _quote(value: Any) -> str:
+    """``repr(value)``, capped as :func:`_capped` caps it."""
+    return _capped(_repr_pieces(value))
+
+
 def _is_number(value: Any) -> bool:
     # bool is an int but not a JSON number; the exact-type test is the fast path
     return type(value) in (float, int) or not isinstance(value, bool) and isinstance(value, numbers.Number)
@@ -215,11 +261,11 @@ def _schema_errors(value: Any, schema: dict[str, Any], path: tuple, out: list) -
     for word, arg in schema.items():
         if word == "type":
             if not _TYPES[arg](value):
-                out.append((path, f"{value!r} is not of type {arg!r}"))
+                out.append((path, f"{_quote(value)} is not of type {arg!r}"))
         elif word == "const" and not (value == arg and isinstance(value, bool) == isinstance(arg, bool)):
             out.append((path, f"{arg!r} was expected"))
         elif word in _BOUNDS and _is_number(value) and _BOUNDS[word][0](value, arg):
-            out.append((path, f"{value!r} is {_BOUNDS[word][1]} {arg!r}"))
+            out.append((path, f"{_quote(value)} is {_BOUNDS[word][1]} {arg!r}"))
         elif word == "required" and isinstance(value, dict):
             out.extend((path, f"{key!r} is a required property") for key in arg if key not in value)
         elif word == "properties" and isinstance(value, dict):
@@ -229,7 +275,8 @@ def _schema_errors(value: Any, schema: dict[str, Any], path: tuple, out: list) -
         elif word == "additionalProperties" and arg is False and isinstance(value, dict):
             extras = sorted((k for k in value if k not in schema.get("properties", {})), key=str)
             if extras:
-                listed = ", ".join(map(repr, extras))
+                listed = _capped(piece for i, key in enumerate(extras)
+                                 for piece in (", " if i else "", *_repr_pieces(key)))
                 out.append((path, f"Additional properties are not allowed "
                                   f"({listed} {'was' if len(extras) == 1 else 'were'} unexpected)"))
         elif word == "prefixItems" and isinstance(value, list):
@@ -243,9 +290,9 @@ def _schema_errors(value: Any, schema: dict[str, Any], path: tuple, out: list) -
             for i in range(start, len(value)):
                 _schema_errors(value[i], arg, path + (i,), out)
         elif word == "minItems" and isinstance(value, list) and len(value) < arg:
-            out.append((path, f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"))
+            out.append((path, f"{_quote(value)} {'should be non-empty' if arg == 1 else 'is too short'}"))
         elif word == "maxItems" and isinstance(value, list) and len(value) > arg:
-            out.append((path, f"{value!r} {'is expected to be empty' if arg == 0 else 'is too long'}"))
+            out.append((path, f"{_quote(value)} {'is expected to be empty' if arg == 0 else 'is too long'}"))
 
 
 def _validate(instance: Any, schema: dict[str, Any], base: str) -> None:
@@ -261,7 +308,7 @@ def _check_kind(spec: dict[str, Any], catalog: dict[str, Any], base: str, what: 
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in catalog:
         names = ", ".join(sorted(catalog))
-        raise ScenarioError(f"{base}/kind: unknown {what} {kind!r}; catalog: {names}")
+        raise ScenarioError(f"{base}/kind: unknown {what} {_quote(kind)}; catalog: {names}")
     _validate(spec, catalog[kind], base)
     return kind
 
@@ -351,7 +398,7 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     name = data.get("name") or "scenario"
     # the name becomes the report's file name under --out
     if name in (".", "..") or any(c in "/\\" or c < " " or "\x7f" <= c <= "\x9f" for c in name):
-        raise ScenarioError(f"/name: {name!r} is not a plain file name (no '/', '\\' or control "
+        raise ScenarioError(f"/name: {_quote(name)} is not a plain file name (no '/', '\\' or control "
                             "characters, and not '.' or '..')")
     tree = build_tree(int(data["steps"]), float(data["dt"]))
     lower = _barrier_process(tree, data["lower"], "/lower")
@@ -467,7 +514,7 @@ def _parse_json(text: str) -> Any:
                       parse_float=_float_or_literal)
     hit = _non_finite_at(data)
     if hit is not None:
-        raise ScenarioError(f"{hit[0]}: {hit[1]} is not a finite number")
+        raise ScenarioError(f"{hit[0]}: {_capped(hit[1])} is not a finite number")
     return data
 
 

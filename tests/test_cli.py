@@ -18,8 +18,9 @@ import pytest
 
 import rbsde_lab
 from rbsde_lab import load_scenario, random_scenario, scenario_from_dict, solve_rbsde
+from rbsde_lab import cli
 from rbsde_lab.cli import main
-from rbsde_lab.report import SOLUTION_ROW_HEADER
+from rbsde_lab.report import SOLUTION_ROW_HEADER, canonical_json
 
 TRIVIAL = {
     "version": "v1",
@@ -217,7 +218,7 @@ def _reports(out):
 
 
 @pytest.mark.parametrize("name", ["../escaped", "sub/dir/x", "a\\b", "nul\x00x", "tab\tx", "del\x7fx",
-                                  "c1\x85x", ".", ".."])
+                                  "c1\x85x", ".", "..", pytest.param("a/" * 50_000, id="long")])
 def test_a_name_that_is_no_plain_file_name_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, name):
     # the name picks the report's file: "../escaped" once wrote outside
     # --out, and "sub/dir/x" made directories under it
@@ -226,7 +227,9 @@ def test_a_name_that_is_no_plain_file_name_exits_2_and_writes_nothing(tmp_path, 
     monkeypatch.chdir(work)
     rc = main(["verify", _write(tmp_path, dict(TRIVIAL, name=name)), "--out", "out"])
     rep = _json_out(capsys)
-    assert rc == 2 and not rep["passed"] and rep["error"].startswith(f"/name: {name!r} is not a plain file name")
+    # a name whose repr is longer than 80 characters is quoted by its first 77 and "..."
+    quoted = repr(name) if len(repr(name)) <= 80 else repr(name)[:77] + "..."
+    assert rc == 2 and not rep["passed"] and rep["error"].startswith(f"/name: {quoted} is not a plain file name")
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["case.json", "work"]
 
 
@@ -705,13 +708,18 @@ def test_misdeclared_driver_exits_2_at_load(tmp_path, capsys):
 
 
 def test_non_finite_number_exits_2_with_pointer(tmp_path, capsys):
-    text = json.dumps(TRIVIAL).replace('"value": 0.0}}', '"value": NaN}}')
-    assert "NaN" in text
-    path = tmp_path / "nan.json"
-    path.write_text(text)
-    rc = main(["verify", str(path)])
-    rep = _json_out(capsys)
-    assert rc == 2 and rep["error"] == "/driver/value: NaN is not a finite number"
+    for edit, error in [
+        (('"value": 0.0}}', '"value": NaN}}'), "/driver/value: NaN is not a finite number"),
+        # a literal past 80 characters is quoted by its first 77 and "..."
+        (('"steps": 2', '"steps": ' + "9" * 100_000), f"/steps: {'9' * 77}... is not a finite number"),
+    ]:
+        text = json.dumps(TRIVIAL).replace(*edit)
+        assert edit[1] in text
+        path = tmp_path / "nan.json"
+        path.write_text(text)
+        rc = main(["verify", str(path)])
+        rep = _json_out(capsys)
+        assert rc == 2 and rep["error"] == error
 
 
 def _main_quietly(argv):
@@ -789,6 +797,53 @@ def test_verify_accepts_full_solve_report_as_solution(tmp_path, capsys):
     rep = _json_out(capsys)
     assert rc == 0 and rep["round_trip"]["passed"]
     assert rep["round_trip"]["value_drift"] == 0.0
+
+
+@pytest.mark.parametrize("name", list(cli._CHECKS))
+def test_each_registered_check_decides_passed_with_its_flag_alone(tmp_path, capsys, monkeypatch, name):
+    # a check made to fail changes its report's passed and nothing else;
+    # solve runs the solution-only checks and verify --solution runs them
+    # again on the solution it reads
+    sc = random_scenario(21, n_steps=2, driver_kind="linear")
+    path = _write(tmp_path, sc.data)
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    argv = ["verify", path, "--solution", str(tmp_path / "out" / f"{sc.name}.solve.json")]
+    assert main(argv) == 0
+    clean = _json_out(capsys)
+    assert set(clean) == {"command", "scenario", "y0", "passed", "round_trip", *cli._CHECKS}
+    check = cli._CHECKS[name]
+
+    def fails(*args):
+        return check(*args)[0], False
+
+    calls = []
+
+    def fails_on_the_second_call(*args):
+        calls.append(args)
+        block, ok = check(*args)
+        return block, ok and len(calls) != 2
+
+    def blocks(report):
+        return {k: canonical_json(v) for k, v in report.items() if k not in ("passed", "round_trip")}
+
+    monkeypatch.setitem(cli._CHECKS, name, fails)
+    assert main(argv) == 1
+    failed = _json_out(capsys)
+    assert failed["passed"] is False and blocks(failed) == blocks(clean)
+    solution_only = name in cli._SOLUTION_CHECKS
+    assert failed["round_trip"]["passed"] is not solution_only
+    assert blocks(failed["round_trip"]) == blocks(clean["round_trip"])
+    assert main(["solve", path]) == int(solution_only)
+    solved = _json_out(capsys)
+    assert set(solved) - {"command", "scenario", "y0", "solution", "passed"} == set(cli._SOLUTION_CHECKS)
+    if solution_only:  # failing on the solution read back alone fails the round trip alone
+        monkeypatch.setitem(cli._CHECKS, name, fails_on_the_second_call)
+        assert main(argv) == 1
+        failed = _json_out(capsys)
+        assert failed["passed"] is False and blocks(failed) == blocks(clean)
+        assert failed["round_trip"]["passed"] is False
+        assert blocks(failed["round_trip"]) == blocks(clean["round_trip"])
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
@@ -883,17 +938,18 @@ def _edited_solution(solution, case):
     # steps that are no integer were once cut to one
     ("steps string", "/solution/steps: '3' is not of type 'integer'"),
     ("steps fraction", None),
+    # a deep solution in a list once came back whole in the error
     ("list", "/: "),
 ], ids=["null", "true", "string", "steps-string", "steps-fraction", "list"])
 def test_a_solution_that_is_not_a_solution_document_exits_2_in_every_process_layout(
         tmp_path, capsys, monkeypatch, case, error):
     from rbsde_lab import cli
 
-    scn = random_scenario(5, n_steps=3, driver_kind="linear", name="three")
+    scn = random_scenario(5, n_steps=12 if case == "list" else 3, driver_kind="linear", name="scn")
     path = _write(tmp_path, scn.data)
     assert main(["solve", path, "--out", str(tmp_path / "solved")]) == 0
     capsys.readouterr()
-    solution = json.loads((tmp_path / "solved" / "three.solve.json").read_text())["solution"]
+    solution = json.loads((tmp_path / "solved" / "scn.solve.json").read_text())["solution"]
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(_edited_solution(solution, case)))
     argv = ["verify", path, "--solution", str(edited), "--out", str(tmp_path / "out")]
@@ -910,6 +966,7 @@ def test_a_solution_that_is_not_a_solution_document_exits_2_in_every_process_lay
     code, stdout, files = runs[0]
     refused = json.loads(stdout)
     assert code == 2 and files == {} and refused["passed"] is False
+    assert len(refused["error"]) <= len(str(edited)) + 200
     if error is None:  # steps 3.9 is on another grid than the scenario's 3
         assert refused["error"] == (f"{edited}: solution grid (steps 3.9, dt {scn.data['dt']!r}) "
                                     f"does not match the scenario's (steps 3, dt {scn.data['dt']!r})")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import warnings
 
 import numpy as np
@@ -79,6 +80,10 @@ def test_unknown_driver_kind_names_the_catalog():
     # a kind that cannot be a catalog key is refused the same way
     with pytest.raises(ScenarioError, match=r"^/lower/kind: unknown barrier kind \[\]; catalog: "):
         scenario_from_dict(_minimal(lower={"kind": []}))
+    # a long kind is quoted by the head of its repr
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(_minimal(driver={"kind": "w" * 100_000}))
+    assert str(info.value) == f"/driver/kind: unknown driver '{'w' * 76}...; catalog: constant, linear, polynomial, truncated"
 
 
 def test_table_row_shape_is_checked():
@@ -135,12 +140,16 @@ def test_non_finite_literals_are_refused_with_pointer(tmp_path, literal):
 
 @pytest.mark.parametrize("literal", ["1e400", "-1e400", "0.5e309",
                                      pytest.param("1" + "0" * 400, id="integer-of-401-digits"),
-                                     pytest.param("9" * 5000, id="integer-of-5000-digits")])
+                                     pytest.param("9" * 5000, id="integer-of-5000-digits"),
+                                     pytest.param("9" * 100_000, id="integer-of-100000-digits")])
 def test_numbers_that_overflow_a_double_are_refused_with_pointer(tmp_path, literal):
     p = tmp_path / "big.json"
     p.write_text(json.dumps(_minimal()).replace('"value": 1.0}', f'"value": {literal}}}'))
-    with pytest.raises(ScenarioError, match=f"^/upper/value: {literal} is not a finite number$"):
+    # a literal past 80 characters is quoted by its first 77 and "..."
+    quoted = literal if len(literal) <= 80 else literal[:77] + "..."
+    with pytest.raises(ScenarioError) as info:
         load_scenario(p)
+    assert str(info.value) == f"/upper/value: {quoted} is not a finite number"
     p.write_text(json.dumps(_minimal()).replace('"value": 1.0}', '"value": 1.7976931348623157e308}'))
     assert load_scenario(p).barriers.upper.at[0][0] == 1.7976931348623157e308
 
@@ -268,10 +277,11 @@ _DRIVER_SPECS = [
      "z_growth": {"gamma": 0.0, "eta": 0.5, "g_bound": 1.0}},
 ]
 # type swaps, boundary and out-of-range values, and containers of the wrong shape
+# and values whose repr a refusal cuts at 80 characters
 _REPLACEMENTS = [True, False, "x", "v1", None, 0, 0.0, -0.0, 1, 1.0, 3, 3.0, 2.5, -1, -1e-9,
                  1e-300, 18, 18.0, 19, 40, 1e300, [], {}, [1, 0], [[1, 0, 1.0]], [1, 0, 1.0, 2],
-                 {"kind": "constant"}, {"kind": "weird"}]
-_EXTRA_KEYS = ["name", "seed", "extra", "time_coef", "const", "z_growth", "tol_fancy", "tol_root"]
+                 {"kind": "constant"}, {"kind": "weird"}, "it's " * 30, [0.5] * 40, {"kind": "x" * 90}]
+_EXTRA_KEYS = ["name", "seed", "extra", "time_coef", "const", "z_growth", "tol_fancy", "tol_root", "k" * 90]
 
 
 def _valid_document(lower, upper, terminal, driver, extras):
@@ -312,14 +322,27 @@ def _mutated_documents(draw):
     return doc
 
 
+def _capped(text):
+    """``text`` as a refusal quotes it: past 80 characters, its first 77 and "..."."""
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def _jsonschema_verdict(instance, schema, base):
+    """jsonschema's first error, with the refused value's repr, or the
+    listed extra keys, capped as the hand validator caps them."""
     from rbsde_lab.scenario import _pointer
 
     errors = sorted(Draft202012Validator(schema).iter_errors(instance),
                     key=lambda e: list(e.absolute_path))
-    if errors:
-        return f"{_pointer(base, errors[0].absolute_path) or '/'}: {errors[0].message}"
-    return None
+    if not errors:
+        return None
+    error = errors[0]
+    extras = re.fullmatch(r"Additional properties are not allowed \((.*) (was|were) unexpected\)", error.message)
+    if extras:
+        message = f"Additional properties are not allowed ({_capped(extras[1])} {extras[2]} unexpected)"
+    else:
+        message = error.message.replace(repr(error.instance), _capped(repr(error.instance)), 1)
+    return f"{_pointer(base, error.absolute_path) or '/'}: {message}"
 
 
 def _hand_verdict(instance, schema, base):
@@ -396,6 +419,11 @@ def test_validator_messages_match_jsonschema_wording():
         (_minimal(driver={"kind": "polynomial", "terms": [[1, 0, 1.0]], "lambda_z": 0, "mu": 0,
                           "z_growth": {"gamma": 0, "eta": 1, "g_bound": 0}}),
          "/driver/z_growth/eta: 1 is greater than or equal to the maximum of 1"),
+        # a long refused value, or a long list of extra keys, is quoted by its first 77 characters and "..."
+        (_minimal(steps=[0.5] * 1000), f"/steps: [{'0.5, ' * 15}0... is not of type 'integer'"),
+        (_minimal(tolerances=dict.fromkeys(map(str, range(1000)), 1)),
+         "/tolerances: Additional properties are not allowed "
+         "('0', '1', '10', '100', '101', '102', '103', '104', '105', '106', '107', '108'... were unexpected)"),
     ]
     for doc, message in cases:
         with pytest.raises(ScenarioError) as info:
