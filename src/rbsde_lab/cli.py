@@ -13,7 +13,6 @@ truncation ladder or strategy enumeration would exceed its element budget.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import pickle
@@ -31,7 +30,7 @@ from .expectation import (
     classify_ef,
     constant_driver,
 )
-from .lattice import OptionalProcess, Phase, StoppingTime, TwoPhaseTree, semicontinuity
+from .lattice import OptionalProcess, Phase, StoppingTime, semicontinuity
 from .reflect import (
     LadderBudgetError,
     RBSDESolution,
@@ -49,7 +48,6 @@ from .report import (
     ascii_text,
     commit_temp,
     discard_temp,
-    solution_from_dict,
     solution_rows,
     solution_to_dict,
     write_csv,
@@ -58,8 +56,7 @@ from .report import (
     write_json_atomic,
     write_temp,
 )
-from .scenario import (DEFAULT_TOLERANCES, SOLUTION_SCHEMA, Scenario, ScenarioError, _is_number, _read_json,
-                       _validate, load_scenario)
+from .scenario import DEFAULT_TOLERANCES, Scenario, ScenarioError, load_scenario, load_solution
 
 # the game oracle is imported by the commands that solve a game, so that
 # solve, approx and deep verify calls never load it
@@ -217,31 +214,6 @@ def _cmd_saddle(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
     return report, {}
 
 
-def _read_solution(path: str, tree: TwoPhaseTree | None = None) -> RBSDESolution:
-    """The solution dumped at ``path``, alone or as a solve report's
-    ``solution``, checked against :data:`SOLUTION_SCHEMA`.  A solution whose
-    grid is not ``tree``'s is refused before its rows are read."""
-    try:
-        data = _read_json(Path(path))
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
-    except ScenarioError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
-    base = ""
-    if isinstance(data, dict) and "steps" not in data and isinstance(data.get("solution"), dict):
-        data, base = data["solution"], "/solution"
-    if tree is not None and isinstance(data, dict) and all(_is_number(data.get(k)) for k in ("steps", "dt")):
-        steps, dt = data["steps"], float(data["dt"])
-        if (steps, dt) != (tree.n_steps, tree.dt):
-            raise ScenarioError(f"{path}: solution grid (steps {steps}, dt {dt!r}) does not match "
-                                f"the scenario's (steps {tree.n_steps}, dt {tree.dt!r})")
-    try:
-        _validate(data, SOLUTION_SCHEMA, base)
-        return solution_from_dict(data)
-    except ValueError as exc:  # the schema's refusal, or a row count or length the grid fixes
-        raise ScenarioError(f"{path} is not a solution document: {exc}") from None
-
-
 # ---------------------------------------------------------------------------
 # the checks of solve and verify: each takes the scenario, its tolerances, the
 # solution and the game oracle's result (None past the enumeration bound), and
@@ -341,7 +313,7 @@ def _cmd_verify(scn: Scenario, args: argparse.Namespace,
         # is taken when it unpickled onto this scenario's tree, the one tree of its grid, else read here
         reloaded = reader() if reader is not None else None
         if reloaded is None or reloaded.y.tree is not scn.tree:
-            reloaded = _read_solution(args.solution, scn.tree)
+            reloaded = load_solution(args.solution, scn.tree)
         trip = report["round_trip"] = _run_checks(_SOLUTION_CHECKS, scn, t, reloaded)
         trip["value_drift"] = reloaded.y.sup_abs_diff(sol.y)
         trip["passed"] = trip["passed"] and trip["value_drift"] == 0.0
@@ -519,11 +491,11 @@ def _write_reports(path: Path, report: dict[str, Any], tables: TableFiles, overl
 
 
 def _solution_or_none(path: str) -> RBSDESolution | None:
-    """The task of a solution reader: :func:`_read_solution` of ``path``.
+    """The task of a solution reader: :func:`load_solution` of ``path``.
     When that raises it returns None, and the file is read again where a
     serial run reads it, raising that run's error."""
     try:
-        return _read_solution(path)
+        return load_solution(path)
     except Exception:
         return None
 

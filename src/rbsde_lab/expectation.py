@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import OptionalProcess, Phase, StoppingTime, TwoPhaseTree, gather_slots, nan_max, stopping_keys
+from .lattice import OptionalProcess, Phase, StoppingTime, TwoPhaseTree, gather_slots, nan_max, node_rows, stopping_keys
 
 __all__ = [
     "Driver",
@@ -519,19 +519,17 @@ class TransitionIncrements:
     ``phase``: ``phase[k]`` acts on AT(k) -> AFTER(k), one entry per step-k
     node.  The odd slots are ``step``: ``step[k]`` acts on AFTER(k) ->
     AT(k+1) and is predictable, one entry per step-k parent, applied to
-    both children.
+    both children.  Rows that do not fit the tree are refused by
+    :func:`node_rows`, with a ``ValueError`` such as ``phase: expected 3
+    rows, got 2`` or ``step/1: expected 2 values, got 1``.
     """
 
     __slots__ = ("tree", "slots")
 
     def __init__(self, tree: TwoPhaseTree, phase: Sequence[np.ndarray], step: Sequence[np.ndarray]) -> None:
-        if len(phase) != tree.n_steps or len(step) != tree.n_steps:
-            raise ValueError("increment slot count does not match the tree depth")
+        phase, step = node_rows(tree, phase=(phase, tree.n_steps), step=(step, tree.n_steps))
         self.tree = tree
-        self.slots = [np.asarray(a, dtype=float) for pair in zip(phase, step) for a in pair]
-        for q, arr in enumerate(self.slots):
-            if arr.shape != (tree.nodes_at(q >> 1),):
-                raise ValueError(f"increment arrays at step {q >> 1} have wrong shape")
+        self.slots = [a for pair in zip(phase, step) for a in pair]
 
     @classmethod
     def from_slots(cls, tree: TwoPhaseTree, slots: Sequence[np.ndarray]) -> "TransitionIncrements":

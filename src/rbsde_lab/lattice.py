@@ -19,7 +19,7 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "StoppingTime",
     "SemicontinuityFlags",
     "build_tree",
+    "node_rows",
     "gather_slots",
     "first_hitting",
     "is_adapted",
@@ -165,6 +166,23 @@ def build_tree(n_steps: int, dt: float) -> TwoPhaseTree:
     return tree
 
 
+def node_rows(tree: TwoPhaseTree, **blocks: tuple[Sequence[Any], int]) -> list[list[np.ndarray]]:
+    """The rows of each block ``name=(rows, count)`` as float arrays: ``count``
+    rows, row ``k`` one value per step-``k`` node.  Every row count is checked
+    before any row's length; a refusal reads ``<name>: expected N rows, got
+    M`` or ``<name>/<k>: expected W values, got V``."""
+    for name, (rows, count) in blocks.items():
+        if len(rows) != count:
+            raise ValueError(f"{name}: expected {count} rows, got {len(rows)}")
+    out = [[np.asarray(row, dtype=float) for row in rows] for rows, _ in blocks.values()]
+    for name, arrays in zip(blocks, out):
+        for k, a in enumerate(arrays):
+            if a.shape != (tree.nodes_at(k),):
+                got = a.size if a.ndim == 1 else a.shape
+                raise ValueError(f"{name}/{k}: expected {tree.nodes_at(k)} values, got {got}")
+    return out
+
+
 class OptionalProcess:
     """A real value for every (node, phase) point of a tree.
 
@@ -176,23 +194,18 @@ class OptionalProcess:
     express: the right limsup and right liminf at ``AT(k)`` and the left
     limsup and left liminf at ``AT(k+1)`` along the same path all equal
     ``after[k]``, because the process is constant on the open interval.
+    Rows that do not fit the tree are refused by :func:`node_rows`, with a
+    ``ValueError`` such as ``at: expected 3 rows, got 2`` or ``after/1:
+    expected 2 values, got 3``.
     """
 
     __slots__ = ("tree", "slots")
 
     def __init__(self, tree: TwoPhaseTree, at: Sequence[np.ndarray], after: Sequence[np.ndarray]) -> None:
         """The process of the table form: the ``at`` and ``after`` rows."""
-        if len(at) != tree.n_steps + 1 or len(after) != tree.n_steps:
-            raise ValueError("slot count does not match the tree depth")
+        at, after = node_rows(tree, at=(at, tree.n_steps + 1), after=(after, tree.n_steps))
         self.tree = tree
-        self.slots: list[np.ndarray] = [np.empty(0)] * (2 * tree.n_steps + 1)
-        self.slots[0::2] = [np.asarray(a, dtype=float) for a in at]
-        self.slots[1::2] = [np.asarray(a, dtype=float) for a in after]
-        # every AT row before any AFTER row, so an error names the row the table form reads first
-        for q in sorted(range(len(self.slots)), key=lambda q: q & 1):
-            if self.slots[q].shape != (tree.nodes_at(q >> 1),):
-                raise ValueError(f"{('at', 'after')[q & 1]}[{q >> 1}] has shape {self.slots[q].shape}, "
-                                 f"expected ({tree.nodes_at(q >> 1)},)")
+        self.slots = [row for pair in zip(at, after) for row in pair] + at[-1:]
 
     # -- constructors ---------------------------------------------------
 

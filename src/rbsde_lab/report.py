@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .expectation import TransitionIncrements
-from .lattice import OptionalProcess, build_tree
+from .lattice import OptionalProcess, build_tree, node_rows
 from .reflect import RBSDESolution
 
 __all__ = [
@@ -216,22 +216,16 @@ def solution_to_dict(solution: RBSDESolution) -> dict[str, Any]:
 
 
 def solution_from_dict(data: dict[str, Any]) -> RBSDESolution:
+    """The solution of a :func:`solution_to_dict` document, its seven blocks
+    of rows read by :func:`node_rows` under their pointers in the document."""
     tree = build_tree(int(data["steps"]), float(data["dt"]))
-    y = OptionalProcess(tree, [np.asarray(r, dtype=float) for r in data["y"]["at"]],
-                        [np.asarray(r, dtype=float) for r in data["y"]["after"]])
-    z = [np.asarray(r, dtype=float) for r in data["z"]]
-    if len(z) != tree.n_steps:
-        raise ValueError(f"z has {len(z)} rows, expected {tree.n_steps}")
-    for k, row in enumerate(z):
-        if row.shape != (tree.nodes_at(k),):
-            raise ValueError(f"z[{k}] has shape {row.shape}, expected ({tree.nodes_at(k)},)")
-
-    def incr(block: dict[str, Any]) -> TransitionIncrements:
-        return TransitionIncrements(tree,
-                                    [np.asarray(r, dtype=float) for r in block["phase"]],
-                                    [np.asarray(r, dtype=float) for r in block["step"]])
-
-    return RBSDESolution(y=y, z=z, r_plus=incr(data["r_plus"]), r_minus=incr(data["r_minus"]))
+    n = tree.n_steps
+    blocks = {"/y/at": (data["y"]["at"], n + 1), "/y/after": (data["y"]["after"], n), "/z": (data["z"], n)}
+    blocks.update({f"/{side}/{part}": (data[side][part], n)
+                   for side in ("r_plus", "r_minus") for part in ("phase", "step")})
+    y_at, y_after, z, *incr = node_rows(tree, **blocks)
+    return RBSDESolution(y=OptionalProcess(tree, y_at, y_after), z=z,
+                         r_plus=TransitionIncrements(tree, *incr[:2]), r_minus=TransitionIncrements(tree, *incr[2:]))
 
 
 SOLUTION_ROW_HEADER = ("step", "edge", "path", "y", "z", "dr_plus", "dr_minus")

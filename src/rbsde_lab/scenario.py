@@ -36,7 +36,8 @@ from .expectation import (
     truncated_driver,
 )
 from .lattice import OptionalProcess, TwoPhaseTree, build_tree
-from .reflect import Barriers
+from .reflect import Barriers, RBSDESolution
+from .report import solution_from_dict
 
 __all__ = [
     "Scenario",
@@ -45,6 +46,7 @@ __all__ = [
     "SCENARIO_SCHEMA",
     "SOLUTION_SCHEMA",
     "load_scenario",
+    "load_solution",
     "scenario_from_dict",
     "random_scenario",
 ]
@@ -220,6 +222,11 @@ def _repr_pieces(value: Any) -> Iterator[str]:
             yield ": "
             yield from _repr_pieces(item)
         yield "}"
+    elif isinstance(value, int) and value.bit_length() > 4 * _QUOTE_MAX:
+        # more than the cap of leading digits, by an integer division: str
+        # refuses an integer past 4,300 digits, and never sees the whole one
+        drop = int((value.bit_length() - 1) * math.log10(2)) - _QUOTE_MAX - 1
+        yield ("-" if value < 0 else "") + str(abs(value) // 10 ** drop)
     elif isinstance(value, str) and len(value) > _QUOTE_MAX:
         # repr picks its quotes by the whole string; one more character
         # past the cap makes the head's repr pick the same
@@ -313,17 +320,18 @@ def _check_kind(spec: dict[str, Any], catalog: dict[str, Any], base: str, what: 
     return kind
 
 
-def _table_process(tree: TwoPhaseTree, spec: dict[str, Any], base: str) -> OptionalProcess:
-    tables = (("at", spec["at"], tree.n_steps + 1), ("after", spec["after"], tree.n_steps))
-    # both row counts are checked before any row length
-    for name, rows, count in tables:
-        if len(rows) != count:
-            raise ScenarioError(f"{base}/{name}: expected {count} rows, got {len(rows)}")
-    for name, rows, _ in tables:
-        for k, row in enumerate(rows):
-            if len(row) != tree.nodes_at(k):
-                raise ScenarioError(f"{base}/{name}/{k}: expected {tree.nodes_at(k)} values, got {len(row)}")
-    return OptionalProcess(tree, *([np.asarray(r, dtype=float) for r in rows] for _, rows, _ in tables))
+def _affine(base: str, make: Callable[[], list[np.ndarray]]) -> list[np.ndarray]:
+    """The rows ``make`` computes from an affine spec, refused at ``base``
+    when one of them overflows a double; numpy does not warn of it."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = make()
+        finite = all(np.isfinite(row).all() for row in rows)
+    except OverflowError:  # an integer time_coef times a step, past the largest double
+        finite = False
+    if not finite:
+        raise ScenarioError(f"{base}: an affine value overflows a double")
+    return rows
 
 
 def _barrier_process(tree: TwoPhaseTree, spec: dict[str, Any], base: str) -> OptionalProcess:
@@ -334,9 +342,12 @@ def _barrier_process(tree: TwoPhaseTree, spec: dict[str, Any], base: str) -> Opt
         a, b, c = spec["intercept"], spec["slope"], spec.get("time_coef", 0.0)
         # the AFTER slot sits on the open interval and keeps the interval's
         # left-endpoint time
-        return OptionalProcess.from_callable(
-            tree, lambda step, phase, walk: a + b * walk + c * step * tree.dt)
-    return _table_process(tree, spec, base)
+        return OptionalProcess.from_slots(tree, _affine(base, lambda: OptionalProcess.from_callable(
+            tree, lambda step, phase, walk: a + b * walk + c * step * tree.dt).slots))
+    try:
+        return OptionalProcess(tree, spec["at"], spec["after"])
+    except ValueError as exc:  # a row count or length that does not fit the grid
+        raise ScenarioError(f"{base}/{exc}") from None
 
 
 def _terminal_values(tree: TwoPhaseTree, spec: dict[str, Any], base: str) -> np.ndarray:
@@ -344,7 +355,7 @@ def _terminal_values(tree: TwoPhaseTree, spec: dict[str, Any], base: str) -> np.
     if kind == "constant":
         return np.full(tree.n_leaves, float(spec["value"]))
     if kind == "affine":
-        return spec["intercept"] + spec["slope"] * tree.brownian(tree.n_steps)
+        return _affine(base, lambda: [spec["intercept"] + spec["slope"] * tree.brownian(tree.n_steps)])[0]
     values = spec["values"]
     if len(values) != tree.n_leaves:
         raise ScenarioError(f"{base}/values: expected {tree.n_leaves} values, got {len(values)}")
@@ -516,6 +527,32 @@ def _parse_json(text: str) -> Any:
     if hit is not None:
         raise ScenarioError(f"{hit[0]}: {_capped(hit[1])} is not a finite number")
     return data
+
+
+def load_solution(path: str | Path, tree: TwoPhaseTree | None = None) -> RBSDESolution:
+    """The solution dumped at ``path``, alone or as a solve report's
+    ``solution``, checked against :data:`SOLUTION_SCHEMA`.  A solution whose
+    grid is not ``tree``'s is refused before its rows are read."""
+    try:
+        data = _read_json(Path(path))
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+    base = ""
+    if isinstance(data, dict) and "steps" not in data and isinstance(data.get("solution"), dict):
+        data, base = data["solution"], "/solution"
+    if tree is not None and isinstance(data, dict) and all(_is_number(data.get(k)) for k in ("steps", "dt")):
+        steps, dt = data["steps"], float(data["dt"])
+        if (steps, dt) != (tree.n_steps, tree.dt):
+            raise ScenarioError(f"{path}: solution grid (steps {steps}, dt {dt!r}) does not match "
+                                f"the scenario's (steps {tree.n_steps}, dt {tree.dt!r})")
+    try:
+        _validate(data, SOLUTION_SCHEMA, base)
+        return solution_from_dict(data)
+    except ValueError as exc:  # the schema's refusal, or a row count or length the grid fixes
+        where = "" if isinstance(exc, ScenarioError) else base
+        raise ScenarioError(f"{path} is not a solution document: {where}{exc}") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -21,6 +21,7 @@ from rbsde_lab import load_scenario, random_scenario, scenario_from_dict, solve_
 from rbsde_lab import cli
 from rbsde_lab.cli import main
 from rbsde_lab.report import SOLUTION_ROW_HEADER, canonical_json
+from rbsde_lab.scenario import load_solution
 
 TRIVIAL = {
     "version": "v1",
@@ -642,7 +643,7 @@ def test_the_solution_reader_reads_the_document_a_serial_call_reads(tmp_path, ca
         assert read is None
         return
     tree = load_scenario(argv[1]).tree
-    read, serial = pickle.loads(pickle.dumps(read, pickle.HIGHEST_PROTOCOL)), cli._read_solution(str(sol), tree)
+    read, serial = pickle.loads(pickle.dumps(read, pickle.HIGHEST_PROTOCOL)), load_solution(str(sol), tree)
     assert read.y.tree is serial.y.tree is tree
     assert read.y.tree.n_steps == serial.y.tree.n_steps == 10 and read.y.tree.dt == serial.y.tree.dt
     pairs = list(zip(read.y.slots + read.z + read.r_plus.slots + read.r_minus.slots,
@@ -745,6 +746,22 @@ def test_driver_that_overflows_exits_2_at_load(tmp_path, capsys, power):
     rc, caught = _main_quietly(["verify", _write(tmp_path, dict(TRIVIAL, driver=driver))])
     out = capsys.readouterr()
     assert rc == 2 and json.loads(out.out)["error"].startswith("/driver: ")
+    assert out.err == "" and not caught
+
+
+@pytest.mark.parametrize("block, spec", [
+    ("lower", {"kind": "affine", "intercept": -1e308, "slope": -1.7e308}),
+    ("upper", {"kind": "affine", "intercept": 1e308, "slope": 1.7e308}),
+    # 10**308 is within a double, and twice it at step 2 is not: int * float raises
+    ("upper", {"kind": "affine", "intercept": 1.0, "slope": 0.0, "time_coef": 10 ** 308}),
+    ("terminal", {"kind": "affine", "intercept": 0.0, "slope": 1.7e308}),
+], ids=["lower", "upper", "upper-integer-time-coef", "terminal"])
+def test_an_affine_value_that_overflows_exits_2_at_its_block_and_prints_nothing_on_stderr(tmp_path, capfd,
+                                                                                       block, spec):
+    # once a numpy overflow warning on stderr, then a refusal at /lower,/upper
+    rc, caught = _main_quietly(["verify", _write(tmp_path, dict(TRIVIAL, **{block: spec}))])
+    out = capfd.readouterr()
+    assert rc == 2 and json.loads(out.out)["error"] == f"/{block}: an affine value overflows a double"
     assert out.err == "" and not caught
 
 
@@ -888,29 +905,64 @@ def test_verify_rejects_malformed_solution_cleanly(tmp_path, capsys):
     assert main(["verify", path, "--solution", missing]) == 2
 
 
+# the seven blocks of rows in a stored solution, each with a depth-3 row count
+_SOLUTION_BLOCKS = {"y/at": 4, "y/after": 3, "z": 3, "r_plus/phase": 3, "r_plus/step": 3,
+                    "r_minus/phase": 3, "r_minus/step": 3}
+
+
 @pytest.mark.parametrize("cut, error", [
-    # once an IndexError traceback that ended the command
-    (lambda z: z[:2], "z has 2 rows, expected 3"),
-    # once broadcast, and reported as a failed dynamics check
-    (lambda z: [z[0], z[1][:1], z[2]], "z[1] has shape (1,), expected (2,)"),
+    # a short z once ended the command with an IndexError traceback, and a
+    # short row of r_plus or r_minus was refused without naming its block
+    (lambda rows: rows[:-1], "{block}: expected {count} rows, got {short}"),
+    # a short z row was once broadcast, and reported as a failed dynamics check
+    (lambda rows: [rows[0], rows[1][:1], *rows[2:]], "{block}/1: expected 2 values, got 1"),
 ], ids=["rows", "row-shape"])
-def test_a_solution_with_malformed_z_exits_2_and_later_scenarios_still_run(tmp_path, capsys, cut, error):
+def test_a_solution_with_malformed_z_exits_2_and_later_scenarios_still_run(tmp_path, capsys, monkeypatch, cut,
+                                                                           error):
+    # each of the seven blocks, cut in a solve report and in a bare dump,
+    # through main(), a forked reader and the call a failed fork leaves it to
     scn = random_scenario(5, n_steps=3, driver_kind="linear", name="three")
     path = _write(tmp_path, scn.data)
     assert main(["solve", path, "--out", str(tmp_path / "solved")]) == 0
     capsys.readouterr()
-    report = json.loads((tmp_path / "solved" / "three.solve.json").read_text())
-    report["solution"]["z"] = cut(report["solution"]["z"])
-    edited = tmp_path / "edited.json"
-    edited.write_text(json.dumps(report))
+    text = (tmp_path / "solved" / "three.solve.json").read_text()
     # the later scenario is on a depth-2 grid, so it is refused in turn
     later = _write(tmp_path, dict(TRIVIAL, name="later"), "later.json")
-    rc = main(["verify", path, later, "--solution", str(edited), "--out", str(tmp_path / "out")])
-    refused, rest = _cli_output(capsys)
-    assert rc == 2 and not refused["passed"]
-    assert refused["error"] == f"{edited} is not a solution document: {error}"
-    assert json.loads(rest)["error"] == (f"{edited}: solution grid (steps 3, dt {scn.data['dt']!r}) "
-                                         "does not match the scenario's (steps 2, dt 0.5)")
+    edited = tmp_path / "edited.json"
+    argv = ["verify", path, later, "--solution", str(edited), "--out", str(tmp_path / "out")]
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    for block, count in _SOLUTION_BLOCKS.items():
+        want = error.format(block=block, count=count, short=count - 1)
+        for base in ("/solution", ""):
+            report = json.loads(text)
+            rows = report["solution"]
+            *parents, leaf = block.split("/")
+            for key in parents:
+                rows = rows[key]
+            rows[leaf] = cut(rows[leaf])
+            edited.write_text(json.dumps(report if base else report["solution"]))
+            runs = []
+            for fork in (os.fork, no_fork, None):
+                if fork is None:
+                    rc = main(argv)
+                else:
+                    monkeypatch.setattr(cli.os, "fork", fork)
+                    args = cli._parse(argv)
+                    args.spare_cpu = True
+                    rc = cli._execute(args, 1)
+                runs.append((rc, capsys.readouterr().out))
+            assert runs[1:] == runs[:-1], block
+            rc, out = runs[0]
+            end = out.index("\n}\n") + 3
+            refused, rest = json.loads(out[:end]), out[end:]
+            assert rc == 2 and not refused["passed"]
+            assert refused["error"] == f"{edited} is not a solution document: {base}/{want}"
+            assert json.loads(rest)["error"] == (f"{edited}: solution grid (steps 3, dt {scn.data['dt']!r}) "
+                                                 "does not match the scenario's (steps 2, dt 0.5)")
+    assert not (tmp_path / "out").exists()
 
 
 def _edited_solution(solution, case):
@@ -1177,12 +1229,12 @@ def test_a_solution_on_another_grid_exits_2_and_later_scenarios_still_run(tmp_pa
 
 def test_a_solution_grid_is_checked_before_the_solution_is_built(tmp_path, capsys, monkeypatch):
     # solution files have no depth cap: steps 40 would allocate 2**41 floats
-    from rbsde_lab import cli
+    from rbsde_lab import scenario
 
     def refuse(_data):
         raise AssertionError("the solution was built")
 
-    monkeypatch.setattr(cli, "solution_from_dict", refuse)
+    monkeypatch.setattr(scenario, "solution_from_dict", refuse)
     sol = tmp_path / "deep.json"
     sol.write_text(json.dumps({"steps": 40, "dt": 0.5}))
     rc = main(["verify", _write(tmp_path, TRIVIAL), "--solution", str(sol)])

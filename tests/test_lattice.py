@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import math
 import weakref
 
@@ -17,11 +18,17 @@ from rbsde_lab import (
     Phase,
     StoppingTime,
     TransitionIncrements,
+    ScenarioError,
     build_tree,
+    constant_driver,
     enumerate_stopping_times,
     first_hitting,
+    scenario_from_dict,
     semicontinuity,
+    solve_rbsde,
 )
+from rbsde_lab.report import canonical_json, solution_to_dict
+from rbsde_lab.scenario import load_solution
 
 
 def _process(tree, at, after):
@@ -182,14 +189,62 @@ def test_both_constructors_name_the_first_bad_row_of_the_table_form():
     slots[1], slots[2] = np.zeros(3), np.zeros(3)
     for build in (lambda: OptionalProcess.from_slots(tree, slots),
                   lambda: OptionalProcess(tree, slots[0::2], slots[1::2])):
-        with pytest.raises(ValueError, match=r"^at\[1\] has shape \(3,\), expected \(2,\)$"):
+        with pytest.raises(ValueError, match=r"^at/1: expected 2 values, got 3$"):
             build()
     slots[2] = np.zeros(2)
-    with pytest.raises(ValueError, match=r"^after\[0\] has shape \(3,\), expected \(1,\)$"):
+    with pytest.raises(ValueError, match=r"^after/0: expected 1 values, got 3$"):
         OptionalProcess.from_slots(tree, slots)
-    for count in (4, 6):
-        with pytest.raises(ValueError, match="slot count"):
-            OptionalProcess.from_slots(tree, [np.zeros(1)] * count)
+    # both row counts are checked before any row: AT(2) is missing, and so is AFTER(1) of the six
+    for count, error in ((4, "at: expected 3 rows, got 2"), (6, "after: expected 2 rows, got 3")):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            OptionalProcess.from_slots(tree, [np.zeros(7)] * count)
+
+
+def _stored_solution_refusal(tmp_path, tree, rows):
+    """The refusal of a stored solution on ``tree`` whose ``r_minus/step`` rows are ``rows``."""
+    barriers = Barriers(OptionalProcess.from_constant(tree, -1.0), OptionalProcess.from_constant(tree, 1.0),
+                        np.zeros(tree.n_leaves))
+    sol = solve_rbsde(tree, barriers, constant_driver(0.0))
+    dump = json.loads(canonical_json(solution_to_dict(sol)))
+    dump["r_minus"]["step"] = rows
+    path = tmp_path / "solution.json"
+    path.write_text(json.dumps({"solution": dump}))
+    with pytest.raises(ScenarioError) as info:
+        load_solution(path, tree)
+    return str(info.value), f"{path} is not a solution document: /solution/r_minus/step"
+
+
+# each entry point builds its rows through node_rows: the refused block, then the same words
+_ENTRY_POINTS = {
+    "OptionalProcess": lambda tmp_path, tree, rows: (
+        _refusal(lambda: OptionalProcess(tree, [np.zeros(tree.nodes_at(k)) for k in range(3)], rows)), "after"),
+    "TransitionIncrements": lambda tmp_path, tree, rows: (
+        _refusal(lambda: TransitionIncrements(tree, [np.zeros(tree.nodes_at(k)) for k in range(2)], rows)), "step"),
+    "scenario table": lambda tmp_path, tree, rows: (
+        _refusal(lambda: scenario_from_dict({
+            "version": "v1", "steps": 2, "dt": 0.5,
+            "lower": {"kind": "table", "at": [[-1.0] * tree.nodes_at(k) for k in range(3)], "after": rows},
+            "upper": {"kind": "constant", "value": 1.0}, "terminal": {"kind": "constant", "value": 0.0},
+            "driver": {"kind": "constant", "value": 0.0}})), "/lower/after"),
+    "stored solution": _stored_solution_refusal,
+}
+
+
+def _refusal(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("fault, words", [("missing row", ": expected 2 rows, got 1"),
+                                          ("short row", "/1: expected 2 values, got 1")])
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_every_entry_point_refuses_rows_off_the_grid_in_the_same_words(tmp_path, entry, fault, words):
+    tree = build_tree(2, 0.5)
+    rows = [[-1.0], [-1.0, -1.0]]
+    rows = rows[:1] if fault == "missing row" else [rows[0], rows[1][:1]]
+    error, block = _ENTRY_POINTS[entry](tmp_path, tree, rows)
+    assert error == block + words
 
 
 def test_process_rows_serialization_shape():

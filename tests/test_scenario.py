@@ -29,6 +29,7 @@ from rbsde_lab.scenario import (
     _DRIVER_SCHEMAS,
     _TERMINAL_SCHEMAS,
     SCENARIO_SCHEMA,
+    _quote,
     _read_json,
     _spot_check_draws,
     _SpotCheckDraws,
@@ -90,6 +91,24 @@ def test_table_row_shape_is_checked():
     data = _minimal(lower={"kind": "table", "at": [[0.0]], "after": [[0.0]]})
     with pytest.raises(ScenarioError, match=r"/lower/at: expected 2 rows, got 1"):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("field, value, words", [
+    ("steps", 10 ** 5000, "is greater than the maximum of 18"),
+    ("dt", -(10 ** 5000 + 7), "is less than or equal to the minimum of 0"),
+], ids=["steps", "dt"])
+def test_an_integer_too_long_for_str_is_quoted_by_its_head(field, value, words):
+    # str refuses an integer past 4,300 digits: the quote once raised that ValueError
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(_minimal(**{field: value}))
+    sign = "-" if value < 0 else ""
+    assert str(info.value) == f"/{field}: {sign}1{'0' * (76 - len(sign))}... {words}"
+
+
+@pytest.mark.parametrize("value", [10 ** 96 + 12345, -(7 ** 200), 3 ** 4000, 2 ** 321 - 1],
+                         ids=["97-digits", "negative", "1909-digits", "past-the-threshold"])
+def test_a_long_integer_is_quoted_as_its_capped_repr(value):
+    assert _quote(value) == repr(value)[:77] + "..."
 
 
 def test_unknown_tolerance_key_rejected():
