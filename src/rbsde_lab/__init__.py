@@ -13,7 +13,6 @@ from .expectation import (
     Driver,
     EnumerationBoundError,
     EnumerationBudgetError,
-    NonlinearExpectation,
     RootSolveError,
     TransitionIncrements,
     cfl_margin,

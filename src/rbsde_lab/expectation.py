@@ -30,7 +30,6 @@ __all__ = [
     "Driver",
     "BSDESolution",
     "TransitionIncrements",
-    "NonlinearExpectation",
     "ClassifyResult",
     "RootSolveError",
     "EnumerationBoundError",
@@ -185,7 +184,7 @@ def truncated_driver(const: float, y_coef: float, z_coef: float, bound: float) -
 
 
 def polynomial_driver(terms: Sequence[tuple[int, int, float]], lambda_z: float, mu: float,
-                      z_growth: tuple[float, float, float] | None = None, tag: str = "polynomial") -> Driver:
+                      z_growth: tuple[float, float, float] | None = None) -> Driver:
     """Driver ``f(t, y, z) = sum c * y**i * z**j`` with declared constants,
     evaluated by sparse Horner (:func:`_y_coefficients`, :func:`_horner`)."""
     terms = tuple((int(i), int(j), float(c)) for i, j, c in terms)
@@ -201,7 +200,7 @@ def polynomial_driver(terms: Sequence[tuple[int, int, float]], lambda_z: float, 
             acc += _horner(_y_coefficients(terms, z), y)
         return acc
 
-    return Driver(fn=fn, lambda_z=float(lambda_z), mu=float(mu), tag=tag, z_growth=z_growth, terms=terms)
+    return Driver(fn=fn, lambda_z=float(lambda_z), mu=float(mu), tag="polynomial", z_growth=z_growth, terms=terms)
 
 
 def _horner(pairs: Sequence[tuple[int, object]], x: np.ndarray, slope: bool = False):
@@ -637,19 +636,10 @@ def _unreflected_pass(tree: TwoPhaseTree, terminal: np.ndarray, driver: Driver,
         yield z, after, nxt
 
 
-@dataclass
-class NonlinearExpectation:
-    """Result of the conditional operator: per-leaf values at alpha plus the
-    full backward value table (valid on [[alpha, beta]], frozen beyond)."""
-
-    values: np.ndarray
-    process: OptionalProcess
-
-
 def nonlinear_expectation(tree: TwoPhaseTree, alpha: StoppingTime, beta: StoppingTime,
-                          xi: np.ndarray, driver: Driver, *, step_offset: int = 0,
-                          tol_root: float = 1e-12) -> NonlinearExpectation:
-    """Conditional nonlinear expectation of ``xi`` over ``[[alpha, beta]]``.
+                          xi: np.ndarray, driver: Driver) -> np.ndarray:
+    """Conditional nonlinear expectation of ``xi`` over ``[[alpha, beta]]``:
+    its per-leaf values at ``alpha``.
 
     ``xi`` (per leaf) must be measurable at ``beta``: constant on every
     beta-atom.  The driver is switched off strictly after ``beta``, which
@@ -664,13 +654,10 @@ def nonlinear_expectation(tree: TwoPhaseTree, alpha: StoppingTime, beta: Stoppin
         raise ValueError("stopping times live on a different grid")
     if not alpha.leq(beta):
         raise ValueError("alpha must not exceed beta")
-    n = tree.n_steps
-    if np.any(xi != xi[beta.stop_nodes() << (n - beta.steps)]):
+    if np.any(xi != xi[beta.stop_nodes() << (tree.n_steps - beta.steps)]):
         raise ValueError("xi is not measurable at beta (differs within a beta-atom)")
-    vals = ef_backward_batch(tree, driver, xi[None, :], beta.keys[None], step_offset=step_offset, tol_root=tol_root)
-    process = OptionalProcess.from_slots(tree, [vals[q >> 1][0].copy() for q in range(2 * n + 1)])
-    values = gather_slots(vals, alpha.keys)[0]
-    return NonlinearExpectation(values=values, process=process)
+    vals = ef_backward_batch(tree, driver, xi[None, :], beta.keys[None])
+    return gather_slots(vals, alpha.keys)[0]
 
 
 @dataclass
@@ -695,7 +682,7 @@ class ClassifyResult:
 
 def classify_ef(process: OptionalProcess, driver: Driver, *, from_time: StoppingTime | None = None,
                 to_time: StoppingTime | None = None, mode: str = "onestep", tol: float = 1e-12,
-                enum_bound: int = 3, tol_root: float = 1e-12) -> ClassifyResult:
+                enum_bound: int = 3) -> ClassifyResult:
     """Classify a process as a super/sub-martingale for the nonlinear operator.
 
     ``onestep`` checks every transition inside the window: AT(k) >= AFTER(k)
@@ -725,7 +712,7 @@ def classify_ef(process: OptionalProcess, driver: Driver, *, from_time: Stopping
             diffs = [(after_k - at_k)[phase_in]]  # >0 breaks supermartingale
             if step_in.any():
                 e, z = tree.children(nxt)
-                pred = implicit_step(e, z, tree.time(k), driver, tree.dt, tol=tol_root)
+                pred = implicit_step(e, z, tree.time(k), driver, tree.dt)
                 diffs.append((pred - after_k)[step_in])
             for diff in diffs:
                 sup_v.append(float(np.max(diff, initial=-np.inf)))
@@ -743,15 +730,17 @@ def classify_ef(process: OptionalProcess, driver: Driver, *, from_time: Stopping
     fk, tk = from_time.keys, to_time.keys
     idx = np.flatnonzero(np.all(keys_m >= fk, axis=1) & np.all(keys_m <= tk, axis=1))
     sig, tau = _window_pairs(tree.n_steps, idx)
-    if sig.size == 0:
-        return ClassifyResult.from_violations(0.0, 0.0, tol, mode)
     # a pair's backward row depends on tau alone, and every window member is
     # the tau of its pair with itself: one row per member
     win = keys_m[idx]
     # terminal per row: X read at tau's slot, the driver frozen from tau on
     x_win = process.at_keys(win)
-    vals = ef_backward_batch(tree, driver, x_win, win, tol_root=tol_root)
-    at_sigma = gather_slots([v[tau] for v in vals], win[sig])
+    rows = np.concatenate(ef_backward_batch(tree, driver, x_win, win), axis=1)
+    # the column of each member's key on each leaf in the step rows laid end
+    # to end, step k's 2**k nodes from column 2**k - 1: a pair reads sigma's
+    # columns in tau's row
+    cols = gather_slots([np.arange((1 << k) - 1, (2 << k) - 1) for k in range(tree.n_steps + 1)], win)
+    at_sigma = rows[tau[:, None], cols[sig]]
     diff = at_sigma - x_win[sig]  # >0 breaks supermartingale
     sup_v = float(np.max(diff, initial=0.0))
     sub_v = float(np.max(-diff, initial=0.0))

@@ -41,7 +41,6 @@ from .expectation import (
 )
 from .lattice import (
     OptionalProcess,
-    SemicontinuityFlags,
     StoppingTime,
     TwoPhaseTree,
     build_tree,
@@ -388,8 +387,7 @@ class _ThetaGame:
 
 
 def epsilon_saddle(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, epsilon: float, *,
-                   theta_step: int = 0, theta_node: int = 0, enum_bound: int = 3,
-                   tol_root: float = 1e-12) -> EpsilonSaddle:
+                   theta_step: int = 0, theta_node: int = 0, enum_bound: int = 3) -> EpsilonSaddle:
     """Construct the epsilon-saddle pair at a node and measure its slack.
 
     The maximiser stops on first entry of Y into the epsilon-neighbourhood
@@ -399,7 +397,8 @@ def epsilon_saddle(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, epsil
     extended pair matrix at theta.
     """
     _check_epsilon(epsilon)
-    return _ThetaGame.solve(tree, barriers, driver, theta_step, theta_node, enum_bound, tol_root).epsilon_pair(epsilon)
+    return _ThetaGame.solve(tree, barriers, driver, theta_step, theta_node, enum_bound,
+                            tol_root=1e-12).epsilon_pair(epsilon)
 
 
 @dataclass
@@ -437,8 +436,6 @@ class SaddleReport:
     order_sigma_ok: bool
     contacts: dict[str, float]
     residuals: dict[str, float | None]
-    lower_flags: SemicontinuityFlags
-    upper_flags: SemicontinuityFlags
     epsilon_saddles: list[EpsilonSaddle] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -508,7 +505,6 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
                         tau_bar_attained=tau_bar_attained, sigma_bar_attained=sigma_bar_attained,
                         order_tau_ok=order_tau, order_sigma_ok=order_sigma,
                         contacts=contacts, residuals=residuals,
-                        lower_flags=lower_flags, upper_flags=upper_flags,
                         epsilon_saddles=eps_reports, warnings=warnings)
 
 

@@ -442,7 +442,6 @@ class TruncationReport:
     m_gaps: list[float]
     passed: bool
     y_limit: OptionalProcess
-    reference: RBSDESolution
 
 
 def truncation_scheme(tree: TwoPhaseTree, barriers: Barriers, driver: Driver,
@@ -524,4 +523,4 @@ def truncation_scheme(tree: TwoPhaseTree, barriers: Barriers, driver: Driver,
     return TruncationReport(n_max=n_max, m_max=m_max, cut_step=cut_step,
                             monotone_n_violation=mono_n, monotone_m_violation=mono_m,
                             limit_gap=limit_gap, n_gaps=n_gaps, m_gaps=m_gaps,
-                            passed=passed, y_limit=y_limit, reference=reference)
+                            passed=passed, y_limit=y_limit)

@@ -406,6 +406,10 @@ class Scenario:
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     """Materialize a scenario document, validating schema then invariants."""
     _validate(data, SCENARIO_SCHEMA, "")
+    # the reader refuses a file's non-finite numbers as it parses; a
+    # caller's dict gets the same refusal here
+    if not _all_finite(data):
+        _refuse_non_finite(data)
     name = data.get("name") or "scenario"
     # the name becomes the report's file name under --out
     if name in (".", "..") or any(c in "/\\" or c < " " or "\x7f" <= c <= "\x9f" for c in name):
@@ -482,15 +486,27 @@ def _all_finite(node: Any) -> bool:
 
 
 def _non_finite_at(node: Any, path: str = "") -> tuple[str, str] | None:
-    """Pointer and literal of the first non-finite number in a document."""
+    """Pointer and capped text of the first non-finite number in a
+    document: a stand-in's literal, or the repr of a float or an integer
+    that :func:`_all_finite` refuses."""
     if isinstance(node, _NonFinite):
-        return path or "/", node.literal
+        return path or "/", _capped(node.literal)
+    if isinstance(node, (float, int)) and not _all_finite(node):
+        return path or "/", _quote(node)
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
     for key, value in items:
         hit = _non_finite_at(value, f"{path}/{key}")
         if hit is not None:
             return hit
     return None
+
+
+def _refuse_non_finite(data: Any) -> None:
+    """Raise a ``ScenarioError`` at the first non-finite number of a
+    document, if it holds one."""
+    hit = _non_finite_at(data)
+    if hit is not None:
+        raise ScenarioError(f"{hit[0]}: {hit[1]} is not a finite number")
 
 
 def _read_json(path: Path) -> Any:
@@ -523,9 +539,7 @@ def _parse_json(text: str) -> Any:
     # every finite number as the first parse read it.
     data = json.loads(text, parse_constant=_NonFinite, parse_int=_int_or_literal,
                       parse_float=_float_or_literal)
-    hit = _non_finite_at(data)
-    if hit is not None:
-        raise ScenarioError(f"{hit[0]}: {_capped(hit[1])} is not a finite number")
+    _refuse_non_finite(data)
     return data
 
 
@@ -569,8 +583,7 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario
 
 
-def random_scenario(seed: int, *, n_steps: int | None = None, dt: float | None = None,
-                    driver_kind: str | None = None,
+def random_scenario(seed: int, *, n_steps: int | None = None, driver_kind: str | None = None,
                     lower_right_usc: bool | None = None, lower_left_usc: bool | None = None,
                     upper_right_lsc: bool | None = None, upper_left_lsc: bool | None = None,
                     touching: bool = False, name: str | None = None) -> Scenario:
@@ -587,7 +600,7 @@ def random_scenario(seed: int, *, n_steps: int | None = None, dt: float | None =
     """
     rng = np.random.default_rng(seed)
     n = int(n_steps) if n_steps is not None else int(rng.integers(1, 4))
-    dt_val = float(dt) if dt is not None else float(rng.uniform(0.1, 1.0))
+    dt_val = float(rng.uniform(0.1, 1.0))
     tree = build_tree(n, dt_val)
 
     sigma = rng.uniform(0.2, 0.8)

@@ -266,7 +266,7 @@ def test_zero_driver_reduces_to_conditional_expectation():
     alpha = StoppingTime.constant(tree, 0)
     beta = StoppingTime.constant(tree, 1)
     out = nonlinear_expectation(tree, alpha, beta, tree.brownian(1), constant_driver(0.0))
-    np.testing.assert_allclose(out.values, [0.0, 0.0])
+    np.testing.assert_allclose(out, [0.0, 0.0])
 
 
 def test_operator_requires_measurable_data():
@@ -298,8 +298,8 @@ def test_comparison_property(seed, n):
     xi2 = xi1 + rng.uniform(0.0, 1.0, size=tree.n_leaves)
     alpha = StoppingTime.constant(tree, 0)
     beta = StoppingTime.constant(tree, n)
-    v1 = nonlinear_expectation(tree, alpha, beta, xi1, drv).values
-    v2 = nonlinear_expectation(tree, alpha, beta, xi2, drv).values
+    v1 = nonlinear_expectation(tree, alpha, beta, xi1, drv)
+    v2 = nonlinear_expectation(tree, alpha, beta, xi2, drv)
     assert np.all(v1 <= v2 + 1e-12)
 
 
@@ -312,11 +312,11 @@ def test_locality_on_atoms():
     drv = linear_driver(0.0, -0.7, 0.5)
     alpha = StoppingTime.constant(tree, 1)
     beta = StoppingTime.constant(tree, 2)
-    full = nonlinear_expectation(tree, alpha, beta, xi, drv).values
+    full = nonlinear_expectation(tree, alpha, beta, xi, drv)
     for node in range(2):  # atoms of F_alpha
         ind = np.zeros(4)
         ind[2 * node:2 * node + 2] = 1.0
-        masked = nonlinear_expectation(tree, alpha, beta, xi * ind, drv).values
+        masked = nonlinear_expectation(tree, alpha, beta, xi * ind, drv)
         np.testing.assert_allclose(ind * full, ind * masked, atol=1e-12)
 
 
@@ -327,11 +327,11 @@ def test_horizon_extension_with_dead_driver_is_free():
     drv = linear_driver(0.4, -0.9, 0.7)
     small = build_tree(1, 0.5)
     direct = nonlinear_expectation(small, StoppingTime.constant(small, 0),
-                                   StoppingTime.constant(small, 1), xi_small, drv).values
+                                   StoppingTime.constant(small, 1), xi_small, drv)
     # same data on the deeper tree, beta frozen at step 1
     xi_big = np.repeat(xi_small, 4)
     ext = nonlinear_expectation(tree, StoppingTime.constant(tree, 0),
-                                StoppingTime.constant(tree, 1), xi_big, drv).values
+                                StoppingTime.constant(tree, 1), xi_big, drv)
     assert abs(direct[0] - ext[0]) < 1e-12
 
 

@@ -10,7 +10,10 @@ counts as used when some module of the package loads it, imports it or
 reads it as an attribute; a helper left behind by a refactor fails.  Every
 module's ``__all__`` names only what it binds, and lists every name the
 package re-exports from it, the game oracle's lazily resolved names included;
-a fresh interpreter imports every export from the package.
+a fresh interpreter imports every export from the package.  A setting no
+caller varies is a constant, not a parameter: each defaulted parameter of a
+function that a module's ``__all__`` names is passed by some call in the
+package, the tests or the benchmark.
 """
 
 from __future__ import annotations
@@ -121,6 +124,61 @@ def test_the_orphan_check_sees_loads_imports_attributes_and_annotations():
 
 def test_every_private_name_of_the_package_is_used():
     assert orphaned_private_names({p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+def unset_defaults(functions: dict[str, ast.FunctionDef], sources: list[str]) -> list[str]:
+    """``label(parameter)`` for every defaulted parameter of ``functions``
+    (label -> definition) that no call in ``sources`` passes, by keyword or
+    by position.  A call counts for a function when it is made through the
+    function's name, as a plain name, an attribute or an import alias.
+    Arguments from a ``*`` unpacking on, and a ``**`` mapping, pass nothing
+    the check can see."""
+    passed: dict[str, set[str]] = {fn.name: set() for fn in functions.values()}
+    positions = {fn.name: [a.arg for a in fn.args.posonlyargs + fn.args.args] for fn in functions.values()}
+    for source in sources:
+        module = ast.parse(source)
+        aliases = {alias.asname: alias.name for node in ast.walk(module) if isinstance(node, ast.ImportFrom)
+                   for alias in node.names if alias.asname}
+        for call in ast.walk(module):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            name = aliases.get(name, name)
+            if name not in passed:
+                continue
+            count = next((i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)), len(call.args))
+            passed[name] |= set(positions[name][:count]) | {kw.arg for kw in call.keywords if kw.arg}
+    unset = []
+    for label, fn in functions.items():
+        args = fn.args
+        defaulted = positions[fn.name][len(positions[fn.name]) - len(args.defaults):]
+        defaulted += [a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+        unset += [f"{label}({param})" for param in defaulted if param not in passed[fn.name]]
+    return unset
+
+
+def test_the_default_check_sees_positions_keywords_attributes_and_aliases():
+    definitions = ast.parse("def f(a, b=1, *, c=2, d=3): pass\n"
+                            "def g(x=0, y=0): pass\n"
+                            "def h(z=0): pass\n")
+    sources = ["from m import g as gg\nf(0, 5, c=1)\ngg(*[1], y=2)\n",
+               "import m\nm.h(**{'z': 1})\n"]
+    assert unset_defaults({fn.name: fn for fn in definitions.body}, sources) == ["f(d)", "g(x)", "h(z)"]
+
+
+def test_every_defaulted_parameter_of_an_export_is_passed_by_some_call():
+    # the game oracle's lazy exports are in games.__all__, as the test below checks
+    functions = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        exported = importlib.import_module(f"rbsde_lab.{path.stem}").__all__
+        functions |= {f"{path.stem}.{node.name}": node for node in ast.parse(path.read_text()).body
+                      if isinstance(node, ast.FunctionDef) and node.name in exported}
+    root = PACKAGE.parents[1]
+    sources = [p.read_text() for where in (PACKAGE, root / "tests", root / "perfbench")
+               for p in sorted(where.glob("*.py"))]
+    assert unset_defaults(functions, sources) == []
 
 
 def test_every_all_name_is_bound_and_every_export_is_in_its_modules_all():

@@ -173,6 +173,34 @@ def test_numbers_that_overflow_a_double_are_refused_with_pointer(tmp_path, liter
     assert load_scenario(p).barriers.upper.at[0][0] == 1.7976931348623157e308
 
 
+_TABLE = {"kind": "table", "at": [[-1.0], [-1.0, -1.0]], "after": [[-1.0]]}
+_QUOTED_BIG = "1" + "0" * 76 + "..."  # 10**400, by its first 77 characters
+
+
+@pytest.mark.parametrize("overrides, pointer, quoted", [
+    ({"dt": 10 ** 400}, "/dt", _QUOTED_BIG),
+    ({"dt": float("nan")}, "/dt", "nan"),
+    ({"upper": {"kind": "constant", "value": 10 ** 400}}, "/upper/value", _QUOTED_BIG),
+    ({"lower": {**_TABLE, "at": [[-1.0], [-1.0, 10 ** 400]]}}, "/lower/at/1/1", _QUOTED_BIG),
+    ({"lower": {**_TABLE, "after": [[float("nan")]]}}, "/lower/after/0/0", "nan"),
+    ({"lower": {**_TABLE, "at": [[float("inf")], [-1.0, -1.0]]}}, "/lower/at/0/0", "inf"),
+    ({"lower": {**_TABLE, "at": [[-1.0], [float("-inf"), -1.0]]}}, "/lower/at/1/0", "-inf"),
+    ({"terminal": {"kind": "table", "values": [0.0, float("nan")]}}, "/terminal/values/1", "nan"),
+    ({"terminal": {"kind": "table", "values": [float("inf"), 0.0]}}, "/terminal/values/0", "inf"),
+    ({"terminal": {"kind": "constant", "value": float("-inf")}}, "/terminal/value", "-inf"),
+], ids=["dt-big", "dt-nan", "constant-big", "table-big", "table-nan", "table-inf", "table-minus-inf",
+        "terminal-nan", "terminal-inf", "terminal-minus-inf"])
+def test_a_non_finite_number_in_a_dict_is_refused_at_its_pointer(tmp_path, overrides, pointer, quoted):
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(_minimal(**overrides))
+    assert str(info.value) == f"{pointer}: {quoted} is not a finite number"
+    # the reader refuses the same document's file at the same pointer, quoting its literal
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(_minimal(**overrides)))
+    with pytest.raises(ScenarioError, match=f"^{pointer}: .* is not a finite number$"):
+        load_scenario(p)
+
+
 def test_rows_that_only_sum_past_the_largest_double_are_read(tmp_path):
     p = tmp_path / "rows.json"
     big_int = "1" + "0" * 308
