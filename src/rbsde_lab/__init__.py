@@ -9,10 +9,10 @@ truncation limits) ships with a brute-force verifier.
 
 from .expectation import (
     BSDESolution,
+    BudgetError,
     ClassifyResult,
     Driver,
     EnumerationBoundError,
-    EnumerationBudgetError,
     RootSolveError,
     TransitionIncrements,
     cfl_margin,
@@ -41,7 +41,6 @@ from .reflect import (
     Barriers,
     ContinuityAnalogueReport,
     DynamicsReport,
-    LadderBudgetError,
     MinimalityReport,
     RBSDESolution,
     SeparationFailure,
@@ -77,7 +76,6 @@ _GAMES_EXPORTS = frozenset({
     "SaddleReport",
     "brute_force_values",
     "epsilon_ratio_ok",
-    "epsilon_saddle",
     "game_equals_rbsde",
     "right_jump_counterexample",
     "saddle_points",

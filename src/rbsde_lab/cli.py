@@ -24,15 +24,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .expectation import (
+    BudgetError,
     EnumerationBoundError,
-    EnumerationBudgetError,
     RootSolveError,
     classify_ef,
     constant_driver,
 )
 from .lattice import OptionalProcess, Phase, StoppingTime, semicontinuity
 from .reflect import (
-    LadderBudgetError,
     RBSDESolution,
     SeparationFailure,
     check_minimality,
@@ -506,7 +505,7 @@ def _solution_or_none(path: str) -> RBSDESolution | None:
 # errors that refuse an input, a flag's value or a budget (exit 2); an
 # OSError or UnicodeEncodeError may also come from a report that cannot be
 # written, such as a file name the file system cannot encode
-_REFUSED = (ScenarioError, OSError, UnicodeEncodeError, LadderBudgetError, EnumerationBudgetError)
+_REFUSED = (ScenarioError, OSError, UnicodeEncodeError, BudgetError)
 # errors of a guarded computation that refused to run (exit 1)
 _FAILED = (EnumerationBoundError, RootSolveError, ValueError)
 

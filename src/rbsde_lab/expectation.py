@@ -33,8 +33,8 @@ __all__ = [
     "ClassifyResult",
     "RootSolveError",
     "EnumerationBoundError",
-    "EnumerationBudgetError",
-    "check_enumeration_budget",
+    "BudgetError",
+    "check_enumeration",
     "constant_driver",
     "linear_driver",
     "truncated_driver",
@@ -56,33 +56,40 @@ class EnumerationBoundError(ValueError):
     """Brute-force enumeration refused beyond the configured depth."""
 
 
-# brute force builds (strategies, strategies, leaves) arrays of strategy
-# pairs; they get the element budget of the truncation ladder's stack
-ENUMERATION_BUDGET = 1 << 22
+# elements above which an array is refused before it is built: brute
+# force's (strategies, strategies, leaves) pairs, or the truncation ladder's
+# stack of members times leaves, of which its pass holds about fifteen
+ELEMENT_BUDGET = 1 << 22
 
 
-class EnumerationBudgetError(ValueError):
-    """Brute-force enumeration refused: its strategy-pair arrays would hold
-    more than ``ENUMERATION_BUDGET`` elements."""
+class BudgetError(ValueError):
+    """A computation refused because its arrays would hold more than
+    ``ELEMENT_BUDGET`` elements."""
 
 
-def check_enumeration_budget(depth: int) -> None:
-    """Raise :class:`EnumerationBudgetError`, before anything is allocated,
-    when a depth-``depth`` subgame's c(d)**2 * 2**d pair elements exceed the
-    budget.  c(d) = 2 + c(d-1)**2 counts the phase-resolved stopping times
-    (3, 11, 123, 15,131 for d = 1..4), so depth 3 (121,032 elements) runs
-    and depth 4 does not."""
+def check_enumeration(depth: int, enum_bound: int) -> None:
+    """Refuse a brute-force enumeration of a depth-``depth`` subgame before
+    anything is allocated: past ``enum_bound`` with
+    :class:`EnumerationBoundError`, then with :class:`BudgetError` when its
+    c(d)**2 * 2**d pair elements exceed the budget.  c(d) = 2 + c(d-1)**2
+    counts the phase-resolved stopping times (3, 11, 123, 15,131 for
+    d = 1..4), so depth 3 (121,032 elements) runs and depth 4 does not."""
+    if depth > enum_bound:
+        raise EnumerationBoundError(
+            f"enumeration bound exceeded: subgame depth {depth} > {enum_bound}; strategy "
+            "counts grow doubly exponentially — use the reflected-solver identity "
+            "(solve_rbsde) for values on deeper trees")
     count = elements = 1
     for d in range(1, depth + 1):
         count = 2 + count * count
         elements = count * count << d
-        if elements > ENUMERATION_BUDGET:
+        if elements > ELEMENT_BUDGET:
             break
-    if elements > ENUMERATION_BUDGET:
+    if elements > ELEMENT_BUDGET:
         size = f"{elements:,}" if d == depth else f"more than {elements:,}"
-        raise EnumerationBudgetError(
+        raise BudgetError(
             f"enumeration budget exceeded: the strategy pairs of a depth-{depth} subgame "
-            f"make {size} elements, above the budget of {ENUMERATION_BUDGET:,}; "
+            f"make {size} elements, above the budget of {ELEMENT_BUDGET:,}; "
             f"lower --enum-bound (or /tolerances/enum_bound) to {d - 1}")
 
 
@@ -721,11 +728,7 @@ def classify_ef(process: OptionalProcess, driver: Driver, *, from_time: Stopping
         return ClassifyResult.from_violations(nan_max(sup_v), nan_max(sub_v), tol, mode)
     if mode != "brute":
         raise ValueError(f"unknown mode {mode!r}")
-    if tree.n_steps > enum_bound:
-        raise EnumerationBoundError(
-            f"brute classification enumerates stopping pairs and is capped at depth {enum_bound}; "
-            "use mode='onestep' for deeper trees")
-    check_enumeration_budget(tree.n_steps)
+    check_enumeration(tree.n_steps, enum_bound)
     keys_m, _ = _stop_order(tree.n_steps)
     fk, tk = from_time.keys, to_time.keys
     idx = np.flatnonzero(np.all(keys_m >= fk, axis=1) & np.all(keys_m <= tk, axis=1))

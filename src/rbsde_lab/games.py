@@ -34,8 +34,7 @@ import numpy as np
 
 from .expectation import (
     Driver,
-    EnumerationBoundError,
-    check_enumeration_budget,
+    check_enumeration,
     constant_driver,
     ef_backward_batch,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "brute_force_values",
     "value_identity_applicable",
     "game_equals_rbsde",
-    "epsilon_saddle",
     "epsilon_ratio_ok",
     "saddle_points",
     "right_jump_counterexample",
@@ -145,15 +143,6 @@ def _subgame_matrices(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, st
     return vals[:, inverse].reshape(len(nodes), n_strat, n_strat)
 
 
-def _guard_depth(depth: int, enum_bound: int) -> None:
-    if depth > enum_bound:
-        raise EnumerationBoundError(
-            f"enumeration bound exceeded: subgame depth {depth} > {enum_bound}; strategy "
-            "counts grow doubly exponentially — use the reflected-solver identity "
-            "(solve_rbsde) for values on deeper trees")
-    check_enumeration_budget(depth)
-
-
 @dataclass
 class GameValues:
     """Brute-force minimax data for one subgame."""
@@ -190,7 +179,7 @@ def brute_force_values(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *
     if not (0 <= theta_step < tree.n_steps and 0 <= theta_node < 1 << theta_step):
         raise ValueError(f"theta (step {theta_step}, node {theta_node}) is not a node of steps "
                          f"0..{tree.n_steps - 1} (nodes 0..2**step - 1)")
-    _guard_depth(tree.n_steps - theta_step, enum_bound)
+    check_enumeration(tree.n_steps - theta_step, enum_bound)
     return GameValues.of(_subgame_matrices(tree, barriers, driver, theta_step,
                                            range(theta_node, theta_node + 1), mode, tol_root)[0])
 
@@ -259,7 +248,7 @@ def game_equals_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
     plain_internal = 0.0 if include_plain else None
     plain_to_y = 0.0 if include_plain else None
     for k in range(max(0, tree.n_steps - enum_bound), tree.n_steps):
-        _guard_depth(tree.n_steps - k, enum_bound)
+        check_enumeration(tree.n_steps - k, enum_bound)
         # every node of the step in one stack per mode
         nodes = range(tree.nodes_at(k))
         ext_all = _subgame_matrices(tree, barriers, driver, k, nodes, "extended", tol_root)
@@ -326,82 +315,6 @@ def _check_epsilon(epsilon: float) -> None:
 
 
 @dataclass
-class _ThetaGame:
-    """The theta-subgame behind a saddle report, solved once: its barriers,
-    their terminal-patched versions ``lower`` and ``upper``, the reflected
-    solution, Y at theta, and ``extended``, the extended game's pair matrix
-    at theta.  Every pair of the report is built from this one solve."""
-
-    barriers: Barriers
-    lower: OptionalProcess
-    upper: OptionalProcess
-    sol: RBSDESolution
-    y_theta: float
-    extended: np.ndarray
-
-    @classmethod
-    def solve(cls, tree: TwoPhaseTree, barriers: Barriers, driver: Driver, theta_step: int,
-              theta_node: int, enum_bound: int, tol_root: float) -> "_ThetaGame":
-        """Build the extended pair matrix, which checks theta and the
-        enumeration guard first, then solve the subgame."""
-        extended = brute_force_values(tree, barriers, driver, theta_step=theta_step, theta_node=theta_node,
-                                      enum_bound=enum_bound, tol_root=tol_root).matrix
-        sub_b = barriers.restrict(theta_step, theta_node)
-        sol = solve_rbsde(tree.subtree(theta_step), sub_b, driver, step_offset=theta_step, tol_root=tol_root)
-        lower, upper = (p.with_terminal(sub_b.terminal) for p in (sub_b.lower, sub_b.upper))
-        return cls(sub_b, lower, upper, sol, float(sol.y.at[0][0]), extended)
-
-    def index(self, keys: np.ndarray, phase_resolved: bool) -> int:
-        """The pair-matrix index of the strategy whose order keys are ``keys``."""
-        (i,) = np.flatnonzero((stopping_keys(self.sol.y.tree.n_steps, phase_resolved) == keys).all(axis=1))
-        return int(i)
-
-    def shortfall(self, matrix: np.ndarray, keys: np.ndarray, maximiser: bool,
-                  phase_resolved: bool = True) -> float:
-        """How far a player committed to ``keys`` falls short of ``y_theta``
-        against its worst opponent in ``matrix``: below it by the min of the
-        maximiser's row, above it by the max of the minimiser's column,
-        clipped at 0."""
-        i = self.index(keys, phase_resolved)
-        return (max(0.0, self.y_theta - float(matrix[i].min())) if maximiser
-                else max(0.0, float(matrix[:, i].max()) - self.y_theta))
-
-    def epsilon_pair(self, e: float) -> EpsilonSaddle:
-        """The epsilon pair of :func:`epsilon_saddle`, with its value and
-        both residuals read from the extended pair matrix."""
-        sol = self.sol
-        near_lower = OptionalProcess.combine(lambda y, l: (y <= l + e).astype(float), sol.y, self.lower)
-        near_upper = OptionalProcess.combine(lambda y, u: (y >= u - e).astype(float), sol.y, self.upper)
-        t, s = first_hitting(near_lower), first_hitting(near_upper)
-        # the terminal slot satisfies both conditions, so the scans always hit
-        assert near_lower.at_keys(t.keys).all() and near_upper.at_keys(s.keys).all()
-        return EpsilonSaddle(
-            epsilon=e, y_theta=self.y_theta, tau=t, sigma=s,
-            pair_value=float(self.extended[self.index(t.keys, True), self.index(s.keys, True)]),
-            residual_up=self.shortfall(self.extended, t.keys, True),
-            residual_down=self.shortfall(self.extended, s.keys, False),
-            hit_gap_lower=max(0.0, float(np.max(sol.y.at_keys(t.keys) - self.lower.at_keys(t.keys) - e))),
-            hit_gap_upper=max(0.0, float(np.max(self.upper.at_keys(s.keys) - e - sol.y.at_keys(s.keys)))),
-            reflection_mass_lower=float(np.max(_stopped_mass(sol.r_plus, t))),
-            reflection_mass_upper=float(np.max(_stopped_mass(sol.r_minus, s))))
-
-
-def epsilon_saddle(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, epsilon: float, *,
-                   theta_step: int = 0, theta_node: int = 0, enum_bound: int = 3) -> EpsilonSaddle:
-    """Construct the epsilon-saddle pair at a node and measure its slack.
-
-    The maximiser stops on first entry of Y into the epsilon-neighbourhood
-    of the terminal-patched lower barrier; entry on an interval slot is an
-    AFTER key, the grid stop off H.  The minimiser is symmetric about the
-    upper barrier.  The pair's value and both residuals are entries of the
-    extended pair matrix at theta.
-    """
-    _check_epsilon(epsilon)
-    return _ThetaGame.solve(tree, barriers, driver, theta_step, theta_node, enum_bound,
-                            tol_root=1e-12).epsilon_pair(epsilon)
-
-
-@dataclass
 class SaddleReport:
     """Exact optimal stops and the identities binding them to the solution.
 
@@ -449,13 +362,51 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
                   theta_step: int = 0, theta_node: int = 0, enum_bound: int = 3,
                   epsilons: tuple[float, ...] = (), tol_root: float = 1e-12) -> SaddleReport:
     """First-contact and first-action stops of the reflected solution,
-    verified against every opposing strategy.  The theta-subgame is solved
-    once for every pair, and every residual and epsilon-pair value is read
-    from the pair matrix of its game mode."""
-    game = _ThetaGame.solve(tree, barriers, driver, theta_step, theta_node, enum_bound, tol_root)
+    verified against every opposing strategy, and an epsilon pair per entry
+    of ``epsilons``: the maximiser stops on first entry of Y into the
+    epsilon-neighbourhood of the terminal-patched lower barrier (an AFTER
+    key on an interval slot, the grid stop off H), the minimiser likewise
+    about the upper barrier.  The theta-subgame is solved once, and every
+    residual and pair value is read from the pair matrix of its game mode."""
     for e in epsilons:
         _check_epsilon(e)
-    sol, lxi, uxi, sub_b = game.sol, game.lower, game.upper, game.barriers
+    # the extended pair matrix checks theta and the enumeration guard first
+    extended = brute_force_values(tree, barriers, driver, theta_step=theta_step, theta_node=theta_node,
+                                  enum_bound=enum_bound, tol_root=tol_root).matrix
+    sub_b = barriers.restrict(theta_step, theta_node)
+    sol = solve_rbsde(tree.subtree(theta_step), sub_b, driver, step_offset=theta_step, tol_root=tol_root)
+    lxi, uxi = (p.with_terminal(sub_b.terminal) for p in (sub_b.lower, sub_b.upper))
+    y_theta = float(sol.y.at[0][0])
+
+    def index(keys: np.ndarray, phase_resolved: bool = True) -> int:
+        """The pair-matrix index of the strategy whose order keys are ``keys``."""
+        (i,) = np.flatnonzero((stopping_keys(sol.y.tree.n_steps, phase_resolved) == keys).all(axis=1))
+        return int(i)
+
+    def shortfall(matrix: np.ndarray, keys: np.ndarray, maximiser: bool, phase_resolved: bool = True) -> float:
+        """How far a player committed to ``keys`` falls short of ``y_theta``
+        against its worst opponent in ``matrix``: below it by the min of the
+        maximiser's row, above it by the max of the minimiser's column,
+        clipped at 0."""
+        i = index(keys, phase_resolved)
+        return (max(0.0, y_theta - float(matrix[i].min())) if maximiser
+                else max(0.0, float(matrix[:, i].max()) - y_theta))
+
+    def epsilon_pair(e: float) -> EpsilonSaddle:
+        near_lower = OptionalProcess.combine(lambda y, l: (y <= l + e).astype(float), sol.y, lxi)
+        near_upper = OptionalProcess.combine(lambda y, u: (y >= u - e).astype(float), sol.y, uxi)
+        t, s = first_hitting(near_lower), first_hitting(near_upper)
+        # the terminal slot satisfies both conditions, so the scans always hit
+        assert near_lower.at_keys(t.keys).all() and near_upper.at_keys(s.keys).all()
+        return EpsilonSaddle(
+            epsilon=e, y_theta=y_theta, tau=t, sigma=s,
+            pair_value=float(extended[index(t.keys), index(s.keys)]),
+            residual_up=shortfall(extended, t.keys, True),
+            residual_down=shortfall(extended, s.keys, False),
+            hit_gap_lower=max(0.0, float(np.max(sol.y.at_keys(t.keys) - lxi.at_keys(t.keys) - e))),
+            hit_gap_upper=max(0.0, float(np.max(uxi.at_keys(s.keys) - e - sol.y.at_keys(s.keys)))),
+            reflection_mass_lower=float(np.max(_stopped_mass(sol.r_plus, t))),
+            reflection_mass_upper=float(np.max(_stopped_mass(sol.r_minus, s))))
 
     on_lower = OptionalProcess.combine(lambda y, l: (np.abs(y - l) <= tol_root).astype(float), sol.y, lxi)
     on_upper = OptionalProcess.combine(lambda y, u: (np.abs(y - u) <= tol_root).astype(float), sol.y, uxi)
@@ -482,8 +433,8 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
 
     # the committed star up, star down, bar up and bar down players
     committed = [(tau_star, True), (sigma_star, False), (tau_bar, True), (sigma_bar, False)]
-    ext = [game.shortfall(game.extended, stop.keys, m) for stop, m in committed]
-    eps_reports = [game.epsilon_pair(e) for e in epsilons]
+    ext = [shortfall(extended, stop.keys, m) for stop, m in committed]
+    eps_reports = [epsilon_pair(e) for e in epsilons]
     lower_flags, upper_flags = semicontinuity(sub_b.lower), semicontinuity(sub_b.upper)
     warnings: list[str] = []
     plain: list[float | None] = [None] * 4
@@ -491,7 +442,7 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
         # the plain game, with the stops moved to their grid times
         matrix = brute_force_values(tree, barriers, driver, mode="plain", theta_step=theta_step,
                                     theta_node=theta_node, enum_bound=enum_bound, tol_root=tol_root).matrix
-        plain = [game.shortfall(matrix, 2 * stop.steps, m, False) for stop, m in committed]
+        plain = [shortfall(matrix, 2 * stop.steps, m, False) for stop, m in committed]
     else:
         warnings.append("plain saddle residuals skipped: grid-time stops are only "
                         "optimal when the lower barrier is USC and the upper "
@@ -500,7 +451,7 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
     residuals = {name.format(mode): r for mode, rs in (("extended", ext), ("plain", plain))
                  for name, r in zip(names, rs)}
 
-    return SaddleReport(y_theta=game.y_theta, tau_star=tau_star, sigma_star=sigma_star,
+    return SaddleReport(y_theta=y_theta, tau_star=tau_star, sigma_star=sigma_star,
                         tau_bar=tau_bar, sigma_bar=sigma_bar,
                         tau_bar_attained=tau_bar_attained, sigma_bar_attained=sigma_bar_attained,
                         order_tau_ok=order_tau, order_sigma_ok=order_sigma,

@@ -147,9 +147,13 @@ def _grid(n_steps: int, dt: float) -> tuple[int, float]:
     """The checked ``(n_steps, dt)`` of a tree."""
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
-    if not (float(dt) > 0.0):
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    return int(n_steps), float(dt)
+    try:
+        step = float(dt)
+    except OverflowError:
+        raise ValueError("dt must be a positive finite number, got an integer past the largest double") from None
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"dt must be a positive finite number, got {dt!r}")
+    return int(n_steps), step
 
 
 # the live tree of each grid; a tree no one holds is freed, not kept here

@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import expectation
 from .expectation import (
+    BudgetError,
     Driver,
     TransitionIncrements,
     _check_mu,
@@ -40,7 +42,6 @@ __all__ = [
     "Witness",
     "SeparationFailure",
     "TruncationReport",
-    "LadderBudgetError",
     "ContinuityAnalogueReport",
     "solve_rbsde",
     "continuity_analogue",
@@ -421,15 +422,6 @@ def clipped_driver(driver: Driver, lower_level: float | np.ndarray,
                   tag=f"{driver.tag}|clip[{levels}]", terms=driver.terms, clip=band)
 
 
-# stacked elements (grid members times leaves) above which the truncation
-# ladder is refused: its pass holds about fifteen arrays of this size
-LADDER_BUDGET = 1 << 22
-
-
-class LadderBudgetError(ValueError):
-    """The truncation ladder's stack of grid members exceeds ``LADDER_BUDGET``."""
-
-
 @dataclass
 class TruncationReport:
     n_max: int
@@ -457,8 +449,8 @@ def truncation_scheme(tree: TwoPhaseTree, barriers: Barriers, driver: Driver,
     the directly solved reference.  Levels default to just beyond the range
     the driver actually attains on the reference solution, which makes the
     top corner exact.  A grid whose stack of ``n_max * m_max`` members
-    times the leaves exceeds ``LADDER_BUDGET`` elements raises
-    :class:`LadderBudgetError` before the stack is built.  ``cut_step``
+    times the leaves exceeds ``ELEMENT_BUDGET`` elements raises
+    :class:`BudgetError` before the stack is built.  ``cut_step``
     forces artificial barrier cuts: stage ``j`` keeps the true barriers up
     to step ``min(cut_step * j, N)`` and swaps to the one-sided envelopes
     beyond, exercising the swap path while leaving the limit unchanged.  Non-monotonicity beyond 1e-10 is a
@@ -484,12 +476,12 @@ def truncation_scheme(tree: TwoPhaseTree, barriers: Barriers, driver: Driver,
             level = max(level, -(-tree.n_steps // cut_step))
         n_max = level if n_max is None else n_max
         m_max = level if m_max is None else m_max
-    size = n_max * m_max * tree.n_leaves
-    if size > LADDER_BUDGET:
-        raise LadderBudgetError(
+    size, budget = n_max * m_max * tree.n_leaves, expectation.ELEMENT_BUDGET
+    if size > budget:
+        raise BudgetError(
             f"truncation ladder at level n_max={n_max}, m_max={m_max} stacks {n_max * m_max} "
             f"members of {tree.n_leaves} leaves ({size} elements), above the budget of "
-            f"{LADDER_BUDGET}; choose lower levels with --n-max/--m-max")
+            f"{budget}; choose lower levels with --n-max/--m-max")
     # row i * m_max + j of the stack is grid member (i + 1, j + 1)
     stage_n = np.repeat(np.arange(1, n_max + 1), m_max)[:, None]
     stage_m = np.tile(np.arange(1, m_max + 1), n_max)[:, None]

@@ -216,8 +216,13 @@ def solution_to_dict(solution: RBSDESolution) -> dict[str, Any]:
 
 
 def solution_from_dict(data: dict[str, Any]) -> RBSDESolution:
-    """The solution of a :func:`solution_to_dict` document, its seven blocks
-    of rows read by :func:`node_rows` under their pointers in the document."""
+    """The solution of a :func:`solution_to_dict` document, refused as a
+    solution file is, behind the JSON pointer of the refused value: by the
+    solution schema, at its first non-finite number, or by a row count or
+    length of its seven blocks of rows, which :func:`node_rows` reads."""
+    from .scenario import _check_solution  # deferred: scenario imports this module
+
+    _check_solution(data)
     tree = build_tree(int(data["steps"]), float(data["dt"]))
     n = tree.n_steps
     blocks = {"/y/at": (data["y"]["at"], n + 1), "/y/after": (data["y"]["after"], n), "/z": (data["z"], n)}

@@ -245,9 +245,10 @@ def _is_number(value: Any) -> bool:
     return type(value) in (float, int) or not isinstance(value, bool) and isinstance(value, numbers.Number)
 
 
-# the JSON Schema types the schemas use; an integral float such as 3.0 is an integer
+# the JSON Schema types the schemas use; an integral float such as 3.0 is an
+# integer, and a 1-d numpy array (a row of a solution_to_dict dump) is an array
 _TYPES: dict[str, Callable[[Any], bool]] = {
-    "array": lambda v: isinstance(v, list),
+    "array": lambda v: isinstance(v, list) or isinstance(v, np.ndarray) and v.ndim == 1,
     "integer": lambda v: _is_number(v) and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
     "number": _is_number,
     "object": lambda v: isinstance(v, dict),
@@ -289,10 +290,11 @@ def _schema_errors(value: Any, schema: dict[str, Any], path: tuple, out: list) -
         elif word == "prefixItems" and isinstance(value, list):
             for i, (item, sub) in enumerate(zip(value, arg)):
                 _schema_errors(item, sub, path + (i,), out)
-        elif word == "items" and isinstance(value, list):
+        elif word == "items" and _TYPES["array"](value):
             start = len(schema.get("prefixItems", ()))
             # a table row of plain numbers meets _NUM with no call per item and no copy
-            if arg is _NUM and not start and set(map(type, value)) <= {float, int}:
+            if arg is _NUM and not start and (value.dtype.kind in "iuf" if isinstance(value, np.ndarray)
+                                              else set(map(type, value)) <= {float, int}):
                 continue
             for i in range(start, len(value)):
                 _schema_errors(value[i], arg, path + (i,), out)
@@ -463,11 +465,15 @@ def _float_or_literal(literal: str) -> float | _NonFinite:
 
 
 def _all_finite(node: Any) -> bool:
-    """Whether a parsed document holds no infinite float, no integer past
-    the largest double and no stand-in."""
+    """Whether a parsed document, or a dump with array rows, holds no
+    infinite float, no integer past the largest double and no stand-in."""
+    if isinstance(node, np.ndarray):
+        node = node.tolist()
     if isinstance(node, dict):
         return all(_all_finite(value) for value in node.values())
     if isinstance(node, list):
+        if node and isinstance(node[0], np.ndarray):  # a dump's block of rows
+            return all(_all_finite(row) for row in node)
         try:
             # a row of numbers sums at C speed and inf carries through; the
             # float start turns each integer into a double, so one past the
@@ -489,6 +495,8 @@ def _non_finite_at(node: Any, path: str = "") -> tuple[str, str] | None:
     """Pointer and capped text of the first non-finite number in a
     document: a stand-in's literal, or the repr of a float or an integer
     that :func:`_all_finite` refuses."""
+    if isinstance(node, np.ndarray):
+        node = node.tolist()
     if isinstance(node, _NonFinite):
         return path or "/", _capped(node.literal)
     if isinstance(node, (float, int)) and not _all_finite(node):
@@ -543,6 +551,14 @@ def _parse_json(text: str) -> Any:
     return data
 
 
+def _check_solution(data: Any) -> None:
+    """Refuse a solution document by :data:`SOLUTION_SCHEMA`, then at its
+    first non-finite number, with pointers into ``data``."""
+    _validate(data, SOLUTION_SCHEMA, "")
+    if not _all_finite(data):
+        _refuse_non_finite(data)
+
+
 def load_solution(path: str | Path, tree: TwoPhaseTree | None = None) -> RBSDESolution:
     """The solution dumped at ``path``, alone or as a solve report's
     ``solution``, checked against :data:`SOLUTION_SCHEMA`.  A solution whose
@@ -562,11 +578,12 @@ def load_solution(path: str | Path, tree: TwoPhaseTree | None = None) -> RBSDESo
             raise ScenarioError(f"{path}: solution grid (steps {steps}, dt {dt!r}) does not match "
                                 f"the scenario's (steps {tree.n_steps}, dt {tree.dt!r})")
     try:
-        _validate(data, SOLUTION_SCHEMA, base)
         return solution_from_dict(data)
-    except ValueError as exc:  # the schema's refusal, or a row count or length the grid fixes
-        where = "" if isinstance(exc, ScenarioError) else base
-        raise ScenarioError(f"{path} is not a solution document: {where}{exc}") from None
+    except ValueError as exc:  # a refusal behind a pointer into the solution, whose root is base
+        message = str(exc)
+        if base and message.startswith("/:"):
+            message = message[1:]
+        raise ScenarioError(f"{path} is not a solution document: {base}{message}") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:

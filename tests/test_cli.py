@@ -1148,6 +1148,12 @@ SHALLOW_GOLDEN_SHA256 = {
     "shallow.game.json": "91bab445a6af8ded6d38068697f0c616d74ad79c9ae1b7501f0e5640942026b0",
     "shallow.saddle.json": "77efef06a560957917e7acb30afcec07e9767e47bb8ba0b8180717145a5297ba",
 }
+# the saddle and game reports at the non-root theta (step 1, node 1): the
+# restricted subgame, solved with its step offset
+THETA_GOLDEN_SHA256 = {
+    "shallow.saddle.json": "e0b6958695a8230f5113092dbcafe041b1f6d93c8b325aad49a224a4a13404e6",
+    "shallow.game.json": "68a36bb841a6ef0ff1be5dc587624628f0a6986b71916b7e5390cb19df4eeb48",
+}
 
 
 def test_shallow_golden_pins_the_games_layer(tmp_path, capsys):
@@ -1159,9 +1165,12 @@ def test_shallow_golden_pins_the_games_layer(tmp_path, capsys):
     for argv in (["verify"], ["oracle", "--mode", "plain"], ["game"],
                  ["saddle", "--epsilon", "0.1", "0.05"]):
         assert main([argv[0], path, "--out", out] + argv[1:]) == 0
-    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-               for name in SHALLOW_GOLDEN_SHA256}
-    assert digests == SHALLOW_GOLDEN_SHA256
+    theta = ["--theta-step", "1", "--theta-node", "1"]
+    for argv in (["saddle", *theta, "--epsilon", "0.1", "0.05"], ["game", *theta]):
+        assert main([argv[0], path, "--out", str(tmp_path / "theta")] + argv[1:]) == 0
+    for where, golden in (("out", SHALLOW_GOLDEN_SHA256), ("theta", THETA_GOLDEN_SHA256)):
+        digests = {name: hashlib.sha256((tmp_path / where / name).read_bytes()).hexdigest() for name in golden}
+        assert digests == golden
 
 
 def test_cli_import_loads_neither_jsonschema_nor_numpy_random():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from rbsde_lab import (
     Barriers,
+    BudgetError,
     EnumerationBoundError,
-    EnumerationBudgetError,
     OptionalProcess,
     Phase,
     StoppingTime,
@@ -20,7 +20,6 @@ from rbsde_lab import (
     constant_driver,
     enumerate_stopping_times,
     epsilon_ratio_ok,
-    epsilon_saddle,
     game_equals_rbsde,
     random_scenario,
     right_jump_counterexample,
@@ -28,8 +27,8 @@ from rbsde_lab import (
     solve_rbsde,
     value_identity_applicable,
 )
-from rbsde_lab import expectation, games
-from rbsde_lab.expectation import check_enumeration_budget
+from rbsde_lab import expectation, games, truncation_scheme
+from rbsde_lab.expectation import check_enumeration
 from test_oracles import reference_payoff_tensor
 
 
@@ -156,13 +155,27 @@ def test_enumeration_bound_guards_depth():
 
 def test_enumeration_budget_refuses_depth_four():
     for depth in (1, 2, 3):  # depth 3: 123**2 * 2**3 = 121,032 pair elements
-        check_enumeration_budget(depth)
-    with pytest.raises(EnumerationBudgetError, match=r"depth-4 subgame make 3,663,154,576 elements, "
+        check_enumeration(depth, 18)
+    with pytest.raises(BudgetError, match=r"depth-4 subgame make 3,663,154,576 elements, "
                        r"above the budget of 4,194,304; lower --enum-bound \(or /tolerances/enum_bound\) to 3"):
-        check_enumeration_budget(4)
+        check_enumeration(4, 18)
     # a deep request names a lower bound: its count has astronomically many digits
-    with pytest.raises(EnumerationBudgetError, match="depth-18 subgame make more than 3,663,154,576 elements"):
-        check_enumeration_budget(18)
+    with pytest.raises(BudgetError, match="depth-18 subgame make more than 3,663,154,576 elements"):
+        check_enumeration(18, 18)
+    # the depth bound is checked first
+    with pytest.raises(EnumerationBoundError, match=r"^enumeration bound exceeded: subgame depth 18 > 17; "):
+        check_enumeration(18, 17)
+
+
+def test_one_budget_constant_refuses_a_ladder_and_an_enumeration(monkeypatch):
+    sc = random_scenario(8, n_steps=2, driver_kind="cubic")
+    # below a depth-2 subgame's 11**2 * 4 = 484 pair elements and a 2 x 2
+    # ladder's 4 * 4 = 16 stacked elements
+    monkeypatch.setattr(expectation, "ELEMENT_BUDGET", 15)
+    with pytest.raises(BudgetError, match="^truncation ladder at level n_max=2, m_max=2 .* budget of 15;"):
+        truncation_scheme(sc.tree, sc.barriers, sc.driver, n_max=2, m_max=2)
+    with pytest.raises(BudgetError, match="^enumeration budget exceeded: .* depth-2 subgame .* budget of 15;"):
+        brute_force_values(sc.tree, sc.barriers, sc.driver)
 
 
 def test_every_brute_force_path_checks_the_budget_before_enumerating(monkeypatch):
@@ -175,29 +188,43 @@ def test_every_brute_force_path_checks_the_budget_before_enumerating(monkeypatch
                          (expectation, "_stop_order")):
         monkeypatch.setattr(module, name, enumerated)
     sc = random_scenario(3, n_steps=4, driver_kind="linear")
-    calls = [
-        lambda: brute_force_values(sc.tree, sc.barriers, sc.driver, mode="extended", enum_bound=4),
-        lambda: brute_force_values(sc.tree, sc.barriers, sc.driver, mode="plain", enum_bound=4),
-        lambda: game_equals_rbsde(sc.tree, sc.barriers, sc.driver, enum_bound=4),
-        lambda: saddle_points(sc.tree, sc.barriers, sc.driver, enum_bound=4),
-        lambda: epsilon_saddle(sc.tree, sc.barriers, sc.driver, 0.1, enum_bound=4),
-        lambda: classify_ef(sc.barriers.lower, sc.driver, mode="brute", enum_bound=4),
-    ]
-    for call in calls:
-        with pytest.raises(EnumerationBudgetError, match="depth-4 subgame"):
-            call()
+    calls = {
+        "extended": lambda bound: brute_force_values(sc.tree, sc.barriers, sc.driver, mode="extended",
+                                                     enum_bound=bound),
+        "plain": lambda bound: brute_force_values(sc.tree, sc.barriers, sc.driver, mode="plain", enum_bound=bound),
+        "oracle": lambda bound: game_equals_rbsde(sc.tree, sc.barriers, sc.driver, enum_bound=bound),
+        "saddle": lambda bound: saddle_points(sc.tree, sc.barriers, sc.driver, enum_bound=bound),
+        "classify": lambda bound: classify_ef(sc.barriers.lower, sc.driver, mode="brute", enum_bound=bound),
+    }
+    for name, call in calls.items():
+        with pytest.raises(BudgetError, match="^enumeration budget exceeded: .* depth-4 subgame"):
+            call(4)
+        if name != "oracle":  # the oracle checks only the subgames under its bound
+            with pytest.raises(EnumerationBoundError, match=r"^enumeration bound exceeded: subgame depth 4 > 3; "):
+                call(3)
 
 
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0])
 def test_an_epsilon_that_is_not_finite_and_nonnegative_is_refused(epsilon):
     sc = random_scenario(4, n_steps=2, driver_kind="linear")
     with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
-        epsilon_saddle(sc.tree, sc.barriers, sc.driver, epsilon)
+        saddle_points(sc.tree, sc.barriers, sc.driver, epsilons=(0.1, epsilon))
+
+
+def test_a_bad_epsilon_is_refused_before_any_subgame_is_solved(monkeypatch):
+    def solved(*args):
+        raise AssertionError("a subgame was solved")
+
+    monkeypatch.setattr(games, "_subgame_values", solved)
+    monkeypatch.setattr(games, "solve_rbsde", solved)
+    sc = random_scenario(4, n_steps=2, driver_kind="linear")
+    with pytest.raises(ValueError, match="epsilon must be finite and nonnegative, got nan"):
+        saddle_points(sc.tree, sc.barriers, sc.driver, epsilons=(float("nan"),))
 
 
 def test_residual_quotients_refuse_an_epsilon_of_zero():
     sc = random_scenario(4, n_steps=2, driver_kind="linear")
-    saddles = [epsilon_saddle(sc.tree, sc.barriers, sc.driver, e) for e in (0.1, 0.0)]
+    saddles = saddle_points(sc.tree, sc.barriers, sc.driver, epsilons=(0.1, 0.0)).epsilon_saddles
     with pytest.raises(ValueError, match="every epsilon > 0"):
         epsilon_ratio_ok(saddles)
 
@@ -216,8 +243,7 @@ def test_a_theta_outside_the_tree_is_refused(step, node):
     sc = random_scenario(4, n_steps=2, driver_kind="linear")
     calls = [
         lambda: brute_force_values(sc.tree, sc.barriers, sc.driver, theta_step=step, theta_node=node),
-        lambda: saddle_points(sc.tree, sc.barriers, sc.driver, theta_step=step, theta_node=node),
-        lambda: epsilon_saddle(sc.tree, sc.barriers, sc.driver, 0.1, theta_step=step, theta_node=node),
+        lambda: saddle_points(sc.tree, sc.barriers, sc.driver, theta_step=step, theta_node=node, epsilons=(0.1,)),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=rf"^theta \(step {step}, node {node}\) is not a node"):
@@ -340,7 +366,7 @@ def _pinned_game():
 
 def test_epsilon_pair_stops_immediately_when_pinned():
     tree, b = _pinned_game()
-    sad = epsilon_saddle(tree, b, constant_driver(0.0), 0.1)
+    (sad,) = saddle_points(tree, b, constant_driver(0.0), epsilons=(0.1,)).epsilon_saddles
     assert np.all(sad.tau.steps == 0)
     assert np.all(sad.tau.phases == 0)
     assert sad.residual_up <= 1e-12 and sad.residual_down <= 1e-12
@@ -353,7 +379,7 @@ def test_epsilon_pair_waits_to_horizon_in_the_interior():
     b = Barriers(OptionalProcess.from_constant(tree, 0.0),
                  OptionalProcess.from_constant(tree, 1.0),
                  np.array([1.0, 0.0]))
-    sad = epsilon_saddle(tree, b, constant_driver(0.0), 0.05)
+    (sad,) = saddle_points(tree, b, constant_driver(0.0), epsilons=(0.05,)).epsilon_saddles
     assert np.all(sad.tau.steps == 1)
     assert np.all(sad.sigma.steps == 1)
     assert sad.pair_value == pytest.approx(0.5, abs=1e-12)
@@ -445,6 +471,3 @@ def test_a_saddle_report_solves_once_and_reads_one_pair_matrix_per_mode(monkeypa
     # the extended and plain pair patterns of depth 3, each solved once
     assert calls.count(("solve_rbsde", None)) == 1
     assert sorted(rows for name, rows in calls if name == "_subgame_values") == [123, 845]
-    calls.clear()
-    epsilon_saddle(sc.tree, sc.barriers, sc.driver, 0.1)
-    assert calls == [("_subgame_values", 845), ("solve_rbsde", None)]

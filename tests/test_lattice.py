@@ -89,6 +89,15 @@ def test_walk_tables_are_read_only_and_trees_shared_per_grid():
         build_tree(4.0, 0.25)
 
 
+@pytest.mark.parametrize("dt, shown", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (0, "0"),
+                                       (-0.5, "-0.5"), (10 ** 400, "an integer past the largest double")],
+                         ids=["inf", "minus-inf", "nan", "zero", "negative", "int-past-double"])
+def test_a_tree_refuses_a_dt_that_is_not_a_positive_finite_double(dt, shown):
+    # dt inf once built a tree with sqrt_dt = inf, and 10**400 raised a plain OverflowError
+    with pytest.raises(ValueError, match=f"^dt must be a positive finite number, got {shown}$"):
+        build_tree(2, dt)
+
+
 def test_point_order_exhaustive_small_depths():
     # total order AT(k) < AFTER(k) < AT(k+1): the key 2k + phase of each of
     # the 2n + 1 valid points orders them as (time, phase), on every pair

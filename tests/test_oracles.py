@@ -92,7 +92,6 @@ from rbsde_lab.games import (
     _pair_patterns,
     _stopped_mass,
     brute_force_values,
-    epsilon_saddle,
     game_equals_rbsde,
     saddle_points,
 )
@@ -729,7 +728,8 @@ def reference_shortfall(tree, barriers, driver, theta, y_theta, own, maximiser, 
 def test_saddle_residuals_match_the_per_pair_path(seed, depth, theta_step, kind, touching, regular, epsilon):
     scn, barriers, driver, node = _game_draw(seed, depth, theta_step, kind, touching, regular)
     tree, theta = scn.tree, (theta_step, node)
-    rep = saddle_points(tree, barriers, driver, theta_step=theta_step, theta_node=node, epsilons=(0.1, 0.05))
+    rep = saddle_points(tree, barriers, driver, theta_step=theta_step, theta_node=node,
+                        epsilons=(0.1, 0.05, epsilon))
     y = rep.y_theta
     stops = [rep.tau_star.keys, rep.sigma_star.keys, rep.tau_bar.keys, rep.sigma_bar.keys]
     players = ("star_{}_up", "star_{}_down", "bar_{}_up", "bar_{}_down")
@@ -740,11 +740,9 @@ def test_saddle_residuals_match_the_per_pair_path(seed, depth, theta_step, kind,
         got += [rep.residuals[name.format("plain")] for name in players]
         want += [reference_shortfall(tree, barriers, driver, theta, y, 2 * (own >> 1), i % 2 == 0, False)
                  for i, own in enumerate(stops)]
-    # the epsilon pairs, in the saddle's stack and each on its own: the
-    # pair's own value has no depth cap, the residuals sweep every opponent
-    alone = [epsilon_saddle(tree, barriers, driver, e, theta_step=theta_step, theta_node=node)
-             for e in (0.1, 0.05, epsilon)]
-    for es in rep.epsilon_saddles + alone:
+    # the epsilon pairs: the pair's own value has no depth cap, the
+    # residuals sweep every opponent
+    for es in rep.epsilon_saddles:
         tau, sigma = es.tau.keys, es.sigma.keys
         got += [es.pair_value, es.residual_up, es.residual_down]
         want += [float(reference_pair_values(tree, barriers, driver, *theta, tau[None], sigma[None])[0, 0]),

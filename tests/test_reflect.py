@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rbsde_lab import (
     Barriers,
-    LadderBudgetError,
+    BudgetError,
     OptionalProcess,
     Phase,
     RBSDESolution,
@@ -33,7 +33,7 @@ from rbsde_lab import (
     truncation_scheme,
     verify_dynamics,
 )
-from rbsde_lab import reflect
+from rbsde_lab import expectation, reflect
 
 
 def _const_barriers(tree, low, high, terminal):
@@ -467,7 +467,7 @@ def test_default_level_ladder_above_the_budget_is_refused():
     # a depth-12 cubic draw whose default level is 135: 135 * 135 members of
     # 4096 leaves would stack 7.5e7 elements, several GB during Newton
     sc = random_scenario(6, n_steps=12, driver_kind="cubic")
-    with pytest.raises(LadderBudgetError, match=r"n_max=135, m_max=135 .*--n-max/--m-max"):
+    with pytest.raises(BudgetError, match=r"n_max=135, m_max=135 .*--n-max/--m-max"):
         truncation_scheme(sc.tree, sc.barriers, sc.driver)
     # the level the ladder benchmark caps at stays far below the budget
     assert truncation_scheme(sc.tree, sc.barriers, sc.driver, n_max=4, m_max=4).n_max == 4
@@ -475,9 +475,9 @@ def test_default_level_ladder_above_the_budget_is_refused():
 
 def test_ladder_budget_counts_members_times_leaves(monkeypatch):
     sc = random_scenario(8, n_steps=3, driver_kind="cubic")
-    monkeypatch.setattr(reflect, "LADDER_BUDGET", 2 * 3 * sc.tree.n_leaves)
+    monkeypatch.setattr(expectation, "ELEMENT_BUDGET", 2 * 3 * sc.tree.n_leaves)
     assert truncation_scheme(sc.tree, sc.barriers, sc.driver, n_max=2, m_max=3).m_max == 3
-    with pytest.raises(LadderBudgetError, match="n_max=3, m_max=3"):
+    with pytest.raises(BudgetError, match="n_max=3, m_max=3"):
         truncation_scheme(sc.tree, sc.barriers, sc.driver, n_max=3, m_max=3)
 
 # -- continuity analogue ------------------------------------------------------

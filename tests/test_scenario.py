@@ -201,6 +201,75 @@ def test_a_non_finite_number_in_a_dict_is_refused_at_its_pointer(tmp_path, overr
         load_scenario(p)
 
 
+def _solution_dump():
+    """A depth-2 solve, dumped and read back as a file's document is."""
+    from rbsde_lab import solve_rbsde
+    from rbsde_lab.report import canonical_json, solution_to_dict
+
+    sc = random_scenario(3, n_steps=2, driver_kind="linear")
+    return json.loads(canonical_json(solution_to_dict(solve_rbsde(sc.tree, sc.barriers, sc.driver))))
+
+
+def _edit_y(value):
+    def edit(doc):
+        doc["y"]["at"][1][0] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, error", [
+    # a NaN in a row once loaded silently
+    (_edit_y(float("nan")), "/y/at/1/0: nan is not a finite number"),
+    (_edit_y(float("-inf")), "/y/at/1/0: -inf is not a finite number"),
+    # a dt past the largest double once raised a plain OverflowError
+    (lambda doc: doc.update(dt=10 ** 400), f"/dt: {_QUOTED_BIG} is not a finite number"),
+    # an infinite dt once loaded, leaking RuntimeWarnings from the tree's walk
+    (lambda doc: doc.update(dt=float("inf")), "/dt: inf is not a finite number"),
+    # steps 2.9 once built a depth-2 tree
+    (lambda doc: doc.update(steps=2.9), "/steps: 2.9 is not of type 'integer'"),
+    (lambda doc: doc.pop("z"), "/: 'z' is a required property"),
+    (_edit_y(None), "/y/at/1/0: None is not of type 'number'"),
+], ids=["nan", "minus-inf", "dt-big", "dt-inf", "steps-fraction", "no-z", "null"])
+def test_a_solution_dict_is_refused_at_its_pointer_in_the_reader_words(tmp_path, edit, error):
+    from rbsde_lab.report import solution_from_dict
+    from rbsde_lab.scenario import load_solution
+
+    doc = _solution_dump()
+    edit(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioError) as info:
+            solution_from_dict(doc)
+    assert str(info.value) == error
+    # a file refused behind the same pointer, bare or as a solve report's solution
+    for wrapped, base in ((doc, ""), ({"solution": doc}, "/solution")):
+        p = tmp_path / "solution.json"
+        p.write_text(json.dumps(wrapped, allow_nan=True).replace("Infinity", "1e400"))
+        with pytest.raises(ScenarioError) as info:
+            load_solution(p)
+        pointer = error.split(": ", 1)[0]
+        pointer = base + pointer if pointer != "/" else base or "/"
+        # a non-finite number is refused as the file is parsed, quoting its literal
+        assert str(info.value).startswith((f"{p} is not a solution document: {pointer}: ", f"{p}: {pointer}: "))
+
+
+def test_a_dump_with_array_rows_is_read_and_refused_as_its_json_is():
+    from rbsde_lab import solve_rbsde
+    from rbsde_lab.report import solution_from_dict, solution_to_dict
+
+    sc = random_scenario(3, n_steps=2, driver_kind="linear")
+    sol = solve_rbsde(sc.tree, sc.barriers, sc.driver)
+    back = solution_from_dict(solution_to_dict(sol))
+    assert all(np.array_equal(a, b) for a, b in zip(back.y.slots, sol.y.slots))
+    for row, error in ((np.float32([0.5, np.nan]), "/y/at/1/1: nan is not a finite number"),
+                       (np.array([0.5, None]), "/y/at/1/1: None is not of type 'number'"),
+                       (np.zeros((2, 1)), "/y/at/1: array([[0.],\n       [0.]]) is not of type 'array'")):
+        doc = solution_to_dict(sol)
+        doc["y"]["at"][1] = row
+        with pytest.raises(ScenarioError) as info:
+            solution_from_dict(doc)
+        assert str(info.value) == error
+
+
 def test_rows_that_only_sum_past_the_largest_double_are_read(tmp_path):
     p = tmp_path / "rows.json"
     big_int = "1" + "0" * 308
