@@ -28,6 +28,7 @@ pair matrix per game mode.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -310,8 +311,11 @@ class EpsilonSaddle:
 
 
 def _check_epsilon(epsilon: float) -> None:
-    if not 0 <= epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    # a bool would pass as 0 or 1, and a non-real would raise a TypeError in
+    # the comparison: both get the refusal instead, quoted by repr
+    real = isinstance(epsilon, numbers.Real) and not isinstance(epsilon, bool)
+    if not (real and 0 <= epsilon < np.inf):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon if real else repr(epsilon)}")
 
 
 @dataclass

@@ -15,12 +15,10 @@ comparison fails beyond 1/sqrt(dt)) and positive monotonicity stays below
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
 import operator
-import random
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -152,32 +150,6 @@ _DRIVER_SCHEMAS: dict[str, dict[str, Any]] = {
                                                "additionalProperties": False}},
                    "additionalProperties": False},
 }
-
-
-@functools.lru_cache(maxsize=1)
-def _spot_check_draws() -> np.ndarray:
-    """The first 1,280 numbers of ``random.Random(0)``, drawn once per
-    process: what one driver spot-check consumes.  They come from the
-    standard library because numpy imports ``numpy.random`` lazily, and
-    importing it for them would add about 6 MB of resident memory and 15 ms
-    to each CLI process."""
-    rng = random.Random(0)
-    draws = np.array([rng.random() for _ in range(1280)])
-    draws.setflags(write=False)
-    return draws
-
-
-class _SpotCheckDraws:
-    """``uniform(low, high, size)`` over :func:`_spot_check_draws`, in order:
-    every load spot-checks its driver on the same numbers."""
-
-    def __init__(self) -> None:
-        self._left = _spot_check_draws()
-
-    def uniform(self, low: float, high: float, size: int | tuple[int, ...]) -> np.ndarray:
-        out = self._left[:size if isinstance(size, int) else math.prod(size)].reshape(size)
-        self._left = self._left[out.size:]
-        return low + (high - low) * out
 
 
 class ScenarioError(ValueError):
@@ -429,7 +401,7 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     try:
         # the implicit-step guard and the root solvers rely on the declared
         # constants; fixed draws keep loading deterministic
-        driver.spot_check(_SpotCheckDraws())
+        driver.spot_check()
     except ValueError as exc:
         raise ScenarioError(f"/driver: {exc}") from None
     tolerances = dict(DEFAULT_TOLERANCES)

@@ -28,8 +28,8 @@ from rbsde_lab import (
     solve_bsde,
     truncated_driver,
 )
-from rbsde_lab.expectation import (TransitionIncrements, _check_mu, _newton_step, _odd_cubic, _odd_cubic_step,
-                                   _residual_rows)
+from rbsde_lab.expectation import (TransitionIncrements, _check_mu, _clip_to_band, _newton_step, _odd_cubic,
+                                   _odd_cubic_step, _residual_rows)
 
 
 # -- frozen one-step solves ---------------------------------------------------
@@ -126,7 +126,7 @@ def test_structured_steps_match_bisection(drv_dt, seed, masked):
     cubic = _odd_cubic(drv.terms, dt)
     if cubic is not None:
         # at this scale the closed form, band included, needs no Newton fallback
-        closed = _odd_cubic_step(e, z, cubic, drv.clip, dt)
+        closed = _clip_to_band(_odd_cubic_step(e, z, cubic, dt), e, drv.clip, dt)
         assert not _residual_rows(closed, e, z, 0.0, drv.fn, dt, 1e-12)[1].any()
         newton = _newton_step(e, z, drv.terms, drv.clip, dt)
         newton = newton if active is None else np.where(active, newton, e)
@@ -150,7 +150,7 @@ def test_odd_cubic_step_fails_no_row_that_newton_solves():
             k = np.sqrt(3.0 * a3 / a1)
             bare = 2.0 / k * np.sinh(np.arcsinh(1.5 * k / a1 * e) / 3.0)
             bare_misses += _residual_rows(bare, e, z, 0.0, drv.fn, dt, 1e-12)[1].sum()
-            fallbacks += _residual_rows(_odd_cubic_step(e, z, (a3, a1, []), None, dt),
+            fallbacks += _residual_rows(_odd_cubic_step(e, z, (a3, a1, []), dt),
                                         e, z, 0.0, drv.fn, dt, 1e-12)[1].sum()
             newton_ok = ~_residual_rows(_newton_step(e, z, drv.terms, None, dt),
                                         e, z, 0.0, drv.fn, dt, 1e-12)[1][:, 0]
@@ -171,6 +171,34 @@ def _solved_or_none(e, z, driver, dt):
         return implicit_step(e, z, 0.0, driver, dt)
     except RootSolveError:
         return None
+
+
+@pytest.mark.parametrize("base, exact", [
+    (linear_driver(0.3, -1.0, 0.5), True),                                                 # affine closed form
+    (polynomial_driver([(3, 0, -1.0), (0, 1, 0.5)], lambda_z=0.5, mu=0.0), True),          # odd-cubic closed form
+    (polynomial_driver([(3, 0, -1.0), (2, 0, 0.5), (1, 0, -1.0)], lambda_z=0.0, mu=-0.5), False),  # banded Newton
+], ids=["affine", "odd-cubic", "newton"])
+def test_a_clipped_root_beyond_the_band_lands_on_its_edge(base, exact):
+    """Under ``(R, 1)`` column bands, an element whose unclipped root lies
+    beyond its row's band is that edge, bit for bit, and any other element is
+    the unclipped root: bit for bit from a closed form, within the iteration's
+    tolerance from Newton."""
+    rng = np.random.default_rng(35)
+    e = 50.0 * rng.uniform(-1.0, 1.0, (3, 64))
+    z = rng.uniform(-1.0, 1.0, (3, 64))
+    dt = 0.5
+    drv = clipped_driver(base, np.array([[0.5], [2.0], [8.0]]), np.array([[1.0], [0.25], [6.0]]))
+    free = implicit_step(e, z, 0.0, base, dt)
+    got = implicit_step(e, z, 0.0, drv, dt)
+    lo, hi = (e + dt * edge for edge in drv.clip)
+    below, above = free < lo, free > hi
+    assert 150 < (below | above).sum() < e.size
+    assert np.array_equal(got[below], lo[below]) and np.array_equal(got[above], hi[above])
+    inside = ~(below | above)
+    if exact:
+        assert np.array_equal(got[inside], free[inside])
+    else:
+        assert np.all(np.abs(got - free)[inside] <= 1e-13 * np.maximum(1.0, np.abs(free[inside])))
 
 
 def test_structure_that_disagrees_with_fn_raises():
@@ -230,26 +258,24 @@ def test_explosive_monotonicity_rejected():
 
 
 def test_driver_spot_check_flags_misdeclared_constants():
-    rng = np.random.default_rng(0)
     honest = linear_driver(0.0, -1.0, 2.0)
-    report = honest.spot_check(rng)
+    report = honest.spot_check()
     assert report["lipschitz_z"] <= 1e-9 and report["monotone_y"] <= 1e-9
     lying = polynomial_driver([(0, 1, 2.0)], lambda_z=1.0, mu=0.0)  # true slope 2
     with pytest.raises(ValueError, match="lipschitz_z"):
-        lying.spot_check(rng)
+        lying.spot_check()
 
 
 def test_driver_spot_check_fails_on_nan_and_non_finite_values():
-    rng = np.random.default_rng(0)
     # a NaN worst case compares false with the tolerance, and must still fail
     nan_mu = dataclasses.replace(linear_driver(0.0, -1.0, 2.0), mu=float("nan"))
     with pytest.raises(ValueError, match="violates declared monotone_y bound by nan"):
-        nan_mu.spot_check(rng)
+        nan_mu.spot_check()
     overflow = polynomial_driver([(40000, 0, 1.0)], lambda_z=0.0, mu=0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match="not finite on the spot-check samples"):
-            overflow.spot_check(rng)
+            overflow.spot_check()
     assert not caught
 
 

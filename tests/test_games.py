@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -204,10 +206,13 @@ def test_every_brute_force_path_checks_the_budget_before_enumerating(monkeypatch
                 call(3)
 
 
-@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -1.0])
-def test_an_epsilon_that_is_not_finite_and_nonnegative_is_refused(epsilon):
+@pytest.mark.parametrize("epsilon, quoted", [(float("nan"), "nan"), (float("inf"), "inf"), (-1.0, "-1.0"),
+                                             ("0.1", "'0.1'"), (None, "None"), (True, "True")],
+                         ids=["nan", "inf", "-1.0", "string", "None", "True"])
+def test_an_epsilon_that_is_not_finite_and_nonnegative_is_refused(epsilon, quoted):
+    # a string or None is not compared, and a bool is not read as 1
     sc = random_scenario(4, n_steps=2, driver_kind="linear")
-    with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+    with pytest.raises(ValueError, match=f"^epsilon must be finite and nonnegative, got {re.escape(quoted)}$"):
         saddle_points(sc.tree, sc.barriers, sc.driver, epsilons=(0.1, epsilon))
 
 

@@ -15,6 +15,7 @@ from jsonschema import Draft202012Validator
 
 from rbsde_lab import (
     DEFAULT_TOLERANCES,
+    Driver,
     ScenarioError,
     SeparationFailure,
     load_scenario,
@@ -24,6 +25,7 @@ from rbsde_lab import (
     semicontinuity,
     value_identity_applicable,
 )
+from rbsde_lab.expectation import _spot_check_draws
 from rbsde_lab.scenario import (
     _BARRIER_SCHEMAS,
     _DRIVER_SCHEMAS,
@@ -31,8 +33,6 @@ from rbsde_lab.scenario import (
     SCENARIO_SCHEMA,
     _quote,
     _read_json,
-    _spot_check_draws,
-    _SpotCheckDraws,
     _validate,
 )
 
@@ -291,16 +291,22 @@ def test_spot_check_draws_are_made_once_and_served_in_order():
     draws = _spot_check_draws()
     assert draws.tolist() == want and not draws.flags.writeable
     assert _spot_check_draws() is draws
-    # each spot-check reads the same numbers, in the order the seeded
-    # stream gave them: 256 times, then twice 2 x 256 values
-    rng = _SpotCheckDraws()
-    t = rng.uniform(0.0, 1.0, 256)
-    y = rng.uniform(-5.0, 5.0, (2, 256))
-    z = rng.uniform(-5.0, 5.0, (2, 256))
-    assert t.tolist() == want[:256]
-    assert y.tolist() == (-5.0 + 10.0 * np.array(want[256:768]).reshape(2, 256)).tolist()
-    assert z.tolist() == (-5.0 + 10.0 * np.array(want[768:])).reshape(2, 256).tolist()
-    assert _SpotCheckDraws().uniform(0.0, 1.0, 3).tolist() == want[:3]
+    # every spot-check calls its driver on the same points, in the order the
+    # seeded stream gave them: 256 times t, then 256 each of y, y2, z and z2
+    # scaled to [-5, 5]
+    calls = []
+
+    def probe(t, y, z):
+        calls.append([np.asarray(v).tolist() for v in (t, y, z)])
+        return np.zeros_like(y)
+
+    driver = Driver(fn=probe, lambda_z=0.0, mu=0.0, z_growth=(0.0, 0.0, 0.0))
+    driver.spot_check()
+    driver.spot_check()
+    t = want[:256]
+    y, y2, z, z2 = ([-5.0 + 10.0 * u for u in want[256 * i:256 * (i + 1)]] for i in range(1, 5))
+    points = [[t, y, z], [t, y2, z], [t, y, z2], [t, y, [0.0] * 256]]
+    assert calls == points + points
 
 
 @pytest.mark.parametrize("power", [40000, 1e300])
