@@ -20,7 +20,6 @@ from .expectation import (
     constant_driver,
     implicit_step,
     linear_driver,
-    nonlinear_expectation,
     polynomial_driver,
     solve_bsde,
     truncated_driver,

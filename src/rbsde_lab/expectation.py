@@ -41,7 +41,6 @@ __all__ = [
     "truncated_driver",
     "polynomial_driver",
     "solve_bsde",
-    "nonlinear_expectation",
     "classify_ef",
     "ef_backward_batch",
     "cfl_margin",
@@ -131,10 +130,10 @@ class Driver:
         return self.fn(t, y, z)
 
     def spot_check(self) -> dict[str, float]:
-        """Worst observed violation of each declared hypothesis on 256
-        fixed points of ``[0, 1] x [-5, 5]**2`` (:func:`_spot_check_draws`),
-        failing above 1e-9.  A driver with a non-finite value on the samples
-        fails, and so does a NaN violation.
+        """Worst violation of each declared hypothesis lhs <= rhs on 256 fixed
+        points of ``[0, 1] x [-5, 5]**2`` (:func:`_spot_check_draws`), over the
+        size of rhs and of the two f values lhs subtracts, so that no unit moves
+        a verdict; failing above 1e-9, on a NaN and on a non-finite f value.
         """
         u = _spot_check_draws()
         t = u[:256]
@@ -144,12 +143,16 @@ class Driver:
             f, f_y2, f_z2 = self.fn(t, y, z), self.fn(t, y2, z), self.fn(t, y, z2)
             if not all(np.all(np.isfinite(v)) for v in (f, f_y2, f_z2)):
                 raise ValueError(f"driver {self.tag!r} is not finite on the spot-check samples")
-            out["lipschitz_z"] = float(np.max(np.abs(f - f_z2) - self.lambda_z * np.abs(z - z2)))
-            out["monotone_y"] = float(np.max((y - y2) * (f - f_y2) - self.mu * (y - y2) ** 2))
+            sides = {"lipschitz_z": (np.abs(f - f_z2), self.lambda_z * np.abs(z - z2), f, f_z2),
+                     "monotone_y": ((y - y2) * (f - f_y2), self.mu * (y - y2) ** 2, (y - y2) * f, (y - y2) * f_y2)}
             if self.z_growth is not None:
                 gamma, eta, g_bound = self.z_growth
-                grow = np.abs(f - self.fn(t, y, np.zeros_like(z)))
-                out["z_growth"] = float(np.max(grow - gamma * (g_bound + np.abs(y) + np.abs(z)) ** eta))
+                f_z0 = self.fn(t, y, np.zeros_like(z))
+                sides["z_growth"] = (np.abs(f - f_z0), gamma * (g_bound + np.abs(y) + np.abs(z)) ** eta, f, f_z0)
+            for name, (lhs, rhs, f_a, f_b) in sides.items():
+                # where every size is 0 so is lhs - rhs: the floor only keeps 0 / 0 out
+                size = np.maximum(np.maximum(abs(f_a), abs(f_b)), abs(rhs)).clip(np.finfo(float).tiny)
+                out[name] = float(np.max((lhs - rhs) / size))
         for name, worst in out.items():
             if not worst <= 1e-9:
                 raise ValueError(f"driver {self.tag!r} violates declared {name} bound by {worst:.3e}")
@@ -548,10 +551,6 @@ class TransitionIncrements:
         """The increments whose node arrays are ``slots``, in key order."""
         return cls(tree, slots[0::2], slots[1::2])
 
-    @classmethod
-    def zeros(cls, tree: TwoPhaseTree) -> "TransitionIncrements":
-        return cls.from_slots(tree, [np.zeros(tree.nodes_at(q >> 1)) for q in range(2 * tree.n_steps)])
-
     @property
     def phase(self) -> tuple[np.ndarray, ...]:
         return tuple(self.slots[0::2])
@@ -560,17 +559,8 @@ class TransitionIncrements:
     def step(self) -> tuple[np.ndarray, ...]:
         return tuple(self.slots[1::2])
 
-    def combine(self, other: "TransitionIncrements", sign: float = 1.0) -> "TransitionIncrements":
-        return TransitionIncrements.from_slots(self.tree, [a + sign * b for a, b in zip(self.slots, other.slots)])
-
     def is_nonnegative(self) -> bool:
         return all(np.all(a >= 0.0) for a in self.slots)
-
-    def total_variation(self) -> float:
-        return float(sum(np.sum(np.abs(a)) for a in self.slots))
-
-    def max_abs(self) -> float:
-        return float(max((np.max(np.abs(a), initial=0.0) for a in self.slots), default=0.0))
 
 
 @dataclass
@@ -584,10 +574,9 @@ class BSDESolution:
 def solve_bsde(tree: TwoPhaseTree, terminal: np.ndarray, driver: Driver,
                dv: TransitionIncrements | None = None, *, step_offset: int = 0,
                tol_root: float = 1e-12) -> BSDESolution:
-    """Backward solve of the unreflected equation with optional drift ``dV``.
-
-    ``step_offset`` shifts the time argument fed to the driver when solving
-    on an extracted subtree.
+    """Backward solve of the unreflected equation with optional drift ``dV``;
+    ``dV = dR+ - dR-`` of a reflected solution gives back its ``Y``.
+    ``step_offset`` shifts the driver's time argument on an extracted subtree.
     """
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (tree.n_leaves,):
@@ -647,30 +636,6 @@ def _unreflected_pass(tree: TwoPhaseTree, terminal: np.ndarray, driver: Driver,
         after = implicit_step(e, z, (step_offset + k) * dt, driver, dt, active=active, tol=tol_root)
         nxt = after if dv is None else after + dv.slots[2 * k]
         yield z, after, nxt
-
-
-def nonlinear_expectation(tree: TwoPhaseTree, alpha: StoppingTime, beta: StoppingTime,
-                          xi: np.ndarray, driver: Driver) -> np.ndarray:
-    """Conditional nonlinear expectation of ``xi`` over ``[[alpha, beta]]``:
-    its per-leaf values at ``alpha``.
-
-    ``xi`` (per leaf) must be measurable at ``beta``: constant on every
-    beta-atom.  The driver is switched off strictly after ``beta``, which
-    freezes ``xi`` along each path, so extending the recursion to the full
-    horizon changes nothing — that identity is what makes the masked
-    implementation valid.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (tree.n_leaves,):
-        raise ValueError("xi must have one value per leaf")
-    if not (tree.same_grid(alpha.tree) and tree.same_grid(beta.tree)):
-        raise ValueError("stopping times live on a different grid")
-    if not alpha.leq(beta):
-        raise ValueError("alpha must not exceed beta")
-    if np.any(xi != xi[beta.stop_nodes() << (tree.n_steps - beta.steps)]):
-        raise ValueError("xi is not measurable at beta (differs within a beta-atom)")
-    vals = ef_backward_batch(tree, driver, xi[None, :], beta.keys[None])
-    return gather_slots(vals, alpha.keys)[0]
 
 
 @dataclass

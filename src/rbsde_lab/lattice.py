@@ -270,9 +270,6 @@ class OptionalProcess:
 
     # -- transforms -----------------------------------------------------
 
-    def copy(self) -> "OptionalProcess":
-        return OptionalProcess.from_slots(self.tree, [a.copy() for a in self.slots])
-
     def with_terminal(self, values: np.ndarray) -> "OptionalProcess":
         """Same process with the AT(N) slot replaced (used for xi-patched barriers)."""
         values = np.asarray(values, dtype=float)
@@ -374,10 +371,6 @@ class StoppingTime:
     def phases(self) -> np.ndarray:
         """Per-leaf stop phase (0 = AT, 1 = AFTER)."""
         return self.keys & 1
-
-    def stop_nodes(self) -> np.ndarray:
-        """Per-leaf node index at the stop step."""
-        return np.arange(self.tree.n_leaves) >> (self.tree.n_steps - self.steps)
 
     def leq(self, other: "StoppingTime") -> bool:
         return bool(np.all(self.keys <= other.keys))

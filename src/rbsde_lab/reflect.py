@@ -102,10 +102,6 @@ class RBSDESolution:
     r_plus: TransitionIncrements
     r_minus: TransitionIncrements
 
-    def reflection_drift(self) -> TransitionIncrements:
-        """Net signed increments ``dR+ - dR-`` (feedable back to solve_bsde)."""
-        return self.r_plus.combine(self.r_minus, sign=-1.0)
-
 
 def solve_rbsde(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
                 step_offset: int = 0, tol_root: float = 1e-12) -> RBSDESolution:

@@ -225,7 +225,7 @@ def test_c08_operator_laws_and_classifier_agreement():
             tree, [rng.uniform(0.0, 0.3, tree.nodes_at(j)) for j in range(n)],
             [rng.uniform(0.0, 0.3, tree.nodes_at(j)) for j in range(n)])
         y_super = solve_bsde(tree, xi, drv, dv=dv).y
-        y_sub = solve_bsde(tree, xi, drv, dv=dv.combine(dv, sign=-2.0)).y
+        y_sub = solve_bsde(tree, xi, drv, dv=TransitionIncrements.from_slots(tree, [-a for a in dv.slots])).y
         assert classify_ef(y_super, drv, tol=TOL_ROOT).is_supermartingale
         assert classify_ef(y_sub, drv, tol=TOL_ROOT).is_submartingale
 

@@ -1119,6 +1119,60 @@ GOLDEN_SHA256 = {
     "golden.approx.json": "f2cd7d095bbc4caf9e9f845f227ef8c7abf6f0275d6e8fbeeb42a3ece8c48aad",
     "golden.approx.convergence.csv": "2e2c8ec2ea566da9c2aa2d5715b335c14c8c9fc1cd6da6fb11f605843257f085",
 }
+# a sha256 of each top-level block of each golden JSON report (see
+# _moved_blocks): the golden tests name every block that moved, so a change
+# that adds or alters one block shows that every other one kept its bytes
+GOLDEN_BLOCK_SHA256 = {
+    "golden.solve.json": {
+        "command": "f87ac173c1b15554121f0b6c656fec83fe1982747bedabb4c963d1d26fb1965b",
+        "dynamics": "280878cf351cb2f0ee83d4e867ffcdf9100e78e95dc35fa1c084c7c9a9707a5d",
+        "minimality": "95fd2b6d73294d06b4de1072150a612b0420741afb4e6ae6ef7489aae8c7929a",
+        "passed": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "scenario": "75da4cda480106f266c85755cf69dc41ed4dd9f80119b770cf5f9fde3aba4909",
+        "solution": "c691d20a63e27dba85033e5d3aabfc3a571e8893ef6049438f29451ec86117ae",
+        "y0": "62278431bd06519db4262e59cb84b5000e979671acb7581f472df9722e81a925",
+    },
+    "golden.verify.json": {
+        "command": "898c74c2eed0452b1e51e567f237c37f1caa1e52f747466d56e76e15d07dc331",
+        "continuity": "5a5fd42943aa161735e1aa40c11a897802d359d0e314594fc2753d8db158c338",
+        "dynamics": "280878cf351cb2f0ee83d4e867ffcdf9100e78e95dc35fa1c084c7c9a9707a5d",
+        "game_oracle": "46887c1e26fa2d7098e1482cf656241d21ed42f1d61e1158ed1edb2ed07ee9ca",
+        "minimality": "95fd2b6d73294d06b4de1072150a612b0420741afb4e6ae6ef7489aae8c7929a",
+        "passed": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "round_trip": "f93c3189538d172c88ad84607620661c44e1180c413b1cec2ed5df895ad0e021",
+        "scenario": "75da4cda480106f266c85755cf69dc41ed4dd9f80119b770cf5f9fde3aba4909",
+        "snell": "6172c9b6dec89d33c30ad9c5cc9aaec772a290776090b5a7161b90e2a5f39bb1",
+        "witness": "72dc97808d7983af0d7109812d38cc82daaf06cdbbbe7239bd7bc588de395132",
+        "y0": "62278431bd06519db4262e59cb84b5000e979671acb7581f472df9722e81a925",
+    },
+    "golden.approx.json": {
+        "command": "3eaa5ce3a9b03ef5f1752d67f14711a5c0662d3ed0a54cf8fe93d724103aa19a",
+        "cut_step": "4e07408562bedb8b60ce05c1decfe3ad16b72230967de01f640b7e4729b49fce",
+        "limit_gap": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "m_gaps": "91fdc1f09a03771a8213f8a113323015948e681cfa84066d9d797ac61daf812e",
+        "m_max": "7902699be42c8a8e46fbbb4501726517e86b22c56a189f7625a6da49081b2451",
+        "monotone_m_violation": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "monotone_n_violation": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "n_gaps": "c5b3c824d2c400dbb67b623c2149f2c4a7fccc205b0acff7bf7a012102c293e6",
+        "n_max": "7902699be42c8a8e46fbbb4501726517e86b22c56a189f7625a6da49081b2451",
+        "passed": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "scenario": "75da4cda480106f266c85755cf69dc41ed4dd9f80119b770cf5f9fde3aba4909",
+    },
+}
+
+
+def _moved_blocks(directory, pinned):
+    """``file:block`` of each top-level block of the JSON reports in
+    ``directory`` whose sha256 differs from ``pinned`` (file -> block ->
+    digest), or that only one side has.  A block is digested as its value
+    in the parsed report, dumped with sorted keys."""
+    moved = []
+    for name, blocks in pinned.items():
+        report = json.loads((directory / name).read_bytes())
+        got = {key: hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+               for key, value in report.items()}
+        moved += [f"{name}:{key}" for key in sorted(blocks.keys() | got.keys()) if blocks.get(key) != got.get(key)]
+    return moved
 
 
 def test_golden_report_digests(tmp_path, capsys):
@@ -1127,6 +1181,7 @@ def test_golden_report_digests(tmp_path, capsys):
     assert main(["solve", path, "--out", str(out), "--format", "csv"]) == 0
     assert main(["verify", path, "--solution", str(out / "golden.solve.json"), "--out", str(out)]) == 0
     assert main(["approx", path, "--cut-step", "3", "--out", str(out), "--format", "csv"]) == 0
+    assert _moved_blocks(out, GOLDEN_BLOCK_SHA256) == []
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
 
@@ -1154,6 +1209,98 @@ THETA_GOLDEN_SHA256 = {
     "shallow.saddle.json": "e0b6958695a8230f5113092dbcafe041b1f6d93c8b325aad49a224a4a13404e6",
     "shallow.game.json": "68a36bb841a6ef0ff1be5dc587624628f0a6986b71916b7e5390cb19df4eeb48",
 }
+SHALLOW_GOLDEN_BLOCK_SHA256 = {
+    "shallow.verify.json": {
+        "command": "898c74c2eed0452b1e51e567f237c37f1caa1e52f747466d56e76e15d07dc331",
+        "continuity": "00098990fa8644562af762afaab5884a5d5a1aa652a21fb2dc4332a02662c33f",
+        "dynamics": "5b8d19b51f366755d5414053bc566cb01e6e2cb1db10c7f81267afd58666fd79",
+        "game_oracle": "4c4ad99c252dc87d14d65f1ed7aa541a46c861302e089e4dd1a3fb42d3457901",
+        "minimality": "95fd2b6d73294d06b4de1072150a612b0420741afb4e6ae6ef7489aae8c7929a",
+        "passed": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "scenario": "0032d5a5e2f20e761d27a0f29d4d4f18e9a7e543468e4f7d7d2a3b041f6a56fe",
+        "snell": "dbbbb71342458cb23a0dbbf6b119fad2c7a2320d33492b67e862cc1ae86bf85a",
+        "witness": "3654cee31860c0ff0c4e86234fb897a2d80c3ed41944a627836213315007fcce",
+        "y0": "21ebe46b8c0667e57aa87481a818d75ad8995c226a21f1b4609ea417c2c5151f",
+    },
+    "shallow.oracle.json": {
+        "command": "f131a0db68862d392ff2723be9ce616b75c457252e8df8266b06af9c5dda8726",
+        "identity_applicable": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "max_extended_gap": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "mode": "945603a8f587786b463c3f94fce115c0fae88fac2728cc96ddf5981cf7f61741",
+        "passed": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "plain": "1f8eadbd19e69c199b3ed05c94163b51a379c144831bb831e85ecde021a0092a",
+        "scenario": "0032d5a5e2f20e761d27a0f29d4d4f18e9a7e543468e4f7d7d2a3b041f6a56fe",
+        "thetas": "fd6b81a1bd3f33e9436b567d23ef919e797d915aee1d7a5d6ecb160e36f4b5f4",
+    },
+    "shallow.game.json": {
+        "command": "12b5bbf2a2bfa6aff75e027ae4d1849262d59c7301706c4a8cb97f13bc9ee1ef",
+        "gap": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "gap_to_y": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "gap_to_y_asserted": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "identity_applicable": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "lower": "21ebe46b8c0667e57aa87481a818d75ad8995c226a21f1b4609ea417c2c5151f",
+        "mode": "d913241fcf9eaa760656c3df99554d57d514402b37f5ce7ff66977beb44eaaeb",
+        "n_sigma": "a665a45920422f9d417e4867efdc4fb8a04a1f3fff1fa07e998e86f7f7a27ae3",
+        "n_tau": "a665a45920422f9d417e4867efdc4fb8a04a1f3fff1fa07e998e86f7f7a27ae3",
+        "passed": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "scenario": "0032d5a5e2f20e761d27a0f29d4d4f18e9a7e543468e4f7d7d2a3b041f6a56fe",
+        "theta": "a36848801d4da4e64d194d7df79b4348108ba4b2cfafcff8805cc122a824e0c5",
+        "upper": "21ebe46b8c0667e57aa87481a818d75ad8995c226a21f1b4609ea417c2c5151f",
+        "y_theta": "21ebe46b8c0667e57aa87481a818d75ad8995c226a21f1b4609ea417c2c5151f",
+    },
+    "shallow.saddle.json": {
+        "command": "cbe4c1da831033476b7c28cbbe1dde9fe35d2152e8a8483ccaffbf5584311f18",
+        "contacts": "ba55196de05c22469b1524d46e0126ecac1044474fbda22405a1bf1e941cab0b",
+        "epsilon": "4f502bd8d234eceb2b92a061656bafeea236ff064c3218d6092b6da57342b61b",
+        "order_sigma_ok": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "order_tau_ok": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "passed": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "residuals": "03f024b2050266ca533f5657d69918555cd135e07665cd58334195fece453742",
+        "scenario": "0032d5a5e2f20e761d27a0f29d4d4f18e9a7e543468e4f7d7d2a3b041f6a56fe",
+        "sigma_bar": "70872d85fa919a9b927275bbe76f5fee966334fc71b8b695c92423231683b3d7",
+        "sigma_star": "86bf2539753fb1290d1934a58f882129097fd9e1ce89d34e5859a856f4b69a8d",
+        "tau_bar": "a327679d3b65a96f7756c5b77706fd49afd456e9fd90644273c70d5d83e3d782",
+        "tau_star": "760655b9b4343bad8e403003921cf5560b7d9396e657954962b0377dc570574e",
+        "theta": "a36848801d4da4e64d194d7df79b4348108ba4b2cfafcff8805cc122a824e0c5",
+        "warnings": "7b71054c2b757256360d780097da90b56410aff50ff7c381cabd78fa73dd4618",
+        "y_theta": "21ebe46b8c0667e57aa87481a818d75ad8995c226a21f1b4609ea417c2c5151f",
+    },
+}
+THETA_GOLDEN_BLOCK_SHA256 = {
+    "shallow.saddle.json": {
+        "command": "cbe4c1da831033476b7c28cbbe1dde9fe35d2152e8a8483ccaffbf5584311f18",
+        "contacts": "ba55196de05c22469b1524d46e0126ecac1044474fbda22405a1bf1e941cab0b",
+        "epsilon": "a107153bb609f95cb0140d4dea1683afdf48f19a514bf71bc55c5778beb70dd7",
+        "order_sigma_ok": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "order_tau_ok": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "passed": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "residuals": "03f024b2050266ca533f5657d69918555cd135e07665cd58334195fece453742",
+        "scenario": "0032d5a5e2f20e761d27a0f29d4d4f18e9a7e543468e4f7d7d2a3b041f6a56fe",
+        "sigma_bar": "008fd968c1489964e550c6c43582dff631b10a4a7be56e48e1b30257a913684e",
+        "sigma_star": "1776514cc770128f4c4f674d506d95d8261ec331797a6ef2f7965ffa401e5a6b",
+        "tau_bar": "40aa542f0cf91659df2dd15e480b7e23fa06720afa52a0c19ad63c0cff8a301f",
+        "tau_star": "cfbdb6ffeba092ad2bc40e009801616fe5840c7a9183245e63de678de79bbfae",
+        "theta": "26e0c3fe1a8fccab54c99668e0bb33a9b7425ccbc17b35ea6a24f051201e5b2b",
+        "warnings": "7b71054c2b757256360d780097da90b56410aff50ff7c381cabd78fa73dd4618",
+        "y_theta": "75e6904a79fe1567331b32b54d32b5a642e28f2482ff0b405dc9a74d56e20362",
+    },
+    "shallow.game.json": {
+        "command": "12b5bbf2a2bfa6aff75e027ae4d1849262d59c7301706c4a8cb97f13bc9ee1ef",
+        "gap": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "gap_to_y": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+        "gap_to_y_asserted": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "identity_applicable": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "lower": "75e6904a79fe1567331b32b54d32b5a642e28f2482ff0b405dc9a74d56e20362",
+        "mode": "d913241fcf9eaa760656c3df99554d57d514402b37f5ce7ff66977beb44eaaeb",
+        "n_sigma": "4fc82b26aecb47d2868c4efbe3581732a3e7cbcc6c2efb32062c08170a05eeb8",
+        "n_tau": "4fc82b26aecb47d2868c4efbe3581732a3e7cbcc6c2efb32062c08170a05eeb8",
+        "passed": "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b",
+        "scenario": "0032d5a5e2f20e761d27a0f29d4d4f18e9a7e543468e4f7d7d2a3b041f6a56fe",
+        "theta": "26e0c3fe1a8fccab54c99668e0bb33a9b7425ccbc17b35ea6a24f051201e5b2b",
+        "upper": "75e6904a79fe1567331b32b54d32b5a642e28f2482ff0b405dc9a74d56e20362",
+        "y_theta": "75e6904a79fe1567331b32b54d32b5a642e28f2482ff0b405dc9a74d56e20362",
+    },
+}
 
 
 def test_shallow_golden_pins_the_games_layer(tmp_path, capsys):
@@ -1161,13 +1308,15 @@ def test_shallow_golden_pins_the_games_layer(tmp_path, capsys):
     out = str(tmp_path / "out")
     scn = scenario_from_dict(SHALLOW_GOLDEN)
     sol = solve_rbsde(scn.tree, scn.barriers, scn.driver)
-    assert sol.r_plus.total_variation() > 0 and sol.r_minus.total_variation() > 0
+    assert all(sum(np.sum(np.abs(a)) for a in r.slots) > 0 for r in (sol.r_plus, sol.r_minus))
     for argv in (["verify"], ["oracle", "--mode", "plain"], ["game"],
                  ["saddle", "--epsilon", "0.1", "0.05"]):
         assert main([argv[0], path, "--out", out] + argv[1:]) == 0
     theta = ["--theta-step", "1", "--theta-node", "1"]
     for argv in (["saddle", *theta, "--epsilon", "0.1", "0.05"], ["game", *theta]):
         assert main([argv[0], path, "--out", str(tmp_path / "theta")] + argv[1:]) == 0
+    for where, blocks in (("out", SHALLOW_GOLDEN_BLOCK_SHA256), ("theta", THETA_GOLDEN_BLOCK_SHA256)):
+        assert _moved_blocks(tmp_path / where, blocks) == []
     for where, golden in (("out", SHALLOW_GOLDEN_SHA256), ("theta", THETA_GOLDEN_SHA256)):
         digests = {name: hashlib.sha256((tmp_path / where / name).read_bytes()).hexdigest() for name in golden}
         assert digests == golden

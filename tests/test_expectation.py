@@ -21,15 +21,15 @@ from rbsde_lab import (
     classify_ef,
     clipped_driver,
     constant_driver,
+    gather_slots,
     implicit_step,
     linear_driver,
-    nonlinear_expectation,
     polynomial_driver,
     solve_bsde,
     truncated_driver,
 )
 from rbsde_lab.expectation import (TransitionIncrements, _check_mu, _clip_to_band, _newton_step, _odd_cubic,
-                                   _odd_cubic_step, _residual_rows)
+                                   _odd_cubic_step, _residual_rows, ef_backward_batch)
 
 
 # -- frozen one-step solves ---------------------------------------------------
@@ -266,6 +266,25 @@ def test_driver_spot_check_flags_misdeclared_constants():
         lying.spot_check()
 
 
+@pytest.mark.parametrize("k", [-30, -10, 10, 17, 30])
+def test_driver_spot_check_verdicts_do_not_depend_on_units(k):
+    # a driver and its declared constants scaled by 2**k, which is exact:
+    # the honest drivers pass with the unscaled report, bit for bit, and the
+    # ones that understate lambda_z or mu fail at every scale
+    def honest(s):
+        return [linear_driver(0.0, -s, 2.0 * s), truncated_driver(0.5 * s, -s, 2.0 * s, s),
+                polynomial_driver([(1, 0, 3.0 * s), (0, 1, 10.0 * s)], lambda_z=10.0 * s, mu=3.0 * s),
+                polynomial_driver([(3, 0, -s), (0, 0, s)], lambda_z=0.0, mu=0.0)]
+
+    scale = 2.0**k
+    for driver, unscaled in zip(honest(scale), honest(1.0)):
+        assert driver.spot_check() == unscaled.spot_check()
+    with pytest.raises(ValueError, match="lipschitz_z"):
+        polynomial_driver([(0, 1, 2.0 * scale)], lambda_z=scale, mu=0.0).spot_check()
+    with pytest.raises(ValueError, match="monotone_y"):
+        polynomial_driver([(1, 0, 3.0 * scale), (0, 1, 10.0 * scale)], lambda_z=10.0 * scale, mu=-scale).spot_check()
+
+
 def test_driver_spot_check_fails_on_nan_and_non_finite_values():
     # a NaN worst case compares false with the tolerance, and must still fail
     nan_mu = dataclasses.replace(linear_driver(0.0, -1.0, 2.0), mu=float("nan"))
@@ -287,29 +306,21 @@ def test_cfl_margin_reports_headroom():
 
 # -- conditional operator -----------------------------------------------------
 
+def _conditional(tree, alpha, beta, rows, driver):
+    """The nonlinear expectation of each row of ``rows`` (per leaf) over
+    ``[[alpha, beta]]``, read at ``alpha``: one batch row per data row, its
+    driver frozen from ``beta`` on."""
+    rows = np.atleast_2d(rows)
+    vals = ef_backward_batch(tree, driver, rows, np.broadcast_to(beta.keys, rows.shape))
+    return gather_slots(vals, alpha.keys)
+
+
 def test_zero_driver_reduces_to_conditional_expectation():
     tree = build_tree(1, 1.0)
     alpha = StoppingTime.constant(tree, 0)
     beta = StoppingTime.constant(tree, 1)
-    out = nonlinear_expectation(tree, alpha, beta, tree.brownian(1), constant_driver(0.0))
+    out = _conditional(tree, alpha, beta, tree.brownian(1), constant_driver(0.0))[0]
     np.testing.assert_allclose(out, [0.0, 0.0])
-
-
-def test_operator_requires_measurable_data():
-    tree = build_tree(2, 1.0)
-    alpha = StoppingTime.constant(tree, 0)
-    beta = StoppingTime.constant(tree, 1)
-    xi = np.array([1.0, 2.0, 3.0, 3.0])  # varies inside the first beta-atom
-    with pytest.raises(ValueError, match="measurable"):
-        nonlinear_expectation(tree, alpha, beta, xi, constant_driver(0.0))
-
-
-def test_operator_requires_ordered_window():
-    tree = build_tree(1, 1.0)
-    alpha = StoppingTime.constant(tree, 1)
-    beta = StoppingTime.constant(tree, 0)
-    with pytest.raises(ValueError, match="alpha"):
-        nonlinear_expectation(tree, alpha, beta, np.zeros(2), constant_driver(0.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -324,8 +335,7 @@ def test_comparison_property(seed, n):
     xi2 = xi1 + rng.uniform(0.0, 1.0, size=tree.n_leaves)
     alpha = StoppingTime.constant(tree, 0)
     beta = StoppingTime.constant(tree, n)
-    v1 = nonlinear_expectation(tree, alpha, beta, xi1, drv)
-    v2 = nonlinear_expectation(tree, alpha, beta, xi2, drv)
+    v1, v2 = _conditional(tree, alpha, beta, [xi1, xi2], drv)
     assert np.all(v1 <= v2 + 1e-12)
 
 
@@ -338,11 +348,11 @@ def test_locality_on_atoms():
     drv = linear_driver(0.0, -0.7, 0.5)
     alpha = StoppingTime.constant(tree, 1)
     beta = StoppingTime.constant(tree, 2)
-    full = nonlinear_expectation(tree, alpha, beta, xi, drv)
+    full = _conditional(tree, alpha, beta, xi, drv)[0]
     for node in range(2):  # atoms of F_alpha
         ind = np.zeros(4)
         ind[2 * node:2 * node + 2] = 1.0
-        masked = nonlinear_expectation(tree, alpha, beta, xi * ind, drv)
+        masked = _conditional(tree, alpha, beta, xi * ind, drv)[0]
         np.testing.assert_allclose(ind * full, ind * masked, atol=1e-12)
 
 
@@ -352,12 +362,12 @@ def test_horizon_extension_with_dead_driver_is_free():
     xi_small = rng.normal(size=2)
     drv = linear_driver(0.4, -0.9, 0.7)
     small = build_tree(1, 0.5)
-    direct = nonlinear_expectation(small, StoppingTime.constant(small, 0),
-                                   StoppingTime.constant(small, 1), xi_small, drv)
+    direct = _conditional(small, StoppingTime.constant(small, 0),
+                          StoppingTime.constant(small, 1), xi_small, drv)[0]
     # same data on the deeper tree, beta frozen at step 1
     xi_big = np.repeat(xi_small, 4)
-    ext = nonlinear_expectation(tree, StoppingTime.constant(tree, 0),
-                                StoppingTime.constant(tree, 1), xi_big, drv)
+    ext = _conditional(tree, StoppingTime.constant(tree, 0),
+                       StoppingTime.constant(tree, 1), xi_big, drv)[0]
     assert abs(direct[0] - ext[0]) < 1e-12
 
 
@@ -381,7 +391,8 @@ def test_drift_sign_sets_classification():
     raised = solve_bsde(tree, xi, constant_driver(0.0), dv=drift)
     res = classify_ef(raised.y, constant_driver(0.0))
     assert res.verdict == "supermartingale" and not res.is_submartingale
-    lowered = solve_bsde(tree, xi, constant_driver(0.0), dv=drift.combine(drift, sign=-2.0))
+    negated = TransitionIncrements.from_slots(tree, [-a for a in drift.slots])
+    lowered = solve_bsde(tree, xi, constant_driver(0.0), dv=negated)
     assert classify_ef(lowered.y, constant_driver(0.0)).verdict == "submartingale"
 
 
@@ -415,7 +426,7 @@ def test_classification_window_restricts_to_the_given_slice():
     # martingale on [1, 2] but broken on the first step
     xi = np.array([2.0, 0.0, 0.0, -2.0])
     sol = solve_bsde(tree, xi, constant_driver(0.0))
-    bad = sol.y.copy()
+    bad = OptionalProcess.from_slots(tree, [a.copy() for a in sol.y.slots])
     bad.at[0][0] += 5.0
     full = classify_ef(bad, constant_driver(0.0))
     assert full.verdict != "martingale"

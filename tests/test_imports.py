@@ -13,7 +13,14 @@ package re-exports from it, the game oracle's lazily resolved names included;
 a fresh interpreter imports every export from the package.  A setting no
 caller varies is a constant, not a parameter: each defaulted parameter of a
 function that a module's ``__all__`` names is passed by some call in the
-package, the tests or the benchmark.
+package, the tests or the benchmark.  A name only the tests call does not
+belong in the package: each ``__all__`` name and each public method of a
+module's classes is loaded, as a name or an attribute, somewhere in the
+package or the benchmark outside its own definition (``__all__`` strings and
+``__init__.py``'s re-exports load nothing).  A short list names each
+exception and its reason.  Method names that other attributes share
+(``copy``, ``zeros``, ``combine``) count as loaded wherever those are, so
+the check cannot see them.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -179,6 +187,75 @@ def test_every_defaulted_parameter_of_an_export_is_passed_by_some_call():
     sources = [p.read_text() for where in (PACKAGE, root / "tests", root / "perfbench")
                for p in sorted(where.glob("*.py"))]
     assert unset_defaults(functions, sources) == []
+
+
+def _loaded(node: ast.AST) -> Counter:
+    """How often each name is loaded under ``node``: as a plain name, or as
+    an attribute in any context (a benchmark that rebinds ``mod.f`` binds
+    the package's ``f``)."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) or (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)))
+
+
+def _exported_definitions(module: ast.Module, stem: str) -> list[tuple[str, str, ast.AST | None]]:
+    """``(label, name, definition)`` of each ``__all__`` name of a module and
+    each public method of its classes; the definition is None for a name the
+    module imports."""
+    body = {n.name: n for n in module.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    exported = [elt.value for node in module.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets) for elt in node.value.elts]
+    methods = [(f"{stem}.{cls.name}.{fn.name}", fn.name, fn) for cls in body.values() if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+    return [(f"{stem}.{name}", name, body.get(name)) for name in exported] + methods
+
+
+def uncalled_exports(package: dict[str, str], users: list[str]) -> list[str]:
+    """Labels of the exports of ``package`` (file name -> source) that no
+    source of the package or of ``users`` loads outside the export's own
+    definition."""
+    modules = {name: ast.parse(source) for name, source in package.items()}
+    loaded = sum((_loaded(m) for m in modules.values()), Counter())
+    loaded += sum((_loaded(ast.parse(source)) for source in users), Counter())
+    return [label for name, module in modules.items() if name != "__init__.py"
+            for label, export, node in _exported_definitions(module, Path(name).stem)
+            if loaded[export] == (_loaded(node)[export] if node is not None else 0)]
+
+
+def test_the_caller_check_sees_names_attributes_and_users_but_not_self_calls_or_re_exports():
+    package = {
+        "__init__.py": "from .a import used, orphan, Kind\n",
+        "a.py": ("__all__ = ['used', 'orphan', 'recursive', 'Kind', 'imported']\n"
+                 "from .b import imported\n"
+                 "def used(): return 0\n"
+                 "def orphan(): return 1\n"
+                 "def recursive(n): return recursive(n - 1) if n else 0\n"
+                 "class Kind:\n"
+                 "    def read(self): return self.write()\n"
+                 "    def write(self): return used()\n"
+                 "    def unread(self): pass\n"
+                 "    def _private(self): pass\n"),
+    }
+    users = ["import a\na.Kind.read = None\n"]
+    assert uncalled_exports(package, users) == ["a.orphan", "a.recursive", "a.imported", "a.Kind.unread"]
+
+
+# exports that nothing in the package or the benchmark calls, each kept for
+# the reason given
+UNCALLED_BY_DESIGN = {
+    "expectation.solve_bsde": "the unreflected solve with a drift dV: the independent side of the feed-back "
+                              "identity (Y solves it with dV = dR+ - dR-) and of the comparison laws",
+    "expectation.cfl_margin": "the one-step comparison's headroom 1 - lambda sqrt(dt), which the report's "
+                              "planned scheme block is to carry",
+    "games.right_jump_counterexample": "the documented scenario on which the plain game's value (0.2) "
+                                       "and the extended game's (0.9) differ",
+}
+
+
+def test_every_export_has_a_caller_in_the_package_or_the_benchmark():
+    root = PACKAGE.parents[1]
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    users = [p.read_text() for p in sorted((root / "perfbench").glob("*.py"))]
+    assert sorted(uncalled_exports(package, users)) == sorted(UNCALLED_BY_DESIGN)
 
 
 def test_every_all_name_is_bound_and_every_export_is_in_its_modules_all():

@@ -299,7 +299,7 @@ def test_eval_equals_the_per_leaf_read():
     for row in range(steps.shape[0]):
         tau = StoppingTime.from_realized(tree, steps[row], phases[row])
         direct = np.array([proc.value(int(tau.steps[lf]), Phase(int(tau.phases[lf])),
-                                      int(tau.stop_nodes()[lf])) for lf in range(4)])
+                                      lf >> (2 - int(tau.steps[lf]))) for lf in range(4)])
         np.testing.assert_array_equal(proc.at_keys(tau.keys), direct)
 
 

@@ -385,7 +385,7 @@ def reference_gather_batch(tree, vals, keys):
 def reference_eval_at_system(process, tau, member):
     """The process at the stop on H and at the interval slot off H, per key."""
     keys = np.where(member, tau.keys, tau.keys | 1)
-    nodes = tau.stop_nodes()
+    nodes = np.arange(process.tree.n_leaves) >> (process.tree.n_steps - tau.steps)
     out = np.empty(process.tree.n_leaves)
     for key in np.flatnonzero(np.bincount(keys)).tolist():
         sel = keys == key
@@ -460,7 +460,7 @@ def test_gathers_match_the_per_key_loops(seed, depth, rows):
         assert _same_bits(np.atleast_2d(proc.at_keys(keys)), reference_gather_process(proc, keys))
         assert _same_bits(gather_slots(vals, keys), reference_gather_batch(tree, vals, keys))
     tau = _random_stop(tree, rng)
-    first_leaf = tau.stop_nodes() << (depth - tau.steps)
+    first_leaf = np.arange(tree.n_leaves) >> (depth - tau.steps) << (depth - tau.steps)
     for member in (np.ones(tree.n_leaves, dtype=bool),
                    (rng.random(tree.n_leaves) < 0.5)[first_leaf] | (tau.steps == depth)):
         system = StoppingTime(tree, np.where(member, tau.keys, tau.keys | 1))

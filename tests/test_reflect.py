@@ -47,6 +47,10 @@ def _proc(tree, at, after):
                            [np.asarray(a, dtype=float) for a in after])
 
 
+def _is_zero(incr):
+    return all(np.all(a == 0.0) for a in incr.slots)
+
+
 # -- frozen solves ------------------------------------------------------------
 
 def test_unconstrained_martingale_stays_put():
@@ -54,7 +58,7 @@ def test_unconstrained_martingale_stays_put():
     b = _const_barriers(tree, -1.0, 1.0, 0.0)
     sol = solve_rbsde(tree, b, constant_driver(0.0))
     assert sol.y.sup_abs_diff(OptionalProcess.from_constant(tree, 0.0)) == 0.0
-    assert sol.r_plus.max_abs() == 0.0 and sol.r_minus.max_abs() == 0.0
+    assert _is_zero(sol.r_plus) and _is_zero(sol.r_minus)
 
 
 def test_lower_clamp_single_step():
@@ -69,7 +73,7 @@ def test_lower_clamp_single_step():
     assert sol.y.after[0][0] == 0.5
     assert sol.r_plus.step[0][0] == 0.5
     assert sol.r_plus.phase[0][0] == 0.0
-    assert sol.r_minus.max_abs() == 0.0
+    assert _is_zero(sol.r_minus)
     assert check_minimality(sol, b).passed
 
 
@@ -81,7 +85,7 @@ def test_upper_clamp_single_step():
     sol = solve_rbsde(tree, b, constant_driver(0.0))
     assert sol.y.after[0][0] == -0.5
     assert sol.r_minus.step[0][0] == 0.5
-    assert sol.r_plus.max_abs() == 0.0
+    assert _is_zero(sol.r_plus)
 
 
 def test_barrier_crossing_rejected_with_location():
@@ -110,7 +114,7 @@ def test_increments_balance_dynamics_with_y_dependent_driver():
     b = Barriers(lower, upper, np.full(4, 0.4))
     drv = linear_driver(const=-1.0, y_coef=-1.2)
     sol = solve_rbsde(tree, b, drv)
-    assert sol.r_plus.total_variation() > 0.1  # clamping really happened
+    assert sum(np.sum(np.abs(a)) for a in sol.r_plus.slots) > 0.1  # clamping really happened
     rep = verify_dynamics(sol, b, drv, tol=4e-12)
     assert rep.passed, rep
 
@@ -131,8 +135,8 @@ def test_reflection_drift_feeds_back_to_the_same_solution():
     for seed in (0, 5, 9):
         sc = random_scenario(seed, n_steps=3)
         sol = solve_rbsde(sc.tree, sc.barriers, sc.driver)
-        fed = solve_bsde(sc.tree, sc.barriers.terminal, sc.driver,
-                         dv=sol.reflection_drift())
+        drift = TransitionIncrements.from_slots(sc.tree, [p - m for p, m in zip(sol.r_plus.slots, sol.r_minus.slots)])
+        fed = solve_bsde(sc.tree, sc.barriers.terminal, sc.driver, dv=drift)
         assert fed.y.sup_abs_diff(sol.y) < 5e-13
 
 
@@ -140,8 +144,8 @@ def test_verify_dynamics_catches_tampered_solution():
     sc = random_scenario(17, n_steps=2)
     sol = solve_rbsde(sc.tree, sc.barriers, sc.driver)
     assert verify_dynamics(sol, sc.barriers, sc.driver, tol=4e-12).passed
-    bad = RBSDESolution(y=sol.y.copy(), z=[z.copy() for z in sol.z],
-                        r_plus=sol.r_plus, r_minus=sol.r_minus)
+    y = OptionalProcess.from_slots(sc.tree, [a.copy() for a in sol.y.slots])
+    bad = RBSDESolution(y=y, z=[z.copy() for z in sol.z], r_plus=sol.r_plus, r_minus=sol.r_minus)
     bad.y.after[0][0] += 1e-6
     assert not verify_dynamics(bad, sc.barriers, sc.driver, tol=4e-12).passed
 
@@ -165,8 +169,8 @@ def test_a_nan_in_a_stored_solution_fails_the_checks(slot):
     def copied(incr):
         return TransitionIncrements(sc.tree, [a.copy() for a in incr.phase], [a.copy() for a in incr.step])
 
-    bad = RBSDESolution(y=sol.y.copy(), z=[z.copy() for z in sol.z],
-                        r_plus=copied(sol.r_plus), r_minus=copied(sol.r_minus))
+    y = OptionalProcess.from_slots(sc.tree, [a.copy() for a in sol.y.slots])
+    bad = RBSDESolution(y=y, z=[z.copy() for z in sol.z], r_plus=copied(sol.r_plus), r_minus=copied(sol.r_minus))
     {"z": bad.z, "r_plus.step": bad.r_plus.step, "r_minus.phase": bad.r_minus.phase,
      "y.after": bad.y.after}[slot][0][0] = np.nan
     dyn = verify_dynamics(bad, sc.barriers, sc.driver, tol=4e-12)
@@ -314,9 +318,8 @@ def test_unreflected_solution_passes_inside_wide_barriers():
     xi = rng.uniform(-0.5, 0.5, 4)
     drv = linear_driver(0.0, -0.5, 0.3)
     plain = solve_bsde(tree, xi, drv)
-    sol = RBSDESolution(y=plain.y, z=plain.z,
-                        r_plus=TransitionIncrements.zeros(tree),
-                        r_minus=TransitionIncrements.zeros(tree))
+    zero = TransitionIncrements.from_slots(tree, [np.zeros(tree.nodes_at(q >> 1)) for q in range(2 * tree.n_steps)])
+    sol = RBSDESolution(y=plain.y, z=plain.z, r_plus=zero, r_minus=zero)
     b = _const_barriers(tree, -5.0, 5.0, 0.0)
     b = Barriers(b.lower, b.upper, xi)
     assert check_minimality(sol, b).passed

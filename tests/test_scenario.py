@@ -285,6 +285,13 @@ def test_declared_driver_constants_are_spot_checked():
     assert scenario_from_dict(_minimal(dt=0.25, driver=honest)).driver.mu == 3.0
 
 
+def test_a_driver_with_large_constants_loads():
+    # its f values are near 1e7, so their rounding alone is above an
+    # absolute 1e-9
+    for driver in ({"kind": "linear", "const": 1e7, "y_coef": -1.0}, {"kind": "linear", "const": 1e7, "z_coef": 0.5}):
+        assert scenario_from_dict(_minimal(driver=driver)).driver.spot_check()["lipschitz_z"] <= 1e-9
+
+
 def test_spot_check_draws_are_made_once_and_served_in_order():
     rng = random.Random(0)
     want = [rng.random() for _ in range(1280)]
