@@ -26,7 +26,6 @@ from .expectation import (
 )
 from .lattice import (
     OptionalProcess,
-    Phase,
     SemicontinuityFlags,
     StoppingTime,
     TwoPhaseTree,

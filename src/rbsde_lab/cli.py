@@ -30,7 +30,7 @@ from .expectation import (
     classify_ef,
     constant_driver,
 )
-from .lattice import OptionalProcess, Phase, StoppingTime, semicontinuity
+from .lattice import OptionalProcess, StoppingTime, semicontinuity
 from .reflect import (
     RBSDESolution,
     SeparationFailure,
@@ -81,9 +81,9 @@ def _tols(scenario: Scenario, args: argparse.Namespace) -> dict[str, float | int
 
 def _system_dict(stop: StoppingTime) -> dict[str, Any]:
     """A stop as a stopping system: its grid step, phase AT, and H at AT keys."""
-    return {"step": stop.steps.tolist(),
+    return {"step": (stop.keys >> 1).tolist(),
             "phase": [0] * len(stop.keys),
-            "member": (stop.phases == 0).tolist()}
+            "member": ((stop.keys & 1) == 0).tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def _cmd_game(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any], 
                                 theta_step=args.theta_step, theta_node=args.theta_node,
                                 enum_bound=t["enum_bound"], tol_root=t["tol_root"])
     sol = solve_rbsde(scn.tree, scn.barriers, scn.driver, tol_root=t["tol_root"])
-    y_theta = sol.y.value(args.theta_step, Phase.AT, args.theta_node)
+    y_theta = float(sol.y.at[args.theta_step][args.theta_node])
     gap_to_y = max(abs(values.upper - y_theta), abs(values.lower - y_theta))
     if args.mode == "extended":
         passed = gap_to_y <= t["tol_game"]
@@ -200,8 +200,8 @@ def _cmd_saddle(scn: Scenario, args: argparse.Namespace) -> tuple[dict[str, Any]
         "y_theta": rep.y_theta,
         "tau_star": _system_dict(rep.tau_star),
         "sigma_star": _system_dict(rep.sigma_star),
-        "tau_bar": {"step": rep.tau_bar.steps.tolist(), "phase": rep.tau_bar.phases.tolist()},
-        "sigma_bar": {"step": rep.sigma_bar.steps.tolist(), "phase": rep.sigma_bar.phases.tolist()},
+        "tau_bar": {"step": (rep.tau_bar.keys >> 1).tolist(), "phase": (rep.tau_bar.keys & 1).tolist()},
+        "sigma_bar": {"step": (rep.sigma_bar.keys >> 1).tolist(), "phase": (rep.sigma_bar.keys & 1).tolist()},
         "order_tau_ok": rep.order_tau_ok,
         "order_sigma_ok": rep.order_sigma_ok,
         "contacts": rep.contacts,
@@ -248,10 +248,10 @@ def _witness(scn: Scenario, *_: Any) -> Block:
     barriers = scn.barriers
     wit = mokobodzki_witness(scn.tree, barriers)
     if isinstance(wit, SeparationFailure):
-        lv = barriers.lower.value(wit.step, wit.phase, wit.node)
-        uv = barriers.upper.value(wit.step, wit.phase, wit.node)
+        lv = barriers.lower.slots[wit.key][wit.node]
+        uv = barriers.upper.slots[wit.key][wit.node]
         witness = {"separated": False,
-                   "failure": {"step": wit.step, "phase": int(wit.phase), "node": wit.node,
+                   "failure": {"step": wit.key >> 1, "phase": wit.key & 1, "node": wit.node,
                                "lower": wit.lower, "upper": wit.upper},
                    "consistent": lv >= uv}
     else:

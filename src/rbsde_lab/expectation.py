@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import OptionalProcess, Phase, StoppingTime, TwoPhaseTree, gather_slots, nan_max, node_rows, stopping_keys
+from .lattice import OptionalProcess, StoppingTime, TwoPhaseTree, gather_slots, nan_max, node_rows, stopping_keys
 
 __all__ = [
     "Driver",
@@ -673,9 +673,9 @@ def classify_ef(process: OptionalProcess, driver: Driver, *, from_time: Stopping
     """
     tree = process.tree
     if from_time is None:
-        from_time = StoppingTime.constant(tree, 0, Phase.AT)
+        from_time = StoppingTime.constant(tree, 0)
     if to_time is None:
-        to_time = StoppingTime.constant(tree, tree.n_steps, Phase.AT)
+        to_time = StoppingTime.constant(tree, 2 * tree.n_steps)
     if not from_time.leq(to_time):
         raise ValueError("empty window: from_time exceeds to_time")
     if mode == "onestep":

@@ -446,7 +446,7 @@ def saddle_points(tree: TwoPhaseTree, barriers: Barriers, driver: Driver, *,
         # the plain game, with the stops moved to their grid times
         matrix = brute_force_values(tree, barriers, driver, mode="plain", theta_step=theta_step,
                                     theta_node=theta_node, enum_bound=enum_bound, tol_root=tol_root).matrix
-        plain = [shortfall(matrix, 2 * stop.steps, m, False) for stop, m in committed]
+        plain = [shortfall(matrix, stop.keys & -2, m, False) for stop, m in committed]
     else:
         warnings.append("plain saddle residuals skipped: grid-time stops are only "
                         "optimal when the lower barrier is USC and the upper "

@@ -3,8 +3,9 @@
 The grid has steps ``0..N``.  Each step ``k < N`` carries two phase points:
 ``AT(k)`` (the value at time ``t_k``) and ``AFTER(k)`` (the value on the open
 interval ``(t_k, t_{k+1})``, i.e. the right limit at ``t_k`` and the left
-limit at ``t_{k+1}``).  Step ``N`` has only ``AT(N)``.  Phase points are
-totally ordered ``AT(0) < AFTER(0) < AT(1) < ... < AT(N)``.
+limit at ``t_{k+1}``).  Step ``N`` has only ``AT(N)``.  The library names each
+phase point by its order key ``2k + phase`` alone (AT is 0, AFTER 1), which
+orders them ``AT(0) < AFTER(0) < AT(1) < ... < AT(N)``.
 
 The underlying randomness is the non-recombining binary walk: node ``i`` at
 step ``k`` has children ``2i`` (up move, ``+sqrt(dt)``) and ``2i + 1`` (down
@@ -14,7 +15,6 @@ the integer whose bits (most significant first) record the down moves.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import weakref
@@ -24,7 +24,6 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "Phase",
     "TwoPhaseTree",
     "OptionalProcess",
     "StoppingTime",
@@ -39,13 +38,6 @@ __all__ = [
     "stopping_keys",
     "nan_max",
 ]
-
-
-class Phase(enum.IntEnum):
-    """Phase within a step; AT is the grid time, AFTER the open interval."""
-
-    AT = 0
-    AFTER = 1
 
 
 class TwoPhaseTree:
@@ -94,18 +86,6 @@ class TwoPhaseTree:
 
     def time(self, step: int) -> float:
         return step * self.dt
-
-    def check_point(self, step: int, phase: Phase) -> None:
-        """Raise ``ValueError`` unless (step, phase) is a time point of the
-        tree; AFTER at the final step does not exist."""
-        self.nodes_at(step)
-        if step == self.n_steps and Phase(phase) == Phase.AFTER:
-            raise ValueError("the final step has no AFTER phase")
-
-    def check_node(self, step: int, node: int) -> None:
-        """Raise ``ValueError`` unless ``node`` is a node of ``step``."""
-        if not 0 <= node < self.nodes_at(step):
-            raise ValueError(f"node {node} outside [0, {self.nodes_at(step) - 1}] at step {step}")
 
     def leaf_stride(self, step: int) -> int:
         """Number of leaves below each node of ``step``."""
@@ -224,13 +204,6 @@ class OptionalProcess:
                                      for q in range(2 * tree.n_steps + 1)])
 
     @classmethod
-    def from_callable(cls, tree: TwoPhaseTree, fn: Callable[[int, Phase, np.ndarray], np.ndarray]) -> "OptionalProcess":
-        """Build from ``fn(step, phase, walk_values) -> values`` (vectorised)."""
-        return cls.from_slots(tree, [
-            np.broadcast_to(np.asarray(fn(q >> 1, Phase(q & 1), tree.brownian(q >> 1)), dtype=float),
-                            (tree.nodes_at(q >> 1),)).copy() for q in range(2 * tree.n_steps + 1)])
-
-    @classmethod
     def combine(cls, fn: Callable[..., np.ndarray], *procs: "OptionalProcess") -> "OptionalProcess":
         """Pointwise combination of processes on the same grid."""
         tree = procs[0].tree
@@ -250,11 +223,6 @@ class OptionalProcess:
     def after(self) -> tuple[np.ndarray, ...]:
         """The AFTER(k) slots, ``k = 0..N-1``."""
         return tuple(self.slots[1::2])
-
-    def value(self, step: int, phase: Phase, node: int) -> float:
-        self.tree.check_point(step, phase)
-        self.tree.check_node(step, node)
-        return float(self.slots[2 * step + phase][node])
 
     def at_keys(self, keys: np.ndarray) -> np.ndarray:
         """Values at per-leaf order keys, (n_leaves,) or (R, n_leaves)."""
@@ -281,7 +249,8 @@ class OptionalProcess:
         """Restriction to the subtree rooted at (step, node): the leaves under a
         node are contiguous, so each slot from step on, one row per step-``step``
         node, holds the subtree's slot in row ``node``."""
-        self.tree.check_node(step, node)
+        if not 0 <= node < self.tree.nodes_at(step):
+            raise ValueError(f"node {node} outside [0, {self.tree.nodes_at(step) - 1}] at step {step}")
         return OptionalProcess.from_slots(self.tree.subtree(step), [
             a.reshape(self.tree.nodes_at(step), -1)[node].copy() for a in self.slots[2 * step:]])
 
@@ -334,9 +303,11 @@ class StoppingTime:
     __slots__ = ("tree", "keys")
 
     def __init__(self, tree: TwoPhaseTree, keys: np.ndarray) -> None:
-        keys = np.array(keys, dtype=np.int64)
-        if keys.shape != (tree.n_leaves,) or np.any((keys < 0) | (keys > 2 * tree.n_steps)):
+        keys = np.asarray(keys)
+        if (keys.dtype.kind not in "iu" or keys.shape != (tree.n_leaves,)
+                or np.any((keys < 0) | (keys > 2 * tree.n_steps))):
             raise ValueError("stop keys must be one order key in [0, 2N] per leaf")
+        keys = keys.astype(np.int64)
         if not is_adapted(keys):
             raise ValueError("realized stops are not adapted (not a stopping time)")
         keys.setflags(write=False)
@@ -344,9 +315,9 @@ class StoppingTime:
         self.keys = keys
 
     @classmethod
-    def constant(cls, tree: TwoPhaseTree, step: int, phase: Phase = Phase.AT) -> "StoppingTime":
-        tree.check_point(step, phase)
-        return cls(tree, np.full(tree.n_leaves, 2 * step + int(phase)))
+    def constant(cls, tree: TwoPhaseTree, key: int) -> "StoppingTime":
+        """Every path stops at the point of order key ``key``."""
+        return cls(tree, np.full(tree.n_leaves, key))
 
     @classmethod
     def from_realized(cls, tree: TwoPhaseTree, steps: np.ndarray, phases: np.ndarray) -> "StoppingTime":
@@ -358,19 +329,11 @@ class StoppingTime:
         n = tree.n_steps
         bad = (steps < 0) | (steps > n) | (phases < 0) | (phases > 1) | ((steps == n) & (phases == 1))
         if bad.any():
-            leaf = int(np.argmax(bad))
-            tree.check_point(int(steps[leaf]), Phase(int(phases[leaf])))  # raises the point's error
+            step, phase = int(steps[bad][0]), int(phases[bad][0])  # the first bad leaf's point
+            raise ValueError(f"{phase} is not a valid Phase" if phase not in (0, 1) else
+                             f"step {step} outside [0, {n}]" if not 0 <= step <= n else
+                             "the final step has no AFTER phase")
         return cls(tree, 2 * steps + phases)
-
-    @property
-    def steps(self) -> np.ndarray:
-        """Per-leaf stop step."""
-        return self.keys >> 1
-
-    @property
-    def phases(self) -> np.ndarray:
-        """Per-leaf stop phase (0 = AT, 1 = AFTER)."""
-        return self.keys & 1
 
     def leq(self, other: "StoppingTime") -> bool:
         return bool(np.all(self.keys <= other.keys))
@@ -416,7 +379,7 @@ def first_hitting(condition: OptionalProcess, theta: StoppingTime | None = None)
     """
     tree = condition.tree
     if theta is None:
-        theta = StoppingTime.constant(tree, 0, Phase.AT)
+        theta = StoppingTime.constant(tree, 0)
     if not tree.same_grid(theta.tree):
         raise ValueError("condition and theta live on different grids")
     stop_key = np.full(tree.n_leaves, 2 * tree.n_steps, dtype=np.int64)

@@ -32,7 +32,7 @@ from .expectation import (
     constant_driver,
     implicit_step,
 )
-from .lattice import OptionalProcess, Phase, TwoPhaseTree, is_adapted, nan_max
+from .lattice import OptionalProcess, TwoPhaseTree, is_adapted, nan_max
 
 __all__ = [
     "Barriers",
@@ -244,7 +244,7 @@ def verify_dynamics(solution: RBSDESolution, barriers: Barriers, driver: Driver,
 def snell_envelopes(tree: TwoPhaseTree, barriers: Barriers) -> tuple[OptionalProcess, OptionalProcess]:
     """Smallest supermartingale above -L and above U, under the plain
     (driverless) expectation: the lower envelope minimises over stopping
-    points, the upper one maximises.  Phase points participate: the AT
+    points, the upper one maximises.  Both phase points participate: the AT
     envelope also sees the interval slot of the same step.
 
     Each envelope is the reflected solution with the zero driver, its own
@@ -265,10 +265,9 @@ def snell_envelopes(tree: TwoPhaseTree, barriers: Barriers) -> tuple[OptionalPro
 
 @dataclass(frozen=True)
 class SeparationFailure:
-    """Strict separation fails at this point (lower >= upper)."""
+    """Strict separation fails at the point of order key ``key`` (lower >= upper)."""
 
-    step: int
-    phase: Phase
+    key: int
     node: int
     lower: float
     upper: float
@@ -299,8 +298,7 @@ def mokobodzki_witness(tree: TwoPhaseTree, barriers: Barriers) -> Witness | Sepa
         bad = np.nonzero(lv >= uv)[0]
         if bad.size:
             j = int(bad[0])
-            return SeparationFailure(step=key >> 1, phase=Phase(key & 1), node=j,
-                                     lower=float(lv[j]), upper=float(uv[j]))
+            return SeparationFailure(key=key, node=j, lower=float(lv[j]), upper=float(uv[j]))
     # the anchor depends only on the path prefix, so it is carried per node
     x_slots: list[np.ndarray] = []
     anchor = np.full(1, np.nan)

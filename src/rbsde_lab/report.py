@@ -250,7 +250,7 @@ def solution_rows(solution: RBSDESolution) -> Iterator[str]:
     before its step edges; ``y`` is the transition's left-endpoint value.
     Each chunk covers at most ``2**_BLOCK_BITS`` nodes.
 
-    Phase edges (AT -> AFTER) carry no noise, so their ``z`` is empty.
+    AT -> AFTER edges carry no noise, so their ``z`` is empty.
     """
     y, r_plus, r_minus = solution.y, solution.r_plus, solution.r_minus
     tails = [""]  # the low path bits of a block's nodes, in node order

@@ -316,8 +316,8 @@ def _barrier_process(tree: TwoPhaseTree, spec: dict[str, Any], base: str) -> Opt
         a, b, c = spec["intercept"], spec["slope"], spec.get("time_coef", 0.0)
         # the AFTER slot sits on the open interval and keeps the interval's
         # left-endpoint time
-        return OptionalProcess.from_slots(tree, _affine(base, lambda: OptionalProcess.from_callable(
-            tree, lambda step, phase, walk: a + b * walk + c * step * tree.dt).slots))
+        return OptionalProcess.from_slots(tree, _affine(base, lambda: [
+            a + b * tree.brownian(q >> 1) + c * (q >> 1) * tree.dt for q in range(2 * tree.n_steps + 1)]))
     try:
         return OptionalProcess(tree, spec["at"], spec["after"])
     except ValueError as exc:  # a row count or length that does not fit the grid
@@ -365,16 +365,7 @@ class Scenario:
     barriers: Barriers
     driver: Driver
     tolerances: dict[str, float | int] = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    seed: int | None = None
     data: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def n_steps(self) -> int:
-        return self.tree.n_steps
-
-    @property
-    def dt(self) -> float:
-        return self.tree.dt
 
 
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
@@ -407,8 +398,7 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update(data.get("tolerances", {}))
     tolerances["enum_bound"] = int(tolerances["enum_bound"])
-    return Scenario(name=name, tree=tree, barriers=barriers, driver=driver,
-                    tolerances=tolerances, seed=data.get("seed"))
+    return Scenario(name=name, tree=tree, barriers=barriers, driver=driver, tolerances=tolerances)
 
 
 _MAX_DOUBLE = int(sys.float_info.max)

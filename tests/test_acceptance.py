@@ -156,8 +156,9 @@ def test_c07_witness_between_separated_barriers_or_located_failure():
         sc = random_scenario(7_500 + i, touching=True)
         out = mokobodzki_witness(sc.tree, sc.barriers)
         assert isinstance(out, SeparationFailure)
-        lv = sc.barriers.lower.value(out.step, out.phase, out.node)
-        uv = sc.barriers.upper.value(out.step, out.phase, out.node)
+        assert 0 <= out.key <= 2 * sc.tree.n_steps and 0 <= out.node < sc.tree.nodes_at(out.key >> 1)
+        lv = float(sc.barriers.lower.slots[out.key][out.node])
+        uv = float(sc.barriers.upper.slots[out.key][out.node])
         assert lv >= uv and out.lower == lv and out.upper == uv
     _line(7, "midpoint witness sandwiched; touching located", True,
           "100 separated + 50 touching scenarios, exhaustive scans")

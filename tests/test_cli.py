@@ -59,6 +59,20 @@ def test_verify_trivial_scenario(tmp_path, capsys):
     assert rep["snell"]["ordering_ok"]
 
 
+@pytest.mark.parametrize("seed, step, phase, node, value", [
+    (7501, 2, 1, 1, -0.7544989203387544),  # AFTER(2)
+    (7506, 3, 0, 7, -1.3870670932031437),  # AT(3)
+])
+def test_verify_reports_where_touching_barriers_fail_separation(tmp_path, capsys, seed, step, phase, node, value):
+    # no golden report holds a failed separation: the whole block is pinned here
+    rc = main(["verify", _write(tmp_path, random_scenario(seed, n_steps=3, touching=True).data)])
+    rep = _json_out(capsys)
+    assert rc == 0
+    assert rep["witness"] == {"separated": False, "consistent": True,
+                              "failure": {"step": step, "phase": phase, "node": node,
+                                          "lower": value, "upper": value}}
+
+
 def test_oracle_on_generated_scenario(tmp_path, capsys):
     path = _write(tmp_path, random_scenario(5, n_steps=2).data)
     rc = main(["oracle", path])

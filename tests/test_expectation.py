@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from rbsde_lab import (
     EnumerationBoundError,
     OptionalProcess,
-    Phase,
     RootSolveError,
     StoppingTime,
     build_tree,
@@ -318,7 +317,7 @@ def _conditional(tree, alpha, beta, rows, driver):
 def test_zero_driver_reduces_to_conditional_expectation():
     tree = build_tree(1, 1.0)
     alpha = StoppingTime.constant(tree, 0)
-    beta = StoppingTime.constant(tree, 1)
+    beta = StoppingTime.constant(tree, 2)
     out = _conditional(tree, alpha, beta, tree.brownian(1), constant_driver(0.0))[0]
     np.testing.assert_allclose(out, [0.0, 0.0])
 
@@ -334,7 +333,7 @@ def test_comparison_property(seed, n):
     xi1 = rng.normal(size=tree.n_leaves)
     xi2 = xi1 + rng.uniform(0.0, 1.0, size=tree.n_leaves)
     alpha = StoppingTime.constant(tree, 0)
-    beta = StoppingTime.constant(tree, n)
+    beta = StoppingTime.constant(tree, 2 * n)
     v1, v2 = _conditional(tree, alpha, beta, [xi1, xi2], drv)
     assert np.all(v1 <= v2 + 1e-12)
 
@@ -346,8 +345,8 @@ def test_locality_on_atoms():
     rng = np.random.default_rng(11)
     xi = rng.normal(size=4)
     drv = linear_driver(0.0, -0.7, 0.5)
-    alpha = StoppingTime.constant(tree, 1)
-    beta = StoppingTime.constant(tree, 2)
+    alpha = StoppingTime.constant(tree, 2)
+    beta = StoppingTime.constant(tree, 4)
     full = _conditional(tree, alpha, beta, xi, drv)[0]
     for node in range(2):  # atoms of F_alpha
         ind = np.zeros(4)
@@ -363,11 +362,11 @@ def test_horizon_extension_with_dead_driver_is_free():
     drv = linear_driver(0.4, -0.9, 0.7)
     small = build_tree(1, 0.5)
     direct = _conditional(small, StoppingTime.constant(small, 0),
-                          StoppingTime.constant(small, 1), xi_small, drv)[0]
+                          StoppingTime.constant(small, 2), xi_small, drv)[0]
     # same data on the deeper tree, beta frozen at step 1
     xi_big = np.repeat(xi_small, 4)
     ext = _conditional(tree, StoppingTime.constant(tree, 0),
-                       StoppingTime.constant(tree, 1), xi_big, drv)[0]
+                       StoppingTime.constant(tree, 2), xi_big, drv)[0]
     assert abs(direct[0] - ext[0]) < 1e-12
 
 
@@ -431,8 +430,8 @@ def test_classification_window_restricts_to_the_given_slice():
     full = classify_ef(bad, constant_driver(0.0))
     assert full.verdict != "martingale"
     tail = classify_ef(bad, constant_driver(0.0),
-                       from_time=StoppingTime.constant(tree, 1),
-                       to_time=StoppingTime.constant(tree, 2))
+                       from_time=StoppingTime.constant(tree, 2),
+                       to_time=StoppingTime.constant(tree, 4))
     assert tail.verdict == "martingale"
 
 

@@ -14,7 +14,6 @@ from rbsde_lab import (
     BudgetError,
     EnumerationBoundError,
     OptionalProcess,
-    Phase,
     StoppingTime,
     brute_force_values,
     build_tree,
@@ -61,37 +60,37 @@ def _payoff(barriers, tau, sigma):
 
 def test_joint_horizon_stop_pays_terminal():
     tree, b = _one_step_game()
-    horizon = StoppingTime.constant(tree, 1)
+    horizon = StoppingTime.constant(tree, 2)
     assert np.array_equal(_payoff(b, horizon, horizon), b.terminal)
 
 
 def test_member_stop_reads_grid_slot():
     tree, b = _one_step_game()
     tau = StoppingTime.constant(tree, 0)
-    sigma = StoppingTime.constant(tree, 1)
+    sigma = StoppingTime.constant(tree, 2)
     assert np.all(_payoff(b, tau, sigma) == 0.3)
 
 
 def test_nonmember_stop_reads_interval_slot():
     tree, b = _one_step_game()
-    tau = StoppingTime.constant(tree, 0, Phase.AFTER)
-    sigma = StoppingTime.constant(tree, 1)
+    tau = StoppingTime.constant(tree, 1)
+    sigma = StoppingTime.constant(tree, 2)
     assert np.all(_payoff(b, tau, sigma) == 0.7)
 
 
 def test_minimiser_first_pays_upper_barrier():
     tree, b = _one_step_game()
-    tau = StoppingTime.constant(tree, 1)
+    tau = StoppingTime.constant(tree, 2)
     sigma = StoppingTime.constant(tree, 0)
     assert np.all(_payoff(b, tau, sigma) == 1.6)
-    off = StoppingTime.constant(tree, 0, Phase.AFTER)
+    off = StoppingTime.constant(tree, 1)
     assert np.all(_payoff(b, tau, off) == 1.8)
 
 
 def test_same_step_tie_goes_to_the_maximiser():
     tree, b = _one_step_game()
     at0 = StoppingTime.constant(tree, 0)
-    just_after = StoppingTime.constant(tree, 0, Phase.AFTER)
+    just_after = StoppingTime.constant(tree, 1)
     # even when the maximiser leaves the grid point and the minimiser sits
     # on it, the shared step resolves in the maximiser's favour
     assert np.all(_payoff(b, just_after, at0) == 0.7)
@@ -372,8 +371,7 @@ def _pinned_game():
 def test_epsilon_pair_stops_immediately_when_pinned():
     tree, b = _pinned_game()
     (sad,) = saddle_points(tree, b, constant_driver(0.0), epsilons=(0.1,)).epsilon_saddles
-    assert np.all(sad.tau.steps == 0)
-    assert np.all(sad.tau.phases == 0)
+    assert np.all(sad.tau.keys == 0)
     assert sad.residual_up <= 1e-12 and sad.residual_down <= 1e-12
     assert sad.hit_gap_lower <= 1e-12
     assert np.isfinite(sad.residual_up) and np.isfinite(sad.residual_down)
@@ -385,8 +383,8 @@ def test_epsilon_pair_waits_to_horizon_in_the_interior():
                  OptionalProcess.from_constant(tree, 1.0),
                  np.array([1.0, 0.0]))
     (sad,) = saddle_points(tree, b, constant_driver(0.0), epsilons=(0.05,)).epsilon_saddles
-    assert np.all(sad.tau.steps == 1)
-    assert np.all(sad.sigma.steps == 1)
+    assert np.all(sad.tau.keys == 2)
+    assert np.all(sad.sigma.keys == 2)
     assert sad.pair_value == pytest.approx(0.5, abs=1e-12)
     assert sad.y_theta == pytest.approx(0.5, abs=1e-12)
 
@@ -409,9 +407,9 @@ def test_epsilon_residuals_stay_proportional(seed):
 def test_saddle_report_when_pinned_at_the_root():
     tree, b = _pinned_game()
     rep = saddle_points(tree, b, constant_driver(0.0))
-    assert np.all(rep.tau_star.steps == 0)
+    assert np.all(rep.tau_star.keys >> 1 == 0)
     assert rep.contacts["star_lower"] <= 1e-12
-    assert np.all(rep.sigma_star.steps == tree.n_steps)  # U is never touched
+    assert np.all(rep.sigma_star.keys == 2 * tree.n_steps)  # U is never touched
     assert rep.passed(1e-8), rep.residuals
 
 
@@ -421,8 +419,8 @@ def test_saddle_report_interior_until_horizon():
                  OptionalProcess.from_constant(tree, 1.0),
                  np.array([1.0, 0.0]))
     rep = saddle_points(tree, b, constant_driver(0.0))
-    assert np.all(rep.tau_star.steps == 1)
-    assert np.all(rep.sigma_star.steps == 1)
+    assert np.all(rep.tau_star.keys == 2)
+    assert np.all(rep.sigma_star.keys == 2)
     assert rep.y_theta == pytest.approx(0.5, abs=1e-12)
     assert rep.passed(1e-8)
 
@@ -436,11 +434,9 @@ def test_action_stop_lands_on_the_reflection_transition():
     upper = _proc(tree, [[2.0], [2.0, 2.0]], [[2.0]])
     b = Barriers(lower, upper, np.array([0.5, 0.1]))
     rep = saddle_points(tree, b, constant_driver(0.0))
-    assert np.all(rep.tau_star.steps == 0)
-    assert np.all(rep.tau_star.phases == 0)
+    assert np.all(rep.tau_star.keys == 0)  # AT(0)
     assert np.all(rep.tau_bar_attained)
-    assert np.all(rep.tau_bar.steps == 0)
-    assert np.all(rep.tau_bar.phases == int(Phase.AFTER))
+    assert np.all(rep.tau_bar.keys == 1)  # AFTER(0)
     assert rep.contacts["bar_lower"] <= 1e-12
     assert not np.any(rep.sigma_bar_attained)  # no downward reflection anywhere
     assert rep.order_tau_ok and rep.order_sigma_ok

@@ -20,7 +20,9 @@ package or the benchmark outside its own definition (``__all__`` strings and
 ``__init__.py``'s re-exports load nothing).  A short list names each
 exception and its reason.  Method names that other attributes share
 (``copy``, ``zeros``, ``combine``) count as loaded wherever those are, so
-the check cannot see them.
+the check cannot see them.  Nor can it see a ``Scenario`` attribute named
+``n_steps``, ``dt`` or ``seed``, names that ``tree.n_steps``, ``tree.dt``
+and ``args.seed`` load; such names are checked by hand.
 """
 
 from __future__ import annotations

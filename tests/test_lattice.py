@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from rbsde_lab import (
     Barriers,
     OptionalProcess,
-    Phase,
     StoppingTime,
     TransitionIncrements,
     ScenarioError,
@@ -103,24 +102,37 @@ def test_point_order_exhaustive_small_depths():
     # the 2n + 1 valid points orders them as (time, phase), on every pair
     for n in range(1, 5):
         tree = build_tree(n, 0.3)
-        points = [(key >> 1, Phase(key & 1)) for key in range(2 * n + 1)]
-        for step, phase in points:
-            assert tree.check_point(step, phase) is None
+        points = [(key >> 1, key & 1) for key in range(2 * n + 1)]
+        for key, (step, phase) in enumerate(points):
+            assert np.all(StoppingTime.constant(tree, key).keys == key)
+            stop = StoppingTime.from_realized(tree, np.full(tree.n_leaves, step), np.full(tree.n_leaves, phase))
+            assert np.all(stop.keys == key)
         for i, (k, p) in enumerate(points):
             for j, (m, q) in enumerate(points):
                 assert ((tree.time(k), p) < (tree.time(m), q)) == (i < j)
-        for step, phase in ((n, Phase.AFTER), (n + 1, Phase.AT), (-1, Phase.AT)):
-            with pytest.raises(ValueError):
-                tree.check_point(step, phase)
+        # a fractional key names no point
+        with pytest.raises(ValueError, match=r"^stop keys must be one order key in \[0, 2N\] per leaf$"):
+            StoppingTime.constant(tree, 1.5)
+        # AFTER(n), AT(n + 1) and AT(-1) are no points: keys 2n + 1, 2n + 2 and -2
+        for step, phase, message in ((n, 1, "the final step has no AFTER phase"),
+                                     (n + 1, 0, rf"step {n + 1} outside \[0, {n}\]"),
+                                     (-1, 0, rf"step -1 outside \[0, {n}\]")):
+            with pytest.raises(ValueError, match=r"^stop keys must be one order key in \[0, 2N\] per leaf$"):
+                StoppingTime.constant(tree, 2 * step + phase)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                StoppingTime.from_realized(tree, np.full(tree.n_leaves, step), np.full(tree.n_leaves, phase))
 
 
 def test_after_horizon_point_does_not_exist():
     tree = build_tree(2, 1.0)
-    with pytest.raises(ValueError):
-        tree.check_point(2, Phase.AFTER)
+    with pytest.raises(ValueError, match=r"^stop keys must be one order key in \[0, 2N\] per leaf$"):
+        StoppingTime.constant(tree, 5)
+    with pytest.raises(ValueError, match="^the final step has no AFTER phase$"):
+        StoppingTime.from_realized(tree, np.full(4, 2), np.ones(4))
+    # a process has no slot past AT(N), the last of its 2N + 1 keys
     proc = OptionalProcess.from_constant(tree, 0.0)
-    with pytest.raises(ValueError):
-        proc.value(2, Phase.AFTER, 0)
+    assert len(proc.slots) == 5 and proc.slots[-1] is proc.terminal
+    assert len(proc.after) == 2
 
 
 # -- optional processes -----------------------------------------------------
@@ -132,7 +144,7 @@ def test_one_sided_limits_read_the_interval_slot():
     # AT(1) node is its parent's entry of that slot
     assert [a.tolist() for a in proc.slots] == [[1.0], [2.0], [5.0, 6.0]]
     assert [proc.after[0][node >> 1] for node in range(2)] == [2.0, 2.0]
-    assert proc.value(0, Phase.AFTER, 0) == 2.0
+    assert proc.at_keys(np.full(2, 1)).tolist() == [2.0, 2.0]
 
 
 def test_restrict_matches_direct_subtree_read():
@@ -148,12 +160,11 @@ def test_restrict_matches_direct_subtree_read():
 
 
 @pytest.mark.parametrize("read", [
-    # once node 1's value, node 1's subtree and a bare IndexError
-    lambda p, node: p.value(1, Phase.AT, node),
+    # once node 1's subtree and a bare IndexError
     lambda p, node: p.restrict(1, node),
     # once "terminal must have one value per leaf"
     lambda p, node: Barriers(p, p, p.terminal).restrict(1, node),
-], ids=["value", "restrict", "barriers-restrict"])
+], ids=["restrict", "barriers-restrict"])
 @pytest.mark.parametrize("node", [-1, 2])
 def test_a_node_outside_its_step_is_refused(read, node):
     proc = OptionalProcess.from_constant(build_tree(2, 0.5), 1.0)
@@ -273,16 +284,16 @@ def test_process_rows_serialization_shape():
 def test_eval_constant_process_any_system():
     tree = build_tree(2, 1.0)
     proc = OptionalProcess.from_constant(tree, 3.25)
-    for phase in Phase:
-        rho = StoppingTime.constant(tree, 1, phase)
+    for key in (2, 3):  # AT(1) and AFTER(1)
+        rho = StoppingTime.constant(tree, key)
         np.testing.assert_array_equal(proc.at_keys(rho.keys), np.full(4, 3.25))
 
 
 def test_eval_on_and_off_membership_reads():
     tree = build_tree(1, 1.0)
     proc = _process(tree, [[1.0], [9.0, 9.0]], [[2.0]])
-    on = StoppingTime.constant(tree, 0, Phase.AT)
-    off = StoppingTime.constant(tree, 0, Phase.AFTER)
+    on = StoppingTime.constant(tree, 0)
+    off = StoppingTime.constant(tree, 1)
     np.testing.assert_array_equal(proc.at_keys(on.keys), [1.0, 1.0])
     np.testing.assert_array_equal(proc.at_keys(off.keys), [2.0, 2.0])
     # the right limsup and liminf readings coincide on the grid: both are
@@ -298,8 +309,8 @@ def test_eval_equals_the_per_leaf_read():
     steps, phases = enumerate_stopping_times(tree, phase_resolved=True)
     for row in range(steps.shape[0]):
         tau = StoppingTime.from_realized(tree, steps[row], phases[row])
-        direct = np.array([proc.value(int(tau.steps[lf]), Phase(int(tau.phases[lf])),
-                                      lf >> (2 - int(tau.steps[lf]))) for lf in range(4)])
+        direct = np.array([proc.slots[2 * steps[row][lf] + phases[row][lf]][lf >> (2 - steps[row][lf])]
+                           for lf in range(4)])
         np.testing.assert_array_equal(proc.at_keys(tau.keys), direct)
 
 
@@ -318,7 +329,7 @@ def test_hitting_never_capped_at_horizon():
     cond = OptionalProcess.from_constant(tree, 0.0)
     stop = first_hitting(cond)
     assert not np.any(cond.at_keys(stop.keys) != 0)
-    assert np.all(stop.steps == 2) and np.all(stop.phases == 0)
+    assert np.all(stop.keys == 4)  # AT(2)
 
 
 def test_hitting_one_sided_interval_slot():
@@ -329,16 +340,16 @@ def test_hitting_one_sided_interval_slot():
     cond = _process(tree, [[0.0], [0.0, 0.0], [0.0] * 4], [[0.0], [1.0, 0.0]])
     stop = first_hitting(cond)
     hit = cond.at_keys(stop.keys) != 0
-    assert np.all(stop.steps[:2] == 1) and np.all(stop.phases[:2] == 1)
+    assert np.all(stop.keys[:2] == 3)  # AFTER(1)
     assert hit[:2].all()
-    assert np.all(stop.steps[2:] == 2) and np.all(stop.phases[2:] == 0)
+    assert np.all(stop.keys[2:] == 4)  # AT(2)
     assert not hit[2:].any()
 
 
 def test_hitting_respects_theta_floor():
     tree = build_tree(2, 1.0)
     cond = OptionalProcess.from_constant(tree, 1.0)
-    theta = StoppingTime.constant(tree, 1, Phase.AFTER)
+    theta = StoppingTime.constant(tree, 3)  # AFTER(1)
     assert np.all(first_hitting(cond, theta).keys == 3)
 
 

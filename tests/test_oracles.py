@@ -57,7 +57,6 @@ from rbsde_lab import (
     ClassifyResult,
     Driver,
     OptionalProcess,
-    Phase,
     RootSolveError,
     SeparationFailure,
     StoppingTime,
@@ -119,7 +118,12 @@ def reference_from_realized(tree, steps, phases):
     flag_after = [np.zeros(tree.nodes_at(k), dtype=bool) for k in range(n)]
     for leaf in range(tree.n_leaves):
         k, ph = int(steps[leaf]), int(phases[leaf])
-        tree.check_point(k, Phase(ph))
+        if ph not in (0, 1):
+            raise ValueError(f"{ph} is not a valid Phase")
+        if not 0 <= k <= n:
+            raise ValueError(f"step {k} outside [0, {n}]")
+        if k == n and ph == 1:
+            raise ValueError("the final step has no AFTER phase")
         (flag_at if ph == 0 else flag_after)[k][leaf >> (n - k)] = True
     flag_at[n][:] = True
     for leaf in range(tree.n_leaves):
@@ -142,8 +146,7 @@ def reference_witness(tree, barriers):
         bad = np.nonzero(lv >= uv)[0]
         if bad.size:
             j = int(bad[0])
-            return SeparationFailure(step=step, phase=Phase(ph), node=j,
-                                     lower=float(lv[j]), upper=float(uv[j]))
+            return SeparationFailure(key=key, node=j, lower=float(lv[j]), upper=float(uv[j]))
     x_at = [np.full(tree.nodes_at(k), np.nan) for k in range(n + 1)]
     x_after = [np.full(tree.nodes_at(k), np.nan) for k in range(n)]
     cut_keys = []
@@ -221,8 +224,9 @@ def test_witness_matches_with_forced_reanchors():
     # a band that jumps by more than its width at every grid time forces a
     # re-anchor on every path at every step
     tree = build_tree(6, 0.5)
-    low = OptionalProcess.from_callable(tree, lambda step, phase, walk: 3.0 * step + walk - 0.5)
-    up = OptionalProcess.from_callable(tree, lambda step, phase, walk: 3.0 * step + walk + 0.5)
+    centre = [3.0 * (q >> 1) + tree.brownian(q >> 1) for q in range(2 * tree.n_steps + 1)]
+    low = OptionalProcess.from_slots(tree, [c - 0.5 for c in centre])
+    up = OptionalProcess.from_slots(tree, [c + 0.5 for c in centre])
     barriers = Barriers(low, up, low.terminal + 0.25)
     assert _assert_witness_matches(tree, barriers) == tree.n_steps + 1
     # and on random scenarios deep enough to re-anchor on some paths only
@@ -268,21 +272,24 @@ def test_from_realized_matches_the_per_leaf_loop(seed, depth, kind):
         assert got == ref
     else:
         assert got[0] == "ok" and np.array_equal(got[1].keys, first_flagged_keys(tree, *ref[1]))
-        assert np.array_equal(got[1].steps, steps) and np.array_equal(got[1].phases, phases)
+        assert np.array_equal(got[1].keys, 2 * steps + phases)
 
 
-@pytest.mark.parametrize("steps, phases", [
-    ([2, 2, 2, 2], [0, 0, 1, 0]),     # AFTER at the horizon
-    ([0, 0, 3, 0], [0, 0, 0, 0]),     # step beyond the horizon
-    ([0, -1, 0, 0], [0, 0, 0, 0]),    # negative step
-    ([1, 1, 1, 1], [0, 2, 0, 0]),     # no such phase
-    ([1, 2, 2, 2], [0, 0, 0, 0]),     # not adapted
-    ([1, 1], [0, 0]),                 # wrong length
+@pytest.mark.parametrize("steps, phases, message", [
+    # the messages are literal, so that the loop and the vectorised check
+    # cannot change together
+    pytest.param([2, 2, 2, 2], [0, 0, 1, 0], "the final step has no AFTER phase", id="after-at-the-horizon"),
+    pytest.param([0, 0, 3, 0], [0, 0, 0, 0], "step 3 outside [0, 2]", id="step-beyond-the-horizon"),
+    pytest.param([0, -1, 0, 0], [0, 0, 0, 0], "step -1 outside [0, 2]", id="negative-step"),
+    pytest.param([1, 1, 1, 1], [0, 2, 0, 0], "2 is not a valid Phase", id="no-such-phase"),
+    pytest.param([1, 2, 2, 2], [0, 0, 0, 0], "realized stops are not adapted (not a stopping time)",
+                 id="not-adapted"),
+    pytest.param([1, 1], [0, 0], "realized stop arrays must have one entry per leaf", id="wrong-length"),
 ])
-def test_from_realized_raises_what_the_loop_raised(steps, phases):
+def test_from_realized_raises_what_the_loop_raised(steps, phases, message):
     tree = build_tree(2, 1.0)
     ref = _outcome(reference_from_realized, tree, np.array(steps), np.array(phases))
-    assert ref[0] == "raised"
+    assert ref == ("raised", ValueError, message)
     assert _outcome(StoppingTime.from_realized, tree, np.array(steps), np.array(phases)) == ref
 
 
@@ -385,7 +392,7 @@ def reference_gather_batch(tree, vals, keys):
 def reference_eval_at_system(process, tau, member):
     """The process at the stop on H and at the interval slot off H, per key."""
     keys = np.where(member, tau.keys, tau.keys | 1)
-    nodes = np.arange(process.tree.n_leaves) >> (process.tree.n_steps - tau.steps)
+    nodes = np.arange(process.tree.n_leaves) >> (process.tree.n_steps - (tau.keys >> 1))
     out = np.empty(process.tree.n_leaves)
     for key in np.flatnonzero(np.bincount(keys)).tolist():
         sel = keys == key
@@ -460,9 +467,10 @@ def test_gathers_match_the_per_key_loops(seed, depth, rows):
         assert _same_bits(np.atleast_2d(proc.at_keys(keys)), reference_gather_process(proc, keys))
         assert _same_bits(gather_slots(vals, keys), reference_gather_batch(tree, vals, keys))
     tau = _random_stop(tree, rng)
-    first_leaf = np.arange(tree.n_leaves) >> (depth - tau.steps) << (depth - tau.steps)
+    shift = depth - (tau.keys >> 1)
+    first_leaf = np.arange(tree.n_leaves) >> shift << shift
     for member in (np.ones(tree.n_leaves, dtype=bool),
-                   (rng.random(tree.n_leaves) < 0.5)[first_leaf] | (tau.steps == depth)):
+                   (rng.random(tree.n_leaves) < 0.5)[first_leaf] | (tau.keys == 2 * depth)):
         system = StoppingTime(tree, np.where(member, tau.keys, tau.keys | 1))
         assert _same_bits(proc.at_keys(system.keys), reference_eval_at_system(proc, tau, member))
 
@@ -507,8 +515,8 @@ def test_brute_classification_matches_the_reference():
             for from_time, to_time in windows:
                 got = classify_ef(proc, driver, from_time=from_time, to_time=to_time, mode="brute")
                 ref = reference_classify_brute(
-                    proc, driver, from_time or StoppingTime.constant(tree, 0, Phase.AT),
-                    to_time or StoppingTime.constant(tree, depth, Phase.AT), 1e-12)
+                    proc, driver, from_time or StoppingTime.constant(tree, 0),
+                    to_time or StoppingTime.constant(tree, 2 * depth), 1e-12)
                 assert got == ref
 
 
@@ -550,7 +558,7 @@ def test_brute_classification_matches_the_per_pair_batch(seed, depth, kind, solv
     proc = solve_rbsde(tree, scn.barriers, driver).y if solved else _random_process(tree, rng)
     a, b = _random_stop(tree, rng), _random_stop(tree, rng)
     lo, hi = StoppingTime(tree, np.minimum(a.keys, b.keys)), StoppingTime(tree, np.maximum(a.keys, b.keys))
-    start, end = StoppingTime.constant(tree, 0, Phase.AT), StoppingTime.constant(tree, depth, Phase.AT)
+    start, end = StoppingTime.constant(tree, 0), StoppingTime.constant(tree, 2 * depth)
     for from_time, to_time in [(start, end), (lo, hi), (lo, lo), (hi, end), (start, lo), (a, b), (b, a)]:
         got = _outcome(lambda: classify_ef(proc, driver, from_time=from_time, to_time=to_time, mode="brute"))
         if from_time.leq(to_time):

@@ -13,7 +13,6 @@ from rbsde_lab import (
     Barriers,
     BudgetError,
     OptionalProcess,
-    Phase,
     RBSDESolution,
     SeparationFailure,
     TransitionIncrements,
@@ -381,7 +380,7 @@ def test_touching_at_root_reported():
     b.upper.at[0][0] = 0.0
     fail = mokobodzki_witness(tree, b)
     assert isinstance(fail, SeparationFailure)
-    assert (fail.step, fail.phase, fail.node) == (0, Phase.AT, 0)
+    assert (fail.key, fail.node) == (0, 0)  # AT(0), the root
 
 
 def test_witness_reanchors_on_exit():
@@ -407,8 +406,9 @@ def test_witness_sandwich_or_correct_failure(seed):
         assert sc.barriers.lower.pointwise_leq(out.x)
         assert out.x.pointwise_leq(sc.barriers.upper)
     else:
-        lv = sc.barriers.lower.value(out.step, out.phase, out.node)
-        uv = sc.barriers.upper.value(out.step, out.phase, out.node)
+        assert 0 <= out.key <= 2 * sc.tree.n_steps and 0 <= out.node < sc.tree.nodes_at(out.key >> 1)
+        lv = float(sc.barriers.lower.slots[out.key][out.node])
+        uv = float(sc.barriers.upper.slots[out.key][out.node])
         assert lv >= uv
 
 

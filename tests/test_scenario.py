@@ -558,7 +558,7 @@ def test_validator_messages_match_jsonschema_wording():
         with pytest.raises(ScenarioError) as info:
             scenario_from_dict(doc)
         assert str(info.value) == message
-    assert scenario_from_dict(_minimal(steps=2.0)).n_steps == 2  # 2.0 is an integer
+    assert scenario_from_dict(_minimal(steps=2.0)).tree.n_steps == 2  # 2.0 is an integer
 
 
 def test_steps_above_the_bound_are_refused_before_any_allocation():
@@ -571,4 +571,4 @@ def test_non_finite_literal_replaced_by_a_duplicate_key_is_not_reported(tmp_path
     p = tmp_path / "dup.json"
     text = json.dumps(_minimal())
     p.write_text(text.replace('"version": "v1"', '"version": NaN, "version": "v1"'))
-    assert load_scenario(p).n_steps == 1
+    assert load_scenario(p).tree.n_steps == 1
